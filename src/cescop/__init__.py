@@ -7,7 +7,7 @@ pointwise-multiplier norms between weighted Copson and Cesaro spaces,
 with a brute-force oracle for validation.
 """
 
-from .conventions import INF, xdiv, xmul, xpow, xrecip
+from .conventions import INF, xpow, xrecip
 from .errors import (
     CescopError,
     ConfigError,
@@ -16,6 +16,7 @@ from .errors import (
     EmptyFamily,
     NonIntegrableOscillation,
     NoWitness,
+    NumericOverflow,
     SpecInvalid,
     UnsupportedRegime,
     ZeroMass,

@@ -24,6 +24,7 @@ from .multiplier import ThreeWeightProblem, characterize, reduce_problem
 from .oracle import brute_force_multiplier, default_family, enrich
 from .realfun import (
     DEFAULT_CFG,
+    ONE,
     QuadratureConfig,
     RealFun,
     Weight,
@@ -135,7 +136,7 @@ def parse_space(rec, what: str = "space") -> SpaceSpec:
         raise ConfigError(f"{what}: {e}") from e
 
 
-_CFG_KEYS = {"S", "panels", "rel_tol", "sup_grid"}
+_CFG_KEYS = {"S", "panels", "sup_grid"}
 
 
 def parse_cfg(rec) -> QuadratureConfig:
@@ -148,7 +149,6 @@ def parse_cfg(rec) -> QuadratureConfig:
         return QuadratureConfig(
             S=float(rec.get("S", base.S)),
             panels=int(rec.get("panels", base.panels)),
-            rel_tol=float(rec.get("rel_tol", base.rel_tol)),
             sup_grid=int(rec.get("sup_grid", base.sup_grid)))
     except ValueError as e:
         raise ConfigError(f"cfg: {e}") from e
@@ -217,22 +217,14 @@ def _problem_from_config(rec) -> tuple:
     return prob, parse_cfg(rec.get("cfg")), rec.get("oracle")
 
 
-def _source_target_specs(prob: ThreeWeightProblem):
-    from .realfun import ONE
-    X = SpaceSpec("cop", (Exponent(1), prob.r),
-                  (prob.u, Weight(ONE, check=False)), validate=False)
-    Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
-    return X, Y
+_ORACLE_KEYS = {"seed", "size", "rounds"}
 
 
-def _run_oracle(prob, orec, cfg) -> dict:
-    allowed = {"seed", "size", "rounds"}
-    if not isinstance(orec, dict) or not set(orec) <= allowed:
-        raise ConfigError(f"oracle: allowed keys are {sorted(allowed)}")
-    X, Y = _source_target_specs(prob)
-    fam = default_family(seed=int(orec.get("seed", 0)), size=int(orec.get("size", 60)))
-    fam = enrich(fam, prob.f, X, Y, rounds=int(orec.get("rounds", 0)), cfg=cfg)
-    res = brute_force_multiplier(prob.f, X, Y, fam, cfg)
+def _oracle(f, X, Y, rec: dict, cfg) -> dict:
+    """Build the seeded candidate family, enrich it and score it."""
+    fam = default_family(seed=int(rec.get("seed", 0)), size=int(rec.get("size", 60)))
+    fam = enrich(fam, f, X, Y, rounds=int(rec.get("rounds", 0)), cfg=cfg)
+    res = brute_force_multiplier(f, X, Y, fam, cfg)
     return {"lower_bound": res.lower_bound,
             "argmax": res.argmax.describe() if res.argmax else None,
             "evaluated": res.evaluated, "skipped": res.skipped}
@@ -248,7 +240,12 @@ def _mult_report(prob, cfg, orec) -> dict:
         "warnings": list(res.warnings),
     }
     if orec is not None:
-        report["oracle"] = _run_oracle(prob, orec, cfg)
+        if not isinstance(orec, dict) or not set(orec) <= _ORACLE_KEYS:
+            raise ConfigError(f"oracle: allowed keys are {sorted(_ORACLE_KEYS)}")
+        X = SpaceSpec("cop", (Exponent(1), prob.r),
+                      (prob.u, Weight(ONE, check=False)), validate=False)
+        Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
+        report["oracle"] = _oracle(prob.f, X, Y, orec, cfg)
     return report
 
 
@@ -359,19 +356,12 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_oracle(args) -> dict:
     rec = _load_config(args.config)
-    _need(rec, {"f", "X", "Y"} | ({"cfg", "seed", "size", "rounds"} & set(rec)),
-          "oracle config")
+    _need(rec, {"f", "X", "Y"} | (({"cfg"} | _ORACLE_KEYS) & set(rec)), "oracle config")
     f = parse_fun(rec["f"], "f")
     X = parse_space(rec["X"], "X")
     Y = parse_space(rec["Y"], "Y")
-    cfg = parse_cfg(rec.get("cfg"))
-    fam = default_family(seed=int(rec.get("seed", 0)), size=int(rec.get("size", 60)))
-    fam = enrich(fam, f, X, Y, rounds=int(rec.get("rounds", 0)), cfg=cfg)
-    res = brute_force_multiplier(f, X, Y, fam, cfg)
     return {"command": "oracle", "X": X.describe(), "Y": Y.describe(),
-            "lower_bound": res.lower_bound,
-            "argmax": res.argmax.describe() if res.argmax else None,
-            "evaluated": res.evaluated, "skipped": res.skipped}
+            **_oracle(f, X, Y, rec, parse_cfg(rec.get("cfg")))}
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +400,26 @@ _DISPATCH = {"norm": _cmd_norm, "mult": _cmd_mult, "reduce": _cmd_reduce,
              "glue": _cmd_glue, "verify": _cmd_verify, "oracle": _cmd_oracle}
 
 
+def _open_out(path: str):
+    if path == "-":
+        return sys.stdout
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise ConfigError(f"cannot write output: {e}") from e
+
+
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _DISPATCH[args.command](args)
+        out = _open_out(args.out)
     except (ConfigError, SpecInvalid) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (CescopError, UnsupportedRegime) as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    out = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
         _emit(report, args.format, out)
     finally:

@@ -1,31 +1,14 @@
 """Extended-real arithmetic conventions used throughout.
 
-All quantities are nonnegative extended reals.  The rules 0/0 = 0,
-0 * inf = 0 and 1/inf = 0 are applied, so that degenerate head/tail
-integrals drop out of sums instead of poisoning them with NaNs.
+All quantities are nonnegative extended reals.  The rules 1/inf = 0 and
+1/0 = inf are applied, so that degenerate head/tail integrals drop out
+of sums instead of poisoning them with NaNs; the 0 * inf = 0 rule on
+log-values is ``grids.zero_wins``.
 """
 
 import math
 
 INF = math.inf
-
-
-def xmul(a: float, b: float) -> float:
-    """Product with 0 * inf = 0."""
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
-
-
-def xdiv(a: float, b: float) -> float:
-    """Quotient with 0/0 = 0 and a/inf = 0."""
-    if a == 0.0:
-        return 0.0
-    if math.isinf(b):
-        return 0.0
-    if b == 0.0:
-        return INF
-    return a / b
 
 
 def xrecip(a: float) -> float:

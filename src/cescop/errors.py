@@ -39,3 +39,7 @@ class UnsupportedRegime(CescopError):
 
 class ConfigError(CescopError):
     """CLI configuration failed schema validation."""
+
+
+class NumericOverflow(CescopError):
+    """A finite result is too large to represent as a float."""

@@ -21,7 +21,6 @@ from .conventions import INF
 from .errors import NoWitness, ZeroMass
 from .realfun import (
     DEFAULT_CFG,
-    Interval,
     QuadratureConfig,
     RealFun,
     as_fun,
@@ -88,22 +87,6 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _from_log(lx: float) -> float:
-    if np.isposinf(lx):
-        return INF
-    if lx == NEG_INF:
-        return 0.0
-    return math.exp(lx)
-
-
-def _log_integral_1d(li: np.ndarray, s: np.ndarray) -> float:
-    with np.errstate(invalid="ignore"):
-        tot = grids.log_trapz(li, s)
-        tot = np.logaddexp(tot, grids.log_head_estimate(li, s))
-        tot = np.logaddexp(tot, grids.log_tail_estimate(li, s))
-    return float(tot)
-
-
 def _scale(c: float, arr: np.ndarray) -> np.ndarray:
     """c * arr in log space, honoring x^0 = 1 even for x in {0, inf}."""
     if c == 0.0:
@@ -119,18 +102,10 @@ def _combine(*parts: np.ndarray) -> np.ndarray:
     infinite one); the zero factor wins.
     """
     with np.errstate(invalid="ignore"):
-        out = parts[0].copy()
+        out = parts[0]
         for p in parts[1:]:
             out = out + p
-    return np.nan_to_num(out, nan=NEG_INF, posinf=INF, neginf=NEG_INF)
-
-
-def _cum_head(li: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return grids.log_cumtrapz(li, s, log_head=grids.log_head_estimate(li, s))
-
-
-def _cum_tail(li: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return grids.log_suffix_cumtrapz(li, s, log_tail=grids.log_tail_estimate(li, s))
+    return grids.zero_wins(out)
 
 
 def _row_kernel_ops(la: np.ndarray, s: np.ndarray, reduce_fns):
@@ -154,14 +129,6 @@ def _row_kernel_ops(la: np.ndarray, s: np.ndarray, reduce_fns):
             for acc, c in zip(outs, chunk_outs):
                 acc.append(c)
     return [np.concatenate(parts) for parts in outs]
-
-
-def _rows_logint(li2d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """log of the t-integral for each row, with edge estimates per row."""
-    tot = grids.log_trapz(li2d, s)
-    heads = np.array([grids.log_head_estimate(row, s) for row in li2d])
-    tails = np.array([grids.log_tail_estimate(row, s) for row in li2d])
-    return np.logaddexp(np.logaddexp(tot, heads), tails)
 
 
 def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResult:
@@ -190,57 +157,61 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
         def reduce_fns(lA):
             lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
             left = np.max(lA + lg[None, :], axis=-1)
-            right = _rows_logint(b * lAc + lh[None, :] + s[None, :], s) / b
+            right = grids.log_integral(b * lAc + lh[None, :] + s[None, :], s) / b
             return left, right
         lsup_g, lint_h = _row_kernel_ops(la, s, reduce_fns)
         lhs = float(np.max(_combine(lsup_g, lint_h)))
-        t1 = float(np.max(_combine(lg, _cum_tail(lh + s, s) / b)))
-        t2 = float(np.max(_combine(-la, lg, _cum_head(b * la + lh + s, s) / b)))
+        t1 = float(np.max(_combine(lg, grids.log_cumint(lh + s, s, head=False) / b)))
+        t2 = float(np.max(_combine(
+            -la, lg, grids.log_cumint(b * la + lh + s, s, head=True) / b)))
 
     elif inst.lemma_id == INT_SUP:
         b = e["beta"]
 
         def reduce_fns(lA):
             lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
-            left = _rows_logint(b * lA + lg[None, :] + s[None, :], s) / b
+            left = grids.log_integral(b * lA + lg[None, :] + s[None, :], s) / b
             right = np.max(lAc + lh[None, :], axis=-1)
             return left, right
         lint_g, lsup_h = _row_kernel_ops(la, s, reduce_fns)
         lhs = float(np.max(_combine(lint_g, lsup_h)))
-        t1 = float(np.max(_combine(lh, _cum_head(lg + s, s) / b)))
-        t2 = float(np.max(_combine(la, lh, _cum_tail(-b * la + lg + s, s) / b)))
+        t1 = float(np.max(_combine(lh, grids.log_cumint(lg + s, s, head=True) / b)))
+        t2 = float(np.max(_combine(
+            la, lh, grids.log_cumint(-b * la + lg + s, s, head=False) / b)))
 
     elif inst.lemma_id == INT_INT_SUP:
         al, b = e["alpha"], e["beta"]
 
         def reduce_fns(lA):
             lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
-            left = _rows_logint(b * lA + lg[None, :] + s[None, :], s) / b
-            right = _rows_logint(al * lAc + lh[None, :] + s[None, :], s) / al
+            left = grids.log_integral(b * lA + lg[None, :] + s[None, :], s) / b
+            right = grids.log_integral(al * lAc + lh[None, :] + s[None, :], s) / al
             return left, right
         lint_g, lint_h = _row_kernel_ops(la, s, reduce_fns)
         lhs = float(np.max(_combine(lint_g, lint_h)))
-        t1 = float(np.max(_combine(_cum_head(lg + s, s) / b, _cum_tail(lh + s, s) / al)))
-        t2 = float(np.max(_combine(_cum_tail(-b * la + lg + s, s) / b,
-                                   _cum_head(al * la + lh + s, s) / al)))
+        t1 = float(np.max(_combine(grids.log_cumint(lg + s, s, head=True) / b,
+                                   grids.log_cumint(lh + s, s, head=False) / al)))
+        t2 = float(np.max(_combine(grids.log_cumint(-b * la + lg + s, s, head=False) / b,
+                                   grids.log_cumint(al * la + lh + s, s, head=True) / al)))
 
     elif inst.lemma_id == INTEGRAL:
         al, b, ga = e["alpha"], e["beta"], e["gamma"]
 
         def reduce_fns(lA):
             lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
-            left = _rows_logint(al * lA + lg[None, :] + s[None, :], s)
-            right = _rows_logint(b * lAc + lh[None, :] + s[None, :], s)
+            left = grids.log_integral(al * lA + lg[None, :] + s[None, :], s)
+            right = grids.log_integral(b * lAc + lh[None, :] + s[None, :], s)
             return left, right
         lint_g, lint_h = _row_kernel_ops(la, s, reduce_fns)
         li = _combine(_scale(ga / al - 1.0, lint_g), _scale(ga / b, lint_h), lg + s)
-        lhs = _log_integral_1d(li, s)
-        lG, lH = _cum_head(lg + s, s), _cum_tail(lh + s, s)
-        t1 = _log_integral_1d(
+        lhs = grids.log_integral(li, s)
+        lG = grids.log_cumint(lg + s, s, head=True)
+        lH = grids.log_cumint(lh + s, s, head=False)
+        t1 = grids.log_integral(
             _combine(_scale(ga / al - 1.0, lG), _scale(ga / b, lH), lg + s), s)
-        lGt = _cum_tail(-al * la + lg + s, s)
-        lHh = _cum_head(b * la + lh + s, s)
-        t2 = _log_integral_1d(
+        lGt = grids.log_cumint(-al * la + lg + s, s, head=False)
+        lHh = grids.log_cumint(b * la + lh + s, s, head=True)
+        t2 = grids.log_integral(
             _combine(_scale(ga / al - 1.0, lGt), _scale(ga / b, lHh),
                      -al * la, lg + s), s)
 
@@ -249,23 +220,23 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
 
         def reduce_fns(lA):
             lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
-            left = _rows_logint(lA + lg[None, :] + s[None, :], s)
+            left = grids.log_integral(lA + lg[None, :] + s[None, :], s)
             right = np.max(lAc + lh[None, :], axis=-1)
             return left, right
         lint_g, lsup_h = _row_kernel_ops(la, s, reduce_fns)
-        lhs = _log_integral_1d(
+        lhs = grids.log_integral(
             _combine(_scale(b - 1.0, lint_g), _scale(b, lsup_h), lg + s), s)
-        lG = _cum_head(lg + s, s)
-        t1 = _log_integral_1d(
+        lG = grids.log_cumint(lg + s, s, head=True)
+        t1 = grids.log_integral(
             _combine(_scale(b - 1.0, lG), _scale(b, grids.suffix_logmax(lh)),
                      lg + s), s)
-        lGt = _cum_tail(-la + lg + s, s)
-        t2 = _log_integral_1d(
+        lGt = grids.log_cumint(-la + lg + s, s, head=False)
+        t2 = grids.log_integral(
             _combine(_scale(b - 1.0, lGt), _scale(b, grids.running_logmax(la + lh)),
                      -la, lg + s), s)
 
-    lhs_v = _from_log(lhs)
-    terms = (_from_log(t1), _from_log(t2))
+    lhs_v = grids.from_log(lhs)
+    terms = (grids.from_log(t1), grids.from_log(t2))
     rhs_v = terms[0] + terms[1]
     return GlueResult(lhs=lhs_v, rhs_terms=terms, rhs=rhs_v, ratio=_ratio(lhs_v, rhs_v))
 

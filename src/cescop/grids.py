@@ -5,6 +5,12 @@ accumulation happens on log-values, so products of rapidly growing and
 decaying factors (t^a * e^{b t} and friends) never overflow before they
 cancel.  Integrals outside the working window [e^-S, e^S] are estimated
 by fitting a local power law at the window edges.
+
+This module is the one home of every log-space rule the other modules
+use: the integral with its edge estimates (``log_integral``), its
+cumulative form (``log_cumint``), the supremum with its edge-divergence
+test (``log_sup``), the 0 * inf = 0 rule (``zero_wins``) and the step
+back from a log-value to a number (``from_log``).
 """
 
 from __future__ import annotations
@@ -13,12 +19,18 @@ import math
 
 import numpy as np
 
+from .errors import NumericOverflow
+
 NEG_INF = -math.inf
 LOG10 = math.log(10.0)
 
 # Slopes within this margin of the critical exponent 0 are treated as
 # divergent: a borderline tail cannot be resolved numerically anyway.
 _SLOPE_TOL = 1e-9
+
+# A supremum at an open end of the window whose log-values still climb
+# faster than this per unit of s is taken to be infinite.
+_SUP_SLOPE_TOL = 1e-6
 
 
 def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
@@ -78,68 +90,68 @@ def log_suffix_cumtrapz(li: np.ndarray, s: np.ndarray, log_tail: float = NEG_INF
     return rev[::-1]
 
 
-def _edge_slope(li: np.ndarray, s: np.ndarray, left: bool) -> tuple[float, float, float]:
-    """Local power-law fit at a window edge.
+def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool):
+    """Log of the integral of exp(li) ds beyond one window edge, row by row.
 
-    Returns (slope, log_value_at_edge, s_edge); slope is d(log g)/d(log t).
-    If no usable finite samples exist near the edge, log_value is -inf.
+    Fits a power law between the edge node and the node one decade
+    inside: the integral is exp(lv) / rate, where rate is the decay of
+    li per unit of s away from the window.  +inf when the fit says
+    divergent (rate not positive), -inf when either log-value is not
+    finite.
     """
-    idx = np.arange(li.shape[-1])
-    finite = np.isfinite(li)
-    if not finite.any():
-        return 0.0, NEG_INF, s[0] if left else s[-1]
-    if left:
-        i0 = idx[finite][0]
-        if i0 != 0:
-            return 0.0, NEG_INF, s[0]
-        span = min(li.shape[-1] - 1, max(4, int(round((s.shape[0] - 1) * LOG10 / (s[-1] - s[0])))))
-        i1 = i0 + span
-        if not np.isfinite(li[i1]):
-            return 0.0, NEG_INF, s[0]
-        slope = (li[i1] - li[i0]) / (s[i1] - s[i0])
-        return slope, li[i0], s[i0]
-    i0 = idx[finite][-1]
-    if i0 != li.shape[-1] - 1:
-        return 0.0, NEG_INF, s[-1]
-    span = min(li.shape[-1] - 1, max(4, int(round((s.shape[0] - 1) * LOG10 / (s[-1] - s[0])))))
-    i1 = i0 - span
-    if not np.isfinite(li[i1]):
-        return 0.0, NEG_INF, s[-1]
-    slope = (li[i0] - li[i1]) / (s[i0] - s[i1])
-    return slope, li[i0], s[i0]
+    n = li.shape[-1]
+    span = min(n - 1, max(4, int(round((s.shape[0] - 1) * LOG10 / (s[-1] - s[0])))))
+    i0, i1 = (0, span) if left else (n - 1, n - 1 - span)
+    lv, l1 = li[..., i0], li[..., i1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rate = (l1 - lv) / abs(s[i1] - s[i0])
+        est = np.where(rate > _SLOPE_TOL, lv - np.log(rate), math.inf)
+    return np.where(np.isfinite(lv) & np.isfinite(l1), est, NEG_INF)[()]
 
 
-def log_head_estimate(li: np.ndarray, s: np.ndarray) -> float:
+def log_head_estimate(li: np.ndarray, s: np.ndarray):
     """Log of the integral of exp(li) ds over (-inf, s_0), power-law fit.
 
     li is the log of the ds-integrand (Jacobian included), so the head
-    converges exactly when its s-slope at the left edge is positive:
-    integral = exp(lv) / slope.  +inf when the fit says divergent.
+    converges exactly when its s-slope at the left edge is positive.
+    Works on one row (n,) or on rows (..., n).
     """
-    slope, lv, _ = _edge_slope(li, s, left=True)
-    if lv == NEG_INF:
-        return NEG_INF
-    if np.isposinf(lv):
-        return math.inf
-    if slope <= _SLOPE_TOL:
-        return math.inf
-    return lv - math.log(slope)
+    return _edge_estimate(li, s, left=True)
 
 
-def log_tail_estimate(li: np.ndarray, s: np.ndarray) -> float:
+def log_tail_estimate(li: np.ndarray, s: np.ndarray):
     """Log of the integral of exp(li) ds over (s_end, inf), power-law fit.
 
-    Converges exactly when the s-slope at the right edge is negative:
-    integral = exp(lv) / (-slope).  +inf when the fit says divergent.
+    Converges exactly when the s-slope at the right edge is negative.
     """
-    slope, lv, _ = _edge_slope(li, s, left=False)
-    if lv == NEG_INF:
-        return NEG_INF
-    if np.isposinf(lv):
-        return math.inf
-    if slope >= -_SLOPE_TOL:
-        return math.inf
-    return lv - math.log(-slope)
+    return _edge_estimate(li, s, left=False)
+
+
+def log_edge_estimates(li: np.ndarray, s: np.ndarray, head: bool, tail: bool):
+    """(head, tail) estimates beyond the window edges; -inf for an edge
+    not asked for."""
+    return (log_head_estimate(li, s) if head else NEG_INF,
+            log_tail_estimate(li, s) if tail else NEG_INF)
+
+
+def log_integral(li: np.ndarray, s: np.ndarray, head: bool = True, tail: bool = True):
+    """Log of the integral of exp(li) ds along the last axis.
+
+    The trapezoid sum over the window, plus the head and then the tail
+    estimate beyond its edges when asked; li is 1-D or 2-D rows.
+    """
+    lh, lt = log_edge_estimates(li, s, head, tail)
+    with np.errstate(invalid="ignore"):
+        return np.logaddexp(np.logaddexp(log_trapz(li, s), lh), lt)
+
+
+def log_cumint(li: np.ndarray, s: np.ndarray, head: bool) -> np.ndarray:
+    """Log of the integral of exp(li) ds up to each node (head=True, from
+    -inf) or from each node on (head=False, to +inf), edge estimate
+    included."""
+    if head:
+        return log_cumtrapz(li, s, log_head=log_head_estimate(li, s))
+    return log_suffix_cumtrapz(li, s, log_tail=log_tail_estimate(li, s))
 
 
 def running_logmax(li: np.ndarray) -> np.ndarray:
@@ -150,3 +162,47 @@ def running_logmax(li: np.ndarray) -> np.ndarray:
 def suffix_logmax(li: np.ndarray) -> np.ndarray:
     """Suffix maxima along the last axis."""
     return np.maximum.accumulate(li[..., ::-1], axis=-1)[..., ::-1]
+
+
+def log_sup(lv: np.ndarray, s: np.ndarray, open_lo: bool = True,
+            open_hi: bool = True) -> float:
+    """Max of the log-values lv at the nodes s.
+
+    +inf when the max sits at an open end of the window and the values
+    still climb towards it from a finite neighbour: the supremum then
+    lies beyond the window.
+    """
+    if np.all(np.isneginf(lv)):
+        return NEG_INF
+    i = int(np.nanargmax(lv))
+    best = float(lv[i])
+    if np.isposinf(best):
+        return math.inf
+    if open_hi and i == lv.size - 1 and np.isfinite(lv[-2]):
+        if (lv[-1] - lv[-2]) / (s[-1] - s[-2]) > _SUP_SLOPE_TOL:
+            return math.inf
+    if open_lo and i == 0 and np.isfinite(lv[1]):
+        if (lv[1] - lv[0]) / (s[1] - s[0]) < -_SUP_SLOPE_TOL:
+            return math.inf
+    return best
+
+
+def zero_wins(lv: np.ndarray) -> np.ndarray:
+    """Resolve NaN log-values to -inf.
+
+    A NaN here is (+inf) + (-inf): an infinite factor against a zero
+    one, which the 0 * inf = 0 convention resolves to zero.
+    """
+    return np.where(np.isnan(lv), NEG_INF, lv)
+
+
+def from_log(lx) -> float:
+    """exp(lx) as a float; NumericOverflow when a finite lx is too large."""
+    if np.isposinf(lx):
+        return math.inf
+    if lx == NEG_INF:
+        return 0.0
+    try:
+        return math.exp(lx)
+    except OverflowError:
+        raise NumericOverflow(f"e^{float(lx):.6g} exceeds the float range") from None

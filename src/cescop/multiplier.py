@@ -11,12 +11,12 @@ three-weight form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from . import grids
 from .conventions import INF, xrecip
 from .errors import SpecInvalid, UnsupportedRegime
 from .exponents import Exponent, arrow, dual_exponent
@@ -135,14 +135,10 @@ def _wspec(kind, exps, weights):
 
 def _phi1(prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig):
     """phi_1(x) = esup_t V(x,t)-kernel * V(t) * ||u||_{r,(0,t)}^{-1}."""
-    from . import grids
-
     s, t = grids.log_nodes(cfg)
     lV = V.logv(t)
     rf = float(prob.r)
-    lu = as_fun(prob.u).logv(t)
-    lnu = grids.log_cumtrapz(rf * lu + s, s,
-                             log_head=grids.log_head_estimate(rf * lu + s, s)) / rf
+    lnu = grids.log_cumint(rf * as_fun(prob.u).logv(t) + s, s, head=True) / rf
 
     def phi(x):
         lx = V.logv(np.asarray([float(x)]))[0]
@@ -156,8 +152,6 @@ def _phi1(prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig):
 
 def _phi2(prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig):
     """phi_2(x): the (r->p)-mean of kernel * V against the u-differential."""
-    from . import grids
-
     e = float(arrow(prob.r, prob.p))
     dens = stieltjes_density(prob.u, prob.r, prob.p, cfg)
     s, t = grids.log_nodes(cfg)
@@ -167,10 +161,7 @@ def _phi2(prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig):
     def phi(x):
         lx = V.logv(np.asarray([float(x)]))[0]
         lker = lx - np.logaddexp(lx, lV)
-        li = e * (lker + lV) + ld + s
-        tot = grids.log_trapz(li, s)
-        tot = np.logaddexp(tot, grids.log_head_estimate(li, s))
-        tot = np.logaddexp(tot, grids.log_tail_estimate(li, s))
+        tot = grids.log_integral(e * (lker + lV) + ld + s, s)
         return float(np.exp(tot / e))
 
     return phi

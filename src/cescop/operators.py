@@ -21,8 +21,6 @@ from .errors import DegenerateOperator, DivergentRepresentation
 from .exponents import Exponent, arrow, dual_exponent
 from .realfun import (
     DEFAULT_CFG,
-    FULL,
-    Interval,
     QuadratureConfig,
     RealFun,
     as_fun,
@@ -68,34 +66,27 @@ def _interp_fun(s: np.ndarray, lv: np.ndarray, label: str) -> RealFun:
     return from_log_callable(logf, label=label)
 
 
+def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:
+    label = f"{'head' if head else 'tail'}({g.describe()})"
+    hint = g.primitive_log if head else g.tail_log
+    if hint(np.array([1.0])) is not None:
+        return from_log_callable(lambda t: hint(np.asarray(t, dtype=float)), label=label)
+    s, t = grids.log_nodes(cfg)
+    return _interp_fun(s, grids.log_cumint(g.logv(t) + s, s, head), label)
+
+
 def head_integral_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """x -> integral of g over (0, x), as a lazy RealFun.
 
     Uses the family's closed-form primitive when available; otherwise a
     memoized cumulative trapezoid on the working grid.
     """
-    probe = g.primitive_log(np.array([1.0]))
-    if probe is not None:
-        return from_log_callable(
-            lambda t: g.primitive_log(np.asarray(t, dtype=float)),
-            label=f"head({g.describe()})")
-    s, t = grids.log_nodes(cfg)
-    li = g.logv(t) + s
-    lv = grids.log_cumtrapz(li, s, log_head=grids.log_head_estimate(li, s))
-    return _interp_fun(s, lv, f"head({g.describe()})")
+    return _integral_fun(g, True, cfg)
 
 
 def tail_integral_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """x -> integral of g over (x, inf), as a lazy RealFun."""
-    probe = g.tail_log(np.array([1.0]))
-    if probe is not None:
-        return from_log_callable(
-            lambda t: g.tail_log(np.asarray(t, dtype=float)),
-            label=f"tail({g.describe()})")
-    s, t = grids.log_nodes(cfg)
-    li = g.logv(t) + s
-    lv = grids.log_suffix_cumtrapz(li, s, log_tail=grids.log_tail_estimate(li, s))
-    return _interp_fun(s, lv, f"tail({g.describe()})")
+    return _integral_fun(g, False, cfg)
 
 
 def running_sup_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
@@ -176,13 +167,10 @@ def fundamental_function(spec: FundamentalSpec, t: float,
     s, tau = grids.log_nodes(cfg)
     lUt = spec.U.logv(np.array([float(t)]))[0]
     li = spec.w.logv(tau) - np.logaddexp(spec.U.logv(tau), lUt) + s
-    tot = grids.log_trapz(li, s)
-    tot = np.logaddexp(tot, grids.log_head_estimate(li, s))
-    tot = np.logaddexp(tot, grids.log_tail_estimate(li, s))
+    tot = grids.log_integral(li, s)
     if np.isposinf(tot):
         raise DivergentRepresentation(f"representation integral diverges at t = {t:g}")
-    lv = lUt + tot
-    return 0.0 if lv == NEG_INF else float(np.exp(lv))
+    return grids.from_log(lUt + tot)
 
 
 @dataclass(frozen=True)

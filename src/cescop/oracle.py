@@ -177,7 +177,8 @@ def _perturb(cand: Candidate, rng) -> Candidate:
         return Candidate("decay", (float(gamma + rng.uniform(-0.5, 0.5)), jit(rate)))
     edges, levels = cand.params
     new_levels = tuple(jit(c) for c in levels)
-    return Candidate("step", (tuple(jit(e) for e in edges) if rng.random() < 0.5
+    # sorted, so that edges jittered past each other still bound intervals
+    return Candidate("step", (tuple(sorted(jit(e) for e in edges)) if rng.random() < 0.5
                               else edges, new_levels))
 
 

@@ -9,7 +9,6 @@ integral sees the inner norm at every node at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,19 +19,15 @@ from .errors import SpecInvalid
 from .exponents import Exponent
 from .realfun import (
     DEFAULT_CFG,
-    ONE,
     Interval,
     QuadratureConfig,
     RealFun,
     Weight,
     as_fun,
-    lp_norm,
     product,
 )
 
 __all__ = ["SpaceSpec", "space_norm", "space_norm3", "check_omega", "OmegaReport"]
-
-NEG_INF = -math.inf
 
 CES = "ces"
 COP = "cop"
@@ -91,7 +86,7 @@ def check_omega(u: Weight, q, dual: bool = False,
         I = Interval(0.0, t0) if dual else Interval(t0, INF)
         lval = _log_interval_norm(ufun, I, q, cfg)
         if np.isneginf(lval) or np.isposinf(lval):
-            failures.append((t0, _from_log(lval)))
+            failures.append((t0, grids.from_log(lval)))
     return OmegaReport(ok=not failures, failures=tuple(failures))
 
 
@@ -104,12 +99,7 @@ def _log_interval_norm(g, I: Interval, q: Exponent, cfg: QuadratureConfig) -> fl
     s, t = grids.log_nodes(cfg, I.lo, I.hi)
     qf = float(q)
     li = qf * g.logv(t) + s
-    tot = grids.log_trapz(li, s)
-    if I.lo == 0.0:
-        tot = np.logaddexp(tot, grids.log_head_estimate(li, s))
-    if I.hi == INF:
-        tot = np.logaddexp(tot, grids.log_tail_estimate(li, s))
-    return float(tot) / qf
+    return float(grids.log_integral(li, s, head=I.lo == 0.0, tail=I.hi == INF)) / qf
 
 
 def _cum_lognorm(lf: np.ndarray, s: np.ndarray, p: Exponent, head: bool) -> np.ndarray:
@@ -117,55 +107,17 @@ def _cum_lognorm(lf: np.ndarray, s: np.ndarray, p: Exponent, head: bool) -> np.n
     if p.is_inf:
         return grids.running_logmax(lf) if head else grids.suffix_logmax(lf)
     pf = float(p)
-    li = pf * lf + s
-    if head:
-        lh = grids.log_head_estimate(li, s)
-        return grids.log_cumtrapz(li, s, log_head=lh) / pf
-    lt = grids.log_tail_estimate(li, s)
-    return grids.log_suffix_cumtrapz(li, s, log_tail=lt) / pf
-
-
-def _zero_wins(lv: np.ndarray) -> np.ndarray:
-    # NaN here is (+inf) + (-inf): an infinite factor against a zero
-    # one, which the 0 * inf = 0 convention resolves to zero
-    return np.where(np.isnan(lv), NEG_INF, lv)
+    return grids.log_cumint(pf * lf + s, s, head) / pf
 
 
 def _outer_lognorm(lg: np.ndarray, lu: np.ndarray, s: np.ndarray, q: Exponent) -> float:
     """Log of the outer q-norm in weight exp(lu) of exp(lg) over (0, inf)."""
     with np.errstate(invalid="ignore"):
-        lv = _zero_wins(lg + lu)
+        lv = grids.zero_wins(lg + lu)
     if q.is_inf:
-        if np.all(np.isneginf(lv)):
-            return NEG_INF
-        i = int(np.nanargmax(lv))
-        best = float(lv[i])
-        if np.isposinf(best):
-            return INF
-        if i == lv.size - 1 and np.isfinite(lv[-1]) and np.isfinite(lv[-2]):
-            if (lv[-1] - lv[-2]) / (s[-1] - s[-2]) > 1e-6:
-                return INF
-        if i == 0 and np.isfinite(lv[0]) and np.isfinite(lv[1]):
-            if (lv[1] - lv[0]) / (s[1] - s[0]) < -1e-6:
-                return INF
-        return best
+        return grids.log_sup(lv, s)
     qf = float(q)
-    li = qf * lv + s
-    pieces = [grids.log_trapz(li, s), grids.log_head_estimate(li, s),
-              grids.log_tail_estimate(li, s)]
-    tot = NEG_INF
-    with np.errstate(invalid="ignore"):
-        for pc in pieces:
-            tot = np.logaddexp(tot, pc)
-    return float(tot) / qf
-
-
-def _from_log(lx: float) -> float:
-    if np.isposinf(lx):
-        return INF
-    if lx == NEG_INF:
-        return 0.0
-    return math.exp(lx)
+    return float(grids.log_integral(qf * lv + s, s)) / qf
 
 
 def _gate(spec: SpaceSpec, cfg: QuadratureConfig) -> None:
@@ -193,7 +145,7 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
     if np.all(np.isneginf(lf)) and not p.is_inf:
         return 0.0
     inn = _cum_lognorm(lf, s, p, head=(spec.kind == CES))
-    return _from_log(_outer_lognorm(inn, as_fun(u).logv(t), s, q))
+    return grids.from_log(_outer_lognorm(inn, as_fun(u).logv(t), s, q))
 
 
 def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
@@ -207,5 +159,5 @@ def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG
     lf = product(as_fun(f), as_fun(w)).logv(t)
     inn = _cum_lognorm(lf, s, p, head=head)
     with np.errstate(invalid="ignore"):
-        mid = _cum_lognorm(_zero_wins(inn + as_fun(v).logv(t)), s, q, head=head)
-    return _from_log(_outer_lognorm(mid, as_fun(u).logv(t), s, r))
+        mid = _cum_lognorm(grids.zero_wins(inn + as_fun(v).logv(t)), s, q, head=head)
+    return grids.from_log(_outer_lognorm(mid, as_fun(u).logv(t), s, r))

@@ -133,6 +133,24 @@ def test_exit_2_on_unreadable_config(capsys):
     assert run(["mult", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+def test_exit_2_on_unwritable_out(capsys):
+    argv = ["glue", "--lemma", "SUP_SUP", "--count", "1", "--out", "/nonexistent/x.json"]
+    assert run(argv) == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
+def test_exit_3_on_overflow(tmp_path, capsys):
+    # sup of e^t over (0, 800) is finite but beyond the float range
+    f = {"family": "product", "parts": [
+        {"family": "exp", "c": 1.0, "alpha": 0.0, "gamma": 1.0},
+        {"family": "indicator", "lo": 0.0, "hi": 800.0}]}
+    cfg = _write(tmp_path, {
+        "space": {"kind": "ces", "exponents": ["inf", "inf"], "weights": [ONE, ONE]},
+        "f": f})
+    assert run(["norm", "--config", cfg]) == 3
+    assert "NumericOverflow" in capsys.readouterr().err
+
+
 def test_exit_2_on_bad_family(tmp_path, capsys):
     rec = dict(MULT_T6)
     rec["f"] = {"family": "mystery", "c": 1}

@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cescop.errors import EmptyFamily
 from cescop.oracle import (
     Candidate,
+    _perturb,
     brute_force_multiplier,
     default_family,
     enrich,
@@ -78,3 +80,16 @@ def test_skips_degenerate_candidates():
     res = brute_force_multiplier(ONE, Y, Y, fam)
     assert res.evaluated + res.skipped == len(fam.candidates)
     assert res.evaluated > 0
+
+
+def test_perturbed_step_edges_stay_ordered():
+    # enrich perturbs an already perturbed argmax, so jitters compound
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        cand = Candidate("step", (tuple(2.0 ** (-2.0 + 2.0 * np.arange(5))),
+                                  (1.0, 2.0, 3.0, 4.0)))
+        for _ in range(5):
+            cand = _perturb(cand, rng)
+        edges = cand.params[0]
+        assert all(a < b for a, b in zip(edges[:-1], edges[1:]))
+        cand.build()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cescop.errors import NumericOverflow
 from cescop.realfun import (
     FULL,
     Interval,
@@ -112,6 +113,11 @@ def test_powerlog_positive():
 def test_from_log_callable():
     f = from_log_callable(lambda t: -t)
     assert integrate(f) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_esssup_overflow_is_a_package_error():
+    with pytest.raises(NumericOverflow):
+        esssup(expfam(1, 0, 1), Interval(0, 800))
 
 
 def test_weight_rejects_vanishing():
