@@ -111,9 +111,10 @@ def _combine(*parts: np.ndarray) -> np.ndarray:
 def _row_kernel_ops(la: np.ndarray, s: np.ndarray, reduce_fns):
     """Evaluate per-x reductions of the kernel log A(x,t) over the grid.
 
-    reduce_fns maps a (chunk, n) array of log kernel values at rows x_i
-    to one or more per-row log quantities; rows are processed in chunks
-    to bound the quadratic memory footprint.
+    reduce_fns maps a (chunk, n) array of log kernel values at rows x_i,
+    and the log of its complement 1 - A(x,t) = A(t,x), to one or more
+    per-row log quantities; rows are processed in chunks to bound the
+    quadratic memory footprint.
     """
     n = la.size
     outs = None
@@ -122,7 +123,8 @@ def _row_kernel_ops(la: np.ndarray, s: np.ndarray, reduce_fns):
         with np.errstate(invalid="ignore"):
             lA = lax[:, None] - np.logaddexp(lax[:, None], la[None, :])
         lA = np.nan_to_num(lA, nan=math.log(0.5), posinf=0.0)
-        chunk_outs = reduce_fns(lA)
+        lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
+        chunk_outs = reduce_fns(lA, lAc)
         if outs is None:
             outs = [[c] for c in chunk_outs]
         else:
@@ -140,9 +142,8 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     e = {k: float(v) for k, v in inst.exps.items()}
 
     if inst.lemma_id == SUP_SUP:
-        def reduce_fns(lA):
+        def reduce_fns(lA, lAc):
             # rows: esup_t A(x,t) g(t) and esup_t A(t,x) h(t), A(t,x) = 1 - A(x,t)
-            lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
             left = np.max(lA + lg[None, :], axis=-1)
             right = np.max(lAc + lh[None, :], axis=-1)
             return left, right
@@ -154,8 +155,7 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     elif inst.lemma_id == SUP_INT:
         b = e["beta"]
 
-        def reduce_fns(lA):
-            lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
+        def reduce_fns(lA, lAc):
             left = np.max(lA + lg[None, :], axis=-1)
             right = grids.log_integral(b * lAc + lh[None, :] + s[None, :], s) / b
             return left, right
@@ -168,8 +168,7 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     elif inst.lemma_id == INT_SUP:
         b = e["beta"]
 
-        def reduce_fns(lA):
-            lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
+        def reduce_fns(lA, lAc):
             left = grids.log_integral(b * lA + lg[None, :] + s[None, :], s) / b
             right = np.max(lAc + lh[None, :], axis=-1)
             return left, right
@@ -182,8 +181,7 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     elif inst.lemma_id == INT_INT_SUP:
         al, b = e["alpha"], e["beta"]
 
-        def reduce_fns(lA):
-            lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
+        def reduce_fns(lA, lAc):
             left = grids.log_integral(b * lA + lg[None, :] + s[None, :], s) / b
             right = grids.log_integral(al * lAc + lh[None, :] + s[None, :], s) / al
             return left, right
@@ -197,8 +195,7 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     elif inst.lemma_id == INTEGRAL:
         al, b, ga = e["alpha"], e["beta"], e["gamma"]
 
-        def reduce_fns(lA):
-            lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
+        def reduce_fns(lA, lAc):
             left = grids.log_integral(al * lA + lg[None, :] + s[None, :], s)
             right = grids.log_integral(b * lAc + lh[None, :] + s[None, :], s)
             return left, right
@@ -218,8 +215,7 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     else:  # MIXED
         b = e["beta"]
 
-        def reduce_fns(lA):
-            lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
+        def reduce_fns(lA, lAc):
             left = grids.log_integral(lA + lg[None, :] + s[None, :], s)
             right = np.max(lAc + lh[None, :], axis=-1)
             return left, right

@@ -2,11 +2,11 @@
 
 The multiplier norm from a weighted Copson space cop_r(u) into a
 weighted Cesaro space ces_{p,q}(w,v) admits a closed form in seven
-exponent regimes.  Each regime builds one to three derived weights out
-of the A / A* transforms and evaluates the multiplier candidate f in
-1-, 2- or 3-level norms against them; the value is the sum of the term
-values.  A four-weight Copson-to-Cesaro problem first reduces to this
-three-weight form.
+exponent regimes.  Each regime is one row of the recipe table
+``_REGIMES``: it names derived weights built from the A / A* transforms
+and the 1-, 2- or 3-level norms of the multiplier candidate f taken
+against them; the value is the sum of the term values.  A four-weight
+Copson-to-Cesaro problem first reduces to this three-weight form.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ __all__ = [
     "classify_regime", "characterize", "hypothesis_check", "reduce_problem",
     "REGIME_TAGS",
 ]
-
-REGIME_TAGS = ("T1", "T2i", "T2ii", "T3i", "T3ii", "T4i", "T4ii",
-               "T5i", "T5ii", "T5iii", "T5iv", "T6", "T7i", "T7ii",
-               "UNSUPPORTED")
 
 
 @dataclass(frozen=True)
@@ -129,10 +125,6 @@ def _W(fun: RealFun) -> Weight:
     return Weight(fun, check=False)
 
 
-def _wspec(kind, exps, weights):
-    return SpaceSpec(kind, exps, tuple(_W(as_fun(x)) for x in weights), validate=False)
-
-
 def _phi1(prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig):
     """phi_1(x) = esup_t V(x,t)-kernel * V(t) * ||u||_{r,(0,t)}^{-1}."""
     s, t = grids.log_nodes(cfg)
@@ -184,7 +176,7 @@ def hypothesis_check(tag: str, prob: ThreeWeightProblem,
             notes.append(f"{which} degenerate or inconclusive: {lrep.statuses}")
     if tag in ("T7i", "T7ii"):
         vfam = as_fun(prob.v).describe()
-        if "indicator" in vfam or "table" in vfam:
+        if "indicator" in vfam:
             notes.append("v may be discontinuous; the regime assumes continuous v")
         # a finite q'-norm of 1/w near infinity cannot coexist with the
         # Omega_q gate on w, so the local-integrability reading (0, x)
@@ -209,13 +201,139 @@ _INTERPRETIVE = {
 }
 
 
+# Regime recipes: tag -> (omegas, terms).  An omega row is (name, recipe,
+# parts); its weight is the product of the named transforms.  A term row
+# is (name, exponents, weights), innermost exponent and outermost weight
+# (an omega or v) first: one exponent is an L^p norm of f, two a ces_{p,q}
+# norm, three a ces_{p,q,r} norm.  Terms named extra* carry the
+# coefficient ||u||_{r,(0,inf)}^{-1}.
+_A_SUP = "A*_{r->p,r->p}(A_{r,p}(u))"
+_MIX_P = f"{_A_SUP}^{{(r->p)/(q->p)}} * A_{{r,p}}(u)^{{(r->p)/(r->q)}}"
+_REGIMES = {
+    "T1": ([("omega", "A_{1,1}(u) * A*_{p,p}(w) * v", ("A11", "A*pp", "v"))],
+           [("lp", ("p'",), ("omega",))]),
+    "T2i": ([("omega2", "A_{1,1}(u) * v", ("A11", "v")),
+             ("omega1", "A*_{p,p}(w)", ("A*pp",))],
+            [("ces", ("p'", "inf"), ("omega1", "omega2"))]),
+    "T2ii": ([("omega2", "A_{1,1}(u) * v", ("A11", "v")),
+              ("omega1", "A*_{q,1}(w)", ("A*q1",))],
+             [("ces", ("p'", "q'"), ("omega1", "omega2"))]),
+    "T3i": ([("omega2", "A*_{p,p}(w) * v", ("A*pp", "v")),
+             ("omega1", "A_{r,r}(u)", ("Arr",))],
+            [("ces", ("p'", "inf"), ("omega1", "omega2"))]),
+    "T3ii": ([("omega2", "A*_{p,p}(w) * v", ("A*pp", "v")),
+              ("omega1", "A_{r,p}(u)", ("Arp",))],
+             [("ces", ("p'", "r->p"), ("omega1", "omega2")),
+              ("extra_lp", ("p'",), ("omega2",))]),
+    "T4i": ([("omega1", "A_{r,r}(u) * A*_{q,q}(w)", ("Arr", "A*qq"))],
+            [("ces_sup", ("p'", "inf"), ("omega1", "v"))]),
+    "T4ii": ([("omega1", "A_{r,r}(u) * A*_{q,q}(w)", ("Arr", "A*qq")),
+              ("omega2", "A_{r,r}(u)", ("Arr",)),
+              ("omega3", "A*_{q,1}(w)", ("A*q1",))],
+             [("ces_sup", ("p'", "inf"), ("omega1", "v")),
+              ("ces3", ("p'", "q'", "inf"), ("omega2", "omega3", "v"))]),
+    "T5i": ([("omega1", "A*_{q,q}(w)", ("A*qq",)),
+             ("omega2", "A_{r,p}(u)", ("Arp",)),
+             ("omega3", f"{_A_SUP} * A*_{{q,q}}(w)", ("A*(Arp)", "A*qq"))],
+            [("ces3", ("p'", "r->p", "inf"), ("omega1", "omega2", "v")),
+             ("ces_sup", ("p'", "inf"), ("omega3", "v")),
+             ("extra_ces", ("p'", "inf"), ("omega1", "v"))]),
+    "T5ii": ([("omega1", "A*_{q,r}(w)", ("A*qr",)),
+              ("omega2", "A_{r,p}(u)", ("Arp",)),
+              ("omega3", "A*_{q,q}(w)", ("A*qq",)),
+              ("omega4", _MIX_P, ("mix(Arp)",))],
+             [("ces3_a", ("p'", "r->p", "r->q"), ("omega1", "omega2", "v")),
+              ("ces3_b", ("p'", "inf", "r->q"), ("omega3", "omega4", "v")),
+              ("extra_ces", ("p'", "inf"), ("omega4", "v"))]),
+    "T5iii": ([("omega1", "A*_{q,q}(w)", ("A*qq",)),
+               ("omega2", "A_{r,p}(u)", ("Arp",)),
+               ("omega3", _A_SUP, ("A*(Arp)",)),
+               ("omega4", "A*_{q,1}(w)", ("A*q1",))],
+              [("ces3_a", ("p'", "r->p", "inf"), ("omega1", "omega2", "v")),
+               ("ces3_b", ("p'", "q'", "inf"), ("omega3", "omega4", "v")),
+               ("extra_ces", ("p'", "q'"), ("omega4", "v"))]),
+    "T5iv": ([("omega1", "A*_{q,r}(w)", ("A*qr",)),
+              ("omega2", "A_{r,p}(u)", ("Arp",)),
+              ("omega3", _MIX_P, ("mix(Arp)",)),
+              ("omega4", "A*_{q,1}(w)", ("A*q1",))],
+             [("ces3_a", ("p'", "r->p", "r->q"), ("omega1", "omega2", "v")),
+              ("ces3_b", ("p'", "q'", "r->q"), ("omega3", "omega4", "v")),
+              ("extra_ces", ("p'", "q'"), ("omega4", "v"))]),
+    "T6": ([("omega", "A_{r,r}(u) * A*_{q,q}(w) * v", ("Arr", "A*qq", "v"))],
+           [("sup", ("inf",), ("omega",))]),
+    "T7i": ([("omega1", "A*_{q,q}(w)", ("A*qq",)),
+             ("omega2", "A_{r,1}(u)", ("Ar1",)),
+             ("omega3", "v * sup_{(x,inf)} A*_{r',r'}(A_{r,1}(u)) * omega1",
+              ("v", "sup(A*(Ar1)*A*qq)")),
+             ("omega4", "A*_{q,q}(w) * v", ("A*qq", "v"))],
+            [("ces3", ("inf", "r'", "inf"), ("omega1", "omega2", "v")),
+             ("sup", ("inf",), ("omega3",)),
+             ("extra_sup", ("inf",), ("omega4",))]),
+    "T7ii": ([("omega1", "A*_{q,r}(w)", ("A*qr",)),
+              ("omega2", "A_{r,1}(u)", ("Ar1",)),
+              ("omega3", "A*_{r',r'}(A_{r,1}(u))^{r'/q'} * A_{r,1}(u)^{r'/(r->q)}",
+               ("mix(Ar1)",)),
+              ("omega4", "A*_{q,q}(w)", ("A*qq",)),
+              ("omega5", "A*_{q,q}(w) * v", ("A*qq", "v"))],
+             [("ces3_a", ("inf", "r'", "r->q"), ("omega1", "omega2", "v")),
+              ("ces3_b", ("inf", "inf", "r->q"), ("omega3", "omega4", "v")),
+              ("extra_sup", ("inf",), ("omega5",))]),
+}
+
+REGIME_TAGS = tuple(_REGIMES) + ("UNSUPPORTED",)
+
+
+def _mix(m, x: str, e: Exponent, b: Exponent) -> RealFun:
+    """A*_{e,e}(X)^{e/b} * X^{e/(r->q)} for the transform X named x."""
+    return product(powerof(m[f"A*({x})"], float(e) / float(b)),
+                   powerof(m[x], float(e) / float(m.ex["r->q"])))
+
+
+# How each transform a recipe names is built from the memo m.  The
+# operators are looked up by module-global name when a maker runs, so a
+# rebound module attribute (as the benchmark's tracer installs) is used.
+_TRANSFORMS = {
+    "A11": lambda m: op_A(m.u, 1, 1, m.cfg),
+    "Arr": lambda m: op_A(m.u, m.r, m.r, m.cfg),
+    "Arp": lambda m: op_A(m.u, m.r, m.p, m.cfg),
+    "Ar1": lambda m: op_A(m.u, m.r, 1, m.cfg),
+    "A*pp": lambda m: op_A_star(m.w, m.p, m.p, m.cfg),
+    "A*qq": lambda m: op_A_star(m.w, m.q, m.q, m.cfg),
+    "A*q1": lambda m: op_A_star(m.w, m.q, 1, m.cfg),
+    "A*qr": lambda m: op_A_star(m.w, m.q, m.r, m.cfg),
+    "A*(Arp)": lambda m: op_A_star(m["Arp"], m.ex["r->p"], m.ex["r->p"], m.cfg),
+    "A*(Ar1)": lambda m: op_A_star(m["Ar1"], m.ex["r'"], m.ex["r'"], m.cfg),
+    "mix(Arp)": lambda m: _mix(m, "Arp", m.ex["r->p"], arrow(m.q, m.p)),
+    "mix(Ar1)": lambda m: _mix(m, "Ar1", m.ex["r'"], m.ex["q'"]),
+    "sup(A*(Ar1)*A*qq)": lambda m: suffix_sup_fun(product(m["A*(Ar1)"], m["A*qq"]),
+                                                  m.cfg),
+}
+
+
+class _Memo(dict):
+    """The named weights of one problem: v, the omegas, and the
+    transforms, each transform built on first use."""
+
+    def __init__(self, prob: ThreeWeightProblem, cfg: QuadratureConfig):
+        super().__init__(v=as_fun(prob.v))
+        self.u, self.w, self.cfg = prob.u, prob.w, cfg
+        self.p, self.q, self.r = p, q, r = prob.p, prob.q, prob.r
+        self.ex = {"p'": dual_exponent(p), "q'": dual_exponent(q),
+                   "r'": dual_exponent(r), "r->p": arrow(r, p),
+                   "r->q": arrow(r, q), "inf": Exponent("inf")}
+
+    def __missing__(self, key):
+        self[key] = made = _TRANSFORMS[key](self)
+        return made
+
+
 def characterize(prob: ThreeWeightProblem,
                  cfg: QuadratureConfig = DEFAULT_CFG) -> CharacterizationResult:
     """Evaluate the closed-form multiplier norm of prob.f.
 
     Builds the regime's derived weights, evaluates each term, and sums
     them; the extra term carries the coefficient ||u||_{r,(0,inf)}^{-1}
-    and drops out when that norm is infinite.
+    and drops out, unevaluated, when that norm is infinite.
     """
     p, q, r = prob.p, prob.q, prob.r
     tag = classify_regime(p, q, r)
@@ -231,177 +349,27 @@ def characterize(prob: ThreeWeightProblem,
     if tag in _INTERPRETIVE:
         notes.append(_INTERPRETIVE[tag])
 
-    u, w, v, f = prob.u, prob.w, as_fun(prob.v), prob.f
-    pd, qd, rd = dual_exponent(p), dual_exponent(q), dual_exponent(r)
-    terms, omegas = [], []
-
-    def coef_u():
-        return xrecip(lp_norm(as_fun(u), ONE, FULL, r, cfg))
-
-    if tag == "T1":
-        om = product(op_A(u, 1, 1, cfg), op_A_star(w, p, p, cfg), v)
-        omegas.append(("omega", "A_{1,1}(u) * A*_{p,p}(w) * v"))
-        terms.append(("lp", lp_norm(f, _W(om), FULL, pd, cfg)))
-
-    elif tag in ("T2i", "T2ii"):
-        om2 = product(op_A(u, 1, 1, cfg), v)
-        omegas.append(("omega2", "A_{1,1}(u) * v"))
-        if tag == "T2i":
-            om1 = op_A_star(w, p, p, cfg)
-            omegas.append(("omega1", "A*_{p,p}(w)"))
-            spec = _wspec("ces", (pd, Exponent("inf")), (om1, om2))
+    omega_rows, term_rows = _REGIMES[tag]
+    m = _Memo(prob, cfg)
+    for name, _, parts in omega_rows:
+        m[name] = product(*(m[k] for k in parts)) if len(parts) > 1 else m[parts[0]]
+    value, terms = 0.0, []
+    for name, exps, wnames in term_rows:
+        c = (xrecip(lp_norm(as_fun(prob.u), ONE, FULL, r, cfg))
+             if name.startswith("extra") else 1.0)
+        es, ws = tuple(m.ex[e] for e in exps), tuple(_W(m[n]) for n in wnames)
+        if not c:
+            tv = 0.0
+        elif len(es) == 1:
+            tv = c * lp_norm(prob.f, ws[0], FULL, es[0], cfg)
         else:
-            om1 = op_A_star(w, q, 1, cfg)
-            omegas.append(("omega1", "A*_{q,1}(w)"))
-            spec = _wspec("ces", (pd, qd), (om1, om2))
-        terms.append(("ces", space_norm(spec, f, cfg)))
-
-    elif tag in ("T3i", "T3ii"):
-        om2 = product(op_A_star(w, p, p, cfg), v)
-        omegas.append(("omega2", "A*_{p,p}(w) * v"))
-        if tag == "T3i":
-            om1 = op_A(u, r, r, cfg)
-            omegas.append(("omega1", "A_{r,r}(u)"))
-            spec = _wspec("ces", (pd, Exponent("inf")), (om1, om2))
-            terms.append(("ces", space_norm(spec, f, cfg)))
-        else:
-            om1 = op_A(u, r, p, cfg)
-            omegas.append(("omega1", "A_{r,p}(u)"))
-            spec = _wspec("ces", (pd, arrow(r, p)), (om1, om2))
-            terms.append(("ces", space_norm(spec, f, cfg)))
-            c = coef_u()
-            terms.append(("extra_lp", c * lp_norm(f, _W(om2), FULL, pd, cfg)
-                          if c else 0.0))
-
-    elif tag in ("T4i", "T4ii"):
-        om1 = product(op_A(u, r, r, cfg), op_A_star(w, q, q, cfg))
-        omegas.append(("omega1", "A_{r,r}(u) * A*_{q,q}(w)"))
-        terms.append(("ces_sup", space_norm(
-            _wspec("ces", (pd, Exponent("inf")), (om1, v)), f, cfg)))
-        if tag == "T4ii":
-            om2 = op_A(u, r, r, cfg)
-            om3 = op_A_star(w, q, 1, cfg)
-            omegas.append(("omega2", "A_{r,r}(u)"))
-            omegas.append(("omega3", "A*_{q,1}(w)"))
-            terms.append(("ces3", space_norm3(
-                _wspec("ces", (pd, qd, Exponent("inf")), (om2, om3, v)), f, cfg)))
-
-    elif tag.startswith("T5"):
-        rp, rq, qp = arrow(r, p), arrow(r, q), arrow(q, p)
-        Arp = op_A(u, r, p, cfg)
-        Astar_rp = op_A_star(Arp, rp, rp, cfg)
-        if tag == "T5i":
-            om1 = op_A_star(w, q, q, cfg)
-            om2 = Arp
-            om3 = product(Astar_rp, op_A_star(w, q, q, cfg))
-            omegas += [("omega1", "A*_{q,q}(w)"), ("omega2", "A_{r,p}(u)"),
-                       ("omega3", "A*_{r->p,r->p}(A_{r,p}(u)) * A*_{q,q}(w)")]
-            terms.append(("ces3", space_norm3(
-                _wspec("ces", (pd, rp, Exponent("inf")), (om1, om2, v)), f, cfg)))
-            terms.append(("ces_sup", space_norm(
-                _wspec("ces", (pd, Exponent("inf")), (om3, v)), f, cfg)))
-            c = coef_u()
-            terms.append(("extra_ces", c * space_norm(
-                _wspec("ces", (pd, Exponent("inf")), (om1, v)), f, cfg) if c else 0.0))
-        elif tag == "T5ii":
-            om1 = op_A_star(w, q, r, cfg)
-            om2 = Arp
-            om3 = op_A_star(w, q, q, cfg)
-            om4 = product(powerof(Astar_rp, float(rp) / float(qp)),
-                          powerof(Arp, float(rp) / float(rq)))
-            omegas += [("omega1", "A*_{q,r}(w)"), ("omega2", "A_{r,p}(u)"),
-                       ("omega3", "A*_{q,q}(w)"),
-                       ("omega4", "A*_{r->p,r->p}(A_{r,p}(u))^{(r->p)/(q->p)}"
-                                  " * A_{r,p}(u)^{(r->p)/(r->q)}")]
-            terms.append(("ces3_a", space_norm3(
-                _wspec("ces", (pd, rp, rq), (om1, om2, v)), f, cfg)))
-            terms.append(("ces3_b", space_norm3(
-                _wspec("ces", (pd, Exponent("inf"), rq), (om3, om4, v)), f, cfg)))
-            c = coef_u()
-            terms.append(("extra_ces", c * space_norm(
-                _wspec("ces", (pd, Exponent("inf")), (om4, v)), f, cfg) if c else 0.0))
-        elif tag == "T5iii":
-            om1 = op_A_star(w, q, q, cfg)
-            om2 = Arp
-            om3 = Astar_rp
-            om4 = op_A_star(w, q, 1, cfg)
-            omegas += [("omega1", "A*_{q,q}(w)"), ("omega2", "A_{r,p}(u)"),
-                       ("omega3", "A*_{r->p,r->p}(A_{r,p}(u))"),
-                       ("omega4", "A*_{q,1}(w)")]
-            terms.append(("ces3_a", space_norm3(
-                _wspec("ces", (pd, rp, Exponent("inf")), (om1, om2, v)), f, cfg)))
-            terms.append(("ces3_b", space_norm3(
-                _wspec("ces", (pd, qd, Exponent("inf")), (om3, om4, v)), f, cfg)))
-            c = coef_u()
-            terms.append(("extra_ces", c * space_norm(
-                _wspec("ces", (pd, qd), (om4, v)), f, cfg) if c else 0.0))
-        else:  # T5iv
-            om1 = op_A_star(w, q, r, cfg)
-            om2 = Arp
-            om3 = product(powerof(Astar_rp, float(rp) / float(qp)),
-                          powerof(Arp, float(rp) / float(rq)))
-            om4 = op_A_star(w, q, 1, cfg)
-            omegas += [("omega1", "A*_{q,r}(w)"), ("omega2", "A_{r,p}(u)"),
-                       ("omega3", "A*_{r->p,r->p}(A_{r,p}(u))^{(r->p)/(q->p)}"
-                                  " * A_{r,p}(u)^{(r->p)/(r->q)}"),
-                       ("omega4", "A*_{q,1}(w)")]
-            terms.append(("ces3_a", space_norm3(
-                _wspec("ces", (pd, rp, rq), (om1, om2, v)), f, cfg)))
-            terms.append(("ces3_b", space_norm3(
-                _wspec("ces", (pd, qd, rq), (om3, om4, v)), f, cfg)))
-            c = coef_u()
-            terms.append(("extra_ces", c * space_norm(
-                _wspec("ces", (pd, qd), (om4, v)), f, cfg) if c else 0.0))
-
-    elif tag == "T6":
-        om = product(op_A(u, r, r, cfg), op_A_star(w, q, q, cfg), v)
-        omegas.append(("omega", "A_{r,r}(u) * A*_{q,q}(w) * v"))
-        terms.append(("sup", lp_norm(f, _W(om), FULL, Exponent("inf"), cfg)))
-
-    else:  # T7i / T7ii
-        rq = arrow(r, q)
-        Ar1 = op_A(u, r, 1, cfg)
-        Astar_rd = op_A_star(Ar1, rd, rd, cfg)
-        if tag == "T7i":
-            om1 = op_A_star(w, q, q, cfg)
-            om2 = Ar1
-            om3 = product(v, suffix_sup_fun(product(Astar_rd, om1), cfg))
-            om4 = product(op_A_star(w, q, q, cfg), v)
-            omegas += [("omega1", "A*_{q,q}(w)"), ("omega2", "A_{r,1}(u)"),
-                       ("omega3", "v * sup_{(x,inf)} A*_{r',r'}(A_{r,1}(u)) * omega1"),
-                       ("omega4", "A*_{q,q}(w) * v")]
-            terms.append(("ces3", space_norm3(
-                _wspec("ces", (Exponent("inf"), rd, Exponent("inf")),
-                       (om1, om2, v)), f, cfg)))
-            terms.append(("sup", lp_norm(f, _W(om3), FULL, Exponent("inf"), cfg)))
-            c = coef_u()
-            terms.append(("extra_sup", c * lp_norm(f, _W(om4), FULL,
-                                                   Exponent("inf"), cfg) if c else 0.0))
-        else:
-            om1 = op_A_star(w, q, r, cfg)
-            om2 = Ar1
-            om3 = product(powerof(Astar_rd, float(rd) / float(qd)),
-                          powerof(Ar1, float(rd) / float(rq)))
-            om4 = op_A_star(w, q, q, cfg)
-            om5 = product(op_A_star(w, q, q, cfg), v)
-            omegas += [("omega1", "A*_{q,r}(w)"), ("omega2", "A_{r,1}(u)"),
-                       ("omega3", "A*_{r',r'}(A_{r,1}(u))^{r'/q'}"
-                                  " * A_{r,1}(u)^{r'/(r->q)}"),
-                       ("omega4", "A*_{q,q}(w)"), ("omega5", "A*_{q,q}(w) * v")]
-            terms.append(("ces3_a", space_norm3(
-                _wspec("ces", (Exponent("inf"), rd, rq), (om1, om2, v)), f, cfg)))
-            terms.append(("ces3_b", space_norm3(
-                _wspec("ces", (Exponent("inf"), Exponent("inf"), rq),
-                       (om3, om4, v)), f, cfg)))
-            c = coef_u()
-            terms.append(("extra_sup", c * lp_norm(f, _W(om5), FULL,
-                                                   Exponent("inf"), cfg) if c else 0.0))
-
-    value = 0.0
-    for _, tv in terms:
+            spec = SpaceSpec("ces", es, ws, validate=False)
+            tv = c * (space_norm if len(es) == 2 else space_norm3)(spec, prob.f, cfg)
+        terms.append((name, tv))
         value += tv
     return CharacterizationResult(value=value, regime=tag, terms=tuple(terms),
-                                  omegas=tuple(omegas), warnings=tuple(notes))
+                                  omegas=tuple((n, s) for n, s, _ in omega_rows),
+                                  warnings=tuple(notes))
 
 
 def _ediv(a: Exponent, b: Exponent) -> Exponent:
@@ -437,4 +405,4 @@ def reduce_problem(p1, q1, p2, q2, u1: Weight, v1: Weight, u2: Weight, v2: Weigh
         f=powerof(f, p1f),
         validate=validate,
     )
-    return prob, float(p1.reciprocal()) if not p1.is_inf else 0.0
+    return prob, float(p1.reciprocal())

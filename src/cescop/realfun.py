@@ -628,28 +628,27 @@ def _analytic_interval(g: RealFun, I: Interval):
             # tail in the limit x -> 0+ gives the full integral
             v0 = g.tail_log(np.asarray([1e-300]))
             if v0 is not None:
-                with np.errstate(over="ignore"):
-                    return float(np.exp(v0[0]))
+                return grids.from_log(v0[0])
         return None
     if I.hi == INF:
         if has_tail:
             v = g.tail_log(np.asarray([I.lo]))
-            return INF if np.isposinf(v[0]) else float(np.exp(v[0]))
+            return grids.from_log(v[0])
         return None
     if I.lo == 0.0:
         if has_prim:
             v = g.primitive_log(np.asarray([I.hi]))
-            return INF if np.isposinf(v[0]) else float(np.exp(v[0]))
+            return grids.from_log(v[0])
         return None
     # finite interior interval: try primitive difference, then tail difference
     if has_prim:
         v = g.primitive_log(np.asarray([I.lo, I.hi]))
         if not np.any(np.isposinf(v)):
-            return float(np.exp(_log_diff(v[1], v[0])))
+            return grids.from_log(_log_diff(v[1], v[0]))
     if has_tail:
         v = g.tail_log(np.asarray([I.lo, I.hi]))
         if not np.any(np.isposinf(v)):
-            return float(np.exp(_log_diff(v[0], v[1])))
+            return grids.from_log(_log_diff(v[0], v[1]))
     return None
 
 

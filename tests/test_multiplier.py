@@ -16,7 +16,8 @@ from cescop.multiplier import (
     hypothesis_check,
     reduce_problem,
 )
-from cescop.realfun import ONE, Weight, ZERO, expfam, power, product
+from cescop.realfun import ONE, Weight, ZERO, as_fun, expfam, power, product, table
+from test_acceptance import REGIME_INSTANCES
 
 W = lambda f: Weight(f, check=False)
 EDEC = expfam(1.0, 0.0, -1.0)
@@ -193,3 +194,67 @@ def test_terms_and_omegas_reported():
     res = characterize(_t6_problem())
     assert [n for n, _ in res.omegas] == ["omega"]
     assert "A_{r,r}(u)" in dict(res.omegas)["omega"]
+
+
+def test_t7_table_v_is_not_flagged_discontinuous():
+    # a table is log-linear between samples and flat outside: continuous
+    with pytest.warns(UserWarning):
+        v = table([-2.0, 0.0, 2.0], [1.0, 2.0, 1.5])
+    prob = ThreeWeightProblem(r=F(3, 2), u=W(EDEC), p=1, q=2, w=W(EDEC),
+                              v=W(v), f=ONE)
+    notes = hypothesis_check("T7i", prob)
+    assert not any("discontinuous" in n for n in notes)
+
+
+_ONE_TO_THREE = ["omega1", "omega2", "omega3"]
+_T5_TERMS = ["ces3_a", "ces3_b", "extra_ces"]
+REGIME_NAMES = {  # tag -> (term names, omega names), in report order
+    "T1": (["lp"], ["omega"]),
+    "T2i": (["ces"], ["omega2", "omega1"]),
+    "T2ii": (["ces"], ["omega2", "omega1"]),
+    "T3i": (["ces"], ["omega2", "omega1"]),
+    "T3ii": (["ces", "extra_lp"], ["omega2", "omega1"]),
+    "T4i": (["ces_sup"], ["omega1"]),
+    "T4ii": (["ces_sup", "ces3"], _ONE_TO_THREE),
+    "T5i": (["ces3", "ces_sup", "extra_ces"], _ONE_TO_THREE),
+    "T5ii": (_T5_TERMS, _ONE_TO_THREE + ["omega4"]),
+    "T5iii": (_T5_TERMS, _ONE_TO_THREE + ["omega4"]),
+    "T5iv": (_T5_TERMS, _ONE_TO_THREE + ["omega4"]),
+    "T6": (["sup"], ["omega"]),
+    "T7i": (["ces3", "sup", "extra_sup"], _ONE_TO_THREE + ["omega4"]),
+    "T7ii": (["ces3_a", "ces3_b", "extra_sup"], _ONE_TO_THREE + ["omega4", "omega5"]),
+}
+
+
+@pytest.mark.parametrize("tag,kw,f", REGIME_INSTANCES,
+                         ids=[tag for tag, _, _ in REGIME_INSTANCES])
+def test_regime_term_and_omega_names(tag, kw, f):
+    res = characterize(ThreeWeightProblem(f=f, **kw))
+    assert res.regime == tag
+    terms, omegas = REGIME_NAMES[tag]
+    assert [n for n, _ in res.terms] == terms
+    assert [n for n, _ in res.omegas] == omegas
+    assert REGIME_TAGS == tuple(REGIME_NAMES) + ("UNSUPPORTED",)
+
+
+def test_characterize_builds_each_transform_once(monkeypatch):
+    import cescop.multiplier as mult
+    builds, kept = [], []
+
+    def counting(name, op):
+        def wrapped(g, *args, **kwargs):
+            kept.append(g)  # keeps ids unique while the call runs
+            builds.append((name, id(as_fun(g)), tuple(float(a) for a in args[:2])))
+            return op(g, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mult, "op_A", counting("A", mult.op_A))
+    monkeypatch.setattr(mult, "op_A_star", counting("A*", mult.op_A_star))
+    dups = {}
+    for tag, kw, f in REGIME_INSTANCES:
+        builds.clear()
+        characterize(ThreeWeightProblem(f=f, **kw))
+        assert builds
+        if len(set(builds)) != len(builds):
+            dups[tag] = len(builds) - len(set(builds))
+    assert dups == {}

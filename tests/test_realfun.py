@@ -120,6 +120,16 @@ def test_esssup_overflow_is_a_package_error():
         esssup(expfam(1, 0, 1), Interval(0, 800))
 
 
+@pytest.mark.parametrize("g,I", [
+    (power(1, 1), Interval(0, 1e160)),            # primitive (1e160)^2 / 2
+    (power(1, -3), Interval(1e-200, math.inf)),   # tail (1e-200)^-2 / 2
+])
+def test_analytic_integral_overflow_is_a_package_error(g, I):
+    # finite integrals beyond the float range raise instead of reading inf
+    with pytest.raises(NumericOverflow):
+        integrate(g, I)
+
+
 def test_weight_rejects_vanishing():
     with pytest.raises(ValueError):
         Weight(indicator(0, 1))
