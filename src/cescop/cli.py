@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -41,13 +40,6 @@ from .realfun import (
 from .spaces import SpaceSpec, space_norm, space_norm3
 
 __all__ = ["main", "run"]
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CESMUL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +267,23 @@ def _cmd_reduce(args) -> dict:
             "reduced": inner, "value": value}
 
 
+def _glue_suite(seed: int, lem: str, count: int) -> list:
+    """glue_eval on the first count seeded random instances of one lemma."""
+    i = LEMMAS.index(lem)
+    return [glue_eval(random_instance(lem, np.random.default_rng((seed, i, k))),
+                      GLUE_CFG) for k in range(count)]
+
+
 def _cmd_glue(args) -> dict:
     lemmas = LEMMAS if args.lemma == "all" else (args.lemma,)
     for lem in lemmas:
         if lem not in LEMMAS:
             raise ConfigError(f"unknown lemma {lem!r}; choose from {LEMMAS}")
-    cfg = GLUE_CFG
     suites = {}
-    from concurrent.futures import ThreadPoolExecutor
-
-    def one(lem, k):
-        rng = np.random.default_rng((args.seed, LEMMAS.index(lem), k))
-        inst = random_instance(lem, rng)
-        res = glue_eval(inst, cfg)
-        return {"index": k, "lhs": res.lhs, "rhs_terms": list(res.rhs_terms),
-                "ratio": res.ratio}
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        for lem in lemmas:
-            suites[lem] = list(pool.map(lambda k, lem=lem: one(lem, k),
-                                        range(args.count)))
+    for lem in lemmas:
+        suites[lem] = [{"index": k, "lhs": res.lhs, "rhs_terms": list(res.rhs_terms),
+                        "ratio": res.ratio}
+                       for k, res in enumerate(_glue_suite(args.seed, lem, args.count))]
     return {"command": "glue", "seed": args.seed, "count": args.count,
             "suites": suites}
 
@@ -335,10 +325,8 @@ def _verify_checks(seed: int, quick: bool):
 
     nglue = 5 if quick else 20
     ok, worst = True, 0.0
-    for i, lem in enumerate(LEMMAS):
-        for k in range(nglue):
-            inst = random_instance(lem, np.random.default_rng((seed, i, k)))
-            res = glue_eval(inst)
+    for lem in LEMMAS:
+        for res in _glue_suite(seed, lem, nglue):
             if not (math.isnan(res.ratio) or 1e-2 <= res.ratio <= 1e2):
                 ok = False
             if not math.isnan(res.ratio):

@@ -50,6 +50,35 @@ GLUE_CFG = QuadratureConfig(S=16.0, sup_grid=32)
 _ROW_CHUNK = 256
 
 
+# Each lemma is one row (g side, h side, outer).  A side is _SUP, the row
+# supremum esup_t K(x,t) f(t), or an exponent e, the row integral
+# int K(x,t)^e f(t) dt; g meets the kernel A(x,t) = a(x)/(a(x)+a(t)) and
+# h its complement A(t,x).  The outer reduction over x is _SUP, the max of
+# G^{1/e_g} H^{1/e_h}, or an exponent gamma, the integral of
+# G^{gamma/e_g - 1} H^{gamma/e_h} g.  An exponent is a name looked up in
+# GlueInstance.exps or a number; a sup side counts as exponent 1.
+_SUP = None
+_LEMMA_TABLE = {
+    SUP_SUP: (_SUP, _SUP, _SUP),
+    SUP_INT: (_SUP, "beta", _SUP),
+    INT_SUP: ("beta", _SUP, _SUP),
+    INT_INT_SUP: ("beta", "alpha", _SUP),
+    INTEGRAL: ("alpha", "beta", "gamma"),
+    MIXED: (1.0, _SUP, "beta"),
+}
+
+
+def _needs(lemma_id: str) -> list:
+    """The exponent names a lemma reads from GlueInstance.exps."""
+    return sorted({x for x in _LEMMA_TABLE[lemma_id] if isinstance(x, str)})
+
+
+def _exponent(entry, exps: dict) -> float:
+    if entry is _SUP:
+        return 1.0
+    return float(exps[entry] if isinstance(entry, str) else entry)
+
+
 @dataclass(frozen=True)
 class GlueInstance:
     lemma_id: str
@@ -61,10 +90,7 @@ class GlueInstance:
     def __post_init__(self):
         if self.lemma_id not in LEMMAS:
             raise ValueError(f"unknown lemma id {self.lemma_id!r}")
-        need = {SUP_SUP: (), SUP_INT: ("beta",), INT_SUP: ("beta",),
-                INT_INT_SUP: ("alpha", "beta"), INTEGRAL: ("alpha", "beta", "gamma"),
-                MIXED: ("beta",)}[self.lemma_id]
-        for k in need:
+        for k in _needs(self.lemma_id):
             if k not in self.exps or not (0 < float(self.exps[k]) < INF):
                 raise ValueError(f"lemma {self.lemma_id} needs positive exponent {k!r}")
 
@@ -108,128 +134,75 @@ def _combine(*parts: np.ndarray) -> np.ndarray:
     return grids.zero_wins(out)
 
 
-def _row_kernel_ops(la: np.ndarray, s: np.ndarray, reduce_fns):
-    """Evaluate per-x reductions of the kernel log A(x,t) over the grid.
+def _reduce(lk: np.ndarray, lf: np.ndarray, e: float, s: np.ndarray,
+            sup: bool) -> np.ndarray:
+    """Per-row log of esup_t K f, or of int K^e f dt, from the log kernel
+    rows lk and the log-values lf."""
+    if sup:
+        return np.max(lk + lf, axis=-1)
+    return grids.log_integral(e * lk + lf + s, s)
 
-    reduce_fns maps a (chunk, n) array of log kernel values at rows x_i,
-    and the log of its complement 1 - A(x,t) = A(t,x), to one or more
-    per-row log quantities; rows are processed in chunks to bound the
-    quadratic memory footprint.
+
+def _cumulate(li: np.ndarray, s: np.ndarray, sup: bool, head: bool) -> np.ndarray:
+    """Log sup, or log integral ds, of exp(li) up to each node (head) or
+    from each node on."""
+    if sup:
+        return grids.running_logmax(li) if head else grids.suffix_logmax(li)
+    return grids.log_cumint(li + s, s, head=head)
+
+
+def _row_kernel_ops(la: np.ndarray, s: np.ndarray, g_side: tuple, h_side: tuple):
+    """Row reductions of g against the kernel A(x,t) and of h against its
+    complement 1 - A(x,t) = A(t,x), one value per node x.
+
+    Each side is (log f, e, sup).  Rows are processed in chunks to bound
+    the quadratic memory footprint.
     """
     n = la.size
-    outs = None
+    outs = ([], [])
     for start in range(0, n, _ROW_CHUNK):
         lax = la[start:start + _ROW_CHUNK]
         with np.errstate(invalid="ignore"):
             lA = lax[:, None] - np.logaddexp(lax[:, None], la[None, :])
         lA = np.nan_to_num(lA, nan=math.log(0.5), posinf=0.0)
         lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
-        chunk_outs = reduce_fns(lA, lAc)
-        if outs is None:
-            outs = [[c] for c in chunk_outs]
-        else:
-            for acc, c in zip(outs, chunk_outs):
-                acc.append(c)
-    return [np.concatenate(parts) for parts in outs]
+        for acc, lk, (lf, e, sup) in zip(outs, (lA, lAc), (g_side, h_side)):
+            acc.append(_reduce(lk, lf, e, s, sup))
+    return [np.concatenate(acc) for acc in outs]
 
 
 def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResult:
-    """Evaluate both sides of the lemma functional on the shared grid."""
+    """Evaluate both sides of the lemma functional on the shared grid.
+
+    The left side reduces the kernel rows.  The first right-hand term
+    pairs the near parts (g cumulated from the head, h from the tail),
+    the second the far parts (g a^{-e_g} from the tail, h a^{e_h} from
+    the head, with one more factor a^{-e_g} under an outer integral).
+    """
     s, t = grids.log_nodes(cfg)
     lg = as_fun(inst.g).logv(t)
     lh = as_fun(inst.h).logv(t)
     la = as_fun(inst.a).logv(t)
-    e = {k: float(v) for k, v in inst.exps.items()}
+    g_entry, h_entry, outer = _LEMMA_TABLE[inst.lemma_id]
+    eg, eh = _exponent(g_entry, inst.exps), _exponent(h_entry, inst.exps)
+    gsup, hsup = g_entry is _SUP, h_entry is _SUP
 
-    if inst.lemma_id == SUP_SUP:
-        def reduce_fns(lA, lAc):
-            # rows: esup_t A(x,t) g(t) and esup_t A(t,x) h(t), A(t,x) = 1 - A(x,t)
-            left = np.max(lA + lg[None, :], axis=-1)
-            right = np.max(lAc + lh[None, :], axis=-1)
-            return left, right
-        lsup_g, lsup_h = _row_kernel_ops(la, s, reduce_fns)
-        lhs = float(np.max(_combine(lsup_g, lsup_h)))
-        t1 = float(np.max(_combine(lg, grids.suffix_logmax(lh))))
-        t2 = float(np.max(_combine(-la, lg, grids.running_logmax(la + lh))))
+    rows = _row_kernel_ops(la, s, (lg, eg, gsup), (lh, eh, hsup))
+    near = (_cumulate(lg, s, gsup, head=True), _cumulate(lh, s, hsup, head=False))
+    far = (_cumulate(-eg * la + lg, s, gsup, head=False),
+           _cumulate(eh * la + lh, s, hsup, head=True))
+    if outer is _SUP:
+        lhs, t1, t2 = (float(np.max(_combine(G / eg, H / eh)))
+                       for G, H in (rows, near, far))
+    else:
+        ga = _exponent(outer, inst.exps)
+        cg, ch = ga / eg - 1.0, ga / eh
 
-    elif inst.lemma_id == SUP_INT:
-        b = e["beta"]
-
-        def reduce_fns(lA, lAc):
-            left = np.max(lA + lg[None, :], axis=-1)
-            right = grids.log_integral(b * lAc + lh[None, :] + s[None, :], s) / b
-            return left, right
-        lsup_g, lint_h = _row_kernel_ops(la, s, reduce_fns)
-        lhs = float(np.max(_combine(lsup_g, lint_h)))
-        t1 = float(np.max(_combine(lg, grids.log_cumint(lh + s, s, head=False) / b)))
-        t2 = float(np.max(_combine(
-            -la, lg, grids.log_cumint(b * la + lh + s, s, head=True) / b)))
-
-    elif inst.lemma_id == INT_SUP:
-        b = e["beta"]
-
-        def reduce_fns(lA, lAc):
-            left = grids.log_integral(b * lA + lg[None, :] + s[None, :], s) / b
-            right = np.max(lAc + lh[None, :], axis=-1)
-            return left, right
-        lint_g, lsup_h = _row_kernel_ops(la, s, reduce_fns)
-        lhs = float(np.max(_combine(lint_g, lsup_h)))
-        t1 = float(np.max(_combine(lh, grids.log_cumint(lg + s, s, head=True) / b)))
-        t2 = float(np.max(_combine(
-            la, lh, grids.log_cumint(-b * la + lg + s, s, head=False) / b)))
-
-    elif inst.lemma_id == INT_INT_SUP:
-        al, b = e["alpha"], e["beta"]
-
-        def reduce_fns(lA, lAc):
-            left = grids.log_integral(b * lA + lg[None, :] + s[None, :], s) / b
-            right = grids.log_integral(al * lAc + lh[None, :] + s[None, :], s) / al
-            return left, right
-        lint_g, lint_h = _row_kernel_ops(la, s, reduce_fns)
-        lhs = float(np.max(_combine(lint_g, lint_h)))
-        t1 = float(np.max(_combine(grids.log_cumint(lg + s, s, head=True) / b,
-                                   grids.log_cumint(lh + s, s, head=False) / al)))
-        t2 = float(np.max(_combine(grids.log_cumint(-b * la + lg + s, s, head=False) / b,
-                                   grids.log_cumint(al * la + lh + s, s, head=True) / al)))
-
-    elif inst.lemma_id == INTEGRAL:
-        al, b, ga = e["alpha"], e["beta"], e["gamma"]
-
-        def reduce_fns(lA, lAc):
-            left = grids.log_integral(al * lA + lg[None, :] + s[None, :], s)
-            right = grids.log_integral(b * lAc + lh[None, :] + s[None, :], s)
-            return left, right
-        lint_g, lint_h = _row_kernel_ops(la, s, reduce_fns)
-        li = _combine(_scale(ga / al - 1.0, lint_g), _scale(ga / b, lint_h), lg + s)
-        lhs = grids.log_integral(li, s)
-        lG = grids.log_cumint(lg + s, s, head=True)
-        lH = grids.log_cumint(lh + s, s, head=False)
-        t1 = grids.log_integral(
-            _combine(_scale(ga / al - 1.0, lG), _scale(ga / b, lH), lg + s), s)
-        lGt = grids.log_cumint(-al * la + lg + s, s, head=False)
-        lHh = grids.log_cumint(b * la + lh + s, s, head=True)
-        t2 = grids.log_integral(
-            _combine(_scale(ga / al - 1.0, lGt), _scale(ga / b, lHh),
-                     -al * la, lg + s), s)
-
-    else:  # MIXED
-        b = e["beta"]
-
-        def reduce_fns(lA, lAc):
-            left = grids.log_integral(lA + lg[None, :] + s[None, :], s)
-            right = np.max(lAc + lh[None, :], axis=-1)
-            return left, right
-        lint_g, lsup_h = _row_kernel_ops(la, s, reduce_fns)
-        lhs = grids.log_integral(
-            _combine(_scale(b - 1.0, lint_g), _scale(b, lsup_h), lg + s), s)
-        lG = grids.log_cumint(lg + s, s, head=True)
-        t1 = grids.log_integral(
-            _combine(_scale(b - 1.0, lG), _scale(b, grids.suffix_logmax(lh)),
-                     lg + s), s)
-        lGt = grids.log_cumint(-la + lg + s, s, head=False)
-        t2 = grids.log_integral(
-            _combine(_scale(b - 1.0, lGt), _scale(b, grids.running_logmax(la + lh)),
-                     -la, lg + s), s)
+        def outer_integral(G, H, *factors):
+            return grids.log_integral(
+                _combine(_scale(cg, G), _scale(ch, H), *factors, lg + s), s)
+        lhs, t1 = outer_integral(*rows), outer_integral(*near)
+        t2 = outer_integral(*far, -eg * la)
 
     lhs_v = grids.from_log(lhs)
     terms = (grids.from_log(t1), grids.from_log(t2))
@@ -285,8 +258,7 @@ def dyadic_cover(g: RealFun, direction: str = "head",
     m = lo_level
     while m <= hi_level and len(levels) < 400:
         target = m * ln2 if head else -m * ln2
-        fl, fh = logF(slo), logF(shi)
-        lo_ok = (fl <= target <= fh) if head else (fh <= target <= fl)
+        lo_ok = (flo <= target <= fhi) if head else (fhi <= target <= flo)
         if lo_ok:
             try:
                 sx = brentq(lambda sv: logF(sv) - target, slo, shi,
@@ -400,8 +372,5 @@ def random_instance(lemma_id: str, rng: np.random.Generator) -> GlueInstance:
     exps = {"alpha": float(rng.choice(lattice)),
             "beta": float(rng.choice(lattice)),
             "gamma": float(rng.choice(lattice))}
-    need = {SUP_SUP: (), SUP_INT: ("beta",), INT_SUP: ("beta",),
-            INT_INT_SUP: ("alpha", "beta"), INTEGRAL: ("alpha", "beta", "gamma"),
-            MIXED: ("beta",)}[lemma_id]
     return GlueInstance(lemma_id=lemma_id, g=mixture(), h=mixture(), a=a,
-                        exps={k: exps[k] for k in need})
+                        exps={k: exps[k] for k in _needs(lemma_id)})

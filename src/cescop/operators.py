@@ -101,6 +101,19 @@ def suffix_sup_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     return _interp_fun(s, grids.suffix_logmax(g.logv(t)), f"sufsup({g.describe()})")
 
 
+def _window_integral(f: RealFun, e: float, head: bool, cfg: QuadratureConfig) -> RealFun:
+    """The head (or tail) integral of f^e, checked at the right window
+    edge: DegenerateOperator when a head integral vanishes there or a
+    tail integral diverges."""
+    F = (head_integral_fun if head else tail_integral_fun)(powerof(f, e), cfg)
+    lv = F.logv(np.array([math.exp(cfg.S)]))[0]
+    if lv == NEG_INF if head else np.isposinf(lv):
+        raise DegenerateOperator(
+            f"{'head' if head else 'tail'} integral of ({f.describe()})^{e:g} "
+            f"{'vanishes' if head else 'diverges'} on the window")
+    return F
+
+
 def _finite(e) -> float:
     e = e if isinstance(e, Exponent) else Exponent(e)
     if e.is_inf:
@@ -112,9 +125,7 @@ def op_A(u, q, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """A_{q,p}(u)(x) = (int_0^x u^q)^(-1/p) * u(x)^((q-p)/p)."""
     qf, pf = _finite(q), _finite(p)
     uf = as_fun(u)
-    P = head_integral_fun(powerof(uf, qf), cfg)
-    if P.logv(np.array([math.exp(cfg.S)]))[0] == NEG_INF:
-        raise DegenerateOperator("head integral of u^q vanishes on the window")
+    P = _window_integral(uf, qf, True, cfg)
     return product(powerof(P, -1.0 / pf), powerof(uf, (qf - pf) / pf))
 
 
@@ -122,9 +133,7 @@ def op_A_star(u, q, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """A*_{q,p}(u)(x) = (int_x^inf u^q)^(1/p) * u(x)^((p-q)/p)."""
     qf, pf = _finite(q), _finite(p)
     uf = as_fun(u)
-    T = tail_integral_fun(powerof(uf, qf), cfg)
-    if np.isposinf(T.logv(np.array([math.exp(cfg.S)]))[0]):
-        raise DegenerateOperator("tail integral of u^q diverges on the window")
+    T = _window_integral(uf, qf, False, cfg)
     return product(powerof(T, 1.0 / pf), powerof(uf, (pf - qf) / pf))
 
 
@@ -282,9 +291,7 @@ def stieltjes_density(u, r, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
         raise ValueError("requires p < r so that r->p is finite")
     ef = float(e)
     uf = as_fun(u)
-    P = head_integral_fun(powerof(uf, rf), cfg)
-    if P.logv(np.array([math.exp(cfg.S)]))[0] == NEG_INF:
-        raise DegenerateOperator("head integral of u^r vanishes on the window")
+    P = _window_integral(uf, rf, True, cfg)
     return product(constant(ef / rf), powerof(P, -ef / rf - 1.0), powerof(uf, rf))
 
 
@@ -299,7 +306,5 @@ def stieltjes_tail_density(w, q, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun
         raise ValueError("requires q != 1 so that q' is finite")
     qf, qdf = float(qe), float(qd)
     wf = as_fun(w)
-    T = tail_integral_fun(powerof(wf, qf), cfg)
-    if np.isposinf(T.logv(np.array([math.exp(cfg.S)]))[0]):
-        raise DegenerateOperator("tail integral of w^q diverges on the window")
+    T = _window_integral(wf, qf, False, cfg)
     return product(constant(qdf / qf), powerof(T, qdf / qf - 1.0), powerof(wf, qf))

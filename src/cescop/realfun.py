@@ -704,6 +704,10 @@ def _quad_interval(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
                 raise
             except Exception:
                 raise NonIntegrableOscillation(str(exc)) from exc
+    if math.isinf(core) and np.all(np.isfinite(li)):
+        # the integrand overflowed inside quad; the grid estimate says
+        # whether the integral itself is beyond the float range
+        core = grids.from_log(grids.log_trapz(li, s))
     return head + core + tail
 
 

@@ -4,9 +4,11 @@ Each test runs one criterion end to end, records a one-line pass/fail
 summary (printed after the session), and asserts the stated bounds.
 """
 
+import json
 import math
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gamma as Gamma
@@ -165,10 +167,17 @@ def test_criterion_4_gluing_suite():
     ok = True
     worst_ratio, worst_term = 1.0, 0.0
     bad = []
+    # lhs and both rhs terms of every instance at this seed, as recorded
+    # for the benchmark; compared by repr, so bit for bit
+    ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(ref_path.read_text())["glue"]
+    moved = []
     for i, lem in enumerate(LEMMAS):
         for k in range(n):
             inst = random_instance(lem, np.random.default_rng((seed, i, k)))
             res = glue_eval(inst)
+            if repr([res.lhs, *res.rhs_terms]) != repr(reference[lem][k]):
+                moved.append((lem, k))
             if math.isnan(res.ratio):
                 continue
             worst_ratio = max(worst_ratio, res.ratio, 1.0 / res.ratio)
@@ -190,6 +199,7 @@ def test_criterion_4_gluing_suite():
            f"{elapsed:.1f}s" + (f", failures {bad[:5]}" if bad else ""))
     assert ok, f"replay (seed, lemma-index, instance): {bad[:10]}"
     assert elapsed < 120.0
+    assert not moved, f"outputs differ from perfbench/reference.json: {moved[:10]}"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,17 @@ def test_instance_validates_exponents():
         GlueInstance("SUP_INT", g, g, power(1, 1))  # beta missing
     with pytest.raises(ValueError):
         GlueInstance("NOPE", g, g, power(1, 1))
+    # random instances carry exactly the exponents each lemma needs
+    need = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
+            "INT_INT_SUP": ["alpha", "beta"], "INTEGRAL": ["alpha", "beta", "gamma"],
+            "MIXED": ["beta"]}
+    for lem in LEMMAS:
+        exps = random_instance(lem, np.random.default_rng(1)).exps
+        assert sorted(exps) == need[lem]
+        for k in exps:
+            with pytest.raises(ValueError):
+                GlueInstance(lem, g, g, power(1, 1),
+                             {j: v for j, v in exps.items() if j != k})
 
 
 def test_sup_sup_worked_example():

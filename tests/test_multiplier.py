@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from cescop.errors import SpecInvalid, UnsupportedRegime
+from cescop.errors import DegenerateOperator, SpecInvalid, UnsupportedRegime
 from cescop.exponents import Exponent
 from cescop.multiplier import (
     REGIME_TAGS,
@@ -204,6 +204,16 @@ def test_t7_table_v_is_not_flagged_discontinuous():
                               v=W(v), f=ONE)
     notes = hypothesis_check("T7i", prob)
     assert not any("discontinuous" in n for n in notes)
+
+
+@pytest.mark.parametrize("pqr", [(1, 2, F(3, 2)), (1, F(3, 2), 2)])  # T7i, T7ii
+def test_t7_divergent_w_tail_names_w(pqr):
+    p, q, r = pqr
+    prob = ThreeWeightProblem(r=r, u=W(EDEC), p=p, q=q, w=W(power(1, 5)),
+                              v=W(ONE), f=ONE, validate=False)
+    with pytest.raises(DegenerateOperator,
+                       match=r"tail integral of \(power\(c=1, alpha=5\)\)"):
+        characterize(prob)
 
 
 _ONE_TO_THREE = ["omega1", "omega2", "omega3"]

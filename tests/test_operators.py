@@ -20,7 +20,7 @@ from cescop.operators import (
     stieltjes_density,
     stieltjes_tail_density,
 )
-from cescop.realfun import ONE, Weight, expfam, power
+from cescop.realfun import ONE, ZERO, Weight, expfam, power
 
 T = np.logspace(-2, 2, 41)
 EDEC = expfam(1.0, 0.0, -1.0)
@@ -58,6 +58,19 @@ def test_op_A_star_of_op_A_composition():
 def test_op_A_degenerate():
     with pytest.raises(DegenerateOperator):
         op_A_star(ONE, 1, 1)  # tail integral of 1 diverges
+
+
+@pytest.mark.parametrize("build,operand", [
+    (lambda: op_A(ZERO, 2, 1), "head integral of (0)^2"),
+    (lambda: op_A_star(power(1, 5), 2, 2), "tail integral of (power(c=1, alpha=5))^2"),
+    (lambda: stieltjes_density(ZERO, 2, 1), "head integral of (0)^2"),
+    (lambda: stieltjes_tail_density(power(1, 5), 0.5),
+     "tail integral of (power(c=1, alpha=5))^0.5"),
+], ids=["op_A", "op_A_star", "stieltjes_density", "stieltjes_tail_density"])
+def test_degenerate_message_names_the_operand(build, operand):
+    with pytest.raises(DegenerateOperator) as err:
+        build()
+    assert operand in str(err.value)
 
 
 def test_big_V():

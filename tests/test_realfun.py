@@ -130,6 +130,13 @@ def test_analytic_integral_overflow_is_a_package_error(g, I):
         integrate(g, I)
 
 
+def test_quad_integral_overflow_is_a_package_error():
+    # e^t has no primitive hint, so this takes the quadrature path
+    assert integrate(expfam(1, 0, 1), Interval(0, 700)) == 1.0142320547343756e+304
+    with pytest.raises(NumericOverflow):
+        integrate(expfam(1, 0, 1), Interval(0, 800))
+
+
 def test_weight_rejects_vanishing():
     with pytest.raises(ValueError):
         Weight(indicator(0, 1))
