@@ -80,8 +80,7 @@ INF_EXP = Exponent(math.inf)
 
 def dual_exponent(p: Exponent) -> Exponent:
     """Generalized conjugate: p/(1-p) below 1, inf at 1, p/(p-1) above, 1 at inf."""
-    p = p if isinstance(p, Exponent) else Exponent(p)
-    v = p.value
+    v = Exponent(p).value
     if v == math.inf:
         return Exponent(1)
     if v == 1:
@@ -93,8 +92,7 @@ def dual_exponent(p: Exponent) -> Exponent:
 
 def arrow(p: Exponent, q: Exponent) -> Exponent:
     """Exponent defined via 1/(p->q) = 1/q - 1/p for q < p, inf otherwise."""
-    p = p if isinstance(p, Exponent) else Exponent(p)
-    q = q if isinstance(q, Exponent) else Exponent(q)
+    p, q = Exponent(p), Exponent(q)
     if q >= p:
         return INF_EXP
     inv = q.reciprocal() - p.reciprocal()

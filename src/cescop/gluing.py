@@ -134,40 +134,20 @@ def _combine(*parts: np.ndarray) -> np.ndarray:
     return grids.zero_wins(out)
 
 
-def _reduce(lk: np.ndarray, lf: np.ndarray, e: float, s: np.ndarray,
-            sup: bool) -> np.ndarray:
-    """Per-row log of esup_t K f, or of int K^e f dt, from the log kernel
-    rows lk and the log-values lf."""
-    if sup:
-        return np.max(lk + lf, axis=-1)
-    return grids.log_integral(e * lk + lf + s, s)
-
-
-def _cumulate(li: np.ndarray, s: np.ndarray, sup: bool, head: bool) -> np.ndarray:
-    """Log sup, or log integral ds, of exp(li) up to each node (head) or
-    from each node on."""
-    if sup:
-        return grids.running_logmax(li) if head else grids.suffix_logmax(li)
-    return grids.log_cumint(li + s, s, head=head)
-
-
 def _row_kernel_ops(la: np.ndarray, s: np.ndarray, g_side: tuple, h_side: tuple):
     """Row reductions of g against the kernel A(x,t) and of h against its
     complement 1 - A(x,t) = A(t,x), one value per node x.
 
-    Each side is (log f, e, sup).  Rows are processed in chunks to bound
-    the quadratic memory footprint.
+    Each side is (log f, e), e None for the row supremum.  Rows are
+    processed in chunks to bound the quadratic memory footprint.
     """
     n = la.size
     outs = ([], [])
     for start in range(0, n, _ROW_CHUNK):
-        lax = la[start:start + _ROW_CHUNK]
-        with np.errstate(invalid="ignore"):
-            lA = lax[:, None] - np.logaddexp(lax[:, None], la[None, :])
-        lA = np.nan_to_num(lA, nan=math.log(0.5), posinf=0.0)
+        lA = grids.log_kernel(la[start:start + _ROW_CHUNK, None], la)
         lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
-        for acc, lk, (lf, e, sup) in zip(outs, (lA, lAc), (g_side, h_side)):
-            acc.append(_reduce(lk, lf, e, s, sup))
+        for acc, lk, (lf, e) in zip(outs, (lA, lAc), (g_side, h_side)):
+            acc.append(grids.log_row_reduce(lk, lf, s, e))
     return [np.concatenate(acc) for acc in outs]
 
 
@@ -178,6 +158,8 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     pairs the near parts (g cumulated from the head, h from the tail),
     the second the far parts (g a^{-e_g} from the tail, h a^{e_h} from
     the head, with one more factor a^{-e_g} under an outer integral).
+    A sup side cumulates by running maxima, an integral side by running
+    integrals (q = 1).
     """
     s, t = grids.log_nodes(cfg)
     lg = as_fun(inst.g).logv(t)
@@ -186,11 +168,13 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     g_entry, h_entry, outer = _LEMMA_TABLE[inst.lemma_id]
     eg, eh = _exponent(g_entry, inst.exps), _exponent(h_entry, inst.exps)
     gsup, hsup = g_entry is _SUP, h_entry is _SUP
+    qg, qh = (INF if sup else 1.0 for sup in (gsup, hsup))
 
-    rows = _row_kernel_ops(la, s, (lg, eg, gsup), (lh, eh, hsup))
-    near = (_cumulate(lg, s, gsup, head=True), _cumulate(lh, s, hsup, head=False))
-    far = (_cumulate(-eg * la + lg, s, gsup, head=False),
-           _cumulate(eh * la + lh, s, hsup, head=True))
+    rows = _row_kernel_ops(la, s, (lg, None if gsup else eg), (lh, None if hsup else eh))
+    near = (grids.log_cumnorm(lg, s, qg, head=True),
+            grids.log_cumnorm(lh, s, qh, head=False))
+    far = (grids.log_cumnorm(_combine(-eg * la, lg), s, qg, head=False),
+           grids.log_cumnorm(_combine(eh * la, lh), s, qh, head=True))
     if outer is _SUP:
         lhs, t1, t2 = (float(np.max(_combine(G / eg, H / eh)))
                        for G, H in (rows, near, far))
@@ -316,7 +300,7 @@ def almost_geometric_check(seq, direction: str) -> AlmostGeometricWitness | None
 def _lq_norm(vals: np.ndarray, q) -> float:
     from .exponents import Exponent
 
-    q = q if isinstance(q, Exponent) else Exponent(q)
+    q = Exponent(q)
     vals = np.asarray(vals, dtype=float)
     if q.is_inf:
         return float(np.max(vals)) if vals.size else 0.0

@@ -8,9 +8,12 @@ by fitting a local power law at the window edges.
 
 This module is the one home of every log-space rule the other modules
 use: the integral with its edge estimates (``log_integral``), its
-cumulative form (``log_cumint``), the supremum with its edge-divergence
-test (``log_sup``), the 0 * inf = 0 rule (``zero_wins``) and the step
-back from a log-value to a number (``from_log``).
+cumulative form (``log_cumint``) and the cumulative q-norm built on it
+(``log_cumnorm``), the supremum with its edge-divergence test
+(``log_sup``), the two-sided kernel a(x)/(a(x)+a(t)) (``log_kernel``)
+and the row sup or integral against it (``log_row_reduce``), the
+0 * inf = 0 rule (``zero_wins``) and the step back from a log-value to a
+number (``from_log``).
 """
 
 from __future__ import annotations
@@ -152,6 +155,38 @@ def log_cumint(li: np.ndarray, s: np.ndarray, head: bool) -> np.ndarray:
     if head:
         return log_cumtrapz(li, s, log_head=log_head_estimate(li, s))
     return log_suffix_cumtrapz(li, s, log_tail=log_tail_estimate(li, s))
+
+
+def log_cumnorm(lf: np.ndarray, s: np.ndarray, q: float, head: bool) -> np.ndarray:
+    """Log of ||exp(lf)||_{q,(0,t_j)} (head) or ||exp(lf)||_{q,(t_j,inf)}
+    at every node t_j; q = inf is the running sup."""
+    if q == math.inf:
+        return running_logmax(lf) if head else suffix_logmax(lf)
+    return log_cumint(q * lf + s, s, head) / q
+
+
+def log_kernel(lx, lt) -> np.ndarray:
+    """Log of the kernel a(x) / (a(x) + a(t)) from lx = log a(x) and
+    lt = log a(t), broadcasting.
+
+    Where the ratio is undetermined, a(x) infinite or a(x) = a(t) = 0,
+    the kernel splits evenly (log 1/2).
+    """
+    with np.errstate(invalid="ignore"):
+        lk = lx - np.logaddexp(lx, lt)
+    return np.where(np.isnan(lk), math.log(0.5), lk)
+
+
+def log_row_reduce(lk: np.ndarray, lf: np.ndarray, s: np.ndarray, e=None) -> np.ndarray:
+    """Per-row log of esup_t K(x,t) f(t) (e None), or of int K(x,t)^e f(t) dt,
+    from the log kernel rows lk (..., n) and the log-values lf at the nodes.
+
+    The sup skips NaN terms, which are 0 * inf products.
+    """
+    if e is None:
+        with np.errstate(invalid="ignore"):
+            return np.fmax.reduce(lk + lf, axis=-1)
+    return log_integral(e * lk + lf + s, s)
 
 
 def running_logmax(li: np.ndarray) -> np.ndarray:

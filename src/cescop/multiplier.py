@@ -38,6 +38,7 @@ from .realfun import (
     RealFun,
     Weight,
     as_fun,
+    from_log_callable,
     lp_norm,
     powerof,
     product,
@@ -66,9 +67,7 @@ class ThreeWeightProblem:
 
     def __post_init__(self):
         for name in ("r", "p", "q"):
-            e = getattr(self, name)
-            if not isinstance(e, Exponent):
-                object.__setattr__(self, name, Exponent(e))
+            object.__setattr__(self, name, Exponent(getattr(self, name)))
 
     def describe(self) -> str:
         return (f"M(cop_{self.r.value}({self.u.describe()}) -> "
@@ -92,9 +91,7 @@ def classify_regime(p, q, r) -> str:
     return "UNSUPPORTED".  Exact rational comparisons avoid misdispatch
     at the many boundary cases (p = q, r = 1, q = 1).
     """
-    p = p if isinstance(p, Exponent) else Exponent(p)
-    q = q if isinstance(q, Exponent) else Exponent(q)
-    r = r if isinstance(r, Exponent) else Exponent(r)
+    p, q, r = Exponent(p), Exponent(q), Exponent(r)
     if p.is_inf or q.is_inf or r.is_inf:
         return "UNSUPPORTED"
     one = Exponent(1)
@@ -125,38 +122,30 @@ def _W(fun: RealFun) -> Weight:
     return Weight(fun, check=False)
 
 
-def _phi1(prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig):
-    """phi_1(x) = esup_t V(x,t)-kernel * V(t) * ||u||_{r,(0,t)}^{-1}."""
+def _phi(tag: str, prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig) -> RealFun:
+    """phi_1 (T4) or phi_2 (T5) as a RealFun: each x reduces one row of the
+    kernel K(x,t) = V(x)/(V(x)+V(t)) against V(t) over the grid nodes t.
+
+    phi_1(x) = esup_t K V(t) ||u||_{r,(0,t)}^{-1}; phi_2(x) is the
+    (r->p)-mean of K V against the density of d(-||u||_{r,(0,t)}^{-(r->p)}).
+    """
     s, t = grids.log_nodes(cfg)
     lV = V.logv(t)
-    rf = float(prob.r)
-    lnu = grids.log_cumint(rf * as_fun(prob.u).logv(t) + s, s, head=True) / rf
+    if tag.startswith("T4"):
+        e, scale = None, 1.0
+        lnu = grids.log_cumnorm(as_fun(prob.u).logv(t), s, float(prob.r), head=True)
+        with np.errstate(invalid="ignore"):  # 0/0 is a NaN the sup skips
+            lf = lV - lnu
+    else:
+        e = scale = float(arrow(prob.r, prob.p))
+        lf = e * lV + stieltjes_density(prob.u, prob.r, prob.p, cfg).logv(t)
 
-    def phi(x):
-        lx = V.logv(np.asarray([float(x)]))[0]
-        lker = lx - np.logaddexp(lx, lV)
-        with np.errstate(invalid="ignore"):
-            vals = lker + lV - lnu
-        return float(np.exp(np.nanmax(vals))) if vals.size else 0.0
+    def logphi(x):
+        # one kernel row per x: a (len(x), n) block is slower, not faster
+        return np.array([grids.log_row_reduce(grids.log_kernel(lx, lV), lf, s, e)
+                         for lx in V.logv(x)]) / scale
 
-    return phi
-
-
-def _phi2(prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig):
-    """phi_2(x): the (r->p)-mean of kernel * V against the u-differential."""
-    e = float(arrow(prob.r, prob.p))
-    dens = stieltjes_density(prob.u, prob.r, prob.p, cfg)
-    s, t = grids.log_nodes(cfg)
-    lV = V.logv(t)
-    ld = dens.logv(t)
-
-    def phi(x):
-        lx = V.logv(np.asarray([float(x)]))[0]
-        lker = lx - np.logaddexp(lx, lV)
-        tot = grids.log_integral(e * (lker + lV) + ld + s, s)
-        return float(np.exp(tot / e))
-
-    return phi
+    return from_log_callable(logphi, label="phi1" if e is None else "phi2")
 
 
 def hypothesis_check(tag: str, prob: ThreeWeightProblem,
@@ -169,11 +158,10 @@ def hypothesis_check(tag: str, prob: ThreeWeightProblem,
         if not rep.ok:
             notes.append(f"V is not admissible (checks: {rep.statuses})")
         U = powerof(V, float(dual_exponent(prob.p).reciprocal()))
-        phi = _phi1(prob, V, cfg) if tag.startswith("T4") else _phi2(prob, V, cfg)
-        which = "phi1" if tag.startswith("T4") else "phi2"
+        phi = _phi(tag, prob, V, cfg)
         lrep = is_nondegenerate(phi, U, cfg)
         if not lrep.ok:
-            notes.append(f"{which} degenerate or inconclusive: {lrep.statuses}")
+            notes.append(f"{phi.describe()} degenerate or inconclusive: {lrep.statuses}")
     if tag in ("T7i", "T7ii"):
         vfam = as_fun(prob.v).describe()
         if "indicator" in vfam:
@@ -387,10 +375,7 @@ def reduce_problem(p1, q1, p2, q2, u1: Weight, v1: Weight, u2: Weight, v2: Weigh
     raised to 1/p1.  The reduced data are r = q1/p1, p = p2/p1,
     q = q2/p1, u = u1^p1, w = u2^p1, v = v1^-p1 * v2^p1.
     """
-    p1 = p1 if isinstance(p1, Exponent) else Exponent(p1)
-    q1 = q1 if isinstance(q1, Exponent) else Exponent(q1)
-    p2 = p2 if isinstance(p2, Exponent) else Exponent(p2)
-    q2 = q2 if isinstance(q2, Exponent) else Exponent(q2)
+    p1, q1, p2, q2 = (Exponent(e) for e in (p1, q1, p2, q2))
     for e in (p1, q1, p2, q2):
         if e.is_inf:
             raise ValueError("reduction needs finite exponents")

@@ -115,7 +115,7 @@ def _window_integral(f: RealFun, e: float, head: bool, cfg: QuadratureConfig) ->
 
 
 def _finite(e) -> float:
-    e = e if isinstance(e, Exponent) else Exponent(e)
+    e = Exponent(e)
     if e.is_inf:
         raise ValueError("operator exponents must be finite")
     return float(e)
@@ -139,7 +139,7 @@ def op_A_star(u, q, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
 
 def big_V(v, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """V(x) = ||v||_{p',(0,x)}, non-decreasing in x."""
-    pd = dual_exponent(p if isinstance(p, Exponent) else Exponent(p))
+    pd = dual_exponent(p)
     vf = as_fun(v)
     if pd.is_inf:
         return running_sup_fun(vf, cfg)
@@ -151,10 +151,7 @@ def cal_V(V: RealFun, x, t):
     """V(x) / (V(x) + V(t)), evaluated in log space; in (0, 1)."""
     lx = V.logv(np.asarray(x, dtype=float))
     lt = V.logv(np.asarray(t, dtype=float))
-    with np.errstate(invalid="ignore"):
-        out = np.exp(lx - np.logaddexp(lx, lt))
-    # both arguments in a zero or infinite region: split evenly
-    return np.where(np.isnan(out), 0.5, out)
+    return np.exp(grids.log_kernel(lx, lt))
 
 
 def kernel_A(a: RealFun, x, t):
@@ -172,14 +169,13 @@ class FundamentalSpec:
 
 def fundamental_function(spec: FundamentalSpec, t: float,
                          cfg: QuadratureConfig = DEFAULT_CFG) -> float:
-    """phi(t) = U(t) * int_0^inf w(tau) / (U(tau) + U(t)) dtau."""
+    """phi(t) = int_0^inf w(tau) U(t) / (U(t) + U(tau)) dtau."""
     s, tau = grids.log_nodes(cfg)
-    lUt = spec.U.logv(np.array([float(t)]))[0]
-    li = spec.w.logv(tau) - np.logaddexp(spec.U.logv(tau), lUt) + s
-    tot = grids.log_integral(li, s)
+    lk = grids.log_kernel(spec.U.logv(np.array([float(t)]))[0], spec.U.logv(tau))
+    tot = grids.log_row_reduce(lk, spec.w.logv(tau), s, 1.0)
     if np.isposinf(tot):
         raise DivergentRepresentation(f"representation integral diverges at t = {t:g}")
-    return grids.from_log(lUt + tot)
+    return grids.from_log(tot)
 
 
 @dataclass(frozen=True)
@@ -249,23 +245,16 @@ def _limit_zero_status(lv: np.ndarray) -> str:
     return "fail"
 
 
-def is_nondegenerate(phi, U: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> LimitReport:
+def is_nondegenerate(phi: RealFun, U: RealFun,
+                     cfg: QuadratureConfig = DEFAULT_CFG) -> LimitReport:
     """The four vanishing limits of non-degenerate U-quasiconcavity.
 
-    phi may be a RealFun or a scalar callable; limits are estimated by
-    extrapolation along t = 2^(+-k), k <= 40.
+    Limits are estimated by extrapolation along t = 2^(+-k), k <= 40.
     """
-    if isinstance(phi, RealFun):
-        def lphi(t):
-            return phi.logv(t)
-    else:
-        def lphi(t):
-            with np.errstate(divide="ignore"):
-                return np.log(np.array([float(phi(x)) for x in np.atleast_1d(t)]))
     ks = np.arange(0, 41, dtype=float)
     t_small = 2.0 ** (-ks)
     t_large = 2.0 ** ks
-    ls, ll = lphi(t_small), lphi(t_large)
+    ls, ll = phi.logv(t_small), phi.logv(t_large)
     lUs, lUl = U.logv(t_small), U.logv(t_large)
     checks = (
         ls,          # phi(t) -> 0 as t -> 0+
@@ -300,7 +289,7 @@ def stieltjes_tail_density(w, q, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun
 
     Computed as (q'/q) * (int_t^inf w^q)^(q'/q - 1) * w(t)^q.
     """
-    qe = q if isinstance(q, Exponent) else Exponent(q)
+    qe = Exponent(q)
     qd = dual_exponent(qe)
     if qd.is_inf:
         raise ValueError("requires q != 1 so that q' is finite")

@@ -336,27 +336,27 @@ def _log_diff(la, lb):
     return out
 
 
+def _common_support(parts) -> Interval | None:
+    """The intersection of the parts' supports; None when it is empty."""
+    sup = FULL
+    for p in parts:
+        sup = sup.intersect(p.support)
+        if sup is None:
+            break
+    return sup
+
+
 class _Product(RealFun):
+    """Pointwise product of parts whose supports overlap."""
+
     family = "product"
 
     def __init__(self, parts):
         self.parts = list(parts)
-        sup = FULL
-        for p in self.parts:
-            nxt = sup.intersect(p.support)
-            if nxt is None:
-                sup = Interval(1.0, 1.0 + 1e-300)
-                self._empty = True
-                break
-            sup = nxt
-        else:
-            self._empty = False
-        self.support = sup
+        self.support = _common_support(self.parts)
 
     def logv(self, t):
         t = np.asarray(t, dtype=float)
-        if self._empty:
-            return np.full_like(t, NEG_INF)
         out = self.parts[0].logv(t).copy()
         for p in self.parts[1:]:
             out = out + p.logv(t)
@@ -541,6 +541,8 @@ def product(*parts: RealFun) -> RealFun:
         else:
             core.append(expfam(c, alpha, gamma))
     core.extend(rest)
+    if _common_support(core) is None:
+        return ZERO
     base = core[0] if len(core) == 1 else _Product(core)
     if window.lo == 0.0 and window.hi == INF:
         return base
@@ -763,7 +765,7 @@ def lp_norm(f: RealFun, w, I: Interval = FULL, p=None, cfg: QuadratureConfig = D
     """
     from .exponents import Exponent
 
-    p = p if isinstance(p, Exponent) else Exponent(p)
+    p = Exponent(p)
     fw = product(as_fun(f), as_fun(w))
     if p.is_inf:
         return esssup(fw, I, cfg)

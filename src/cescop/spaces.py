@@ -51,8 +51,7 @@ class SpaceSpec:
             raise ValueError(f"kind must be '{CES}' or '{COP}'")
         if len(self.exponents) not in (2, 3) or len(self.weights) != len(self.exponents):
             raise ValueError("need 2 or 3 exponents with matching weights")
-        object.__setattr__(self, "exponents", tuple(
-            e if isinstance(e, Exponent) else Exponent(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", tuple(Exponent(e) for e in self.exponents))
 
     @property
     def arity(self) -> int:
@@ -77,7 +76,7 @@ def check_omega(u: Weight, q, dual: bool = False,
     dual=False requires 0 < ||u||_{q,(t,inf)} < inf for sampled t;
     dual=True uses head norms over (0, t).
     """
-    q = q if isinstance(q, Exponent) else Exponent(q)
+    q = Exponent(q)
     decades = int(cfg.S / grids.LOG10)
     samples = [10.0 ** k for k in range(-decades + 1, decades, max(1, decades // 4))]
     failures = []
@@ -100,14 +99,6 @@ def _log_interval_norm(g, I: Interval, q: Exponent, cfg: QuadratureConfig) -> fl
     qf = float(q)
     li = qf * g.logv(t) + s
     return float(grids.log_integral(li, s, head=I.lo == 0.0, tail=I.hi == INF)) / qf
-
-
-def _cum_lognorm(lf: np.ndarray, s: np.ndarray, p: Exponent, head: bool) -> np.ndarray:
-    """Log of ||exp(lf)||_{p,(0,t_j)} (head) or (t_j,inf) at every node."""
-    if p.is_inf:
-        return grids.running_logmax(lf) if head else grids.suffix_logmax(lf)
-    pf = float(p)
-    return grids.log_cumint(pf * lf + s, s, head) / pf
 
 
 def _outer_lognorm(lg: np.ndarray, lu: np.ndarray, s: np.ndarray, q: Exponent) -> float:
@@ -144,7 +135,7 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
     lf = product(as_fun(f), as_fun(v)).logv(t)
     if np.all(np.isneginf(lf)) and not p.is_inf:
         return 0.0
-    inn = _cum_lognorm(lf, s, p, head=(spec.kind == CES))
+    inn = grids.log_cumnorm(lf, s, float(p), head=(spec.kind == CES))
     return grids.from_log(_outer_lognorm(inn, as_fun(u).logv(t), s, q))
 
 
@@ -157,7 +148,7 @@ def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG
     head = spec.kind == CES
     s, t = grids.log_nodes(cfg)
     lf = product(as_fun(f), as_fun(w)).logv(t)
-    inn = _cum_lognorm(lf, s, p, head=head)
+    inn = grids.log_cumnorm(lf, s, float(p), head=head)
     with np.errstate(invalid="ignore"):
-        mid = _cum_lognorm(grids.zero_wins(inn + as_fun(v).logv(t)), s, q, head=head)
+        mid = grids.log_cumnorm(grids.zero_wins(inn + as_fun(v).logv(t)), s, float(q), head=head)
     return grids.from_log(_outer_lognorm(mid, as_fun(u).logv(t), s, r))

@@ -31,6 +31,19 @@ def test_norm_command(tmp_path, capsys):
     assert rep["value"] == pytest.approx(0.5, rel=1e-6)
 
 
+def test_norm_of_disjoint_product_is_zero(tmp_path, capsys):
+    def ind_sum(*bounds):
+        return {"family": "sum",
+                "parts": [{"family": "indicator", "lo": lo, "hi": hi} for lo, hi in bounds]}
+    cfg = _write(tmp_path, {
+        "space": {"kind": "ces", "exponents": [1, 1], "weights": [EDEC, ONE]},
+        "f": {"family": "product",
+              "parts": [ind_sum((0, 1), (0.5, 0.8)), ind_sum((2, 3), (2.5, 4))]}})
+    code, rep = _run_json(capsys, ["norm", "--config", cfg])
+    assert code == 0
+    assert rep["value"] == 0.0
+
+
 MULT_T6 = {
     "r": {"num": 1, "den": 2}, "u": ONE, "p": 1, "q": 2, "w": EDEC, "v": ONE,
     "f": {"family": "exp", "c": 1.0, "alpha": 2.0, "gamma": 1.0}}

@@ -1,6 +1,7 @@
 """Gluing-lemma functionals, dyadic covers, and the discrete lemmas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from cescop.gluing import (
 )
 from cescop.realfun import ONE, expfam, indicator, power, product
 
+NEEDS = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
+         "INT_INT_SUP": ["alpha", "beta"], "INTEGRAL": ["alpha", "beta", "gamma"],
+         "MIXED": ["beta"]}
+
 
 def test_instance_validates_exponents():
     g = product(power(1, 0), indicator(1, 2))
@@ -25,12 +30,9 @@ def test_instance_validates_exponents():
     with pytest.raises(ValueError):
         GlueInstance("NOPE", g, g, power(1, 1))
     # random instances carry exactly the exponents each lemma needs
-    need = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
-            "INT_INT_SUP": ["alpha", "beta"], "INTEGRAL": ["alpha", "beta", "gamma"],
-            "MIXED": ["beta"]}
     for lem in LEMMAS:
         exps = random_instance(lem, np.random.default_rng(1)).exps
-        assert sorted(exps) == need[lem]
+        assert sorted(exps) == NEEDS[lem]
         for k in exps:
             with pytest.raises(ValueError):
                 GlueInstance(lem, g, g, power(1, 1),
@@ -74,6 +76,21 @@ def test_all_lemmas_two_sided():
             assert 1e-2 <= res.ratio <= 1e2, (lem, k, res)
             for term in res.rhs_terms:
                 assert term <= 8.0 * res.lhs + 1e-12, (lem, k, res)
+
+
+@pytest.mark.parametrize("lem", LEMMAS)
+def test_weight_vanishing_near_zero_is_warning_free(lem):
+    # a = t on (1, inf) and 0 below: the kernel is 0 (log -inf) on those rows
+    a = product(power(1, 1), indicator(1, math.inf))
+    g = product(power(1, 0.5), indicator(0.01, 10))
+    h = product(power(1, -0.5), indicator(0.1, 50))
+    exps = {"alpha": 2.0, "beta": 2.0, "gamma": 1.0}
+    inst = GlueInstance(lem, g, h, a, {k: exps[k] for k in NEEDS[lem]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = glue_eval(inst)
+    assert 0.0 < res.lhs < math.inf
+    assert all(0.0 < term < math.inf for term in res.rhs_terms)
 
 
 def test_glue_deterministic_replay():

@@ -81,3 +81,45 @@ def test_zero_wins_and_from_log():
     assert grids.from_log(1.0) == math.exp(1.0)
     with pytest.raises(NumericOverflow):
         grids.from_log(710.0)
+
+
+def test_log_kernel_splits_evenly_where_undetermined():
+    inf = math.inf
+    lx = np.array([0.0, 0.0, -inf, -inf, inf, inf, 1.0])
+    lt = np.array([0.0, -inf, 0.0, -inf, inf, 0.0, inf])
+    half = math.log(0.5)
+    np.testing.assert_array_equal(grids.log_kernel(lx, lt),
+                                  [half, 0.0, -inf, half, half, half, -inf])
+    # broadcasting: rows x against columns t
+    la = np.log(np.array([1.0, 2.0, 4.0]))
+    k = np.exp(grids.log_kernel(la[:, None], la))
+    np.testing.assert_allclose(k + k.T, 1.0, rtol=1e-15)
+
+
+def test_log_row_reduce_sup_and_integral():
+    s, _ = grids.log_nodes(CFG)
+    lk = np.stack([np.zeros_like(s), np.full_like(s, math.log(0.5))])
+    lf = -np.abs(s)
+    np.testing.assert_array_equal(grids.log_row_reduce(lk, lf, s),
+                                  [0.0, math.log(0.5)])
+    # a zero kernel against an infinite value (0 * inf) does not count
+    np.testing.assert_array_equal(
+        grids.log_row_reduce(np.array([-math.inf, 0.0]), np.array([math.inf, 1.0]),
+                             s[:2]), 1.0)
+    # int K^2 f dt with K = 1/2 is a quarter of int f dt
+    whole = grids.log_integral(lf + s, s)
+    np.testing.assert_allclose(grids.log_row_reduce(lk, lf, s, 2.0),
+                               [whole, whole + 2.0 * math.log(0.5)], rtol=1e-14)
+
+
+def test_log_cumnorm():
+    s, _ = grids.log_nodes(CFG)
+    lf = -np.abs(s)
+    np.testing.assert_array_equal(grids.log_cumnorm(lf, s, 1.0, head=True),
+                                  grids.log_cumint(lf + s, s, head=True))
+    np.testing.assert_array_equal(grids.log_cumnorm(lf, s, math.inf, head=False),
+                                  grids.suffix_logmax(lf))
+    # ||f||_{2,(0,t)}^2 = int_0^t f^2
+    l2 = grids.log_cumnorm(lf, s, 2.0, head=True)
+    np.testing.assert_allclose(2.0 * l2, grids.log_cumint(2.0 * lf + s, s, head=True),
+                               rtol=1e-14)

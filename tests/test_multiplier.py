@@ -146,6 +146,35 @@ def test_hypothesis_check_flags_degenerate_phi():
     assert any("phi1" in n for n in notes)
 
 
+_FAIL4 = ("fail", "fail", "fail", "fail")
+PHI_CASES = {  # tag -> ((r, p, q), {u: statuses of the flagged phi check, or None})
+    "T4i": ((F(1, 3), F(1, 2), 2), {"exp": ("fail", "fail", "pass", "pass"),
+                                    "sqrt": ("fail", "fail", "pass", "pass"),
+                                    "one": ("fail", "fail", "pass", "pass")}),
+    "T5i": ((2, F(1, 2), 3), {"exp": ("pass", "fail", "pass", "pass"),
+                              "sqrt": _FAIL4, "one": None}),
+    "T5ii": ((2, F(1, 2), F(3, 2)), {"exp": ("pass", "fail", "pass", "pass"),
+                                     "sqrt": _FAIL4, "one": None}),
+    "T5iii": ((F(2, 3), F(1, 2), F(3, 4)), {"exp": _FAIL4, "sqrt": _FAIL4, "one": _FAIL4}),
+    "T5iv": ((F(3, 4), F(1, 2), F(3, 5)), {"exp": _FAIL4,
+                                           "sqrt": ("fail", "pass", "pass", "pass"),
+                                           "one": _FAIL4}),
+}
+PHI_US = {"exp": EDEC, "sqrt": power(1, -0.5), "one": ONE}
+
+
+@pytest.mark.parametrize("tag,u", [(tag, u) for tag in PHI_CASES for u in PHI_US])
+def test_hypothesis_check_phi_notes(tag, u):
+    (r, p, q), expected = PHI_CASES[tag]
+    assert classify_regime(p, q, r) == tag
+    prob = ThreeWeightProblem(r=r, u=W(PHI_US[u]), p=p, q=q, w=W(EDEC), v=W(ONE), f=ONE,
+                              validate=False)
+    statuses = expected[u]
+    which = "phi1" if tag.startswith("T4") else "phi2"
+    assert hypothesis_check(tag, prob) == (
+        [] if statuses is None else [f"{which} degenerate or inconclusive: {statuses}"])
+
+
 def test_hypothesis_check_t7_gates():
     # w = t^-2 chi + ... simpler: power weight fails the q'-integrability
     # of 1/w near zero when w blows up too slowly? use discontinuous v

@@ -168,6 +168,13 @@ def test_lp_norm_homogeneity(c):
     assert scaled == pytest.approx(c * base, rel=1e-10)
 
 
+def test_product_of_disjoint_sums_is_zero():
+    f = product(funsum(indicator(0, 1), indicator(0.5, 0.8)),
+                funsum(indicator(2, 3), indicator(2.5, 4)))
+    assert f is ZERO
+    assert integrate(f) == 0.0
+
+
 def test_restriction_interval():
     g = power(1, 0)
     assert integrate(g, Interval(1.0, 3.0)) == pytest.approx(2.0, rel=1e-9)
