@@ -128,7 +128,7 @@ def parse_space(rec, what: str = "space") -> SpaceSpec:
         raise ConfigError(f"{what}: {e}") from e
 
 
-_CFG_KEYS = {"S", "panels", "sup_grid"}
+_CFG_KEYS = {"S", "sup_grid"}
 
 
 def parse_cfg(rec) -> QuadratureConfig:
@@ -140,10 +140,24 @@ def parse_cfg(rec) -> QuadratureConfig:
     try:
         return QuadratureConfig(
             S=float(rec.get("S", base.S)),
-            panels=int(rec.get("panels", base.panels)),
             sup_grid=int(rec.get("sup_grid", base.sup_grid)))
     except ValueError as e:
         raise ConfigError(f"cfg: {e}") from e
+
+
+def _oracle_count(rec: dict, key: str, default: int) -> int:
+    """rec[key] as a non-negative integer (a JSON boolean is not one)."""
+    v = rec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ConfigError(f"oracle.{key}: expected a non-negative integer, got {v!r}")
+    return v
+
+
+def _validate_flag(rec: dict, what: str) -> bool:
+    v = rec.get("validate", True)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{what}.validate: expected true or false, got {v!r}")
+    return v
 
 
 def _load_config(path: str) -> dict:
@@ -205,7 +219,7 @@ def _problem_from_config(rec) -> tuple:
         r=parse_exponent(rec["r"], "r"), u=parse_weight(rec["u"], "u"),
         p=parse_exponent(rec["p"], "p"), q=parse_exponent(rec["q"], "q"),
         w=parse_weight(rec["w"], "w"), v=parse_weight(rec["v"], "v"),
-        f=parse_fun(rec["f"], "f"), validate=bool(rec.get("validate", True)))
+        f=parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "mult config"))
     return prob, parse_cfg(rec.get("cfg")), rec.get("oracle")
 
 
@@ -214,8 +228,9 @@ _ORACLE_KEYS = {"seed", "size", "rounds"}
 
 def _oracle(f, X, Y, rec: dict, cfg) -> dict:
     """Build the seeded candidate family, enrich it and score it."""
-    fam = default_family(seed=int(rec.get("seed", 0)), size=int(rec.get("size", 60)))
-    fam = enrich(fam, f, X, Y, rounds=int(rec.get("rounds", 0)), cfg=cfg)
+    fam = default_family(seed=_oracle_count(rec, "seed", 0),
+                         size=_oracle_count(rec, "size", 60))
+    fam = enrich(fam, f, X, Y, rounds=_oracle_count(rec, "rounds", 0), cfg=cfg)
     res = brute_force_multiplier(f, X, Y, fam, cfg)
     return {"lower_bound": res.lower_bound,
             "argmax": res.argmax.describe() if res.argmax else None,
@@ -257,7 +272,7 @@ def _cmd_reduce(args) -> dict:
             parse_exponent(rec["p2"], "p2"), parse_exponent(rec["q2"], "q2"),
             parse_weight(rec["u1"], "u1"), parse_weight(rec["v1"], "v1"),
             parse_weight(rec["u2"], "u2"), parse_weight(rec["v2"], "v2"),
-            parse_fun(rec["f"], "f"), validate=bool(rec.get("validate", True)))
+            parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "reduce config"))
     except ValueError as e:
         raise ConfigError(str(e)) from e
     inner = _mult_report(prob, cfg, rec.get("oracle"))

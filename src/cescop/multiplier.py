@@ -148,9 +148,9 @@ def _phi(tag: str, prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig) 
     return from_log_callable(logphi, label="phi1" if e is None else "phi2")
 
 
-def hypothesis_check(tag: str, prob: ThreeWeightProblem,
-                     cfg: QuadratureConfig = DEFAULT_CFG) -> list:
-    """Regime-specific hypothesis checks, surfaced as warnings."""
+def hypothesis_check(prob: ThreeWeightProblem, cfg: QuadratureConfig = DEFAULT_CFG) -> list:
+    """The hypothesis checks of prob's regime, surfaced as warnings."""
+    tag = classify_regime(prob.p, prob.q, prob.r)
     notes = []
     if tag in ("T4i", "T4ii", "T5i", "T5ii", "T5iii", "T5iv"):
         V = big_V(prob.v, prob.p, cfg)
@@ -333,7 +333,7 @@ def characterize(prob: ThreeWeightProblem,
             raise SpecInvalid("u fails the dual-Omega_r gate")
         if not check_omega(prob.w, q, dual=False, cfg=cfg).ok:
             raise SpecInvalid("w fails the Omega_q gate")
-    notes = list(hypothesis_check(tag, prob, cfg))
+    notes = list(hypothesis_check(prob, cfg))
     if tag in _INTERPRETIVE:
         notes.append(_INTERPRETIVE[tag])
 

@@ -1,7 +1,8 @@
 """Nonnegative functions on (0, inf) and the numerical kernel.
 
-Functions are represented by a small algebra of families (powers,
-power-log perturbations, exponential tilts, indicators, tabulated data
+Functions are represented by a small algebra of families (the elementary
+family c t^alpha (1 + |ln t|)^beta e^{gamma t}, which holds powers,
+power-log perturbations and exponential tilts, indicators, tabulated data
 and their products / sums / real powers).  Every family evaluates in
 log-space, so compositions like t^2 e^t * t^-2 e^-t are exact where a
 naive evaluation would overflow.  Analytic primitives and tails are
@@ -71,27 +72,29 @@ FULL = Interval(0.0, INF)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Numerical policy: window size, panel budget, grid density.
+    """Numerical policy: window size and grid density.
 
     The working window is [e^-S, e^S]; sup_grid is nodes per decade for
     grid-based suprema and nested norms.
     """
 
     S: float = 30.0
-    panels: int = 1024
     sup_grid: int = 256
 
     def __post_init__(self):
-        if self.S <= 0 or self.panels < 16 or self.sup_grid < 8:
+        if self.S <= 0 or self.sup_grid < 8:
             raise ValueError("invalid quadrature configuration")
 
     @classmethod
     def quick(cls) -> "QuadratureConfig":
         """Coarser settings for randomized suites."""
-        return cls(S=16.0, panels=256, sup_grid=24)
+        return cls(S=16.0, sup_grid=24)
 
 
 DEFAULT_CFG = QuadratureConfig()
+
+# subinterval budget of each adaptive quadrature call
+_QUAD_LIMIT = 1024
 
 
 class RealFun:
@@ -124,88 +127,65 @@ class RealFun:
         return self.family
 
 
-class _Power(RealFun):
-    family = "power"
+class _Elementary(RealFun):
+    """c * t^alpha * (1 + |ln t|)^beta * e^{gamma t}: the power (beta =
+    gamma = 0), power-log (beta != 0) and exponential (gamma != 0)
+    families, closed under products and real powers."""
 
-    def __init__(self, c: float, alpha: float):
+    def __init__(self, c: float, alpha: float, beta: float = 0.0, gamma: float = 0.0):
+        self.family = "powerlog" if beta else "exp" if gamma else "power"
         if c <= 0:
-            raise ValueError("power family needs c > 0")
+            raise ValueError(f"{self.family} family needs c > 0")
         self.c, self.alpha = float(c), float(alpha)
+        self.beta, self.gamma = float(beta), float(gamma)
         self.logc = math.log(c)
 
     def logv(self, t):
-        return self.logc + self.alpha * np.log(t)
-
-    def primitive_log(self, x):
-        if self.alpha <= -1.0:
-            return np.full_like(np.asarray(x, dtype=float), INF)
-        x = np.asarray(x, dtype=float)
-        return self.logc - math.log(self.alpha + 1.0) + (self.alpha + 1.0) * np.log(x)
-
-    def tail_log(self, x):
-        if self.alpha >= -1.0:
-            return np.full_like(np.asarray(x, dtype=float), INF)
-        x = np.asarray(x, dtype=float)
-        return self.logc - math.log(-self.alpha - 1.0) + (self.alpha + 1.0) * np.log(x)
-
-    def describe(self):
-        return f"power(c={self.c:g}, alpha={self.alpha:g})"
-
-
-class _PowerLog(RealFun):
-    family = "powerlog"
-
-    def __init__(self, c: float, alpha: float, beta: float):
-        if c <= 0:
-            raise ValueError("powerlog family needs c > 0")
-        self.c, self.alpha, self.beta = float(c), float(alpha), float(beta)
-
-    def logv(self, t):
-        lt = np.log(t)
-        return math.log(self.c) + self.alpha * lt + self.beta * np.log1p(np.abs(lt))
-
-    def describe(self):
-        return f"powerlog(c={self.c:g}, alpha={self.alpha:g}, beta={self.beta:g})"
-
-
-class _Exp(RealFun):
-    """c * t^alpha * e^{gamma t}."""
-
-    family = "exp"
-
-    def __init__(self, c: float, alpha: float, gamma: float):
-        if c <= 0:
-            raise ValueError("exp family needs c > 0")
-        self.c, self.alpha, self.gamma = float(c), float(alpha), float(gamma)
-
-    def logv(self, t):
         t = np.asarray(t, dtype=float)
-        return math.log(self.c) + self.alpha * np.log(t) + self.gamma * t
+        lt = np.log(t)
+        out = self.logc + self.alpha * lt
+        if self.beta:
+            out = out + self.beta * np.log1p(np.abs(lt))
+        if self.gamma:
+            out = out + self.gamma * t
+        return out
+
+    def _gamma_log(self, x, inc):
+        """log of c * int t^alpha e^{gamma t} through the regularized
+        incomplete gamma function inc (gammainc: head, gammaincc: tail)."""
+        a1 = self.alpha + 1.0
+        with np.errstate(divide="ignore"):
+            lg = np.log(inc(a1, -self.gamma * x))
+        return self.logc - a1 * math.log(-self.gamma) + _sps.gammaln(a1) + lg
 
     def primitive_log(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.beta:
+            return None
         if self.alpha <= -1.0:
-            return np.full_like(np.asarray(x, dtype=float), INF)
+            return np.full_like(x, INF)
+        if self.gamma == 0:
+            return self.logc - math.log(self.alpha + 1.0) + (self.alpha + 1.0) * np.log(x)
         if self.gamma < 0:
-            x = np.asarray(x, dtype=float)
-            a1 = self.alpha + 1.0
-            with np.errstate(divide="ignore"):
-                lg = np.log(_sps.gammainc(a1, -self.gamma * x))
-            return math.log(self.c) - a1 * math.log(-self.gamma) + _sps.gammaln(a1) + lg
+            return self._gamma_log(x, _sps.gammainc)
         return None  # growing exponential: no stable closed form here
 
     def tail_log(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.beta:
+            return None
         if self.gamma > 0 or (self.gamma == 0 and self.alpha >= -1.0):
-            return np.full_like(np.asarray(x, dtype=float), INF)
-        if self.gamma < 0 and self.alpha > -1.0:
-            x = np.asarray(x, dtype=float)
-            a1 = self.alpha + 1.0
-            with np.errstate(divide="ignore"):
-                lg = np.log(_sps.gammaincc(a1, -self.gamma * x))
-            return math.log(self.c) - a1 * math.log(-self.gamma) + _sps.gammaln(a1) + lg
+            return np.full_like(x, INF)
+        if self.gamma == 0:
+            return self.logc - math.log(-self.alpha - 1.0) + (self.alpha + 1.0) * np.log(x)
+        if self.alpha > -1.0:
+            return self._gamma_log(x, _sps.gammaincc)
         return None
 
     def describe(self):
-        return f"exp(c={self.c:g}, alpha={self.alpha:g}, gamma={self.gamma:g})"
+        extra = "".join(f", {k}={v:g}" for k, v in (("beta", self.beta), ("gamma", self.gamma))
+                        if v)
+        return f"{self.family}(c={self.c:g}, alpha={self.alpha:g}{extra})"
 
 
 class _Indicator(RealFun):
@@ -270,24 +250,18 @@ class _Restricted(RealFun):
     def __init__(self, base: RealFun, interval: Interval):
         self.base = base
         self.interval = interval
-        sup = base.support.intersect(interval)
-        self.support = sup if sup is not None else Interval(interval.lo, interval.lo * 2 or 1.0)
-        self._empty = sup is None
+        self.support = base.support.intersect(interval)
 
     def logv(self, t):
         t = np.asarray(t, dtype=float)
         # half-open on the right so adjacent pieces tile without gaps
         inside = (t >= self.interval.lo) & (t < self.interval.hi)
-        if self._empty:
-            return np.full_like(t, NEG_INF)
         return np.where(inside, self.base.logv(t), NEG_INF)
 
     def _clip(self, x):
         return np.clip(np.asarray(x, dtype=float), self.interval.lo, self.interval.hi)
 
     def primitive_log(self, x):
-        if self._empty:
-            return np.full_like(np.asarray(x, dtype=float), NEG_INF)
         lo, hi = self.interval.lo, self.interval.hi
         bp = self.base.primitive_log
         pl_hi = bp(self._clip(x))
@@ -305,8 +279,6 @@ class _Restricted(RealFun):
         return _log_diff(pl_hi, np.asarray(pl_lo))
 
     def tail_log(self, x):
-        if self._empty:
-            return np.full_like(np.asarray(x, dtype=float), NEG_INF)
         hi = self.interval.hi
         if hi == INF:
             bt = self.base.tail_log(self._clip(x))
@@ -438,19 +410,15 @@ class _LogCallable(RealFun):
 # factories with algebraic simplification
 
 def power(c: float, alpha: float) -> RealFun:
-    return _Power(c, alpha)
+    return _Elementary(c, alpha)
 
 
 def powerlog(c: float, alpha: float, beta: float) -> RealFun:
-    if beta == 0:
-        return _Power(c, alpha)
-    return _PowerLog(c, alpha, beta)
+    return _Elementary(c, alpha, beta=beta)
 
 
 def expfam(c: float, alpha: float, gamma: float) -> RealFun:
-    if gamma == 0:
-        return _Power(c, alpha)
-    return _Exp(c, alpha, gamma)
+    return _Elementary(c, alpha, gamma=gamma)
 
 
 def indicator(lo: float, hi: float) -> RealFun:
@@ -464,7 +432,7 @@ def table(log_t, values) -> RealFun:
 def constant(c: float) -> RealFun:
     if c == 0.0:
         return ZERO
-    return _Power(c, 0.0)
+    return _Elementary(c, 0.0)
 
 
 ONE = constant(1.0)
@@ -491,10 +459,11 @@ ZERO = _Zero()
 
 
 def product(*parts: RealFun) -> RealFun:
-    """Pointwise product with family simplification.
+    """Pointwise product in normal form.
 
-    Power/exp factors merge into one analytic factor; indicator factors
-    collapse into a restriction so analytic primitives survive.
+    The elementary factors merge into one (c multiplies; alpha, beta and
+    gamma add); indicator factors collapse into a restriction so analytic
+    primitives survive; a product that vanishes everywhere is ZERO.
     """
     flat: list[RealFun] = []
     for p in parts:
@@ -504,24 +473,16 @@ def product(*parts: RealFun) -> RealFun:
             flat.append(p)
     if any(isinstance(p, _Zero) for p in flat):
         return ZERO
-    c, alpha, gamma, lbeta = 1.0, 0.0, 0.0, 0.0
+    c, alpha, beta, gamma = 1.0, 0.0, 0.0, 0.0
     window: Interval | None = FULL
     rest: list[RealFun] = []
     merged = False
     for p in flat:
-        if isinstance(p, _Power):
+        if isinstance(p, _Elementary):
             c *= p.c
             alpha += p.alpha
-            merged = True
-        elif isinstance(p, _Exp):
-            c *= p.c
-            alpha += p.alpha
+            beta += p.beta
             gamma += p.gamma
-            merged = True
-        elif isinstance(p, _PowerLog):
-            c *= p.c
-            alpha += p.alpha
-            lbeta += p.beta
             merged = True
         elif isinstance(p, _Indicator):
             window = window.intersect(p.interval) if window else None
@@ -530,18 +491,10 @@ def product(*parts: RealFun) -> RealFun:
             rest.append(p.base)
         else:
             rest.append(p)
-    if window is None:
-        return ZERO
-    core: list[RealFun] = []
-    if merged or not rest:
-        if lbeta != 0.0 and gamma != 0.0:
-            core.append(_Product([_PowerLog(c, alpha, lbeta), _Exp(1.0, 0.0, gamma)]))
-        elif lbeta != 0.0:
-            core.append(_PowerLog(c, alpha, lbeta))
-        else:
-            core.append(expfam(c, alpha, gamma))
+    core = [_Elementary(c, alpha, beta, gamma)] if merged or not rest else []
     core.extend(rest)
-    if _common_support(core) is None:
+    sup = _common_support(core)
+    if window is None or sup is None or sup.intersect(window) is None:
         return ZERO
     base = core[0] if len(core) == 1 else _Product(core)
     if window.lo == 0.0 and window.hi == INF:
@@ -562,12 +515,8 @@ def powerof(base: RealFun, s: float) -> RealFun:
     s = float(s)
     if s == 1.0:
         return base
-    if isinstance(base, _Power):
-        return _Power(base.c ** s, base.alpha * s)
-    if isinstance(base, _Exp):
-        return _Exp(base.c ** s, base.alpha * s, base.gamma * s)
-    if isinstance(base, _PowerLog):
-        return _PowerLog(base.c ** s, base.alpha * s, base.beta * s)
+    if isinstance(base, _Elementary):
+        return _Elementary(base.c ** s, base.alpha * s, base.beta * s, base.gamma * s)
     if isinstance(base, _Indicator) and s > 0:
         return base
     if isinstance(base, _Restricted) and s > 0:
@@ -692,14 +641,14 @@ def _quad_interval(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("error", _sciint.IntegrationWarning)
         try:
-            core, err = _sciint.quad(integrand, slo, shi, limit=cfg.panels)
+            core, err = _sciint.quad(integrand, slo, shi, limit=_QUAD_LIMIT)
         except _sciint.IntegrationWarning as exc:
             # fall back to the grid estimate; reject if it disagrees badly
             core = grids.from_log(grids.log_trapz(li, s))
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    rough, rerr = _sciint.quad(integrand, slo, shi, limit=cfg.panels)
+                    rough, rerr = _sciint.quad(integrand, slo, shi, limit=_QUAD_LIMIT)
                 if core > 0 and abs(rough - core) > 0.05 * core:
                     raise NonIntegrableOscillation(str(exc))
             except NonIntegrableOscillation:

@@ -164,6 +164,21 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     assert "NumericOverflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    {"oracle": {"size": "x"}},
+    {"oracle": {"rounds": "two"}},
+    {"oracle": {"seed": -3}},
+    {"oracle": {"size": True}},
+    {"validate": "no"},
+    {"cfg": {"panels": 256}},
+])
+def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
+    code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, **extra})])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_exit_2_on_bad_family(tmp_path, capsys):
     rec = dict(MULT_T6)
     rec["f"] = {"family": "mystery", "c": 1}

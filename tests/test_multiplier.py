@@ -135,14 +135,14 @@ def test_extra_term_active_for_integrable_u():
 def test_hypothesis_check_t4_power_weights_clean():
     prob = ThreeWeightProblem(r=F(1, 3), u=W(ONE), p=F(1, 2), q=2, w=W(EDEC),
                               v=W(power(1, 2.5)), f=ONE)
-    assert hypothesis_check("T4i", prob) == []
+    assert hypothesis_check(prob) == []
 
 
 def test_hypothesis_check_flags_degenerate_phi():
     # u with finite r-norm freezes phi1 at large x: degenerate
     prob = ThreeWeightProblem(r=F(1, 3), u=W(EDEC), p=F(1, 2), q=2, w=W(EDEC),
                               v=W(ONE), f=ONE)
-    notes = hypothesis_check("T4i", prob)
+    notes = hypothesis_check(prob)
     assert any("phi1" in n for n in notes)
 
 
@@ -171,8 +171,22 @@ def test_hypothesis_check_phi_notes(tag, u):
                               validate=False)
     statuses = expected[u]
     which = "phi1" if tag.startswith("T4") else "phi2"
-    assert hypothesis_check(tag, prob) == (
+    assert hypothesis_check(prob) == (
         [] if statuses is None else [f"{which} degenerate or inconclusive: {statuses}"])
+
+
+def test_hypothesis_check_classifies_the_problem():
+    # (r, p, q) = (3/4, 1/2, 2/3) is T5iv, so its phi2 checks run
+    prob = ThreeWeightProblem(r=F(3, 4), u=W(power(1, -0.5)), p=F(1, 2), q=F(2, 3),
+                              w=W(EDEC), v=W(ONE), f=ONE, validate=False)
+    assert classify_regime(prob.p, prob.q, prob.r) == "T5iv"
+    assert hypothesis_check(prob) == [
+        "phi2 degenerate or inconclusive: ('fail', 'pass', 'pass', 'pass')"]
+    # a triple with no closed form has no regime hypotheses to check
+    prob = ThreeWeightProblem(r=1, u=W(ONE), p=2, q=3, w=W(EDEC), v=W(ONE), f=ONE,
+                              validate=False)
+    assert classify_regime(prob.p, prob.q, prob.r) == "UNSUPPORTED"
+    assert hypothesis_check(prob) == []
 
 
 def test_hypothesis_check_t7_gates():
@@ -182,7 +196,7 @@ def test_hypothesis_check_t7_gates():
     v = funsum(indicator(0, 1), prod(power(2, 0), indicator(1, math.inf)))
     prob = ThreeWeightProblem(r=F(3, 2), u=W(EDEC), p=1, q=2, w=W(EDEC),
                               v=W(v, ), f=ONE)
-    notes = hypothesis_check("T7i", prob)
+    notes = hypothesis_check(prob)
     assert any("discontinuous" in n for n in notes)
 
 
@@ -231,7 +245,7 @@ def test_t7_table_v_is_not_flagged_discontinuous():
         v = table([-2.0, 0.0, 2.0], [1.0, 2.0, 1.5])
     prob = ThreeWeightProblem(r=F(3, 2), u=W(EDEC), p=1, q=2, w=W(EDEC),
                               v=W(v), f=ONE)
-    notes = hypothesis_check("T7i", prob)
+    notes = hypothesis_check(prob)
     assert not any("discontinuous" in n for n in notes)
 
 

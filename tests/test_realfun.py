@@ -175,6 +175,31 @@ def test_product_of_disjoint_sums_is_zero():
     assert integrate(f) == 0.0
 
 
+def test_product_outside_the_window_is_zero():
+    # the sum's support (0, 1) misses the window (2, 3)
+    f = product(funsum(indicator(0, 1), indicator(0.5, 0.8)), indicator(2, 3))
+    assert f is ZERO
+
+
+def test_elementary_product_logv_is_bit_exact():
+    # log c + alpha ln t first, then the beta and the gamma terms: with
+    # the log and exp parts at c = 1, alpha = 0 the sum is exact
+    pl, ex, pw = powerlog(1.0, 0.0, 2.0), expfam(1.0, 0.0, -0.7), power(3.0, -1.25)
+    f = product(pl, ex, pw)
+    t = np.logspace(-8, 8, 193)
+    assert np.array_equal(f.logv(t), pw.logv(t) + pl.logv(t) + ex.logv(t))
+    assert f.describe() == "powerlog(c=3, alpha=-1.25, beta=2, gamma=-0.7)"
+
+
+def test_powerof_exp_keeps_closed_forms():
+    f = powerof(expfam(2.0, 1.0, -1.0), 0.5)  # sqrt(2) t^0.5 e^{-t/2}
+    x = np.array([0.1, 1.0, 10.0])
+    prim, tail = f.primitive_log(x), f.tail_log(x)
+    assert prim is not None and tail is not None
+    full = math.sqrt(2.0) * math.gamma(1.5) / 0.5 ** 1.5
+    np.testing.assert_allclose(np.logaddexp(prim, tail), math.log(full), rtol=1e-12)
+
+
 def test_restriction_interval():
     g = power(1, 0)
     assert integrate(g, Interval(1.0, 3.0)) == pytest.approx(2.0, rel=1e-9)
