@@ -227,11 +227,17 @@ _ORACLE_KEYS = {"seed", "size", "rounds"}
 
 
 def _oracle(f, X, Y, rec: dict, cfg) -> dict:
-    """Build the seeded candidate family, enrich it and score it."""
+    """Build the seeded candidate family, enrich it and score it.
+
+    One score dict serves the enrich rounds and the final scoring, so
+    each candidate is scored once; it lives only for this call.
+    """
     fam = default_family(seed=_oracle_count(rec, "seed", 0),
                          size=_oracle_count(rec, "size", 60))
-    fam = enrich(fam, f, X, Y, rounds=_oracle_count(rec, "rounds", 0), cfg=cfg)
-    res = brute_force_multiplier(f, X, Y, fam, cfg)
+    scores = {}
+    fam = enrich(fam, f, X, Y, rounds=_oracle_count(rec, "rounds", 0), cfg=cfg,
+                 scores=scores)
+    res = brute_force_multiplier(f, X, Y, fam, cfg, scores=scores)
     return {"lower_bound": res.lower_bound,
             "argmax": res.argmax.describe() if res.argmax else None,
             "evaluated": res.evaluated, "skipped": res.skipped}

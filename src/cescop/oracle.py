@@ -96,7 +96,11 @@ def _lattice(rng, n, lo=-4.0, hi=4.0):
 
 
 def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
-    """Seeded mix of indicator, bump, step and decay candidates."""
+    """Seeded mix of indicator, bump, step and decay candidates.
+
+    The family always starts with the 14-point head/tail lattice, so a
+    ``size`` below 14 gives those 14 candidates.
+    """
     rng = np.random.default_rng(seed)
     cands = []
     # deterministic log lattice first so small families stay spread out
@@ -123,7 +127,7 @@ def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
             edges = tuple(2.0 ** (k0 + 2 * np.arange(nlev + 1, dtype=float)))
             levels = tuple(float(10.0 ** rng.uniform(-2, 2)) for _ in range(nlev))
             cands.append(Candidate("step", (edges, levels)))
-    return CandidateFamily(candidates=tuple(cands[:max(size, len(cands))]), seed=seed)
+    return CandidateFamily(candidates=tuple(cands), seed=seed)
 
 
 def _norm(spec: SpaceSpec, g: RealFun, cfg: QuadratureConfig) -> float:
@@ -131,26 +135,42 @@ def _norm(spec: SpaceSpec, g: RealFun, cfg: QuadratureConfig) -> float:
     return fn(spec, g, cfg)
 
 
+def _ratio(f: RealFun, X: SpaceSpec, Y: SpaceSpec, cand: Candidate,
+           cfg: QuadratureConfig) -> float | None:
+    """||f*g||_Y / ||g||_X for g built from cand; None if ||g||_X is 0 or inf."""
+    g = cand.build()
+    den = _norm(X, g, cfg)
+    if not (0.0 < den < math.inf):
+        return None
+    return _norm(Y, product(f, g), cfg) / den
+
+
 def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
                            fam: CandidateFamily,
-                           cfg: QuadratureConfig = DEFAULT_CFG) -> OracleResult:
+                           cfg: QuadratureConfig = DEFAULT_CFG, *,
+                           scores: dict | None = None) -> OracleResult:
     """Max of ||f*g||_Y / ||g||_X over the family.
 
     Candidates whose source norm is zero or infinite are skipped: they
     carry no information about the supremum.  The result is a lower
     bound of the true multiplier norm up to quadrature error.
+
+    ``scores`` maps each candidate already scored against this same f,
+    X, Y and cfg to its ratio (None for a skipped one); candidates not
+    in it are scored and added.  Sharing one dict across calls with
+    other arguments gives wrong results.
     """
+    scores = {} if scores is None else scores
     best, best_cand = -1.0, None
     evaluated = skipped = 0
     for cand in fam.candidates:
-        g = cand.build()
-        den = _norm(X, g, cfg)
-        if not (0.0 < den < math.inf):
+        if cand not in scores:
+            scores[cand] = _ratio(f, X, Y, cand, cfg)
+        ratio = scores[cand]
+        if ratio is None:
             skipped += 1
             continue
-        num = _norm(Y, product(f, g), cfg)
         evaluated += 1
-        ratio = num / den
         if ratio > best:
             best, best_cand = ratio, cand
     if evaluated == 0:
@@ -184,16 +204,19 @@ def _perturb(cand: Candidate, rng) -> Candidate:
 
 def enrich(fam: CandidateFamily, f: RealFun, X: SpaceSpec, Y: SpaceSpec,
            rounds: int = 1, per_round: int = 10,
-           cfg: QuadratureConfig = DEFAULT_CFG) -> CandidateFamily:
+           cfg: QuadratureConfig = DEFAULT_CFG, *,
+           scores: dict | None = None) -> CandidateFamily:
     """Local search around the current argmax.
 
     Each round evaluates the family, perturbs the best candidate and
     appends the variants.  The output family is a superset of the
-    input, so the brute-force value never decreases.
+    input, so the brute-force value never decreases.  ``scores`` is
+    passed to every round's ``brute_force_multiplier``; a caller that
+    scores the result against the same f, X, Y and cfg can pass it on.
     """
     for k in range(rounds):
         rng = np.random.default_rng((fam.seed, k))
-        res = brute_force_multiplier(f, X, Y, fam, cfg)
+        res = brute_force_multiplier(f, X, Y, fam, cfg, scores=scores)
         extra = tuple(_perturb(res.argmax, rng) for _ in range(per_round))
         fam = replace(fam, candidates=fam.candidates + extra)
     return fam

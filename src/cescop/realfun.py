@@ -22,7 +22,7 @@ from scipy import special as _sps
 
 from . import grids
 from .conventions import INF
-from .errors import NonIntegrableOscillation
+from .errors import NonIntegrableOscillation, NumericOverflow
 
 __all__ = [
     "Interval",
@@ -568,8 +568,8 @@ def as_fun(w) -> RealFun:
 # ---------------------------------------------------------------------------
 # integration
 
-def _analytic_interval(g: RealFun, I: Interval):
-    """Integral over I from analytic hints, or None if hints do not apply."""
+def _analytic_log(g: RealFun, I: Interval):
+    """Log of the integral over I from analytic hints, or None if hints do not apply."""
     pl = g.primitive_log(np.asarray([I.hi if I.hi != INF else 1.0]))
     has_prim = pl is not None
     tl = g.tail_log(np.asarray([I.lo if I.lo > 0 else 1.0]))
@@ -579,27 +579,27 @@ def _analytic_interval(g: RealFun, I: Interval):
             # tail in the limit x -> 0+ gives the full integral
             v0 = g.tail_log(np.asarray([1e-300]))
             if v0 is not None:
-                return grids.from_log(v0[0])
+                return v0[0]
         return None
     if I.hi == INF:
         if has_tail:
             v = g.tail_log(np.asarray([I.lo]))
-            return grids.from_log(v[0])
+            return v[0]
         return None
     if I.lo == 0.0:
         if has_prim:
             v = g.primitive_log(np.asarray([I.hi]))
-            return grids.from_log(v[0])
+            return v[0]
         return None
     # finite interior interval: try primitive difference, then tail difference
     if has_prim:
         v = g.primitive_log(np.asarray([I.lo, I.hi]))
         if not np.any(np.isposinf(v)):
-            return grids.from_log(_log_diff(v[1], v[0]))
+            return _log_diff(v[1], v[0])
     if has_tail:
         v = g.tail_log(np.asarray([I.lo, I.hi]))
         if not np.any(np.isposinf(v)):
-            return grids.from_log(_log_diff(v[0], v[1]))
+            return _log_diff(v[0], v[1])
     return None
 
 
@@ -614,9 +614,9 @@ def integrate(g: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CF
     eff = I.intersect(g.support)
     if eff is None:
         return 0.0
-    val = _analytic_interval(g, eff)
-    if val is not None:
-        return val
+    lv = _analytic_log(g, eff)
+    if lv is not None:
+        return grids.from_log(lv)
     return _quad_interval(g, eff, cfg)
 
 
@@ -719,7 +719,16 @@ def lp_norm(f: RealFun, w, I: Interval = FULL, p=None, cfg: QuadratureConfig = D
     if p.is_inf:
         return esssup(fw, I, cfg)
     pf = float(p)
-    val = integrate(powerof(fw, pf), I, cfg)
+    g = powerof(fw, pf)
+    try:
+        val = integrate(g, I, cfg)
+    except NumericOverflow:
+        # the p-th power is beyond the float range; where the analytic
+        # hints give its log, the root is taken in log space
+        lv = _analytic_log(g, I.intersect(g.support))
+        if lv is None:
+            raise
+        return grids.from_log(lv / pf)
     if val == 0.0:
         return 0.0
     if math.isinf(val):

@@ -287,8 +287,10 @@ def test_criterion_6_theorem_cross_validation():
         X = SpaceSpec("cop", (Exponent(1), prob.r), (prob.u, W(ONE)),
                       validate=False)
         Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
-        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=5)
-        lb = brute_force_multiplier(f, X, Y, fam).lower_bound
+        scores = {}
+        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=5,
+                     scores=scores)
+        lb = brute_force_multiplier(f, X, Y, fam, scores=scores).lower_bound
         good = (0.0 < lb < math.inf and 0.0 < res.value < math.inf
                 and lb <= ENVELOPE * res.value and res.value <= ENVELOPE * lb)
         ok = ok and good
@@ -331,8 +333,10 @@ def test_criterion_7_reduction():
                       (rec["u1"], rec["v1"]), validate=False)
         Y = SpaceSpec("ces", (Exponent(rec["p2"]), Exponent(rec["q2"])),
                       (rec["u2"], rec["v2"]), validate=False)
-        fam = enrich(default_family(seed=55, size=50), rec["f"], X, Y, rounds=3)
-        lb = brute_force_multiplier(rec["f"], X, Y, fam).lower_bound
+        scores = {}
+        fam = enrich(default_family(seed=55, size=50), rec["f"], X, Y, rounds=3,
+                     scores=scores)
+        lb = brute_force_multiplier(rec["f"], X, Y, fam, scores=scores).lower_bound
         good = (0.0 < lb < math.inf and 0.0 < value < math.inf
                 and lb <= ENVELOPE * value and value <= ENVELOPE * lb)
         ok = ok and good

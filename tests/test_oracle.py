@@ -1,11 +1,14 @@
 """Brute-force multiplier lower bounds."""
 
+import json
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from cescop import oracle
+from cescop.cli import run
 from cescop.errors import EmptyFamily
 from cescop.oracle import (
     Candidate,
@@ -21,6 +24,7 @@ W = lambda f: Weight(f, check=False)
 EDEC = expfam(1.0, 0.0, -1.0)
 
 Y = SpaceSpec("ces", (1, 2), (W(EDEC), W(ONE)), validate=False)
+XCOP = SpaceSpec("cop", (1, F(1, 2)), (W(ONE), W(ONE)), validate=False)
 
 
 def test_identity_multiplier():
@@ -93,3 +97,62 @@ def test_perturbed_step_edges_stay_ordered():
         edges = cand.params[0]
         assert all(a < b for a, b in zip(edges[:-1], edges[1:]))
         cand.build()
+
+
+def _enriched_result(f, seed, size, rounds, scores=None):
+    fam = enrich(default_family(seed=seed, size=size), f, XCOP, Y,
+                 rounds=rounds, scores=scores)
+    return brute_force_multiplier(f, XCOP, Y, fam, scores=scores)
+
+
+def test_shared_scores_give_the_unshared_result():
+    for f in (expfam(1, 2, 1), EDEC, ONE):
+        shared = _enriched_result(f, seed=3, size=30, rounds=3, scores={})
+        assert shared == _enriched_result(f, seed=3, size=30, rounds=3)
+
+
+def test_shared_scores_score_each_candidate_once(monkeypatch):
+    calls, norm = [], oracle._norm
+
+    def counted(spec, g, cfg):
+        calls.append(spec)
+        return norm(spec, g, cfg)
+
+    monkeypatch.setattr(oracle, "_norm", counted)
+    f = expfam(1, 2, 1)
+    scores = {}
+    fam = enrich(default_family(seed=3, size=30), f, XCOP, Y, rounds=3, scores=scores)
+    res = brute_force_multiplier(f, XCOP, Y, fam, scores=scores)
+    distinct = len(set(fam.candidates))
+    assert res.evaluated + res.skipped == len(fam.candidates)
+    assert set(scores) == set(fam.candidates)
+    assert len(calls) <= 2 * distinct
+    # without the shared dict every round scores the whole family again
+    calls.clear()
+    _enriched_result(f, seed=3, size=30, rounds=3)
+    assert len(calls) > 2 * distinct
+
+
+def test_oracle_runs_in_one_process_share_no_scores(tmp_path, capsys):
+    # XCOP and Y as oracle config entries
+    one = {"family": "constant", "c": 1.0}
+    edec = {"family": "exp", "c": 1.0, "alpha": 0.0, "gamma": -1.0}
+    spaces = {"X": {"kind": "cop", "exponents": [1, "1/2"], "weights": [one, one]},
+              "Y": {"kind": "ces", "exponents": [1, 2], "weights": [edec, one]}}
+    funs = {"grow": ({"family": "exp", "c": 1.0, "alpha": 2.0, "gamma": 1.0},
+                     expfam(1, 2, 1)),
+            "decay": (edec, EDEC)}
+    expected = {}
+    for name, (rec, f) in funs.items():
+        res = _enriched_result(f, seed=4, size=20, rounds=2)
+        expected[name] = (res.lower_bound, res.argmax.describe(),
+                          res.evaluated, res.skipped)
+    assert expected["grow"] != expected["decay"]
+    for name in ("grow", "decay", "grow"):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"f": funs[name][0], **spaces,
+                                   "seed": 4, "size": 20, "rounds": 2}))
+        assert run(["oracle", "--config", str(cfg)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["lower_bound"], rep["argmax"],
+                rep["evaluated"], rep["skipped"]) == expected[name]

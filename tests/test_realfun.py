@@ -83,6 +83,18 @@ def test_lp_norm_quasi_p_below_one():
     assert lp_norm(expfam(1, 0, -1), ONE, FULL, 0.5) == pytest.approx(4.0, rel=1e-8)
 
 
+def test_lp_norm_root_in_log_space_when_the_power_overflows():
+    # (int_0^1e160 t^2)^(1/2) = 1e240 / sqrt(3); the integral itself is e^1104.14
+    assert lp_norm(power(1, 1), ONE, Interval(0, 1e160), 2) == pytest.approx(
+        1e240 / math.sqrt(3), rel=1e-12)
+    # -p of a tail: (int_1e-100^inf t^-4)^(1/2) = 1e150 / sqrt(3)
+    assert lp_norm(power(1, -2), ONE, Interval(1e-100, math.inf), 2) == pytest.approx(
+        1e150 / math.sqrt(3), rel=1e-12)
+    # an overflow without an analytic hint still raises
+    with pytest.raises(NumericOverflow):
+        lp_norm(expfam(1, 0, 1), ONE, Interval(0, 800), 1)
+
+
 def test_divergent_integral_is_inf():
     assert integrate(power(1, -1)) == math.inf
     assert integrate(ONE) == math.inf
