@@ -288,6 +288,14 @@ def _cmd_reduce(args) -> dict:
             "reduced": inner, "value": value}
 
 
+def _non_negative(args, *names) -> None:
+    """Reject a negative integer option: seeds and counts cannot be."""
+    for name in names:
+        v = getattr(args, name)
+        if v < 0:
+            raise ConfigError(f"--{name}: expected a non-negative integer, got {v}")
+
+
 def _glue_suite(seed: int, lem: str, count: int) -> list:
     """glue_eval on the first count seeded random instances of one lemma."""
     i = LEMMAS.index(lem)
@@ -296,6 +304,7 @@ def _glue_suite(seed: int, lem: str, count: int) -> list:
 
 
 def _cmd_glue(args) -> dict:
+    _non_negative(args, "seed", "count")
     lemmas = LEMMAS if args.lemma == "all" else (args.lemma,)
     for lem in lemmas:
         if lem not in LEMMAS:
@@ -358,6 +367,7 @@ def _verify_checks(seed: int, quick: bool):
 
 
 def _cmd_verify(args) -> dict:
+    _non_negative(args, "seed")
     checks = _verify_checks(args.seed, args.quick)
     return {"command": "verify", "seed": args.seed, "quick": args.quick,
             "checks": checks, "ok": all(c["ok"] for c in checks)}

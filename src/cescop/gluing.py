@@ -138,16 +138,20 @@ def _row_kernel_ops(la: np.ndarray, s: np.ndarray, g_side: tuple, h_side: tuple)
     """Row reductions of g against the kernel A(x,t) and of h against its
     complement 1 - A(x,t) = A(t,x), one value per node x.
 
-    Each side is (log f, e), e None for the row supremum.  Rows are
-    processed in chunks to bound the quadratic memory footprint.
+    Each side is (log f, e), e None for the row supremum.  A side's
+    kernel is built only on the columns where f is not zero, the others
+    adding nothing to a row.  Rows are processed in chunks to bound the
+    memory footprint.
     """
-    n = la.size
+    cols_g, cols_h = (np.flatnonzero(~np.isneginf(lf)) for lf, _ in (g_side, h_side))
     outs = ([], [])
-    for start in range(0, n, _ROW_CHUNK):
-        lA = grids.log_kernel(la[start:start + _ROW_CHUNK, None], la)
-        lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
-        for acc, lk, (lf, e) in zip(outs, (lA, lAc), (g_side, h_side)):
-            acc.append(grids.log_row_reduce(lk, lf, s, e))
+    for start in range(0, la.size, _ROW_CHUNK):
+        lx = la[start:start + _ROW_CHUNK, None]
+        lA = grids.log_kernel(lx, la[cols_g])
+        lAc = np.log(np.maximum(1.0 - np.exp(grids.log_kernel(lx, la[cols_h])), 1e-300))
+        for acc, lk, (lf, e), cols in zip(outs, (lA, lAc), (g_side, h_side),
+                                          (cols_g, cols_h)):
+            acc.append(grids.log_row_reduce(lk, lf, s, e, cols))
     return [np.concatenate(acc) for acc in outs]
 
 

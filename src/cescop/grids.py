@@ -66,11 +66,22 @@ def log_trapz(li: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logsumexp_last(lm: np.ndarray) -> np.ndarray:
+def _logsumexp_last(lm: np.ndarray, lo: int = 0, width: int | None = None) -> np.ndarray:
+    """Log of the sum of exp(lm) along the last axis.
+
+    lm may hold only the entries lo, lo + 1, ... of rows width long whose
+    other entries are -inf.  Their zero terms are laid out at full width,
+    so the pairwise sum rounds as it does on the full rows.
+    """
     m = np.max(lm, axis=-1)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        acc = np.log(np.sum(np.exp(lm - safe_m[..., None]), axis=-1)) + safe_m
+        terms = np.exp(lm - safe_m[..., None])
+        if width is not None:
+            full = np.zeros(lm.shape[:-1] + (width,))
+            full[..., lo:lo + lm.shape[-1]] = terms
+            terms = full
+        acc = np.log(np.sum(terms, axis=-1)) + safe_m
     out = np.where(np.isfinite(m), acc, m)  # all -inf -> -inf, any +inf -> +inf
     return out
 
@@ -93,19 +104,21 @@ def log_suffix_cumtrapz(li: np.ndarray, s: np.ndarray, log_tail: float = NEG_INF
     return rev[::-1]
 
 
-def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool):
+def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool, lo: int = 0):
     """Log of the integral of exp(li) ds beyond one window edge, row by row.
 
     Fits a power law between the edge node and the node one decade
     inside: the integral is exp(lv) / rate, where rate is the decay of
     li per unit of s away from the window.  +inf when the fit says
     divergent (rate not positive), -inf when either log-value is not
-    finite.
+    finite.  li may hold only the columns lo, lo + 1, ... of the nodes s;
+    a node outside them reads -inf.
     """
-    n = li.shape[-1]
-    span = min(n - 1, max(4, int(round((s.shape[0] - 1) * LOG10 / (s[-1] - s[0])))))
+    n = s.shape[0]
+    span = min(n - 1, max(4, int(round((n - 1) * LOG10 / (s[-1] - s[0])))))
     i0, i1 = (0, span) if left else (n - 1, n - 1 - span)
-    lv, l1 = li[..., i0], li[..., i1]
+    lv, l1 = (li[..., i - lo] if 0 <= i - lo < li.shape[-1] else NEG_INF
+              for i in (i0, i1))
     with np.errstate(invalid="ignore", divide="ignore"):
         rate = (l1 - lv) / abs(s[i1] - s[i0])
         est = np.where(rate > _SLOPE_TOL, lv - np.log(rate), math.inf)
@@ -177,16 +190,37 @@ def log_kernel(lx, lt) -> np.ndarray:
     return np.where(np.isnan(lk), math.log(0.5), lk)
 
 
-def log_row_reduce(lk: np.ndarray, lf: np.ndarray, s: np.ndarray, e=None) -> np.ndarray:
+def log_row_reduce(lk: np.ndarray, lf: np.ndarray, s: np.ndarray, e=None,
+                   cols=None) -> np.ndarray:
     """Per-row log of esup_t K(x,t) f(t) (e None), or of int K(x,t)^e f(t) dt,
-    from the log kernel rows lk (..., n) and the log-values lf at the nodes.
+    from the log kernel rows lk and the log-values lf at the nodes.
 
+    lk holds the kernel on the increasing node indices cols, or on every
+    node when cols is None; lf must be -inf off cols.  Such a node adds
+    -inf to the sup and a zero panel to the integral, so the rows are
+    bit-identical to the full-width reduction at the cost of cols alone.
     The sup skips NaN terms, which are 0 * inf products.
     """
     if e is None:
         with np.errstate(invalid="ignore"):
-            return np.fmax.reduce(lk + lf, axis=-1)
-    return log_integral(e * lk + lf + s, s)
+            if cols is None:
+                return np.fmax.reduce(lk + lf, axis=-1)
+            # a column left out is a -inf term of the full-width row
+            initial = NEG_INF if cols.size < lf.size else None
+            return np.fmax.reduce(lk + lf[cols], axis=-1, initial=initial)
+    if cols is None:
+        return log_integral(e * lk + lf + s, s)
+    if cols.size == 0:
+        return np.full(lk.shape[:-1], NEG_INF)
+    # the nodes from one before the first column to one after the last
+    # carry every panel that touches a column
+    lo, hi = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, s.size)
+    li = np.full(lk.shape[:-1] + (hi - lo,), NEG_INF)
+    li[..., cols - lo] = e * lk + lf[cols] + s[cols]
+    with np.errstate(invalid="ignore"):
+        core = _logsumexp_last(_panel_logmass(li, s[lo:hi]), lo, s.size - 1)
+        return np.logaddexp(np.logaddexp(core, _edge_estimate(li, s, True, lo)),
+                            _edge_estimate(li, s, False, lo))
 
 
 def running_logmax(li: np.ndarray) -> np.ndarray:

@@ -91,10 +91,6 @@ class OracleResult:
     skipped: int
 
 
-def _lattice(rng, n, lo=-4.0, hi=4.0):
-    return np.sort(10.0 ** rng.uniform(lo, hi, size=n))
-
-
 def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
     """Seeded mix of indicator, bump, step and decay candidates.
 

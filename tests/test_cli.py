@@ -179,6 +179,19 @@ def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["glue", "--seed", "-1", "--count", "1", "--lemma", "SUP_SUP"],
+    ["glue", "--count", "-2", "--lemma", "SUP_SUP"],
+    ["verify", "--quick", "--seed", "-5"],
+])
+def test_exit_2_on_negative_seed_or_count(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_exit_2_on_bad_family(tmp_path, capsys):
     rec = dict(MULT_T6)
     rec["f"] = {"family": "mystery", "c": 1}

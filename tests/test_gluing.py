@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from cescop import gluing, grids
 from cescop.errors import NoWitness, ZeroMass
 from cescop.gluing import (
+    GLUE_CFG,
     GlueInstance,
     LEMMAS,
     almost_geometric_check,
@@ -16,7 +18,7 @@ from cescop.gluing import (
     glue_eval,
     random_instance,
 )
-from cescop.realfun import ONE, expfam, indicator, power, product
+from cescop.realfun import ONE, ZERO, QuadratureConfig, as_fun, expfam, indicator, power, product
 
 NEEDS = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
          "INT_INT_SUP": ["alpha", "beta"], "INTEGRAL": ["alpha", "beta", "gamma"],
@@ -98,6 +100,100 @@ def test_glue_deterministic_replay():
     inst2 = random_instance("INTEGRAL", np.random.default_rng(42))
     r1, r2 = glue_eval(inst1), glue_eval(inst2)
     assert r1.lhs == r2.lhs and r1.rhs_terms == r2.rhs_terms
+
+
+def _full_width_rows(la, s, g_side, h_side):
+    """The row reductions with the kernel built on every column: the
+    reference the support-column rows must match bit for bit."""
+    outs = ([], [])
+    for start in range(0, la.size, gluing._ROW_CHUNK):
+        lA = grids.log_kernel(la[start:start + gluing._ROW_CHUNK, None], la)
+        lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
+        for acc, lk, (lf, e) in zip(outs, (lA, lAc), (g_side, h_side)):
+            acc.append(grids.log_row_reduce(lk, lf, s, e))
+    return [np.concatenate(acc) for acc in outs]
+
+
+def _row_inputs(inst, cfg=GLUE_CFG):
+    """(la, s, g side, h side) on the glue grid, as glue_eval builds them."""
+    s, t = grids.log_nodes(cfg)
+    g_entry, h_entry, _ = gluing._LEMMA_TABLE[inst.lemma_id]
+
+    def side(f, entry):
+        e = None if entry is gluing._SUP else gluing._exponent(entry, inst.exps)
+        return as_fun(f).logv(t), e
+    return as_fun(inst.a).logv(t), s, side(inst.g, g_entry), side(inst.h, h_entry)
+
+
+def _assert_rows_match_full_width(inst, cfg=GLUE_CFG):
+    args = _row_inputs(inst, cfg)
+    for new, old in zip(gluing._row_kernel_ops(*args), _full_width_rows(*args)):
+        np.testing.assert_array_equal(new, old)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize("lem", LEMMAS)
+def test_support_column_rows_match_full_width(seed, lem):
+    i = LEMMAS.index(lem)
+    for k in range(40):
+        _assert_rows_match_full_width(
+            random_instance(lem, np.random.default_rng((seed, i, k))))
+
+
+def _one_node(j):
+    """An indicator whose support holds exactly node j of the glue grid."""
+    _, t = grids.log_nodes(GLUE_CFG)
+    return indicator(0.0 if j == 0 else t[j] * (1 - 1e-9), t[j] * (1 + 1e-9))
+
+
+_EDGE_SUPPORTS = {
+    "zero": ZERO,
+    "left_end": indicator(0.0, 1.0),
+    "right_end": indicator(1.0, math.inf),
+    "one_node_first": _one_node(0),
+    "one_node_inner": _one_node(200),
+    "one_node_last": _one_node(grids.log_nodes(GLUE_CFG)[0].size - 1),
+}
+
+
+@pytest.mark.parametrize("which", ["g", "h"])
+@pytest.mark.parametrize("support", sorted(_EDGE_SUPPORTS))
+@pytest.mark.parametrize("lem", LEMMAS)
+def test_support_column_rows_match_full_width_at_edges(lem, support, which):
+    # an empty support (zero) on a sup side and on an integral side, and
+    # supports at the window ends, where the edge estimates read them
+    base = random_instance(lem, np.random.default_rng((11, LEMMAS.index(lem))))
+    f = product(power(1, 0.5), _EDGE_SUPPORTS[support])
+    g, h = (f, base.h) if which == "g" else (base.g, f)
+    inst = GlueInstance(lem, g, h, base.a, base.exps)
+    if support.startswith("one_node"):
+        lf = _row_inputs(inst)[2 if which == "g" else 3][0]
+        assert np.count_nonzero(np.isfinite(lf)) == 1
+    _assert_rows_match_full_width(inst)
+
+
+@pytest.mark.parametrize("lem", LEMMAS)
+def test_support_column_rows_match_full_width_on_a_dense_grid(lem):
+    cfg = QuadratureConfig(S=20, sup_grid=128)
+    inst = random_instance(lem, np.random.default_rng((13, LEMMAS.index(lem))))
+    _assert_rows_match_full_width(inst, cfg)
+
+
+def test_glue_kernel_is_built_on_the_support_columns_only(monkeypatch):
+    inst = random_instance("INTEGRAL", np.random.default_rng((12345, 4, 0)))
+    la, s, (lg, _), (lh, _) = _row_inputs(inst)
+    support = np.count_nonzero(~np.isneginf(lg)) + np.count_nonzero(~np.isneginf(lh))
+    assert 0 < support < la.size
+    built = []
+    kernel = grids.log_kernel
+
+    def counting_kernel(lx, lt):
+        out = kernel(lx, lt)
+        built.append(out.size)
+        return out
+    monkeypatch.setattr(grids, "log_kernel", counting_kernel)
+    glue_eval(inst)
+    assert 0 < sum(built) <= la.size * support
 
 
 def test_dyadic_cover_unit_density():

@@ -112,6 +112,34 @@ def test_log_row_reduce_sup_and_integral():
                                [whole, whole + 2.0 * math.log(0.5)], rtol=1e-14)
 
 
+@pytest.mark.parametrize("e", [None, 0.5, 2.0])
+def test_log_row_reduce_on_columns_matches_full_width(e):
+    # lf vanishes off its columns: two bumps, one touching each window end
+    s, _ = grids.log_nodes(CFG)
+    la = 0.7 * s
+    lk = grids.log_kernel(la[:, None], la)
+    n = s.size
+    for kept in ([], [0], [n - 1], [5], list(range(0, 9)) + list(range(n - 12, n)),
+                 list(range(20, 60)) + list(range(90, 95))):
+        cols = np.array(kept, dtype=np.intp)
+        lf = np.full(n, -math.inf)
+        lf[cols] = -np.abs(s[cols]) + 1.0
+        np.testing.assert_array_equal(
+            grids.log_row_reduce(lk[:, cols], lf, s, e, cols),
+            grids.log_row_reduce(lk, lf, s, e))
+
+
+def test_log_row_reduce_on_columns_keeps_an_all_nan_sup():
+    # a zero kernel row against f = inf on every node has only 0 * inf terms
+    lk = np.full((2, 3), -math.inf)
+    lk[1, 0] = 0.0
+    lf = np.full(3, math.inf)
+    full = grids.log_row_reduce(lk, lf, np.arange(3.0))
+    np.testing.assert_array_equal(full, [math.nan, math.inf])
+    np.testing.assert_array_equal(
+        grids.log_row_reduce(lk, lf, np.arange(3.0), None, np.arange(3)), full)
+
+
 def test_log_cumnorm():
     s, _ = grids.log_nodes(CFG)
     lf = -np.abs(s)
