@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CescopError, ConfigError, SpecInvalid, UnsupportedRegime
+from .errors import CescopError, ConfigError, SpecInvalid
 from .exponents import Exponent, arrow
 from .gluing import GLUE_CFG, LEMMAS, glue_eval, random_instance
 from .multiplier import ThreeWeightProblem, characterize, reduce_problem
@@ -37,7 +37,7 @@ from .realfun import (
     product,
     table,
 )
-from .spaces import SpaceSpec, space_norm, space_norm3
+from .spaces import SpaceSpec, space_norm
 
 __all__ = ["main", "run"]
 
@@ -170,10 +170,6 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from e
 
 
-def _exp_str(e: Exponent) -> str:
-    return "inf" if e.is_inf else str(e.value)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -207,8 +203,7 @@ def _cmd_norm(args) -> dict:
     spec = parse_space(cfgrec["space"])
     f = parse_fun(cfgrec["f"], "f")
     cfg = parse_cfg(cfgrec.get("cfg"))
-    fn = space_norm if spec.arity == 2 else space_norm3
-    value = fn(spec, f, cfg)
+    value = space_norm(spec, f, cfg)
     return {"command": "norm", "space": spec.describe(), "value": value}
 
 
@@ -436,7 +431,7 @@ def run(argv=None) -> int:
     except (ConfigError, SpecInvalid) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (CescopError, UnsupportedRegime) as e:
+    except CescopError as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     try:

@@ -3,7 +3,7 @@
 All quantities are nonnegative extended reals.  The rules 1/inf = 0 and
 1/0 = inf are applied, so that degenerate head/tail integrals drop out
 of sums instead of poisoning them with NaNs; the 0 * inf = 0 rule on
-log-values is ``grids.zero_wins``.
+log-values is ``grids.log_mul``.
 """
 
 import math

@@ -121,19 +121,6 @@ def _scale(c: float, arr: np.ndarray) -> np.ndarray:
         return c * arr
 
 
-def _combine(*parts: np.ndarray) -> np.ndarray:
-    """Sum of log factors with the 0 * inf = 0 convention.
-
-    A NaN can only arise from adding -inf (a zero factor) to +inf (an
-    infinite one); the zero factor wins.
-    """
-    with np.errstate(invalid="ignore"):
-        out = parts[0]
-        for p in parts[1:]:
-            out = out + p
-    return grids.zero_wins(out)
-
-
 def _row_kernel_ops(la: np.ndarray, s: np.ndarray, g_side: tuple, h_side: tuple):
     """Row reductions of g against the kernel A(x,t) and of h against its
     complement 1 - A(x,t) = A(t,x), one value per node x.
@@ -177,10 +164,10 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     rows = _row_kernel_ops(la, s, (lg, None if gsup else eg), (lh, None if hsup else eh))
     near = (grids.log_cumnorm(lg, s, qg, head=True),
             grids.log_cumnorm(lh, s, qh, head=False))
-    far = (grids.log_cumnorm(_combine(-eg * la, lg), s, qg, head=False),
-           grids.log_cumnorm(_combine(eh * la, lh), s, qh, head=True))
+    far = (grids.log_cumnorm(grids.log_mul(-eg * la, lg), s, qg, head=False),
+           grids.log_cumnorm(grids.log_mul(eh * la, lh), s, qh, head=True))
     if outer is _SUP:
-        lhs, t1, t2 = (float(np.max(_combine(G / eg, H / eh)))
+        lhs, t1, t2 = (float(np.max(grids.log_mul(G / eg, H / eh)))
                        for G, H in (rows, near, far))
     else:
         ga = _exponent(outer, inst.exps)
@@ -188,7 +175,7 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
 
         def outer_integral(G, H, *factors):
             return grids.log_integral(
-                _combine(_scale(cg, G), _scale(ch, H), *factors, lg + s), s)
+                grids.log_mul(_scale(cg, G), _scale(ch, H), *factors, lg + s), s)
         lhs, t1 = outer_integral(*rows), outer_integral(*near)
         t2 = outer_integral(*far, -eg * la)
 

@@ -12,8 +12,8 @@ cumulative form (``log_cumint``) and the cumulative q-norm built on it
 (``log_cumnorm``), the supremum with its edge-divergence test
 (``log_sup``), the two-sided kernel a(x)/(a(x)+a(t)) (``log_kernel``)
 and the row sup or integral against it (``log_row_reduce``), the
-0 * inf = 0 rule (``zero_wins``) and the step back from a log-value to a
-number (``from_log``).
+product of log factors under the 0 * inf = 0 rule (``log_mul``) and the
+step back from a log-value to a number (``from_log``).
 """
 
 from __future__ import annotations
@@ -256,13 +256,17 @@ def log_sup(lv: np.ndarray, s: np.ndarray, open_lo: bool = True,
     return best
 
 
-def zero_wins(lv: np.ndarray) -> np.ndarray:
-    """Resolve NaN log-values to -inf.
+def log_mul(*parts: np.ndarray) -> np.ndarray:
+    """Log of a product of factors given by their log-values.
 
-    A NaN here is (+inf) + (-inf): an infinite factor against a zero
-    one, which the 0 * inf = 0 convention resolves to zero.
+    A NaN sum is (+inf) + (-inf): an infinite factor against a zero
+    one, which the 0 * inf = 0 convention resolves to zero (-inf).
     """
-    return np.where(np.isnan(lv), NEG_INF, lv)
+    with np.errstate(invalid="ignore"):
+        out = parts[0]
+        for p in parts[1:]:
+            out = out + p
+    return np.where(np.isnan(out), NEG_INF, out)
 
 
 def from_log(lx) -> float:

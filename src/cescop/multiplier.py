@@ -43,7 +43,7 @@ from .realfun import (
     powerof,
     product,
 )
-from .spaces import SpaceSpec, check_omega, space_norm, space_norm3
+from .spaces import SpaceSpec, check_omega, space_norm
 
 __all__ = [
     "ThreeWeightProblem", "CharacterizationResult",
@@ -352,7 +352,7 @@ def characterize(prob: ThreeWeightProblem,
             tv = c * lp_norm(prob.f, ws[0], FULL, es[0], cfg)
         else:
             spec = SpaceSpec("ces", es, ws, validate=False)
-            tv = c * (space_norm if len(es) == 2 else space_norm3)(spec, prob.f, cfg)
+            tv = c * space_norm(spec, prob.f, cfg)
         terms.append((name, tv))
         value += tv
     return CharacterizationResult(value=value, regime=tag, terms=tuple(terms),

@@ -28,7 +28,7 @@ from .realfun import (
     power,
     product,
 )
-from .spaces import SpaceSpec, space_norm, space_norm3
+from .spaces import SpaceSpec, space_norm
 
 __all__ = ["Candidate", "CandidateFamily", "OracleResult",
            "default_family", "brute_force_multiplier", "enrich"]
@@ -126,19 +126,14 @@ def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
     return CandidateFamily(candidates=tuple(cands), seed=seed)
 
 
-def _norm(spec: SpaceSpec, g: RealFun, cfg: QuadratureConfig) -> float:
-    fn = space_norm if spec.arity == 2 else space_norm3
-    return fn(spec, g, cfg)
-
-
 def _ratio(f: RealFun, X: SpaceSpec, Y: SpaceSpec, cand: Candidate,
            cfg: QuadratureConfig) -> float | None:
     """||f*g||_Y / ||g||_X for g built from cand; None if ||g||_X is 0 or inf."""
     g = cand.build()
-    den = _norm(X, g, cfg)
+    den = space_norm(X, g, cfg)
     if not (0.0 < den < math.inf):
         return None
-    return _norm(Y, product(f, g), cfg) / den
+    return space_norm(Y, product(f, g), cfg) / den
 
 
 def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,

@@ -515,6 +515,8 @@ def powerof(base: RealFun, s: float) -> RealFun:
     s = float(s)
     if s == 1.0:
         return base
+    if s == 0.0:
+        return ONE
     if isinstance(base, _Elementary):
         return _Elementary(base.c ** s, base.alpha * s, base.beta * s, base.gamma * s)
     if isinstance(base, _Indicator) and s > 0:
@@ -570,36 +572,20 @@ def as_fun(w) -> RealFun:
 
 def _analytic_log(g: RealFun, I: Interval):
     """Log of the integral over I from analytic hints, or None if hints do not apply."""
-    pl = g.primitive_log(np.asarray([I.hi if I.hi != INF else 1.0]))
-    has_prim = pl is not None
-    tl = g.tail_log(np.asarray([I.lo if I.lo > 0 else 1.0]))
-    has_tail = tl is not None
-    if I.lo == 0.0 and I.hi == INF:
-        if has_tail:
-            # tail in the limit x -> 0+ gives the full integral
-            v0 = g.tail_log(np.asarray([1e-300]))
-            if v0 is not None:
-                return v0[0]
-        return None
     if I.hi == INF:
-        if has_tail:
-            v = g.tail_log(np.asarray([I.lo]))
-            return v[0]
-        return None
+        # over (0, inf) the tail in the limit x -> 0+ gives the full integral
+        v = g.tail_log(np.asarray([I.lo if I.lo > 0 else 1e-300]))
+        return None if v is None else v[0]
     if I.lo == 0.0:
-        if has_prim:
-            v = g.primitive_log(np.asarray([I.hi]))
-            return v[0]
-        return None
+        v = g.primitive_log(np.asarray([I.hi]))
+        return None if v is None else v[0]
     # finite interior interval: try primitive difference, then tail difference
-    if has_prim:
-        v = g.primitive_log(np.asarray([I.lo, I.hi]))
-        if not np.any(np.isposinf(v)):
-            return _log_diff(v[1], v[0])
-    if has_tail:
-        v = g.tail_log(np.asarray([I.lo, I.hi]))
-        if not np.any(np.isposinf(v)):
-            return _log_diff(v[0], v[1])
+    v = g.primitive_log(np.asarray([I.lo, I.hi]))
+    if v is not None and not np.any(np.isposinf(v)):
+        return _log_diff(v[1], v[0])
+    v = g.tail_log(np.asarray([I.lo, I.hi]))
+    if v is not None and not np.any(np.isposinf(v)):
+        return _log_diff(v[0], v[1])
     return None
 
 

@@ -101,16 +101,6 @@ def _log_interval_norm(g, I: Interval, q: Exponent, cfg: QuadratureConfig) -> fl
     return float(grids.log_integral(li, s, head=I.lo == 0.0, tail=I.hi == INF)) / qf
 
 
-def _outer_lognorm(lg: np.ndarray, lu: np.ndarray, s: np.ndarray, q: Exponent) -> float:
-    """Log of the outer q-norm in weight exp(lu) of exp(lg) over (0, inf)."""
-    with np.errstate(invalid="ignore"):
-        lv = grids.zero_wins(lg + lu)
-    if q.is_inf:
-        return grids.log_sup(lv, s)
-    qf = float(q)
-    return float(grids.log_integral(qf * lv + s, s)) / qf
-
-
 def _gate(spec: SpaceSpec, cfg: QuadratureConfig) -> None:
     if not spec.validate or spec.arity != 2:
         return
@@ -125,30 +115,31 @@ def _gate(spec: SpaceSpec, cfg: QuadratureConfig) -> None:
 
 
 def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
-    """Two-parameter Cesaro/Copson quasi-norm of a nonnegative f."""
-    if spec.arity != 2:
-        raise ValueError("space_norm needs an arity-2 spec")
+    """Cesaro/Copson quasi-norm of a nonnegative f, with two or three
+    parameters.
+
+    Starting from f times the innermost weight, each inner exponent takes
+    the cumulative norm over (0, t) (ces) or (t, inf) (cop) and multiplies
+    it by the next weight out; the outermost exponent reduces over (0, inf).
+    """
     _gate(spec, cfg)
-    u, v = spec.weights
-    p, q = spec.exponents
+    *inner, outer = spec.exponents
+    ws = spec.weights[::-1]
+    head = spec.kind == CES
     s, t = grids.log_nodes(cfg)
-    lf = product(as_fun(f), as_fun(v)).logv(t)
-    if np.all(np.isneginf(lf)) and not p.is_inf:
+    lv = product(as_fun(f), as_fun(ws[0])).logv(t)
+    if np.all(np.isneginf(lv)) and not inner[0].is_inf:
         return 0.0
-    inn = grids.log_cumnorm(lf, s, float(p), head=(spec.kind == CES))
-    return grids.from_log(_outer_lognorm(inn, as_fun(u).logv(t), s, q))
+    for e, w in zip(inner, ws[1:]):
+        lv = grids.log_mul(grids.log_cumnorm(lv, s, float(e), head), as_fun(w).logv(t))
+    if outer.is_inf:
+        return grids.from_log(grids.log_sup(lv, s))
+    q = float(outer)
+    return grids.from_log(float(grids.log_integral(q * lv + s, s)) / q)
 
 
 def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
-    """Three-parameter Cesaro/Copson quasi-norm of a nonnegative f."""
+    """``space_norm`` of an arity-3 spec."""
     if spec.arity != 3:
         raise ValueError("space_norm3 needs an arity-3 spec")
-    u, v, w = spec.weights
-    p, q, r = spec.exponents
-    head = spec.kind == CES
-    s, t = grids.log_nodes(cfg)
-    lf = product(as_fun(f), as_fun(w)).logv(t)
-    inn = grids.log_cumnorm(lf, s, float(p), head=head)
-    with np.errstate(invalid="ignore"):
-        mid = grids.log_cumnorm(grids.zero_wins(inn + as_fun(v).logv(t)), s, float(q), head=head)
-    return grids.from_log(_outer_lognorm(mid, as_fun(u).logv(t), s, r))
+    return space_norm(spec, f, cfg)

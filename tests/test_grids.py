@@ -73,8 +73,7 @@ def test_log_sup_edge_divergence():
 
 
 def test_zero_wins_and_from_log():
-    with np.errstate(invalid="ignore"):
-        lv = grids.zero_wins(np.array([math.inf, -math.inf, 1.0]) + np.array([-math.inf, 0.0, 1.0]))
+    lv = grids.log_mul(np.array([math.inf, -math.inf, 1.0]), np.array([-math.inf, 0.0, 1.0]))
     np.testing.assert_array_equal(lv, [-math.inf, -math.inf, 2.0])
     assert grids.from_log(-math.inf) == 0.0
     assert grids.from_log(math.inf) == math.inf

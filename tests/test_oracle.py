@@ -112,13 +112,13 @@ def test_shared_scores_give_the_unshared_result():
 
 
 def test_shared_scores_score_each_candidate_once(monkeypatch):
-    calls, norm = [], oracle._norm
+    calls, norm = [], oracle.space_norm
 
     def counted(spec, g, cfg):
         calls.append(spec)
         return norm(spec, g, cfg)
 
-    monkeypatch.setattr(oracle, "_norm", counted)
+    monkeypatch.setattr(oracle, "space_norm", counted)
     f = expfam(1, 2, 1)
     scores = {}
     fam = enrich(default_family(seed=3, size=30), f, XCOP, Y, rounds=3, scores=scores)

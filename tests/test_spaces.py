@@ -5,7 +5,7 @@ import math
 import pytest
 
 from cescop.errors import SpecInvalid
-from cescop.realfun import ONE, Weight, ZERO, expfam, power, powerof
+from cescop.realfun import ONE, Weight, ZERO, expfam, indicator, power, powerof, product
 from cescop.spaces import SpaceSpec, check_omega, space_norm, space_norm3
 
 W = lambda f: Weight(f, check=False)
@@ -68,7 +68,7 @@ def test_zero_function_norm_zero():
     spec2 = SpaceSpec("ces", (1, 2), (W(EDEC), W(ONE)), validate=False)
     spec3 = SpaceSpec("ces", (1, 2, 1), (W(EDEC), W(ONE), W(ONE)), validate=False)
     assert space_norm(spec2, ZERO) == 0.0
-    assert space_norm3(spec3, ZERO) == 0.0
+    assert space_norm(spec3, ZERO) == 0.0
 
 
 def test_divergent_norm_is_inf():
@@ -89,6 +89,34 @@ def test_space_norm3_collapses_to_two_level():
     v3 = space_norm3(spec3, f)
     v2 = space_norm(spec2, f)
     assert v3 >= v2 * (1 - 1e-9)
+
+
+def test_space_norm_takes_three_parameters():
+    # one level loop serves both arities: an arity-3 spec reads the same
+    # through space_norm as through space_norm3
+    f = expfam(1, 1, -1)
+    for kind, exps in (("ces", (1, 2, 1)), ("ces", (0.5, "inf", 2)),
+                       ("cop", (2, 1, "inf")), ("ces", ("inf", 1, 1))):
+        spec = SpaceSpec(kind, exps, (W(EDEC), W(power(1, 0.5)), W(EDEC)),
+                         validate=False)
+        v = space_norm(spec, f)
+        assert 0.0 < v < math.inf
+        assert v == space_norm3(spec, f)
+
+
+def test_space_norm3_rejects_two_parameters():
+    spec = SpaceSpec("ces", (1, 2), (W(EDEC), W(ONE)), validate=False)
+    with pytest.raises(ValueError):
+        space_norm3(spec, ONE)
+
+
+def test_power_zero_of_a_function_is_one():
+    # x^0 = 1 also where the base vanishes: (1_{(0,1)})^0 * 1_{(0.5,4)}
+    # is 1_{(0.5,4)}, not a NaN on (1, 4)
+    spec = SpaceSpec("ces", (1, 1), (W(power(1, -2)), W(ONE)), validate=False)
+    plain = indicator(0.5, 4)
+    assert space_norm(spec, product(powerof(indicator(0, 1), 0), plain)) == \
+        space_norm(spec, plain)
 
 
 def test_norm_monotone_in_f():
