@@ -124,7 +124,7 @@ def parse_space(rec, what: str = "space") -> SpaceSpec:
     ws = [parse_weight(w, f"{what}.weights") for w in rec["weights"]]
     try:
         return SpaceSpec(rec["kind"], tuple(exps), tuple(ws), validate=False)
-    except ValueError as e:
+    except SpecInvalid as e:
         raise ConfigError(f"{what}: {e}") from e
 
 
@@ -446,3 +446,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

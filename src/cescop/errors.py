@@ -10,7 +10,8 @@ class NonIntegrableOscillation(CescopError):
 
 
 class SpecInvalid(CescopError):
-    """A space descriptor violates its weight-class precondition."""
+    """A space descriptor is malformed (kind, arity) or violates its
+    weight-class precondition."""
 
 
 class DegenerateOperator(CescopError):

@@ -68,9 +68,12 @@ def _interp_fun(s: np.ndarray, lv: np.ndarray, label: str) -> RealFun:
 
 def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:
     label = f"{'head' if head else 'tail'}({g.describe()})"
-    hint = g.primitive_log if head else g.tail_log
+
+    def hint(t):
+        return g.integral_log(0.0, t) if head else g.integral_log(t, INF)
+
     if hint(np.array([1.0])) is not None:
-        return from_log_callable(lambda t: hint(np.asarray(t, dtype=float)), label=label)
+        return from_log_callable(hint, label=label)
     s, t = grids.log_nodes(cfg)
     return _interp_fun(s, grids.log_cumint(g.logv(t) + s, s, head), label)
 
@@ -78,8 +81,8 @@ def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:
 def head_integral_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """x -> integral of g over (0, x), as a lazy RealFun.
 
-    Uses the family's closed-form primitive when available; otherwise a
-    memoized cumulative trapezoid on the working grid.
+    Uses the family's closed form (``integral_log(0, x)``) when it has
+    one; otherwise a cumulative trapezoid on the working grid.
     """
     return _integral_fun(g, True, cfg)
 

@@ -5,9 +5,10 @@ family c t^alpha (1 + |ln t|)^beta e^{gamma t}, which holds powers,
 power-log perturbations and exponential tilts, indicators, tabulated data
 and their products / sums / real powers).  Every family evaluates in
 log-space, so compositions like t^2 e^t * t^-2 e^-t are exact where a
-naive evaluation would overflow.  Analytic primitives and tails are
-attached wherever the family algebra permits; everything else goes
-through adaptive quadrature after the substitution t = e^s.
+naive evaluation would overflow.  Each family that has a closed-form
+integral over (lo, hi) gives its log through one hint, ``integral_log``;
+everything else goes through adaptive quadrature after the substitution
+t = e^s.
 """
 
 from __future__ import annotations
@@ -101,9 +102,10 @@ class RealFun:
     """Base class: a nonnegative measurable function on (0, inf).
 
     Subclasses implement ``logv`` (vectorized log-values, -inf where the
-    function vanishes) and may provide analytic ``primitive_log`` /
-    ``tail_log`` (log of the integral over (0, x) / (x, inf); may return
-    +inf when that integral diverges, or None when no closed form exists).
+    function vanishes) and may provide ``integral_log(lo, hi)``: the log of
+    the integral over (lo, hi), elementwise, where lo may be 0 and hi may
+    be inf; +inf where that integral diverges, None when there is no
+    closed form.
     """
 
     support: Interval = FULL
@@ -112,10 +114,7 @@ class RealFun:
     def logv(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def primitive_log(self, x: np.ndarray):
-        return None
-
-    def tail_log(self, x: np.ndarray):
+    def integral_log(self, lo, hi):
         return None
 
     def __call__(self, t):
@@ -158,29 +157,43 @@ class _Elementary(RealFun):
             lg = np.log(inc(a1, -self.gamma * x))
         return self.logc - a1 * math.log(-self.gamma) + _sps.gammaln(a1) + lg
 
-    def primitive_log(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.beta:
-            return None
+    def _log_head(self, x):
+        """log of the integral over (0, x); NaN where there is no closed form."""
         if self.alpha <= -1.0:
             return np.full_like(x, INF)
         if self.gamma == 0:
             return self.logc - math.log(self.alpha + 1.0) + (self.alpha + 1.0) * np.log(x)
         if self.gamma < 0:
             return self._gamma_log(x, _sps.gammainc)
-        return None  # growing exponential: no stable closed form here
+        return np.full_like(x, np.nan)  # growing exponential: no stable closed form here
 
-    def tail_log(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.beta:
-            return None
+    def _log_tail(self, x):
+        """log of the integral over (x, inf); NaN where there is no closed form."""
         if self.gamma > 0 or (self.gamma == 0 and self.alpha >= -1.0):
             return np.full_like(x, INF)
         if self.gamma == 0:
             return self.logc - math.log(-self.alpha - 1.0) + (self.alpha + 1.0) * np.log(x)
         if self.alpha > -1.0:
             return self._gamma_log(x, _sps.gammaincc)
-        return None
+        return np.full_like(x, np.nan)
+
+    def integral_log(self, lo, hi):
+        """The tail at lo when hi = inf, else the head at hi when lo = 0;
+        inside (0, inf) the difference of two heads where the head at hi
+        is finite, else of two tails where the tail at lo is finite."""
+        if self.beta:
+            return None
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_hi, t_lo = self._log_head(hi), self._log_tail(lo)
+            out = np.where(hi == INF, t_lo, h_hi)
+            inner = (lo > 0.0) & (hi < INF)
+            if inner.any():
+                diff = np.where(np.isfinite(h_hi), _log_diff(h_hi, self._log_head(lo)),
+                                np.where(np.isfinite(t_lo), _log_diff(t_lo, self._log_tail(hi)),
+                                         np.nan))
+                out = np.where(inner, diff, out)
+        return None if np.isnan(out).any() else out
 
     def describe(self):
         extra = "".join(f", {k}={v:g}" for k, v in (("beta", self.beta), ("gamma", self.gamma))
@@ -201,17 +214,10 @@ class _Indicator(RealFun):
         inside = (t >= self.interval.lo) & (t < self.interval.hi)
         return np.where(inside, 0.0, NEG_INF)
 
-    def primitive_log(self, x):
-        x = np.asarray(x, dtype=float)
+    def integral_log(self, lo, hi):
+        a, b = self.interval.lo, self.interval.hi
         with np.errstate(divide="ignore"):
-            return np.log(np.clip(x, self.interval.lo, self.interval.hi) - self.interval.lo)
-
-    def tail_log(self, x):
-        if self.interval.hi == INF:
-            return np.full_like(np.asarray(x, dtype=float), INF)
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.log(self.interval.hi - np.clip(x, self.interval.lo, self.interval.hi))
+            return np.log(np.clip(hi, a, b) - np.clip(lo, a, b))
 
     def describe(self):
         return f"indicator(({self.interval.lo:g}, {self.interval.hi:g}))"
@@ -243,7 +249,7 @@ class _Table(RealFun):
 
 
 class _Restricted(RealFun):
-    """base * indicator(interval); keeps the base's analytic hints usable."""
+    """base * indicator(interval); integrates as the base over the clipped interval."""
 
     family = "restricted"
 
@@ -258,40 +264,9 @@ class _Restricted(RealFun):
         inside = (t >= self.interval.lo) & (t < self.interval.hi)
         return np.where(inside, self.base.logv(t), NEG_INF)
 
-    def _clip(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.interval.lo, self.interval.hi)
-
-    def primitive_log(self, x):
-        lo, hi = self.interval.lo, self.interval.hi
-        bp = self.base.primitive_log
-        pl_hi = bp(self._clip(x))
-        if pl_hi is None or np.any(np.isposinf(pl_hi)):
-            # try via the base tail: int_lo^y = T(lo) - T(y)
-            bt = self.base.tail_log
-            t_lo = bt(np.asarray(lo, dtype=float)) if lo > 0 else None
-            if t_lo is None or np.any(np.isposinf(np.asarray(t_lo))):
-                return None
-            t_hi = bt(self._clip(x))
-            return _log_diff(np.asarray(t_lo), np.asarray(t_hi))
-        if lo == 0.0:
-            return pl_hi
-        pl_lo = bp(np.asarray(lo, dtype=float))
-        return _log_diff(pl_hi, np.asarray(pl_lo))
-
-    def tail_log(self, x):
-        hi = self.interval.hi
-        if hi == INF:
-            bt = self.base.tail_log(self._clip(x))
-            return bt
-        bp = self.base.primitive_log
-        pl_hi = bp(np.asarray(hi, dtype=float))
-        if pl_hi is not None and not np.any(np.isposinf(np.asarray(pl_hi))):
-            return _log_diff(np.asarray(pl_hi), bp(self._clip(x)))
-        bt = self.base.tail_log
-        t_x = bt(self._clip(x))
-        if t_x is None or np.any(np.isposinf(np.asarray(t_x))):
-            return None
-        return _log_diff(np.asarray(t_x), np.asarray(bt(np.asarray(hi, dtype=float))))
+    def integral_log(self, lo, hi):
+        a, b = self.interval.lo, self.interval.hi
+        return self.base.integral_log(np.clip(lo, a, b), np.clip(hi, a, b))
 
     def describe(self):
         return f"{self.base.describe()} * indicator(({self.interval.lo:g}, {self.interval.hi:g}))"
@@ -353,22 +328,13 @@ class _Sum(RealFun):
             out = np.logaddexp(out, p.logv(t))
         return out
 
-    def primitive_log(self, x):
+    def integral_log(self, lo, hi):
         acc = None
         for p in self.parts:
-            pl = p.primitive_log(x)
-            if pl is None:
+            v = p.integral_log(lo, hi)
+            if v is None:
                 return None
-            acc = pl if acc is None else np.logaddexp(acc, pl)
-        return acc
-
-    def tail_log(self, x):
-        acc = None
-        for p in self.parts:
-            tl = p.tail_log(x)
-            if tl is None:
-                return None
-            acc = tl if acc is None else np.logaddexp(acc, tl)
+            acc = v if acc is None else np.logaddexp(acc, v)
         return acc
 
     def describe(self):
@@ -445,11 +411,8 @@ class _Zero(RealFun):
     def logv(self, t):
         return np.full_like(np.asarray(t, dtype=float), NEG_INF)
 
-    def primitive_log(self, x):
-        return np.full_like(np.asarray(x, dtype=float), NEG_INF)
-
-    def tail_log(self, x):
-        return np.full_like(np.asarray(x, dtype=float), NEG_INF)
+    def integral_log(self, lo, hi):
+        return np.full(np.broadcast(lo, hi).shape, NEG_INF)
 
     def describe(self):
         return "0"
@@ -570,29 +533,10 @@ def as_fun(w) -> RealFun:
 # ---------------------------------------------------------------------------
 # integration
 
-def _analytic_log(g: RealFun, I: Interval):
-    """Log of the integral over I from analytic hints, or None if hints do not apply."""
-    if I.hi == INF:
-        # over (0, inf) the tail in the limit x -> 0+ gives the full integral
-        v = g.tail_log(np.asarray([I.lo if I.lo > 0 else 1e-300]))
-        return None if v is None else v[0]
-    if I.lo == 0.0:
-        v = g.primitive_log(np.asarray([I.hi]))
-        return None if v is None else v[0]
-    # finite interior interval: try primitive difference, then tail difference
-    v = g.primitive_log(np.asarray([I.lo, I.hi]))
-    if v is not None and not np.any(np.isposinf(v)):
-        return _log_diff(v[1], v[0])
-    v = g.tail_log(np.asarray([I.lo, I.hi]))
-    if v is not None and not np.any(np.isposinf(v)):
-        return _log_diff(v[0], v[1])
-    return None
-
-
 def integrate(g: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """Integral of g over I as a nonnegative extended real.
 
-    Uses analytic primitives/tails when the family algebra provides them,
+    Uses the family's closed form (``integral_log``) when it has one,
     otherwise adaptive quadrature on the log-substituted window plus
     power-law estimates for the truncated head and tail.
     """
@@ -600,9 +544,9 @@ def integrate(g: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CF
     eff = I.intersect(g.support)
     if eff is None:
         return 0.0
-    lv = _analytic_log(g, eff)
+    lv = g.integral_log(eff.lo, eff.hi)
     if lv is not None:
-        return grids.from_log(lv)
+        return grids.from_log(float(lv))
     return _quad_interval(g, eff, cfg)
 
 
@@ -709,12 +653,13 @@ def lp_norm(f: RealFun, w, I: Interval = FULL, p=None, cfg: QuadratureConfig = D
     try:
         val = integrate(g, I, cfg)
     except NumericOverflow:
-        # the p-th power is beyond the float range; where the analytic
-        # hints give its log, the root is taken in log space
-        lv = _analytic_log(g, I.intersect(g.support))
+        # the p-th power is beyond the float range; where the closed
+        # form gives its log, the root is taken in log space
+        eff = I.intersect(g.support)
+        lv = g.integral_log(eff.lo, eff.hi)
         if lv is None:
             raise
-        return grids.from_log(lv / pf)
+        return grids.from_log(float(lv) / pf)
     if val == 0.0:
         return 0.0
     if math.isinf(val):

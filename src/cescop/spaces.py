@@ -48,9 +48,9 @@ class SpaceSpec:
 
     def __post_init__(self):
         if self.kind not in (CES, COP):
-            raise ValueError(f"kind must be '{CES}' or '{COP}'")
+            raise SpecInvalid(f"kind must be '{CES}' or '{COP}'")
         if len(self.exponents) not in (2, 3) or len(self.weights) != len(self.exponents):
-            raise ValueError("need 2 or 3 exponents with matching weights")
+            raise SpecInvalid("need 2 or 3 exponents with matching weights")
         object.__setattr__(self, "exponents", tuple(Exponent(e) for e in self.exponents))
 
     @property
@@ -102,10 +102,11 @@ def _log_interval_norm(g, I: Interval, q: Exponent, cfg: QuadratureConfig) -> fl
 
 
 def _gate(spec: SpaceSpec, cfg: QuadratureConfig) -> None:
-    if not spec.validate or spec.arity != 2:
+    """The outermost weight must lie in (dual-)Omega_q, q the outermost exponent."""
+    if not spec.validate:
         return
     u = spec.weights[0]
-    q = spec.exponents[1]
+    q = spec.exponents[-1]
     rep = check_omega(u, q, dual=(spec.kind == COP), cfg=cfg)
     if not rep.ok:
         cls = "dual-Omega" if spec.kind == COP else "Omega"
@@ -141,5 +142,5 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
 def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """``space_norm`` of an arity-3 spec."""
     if spec.arity != 3:
-        raise ValueError("space_norm3 needs an arity-3 spec")
+        raise SpecInvalid("space_norm3 needs an arity-3 spec")
     return space_norm(spec, f, cfg)

@@ -1,6 +1,10 @@
 """Command-line front-end: config parsing, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,24 @@ def test_exit_3_on_unsupported_regime(tmp_path, capsys):
     rec.update({"r": 1, "p": 2, "q": 3, "validate": False})
     assert run(["mult", "--config", _write(tmp_path, rec)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_2_on_malformed_space(tmp_path, capsys):
+    cfg = _write(tmp_path, {
+        "space": {"kind": "bogus", "exponents": [1, 1], "weights": [EDEC, ONE]},
+        "f": EDEC})
+    assert run(["norm", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: space: kind must be" in err and "Traceback" not in err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cescop.cli", "glue", "--lemma", "SUP_SUP", "--count", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["command"] == "glue" and len(rep["suites"]["SUP_SUP"]) == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cescop.errors import NumericOverflow
+from cescop.operators import head_integral_fun, tail_integral_fun
 from cescop.realfun import (
     FULL,
     Interval,
@@ -206,12 +207,49 @@ def test_elementary_product_logv_is_bit_exact():
 def test_powerof_exp_keeps_closed_forms():
     f = powerof(expfam(2.0, 1.0, -1.0), 0.5)  # sqrt(2) t^0.5 e^{-t/2}
     x = np.array([0.1, 1.0, 10.0])
-    prim, tail = f.primitive_log(x), f.tail_log(x)
+    prim, tail = f.integral_log(0.0, x), f.integral_log(x, math.inf)
     assert prim is not None and tail is not None
     full = math.sqrt(2.0) * math.gamma(1.5) / 0.5 ** 1.5
     np.testing.assert_allclose(np.logaddexp(prim, tail), math.log(full), rtol=1e-12)
+    assert f.integral_log(0.0, math.inf) == pytest.approx(math.log(full), rel=1e-14)
 
 
 def test_restriction_interval():
     g = power(1, 0)
     assert integrate(g, Interval(1.0, 3.0)) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_divergent_power_integrals_over_the_half_line_are_inf():
+    # the tail of t^alpha (alpha < -1) at 0 is +inf, not its value at a tiny x
+    assert integrate(power(1, -2)) == math.inf
+    assert lp_norm(power(1, -1), ONE, FULL, 2) == math.inf
+    assert lp_norm(power(1, -2), ONE, FULL, 2) == math.inf
+
+
+def test_gamma_integral_over_the_half_line_takes_the_tail_at_zero():
+    # int_0^inf t^-0.99 e^-t = Gamma(0.01); a tail at x = 1e-300 misses
+    # the (1e-300)^0.01 = 1e-3 head of it
+    assert integrate(expfam(1, -0.99, -1)) == pytest.approx(99.43258511915052, rel=1e-14)
+
+
+def test_restricted_integral_is_one_difference_of_the_base():
+    # (int_3^7 t^-4)^(1/2) inside the window (1e-3, 1e3): a difference of
+    # two tails of t^-4, not of two window-clipped primitives (mpmath value)
+    g = product(power(1, -2), indicator(1e-3, 1e3))
+    assert lp_norm(g, ONE, Interval(3, 7), 2) == pytest.approx(
+        0.10664830853791244, rel=1e-13)
+
+
+@pytest.mark.parametrize("g", [
+    expfam(2.0, 1.0, -1.0),                                  # elementary
+    indicator(0.5, 4),                                       # indicator
+    product(power(1, -2), indicator(0.5, 4)),                # restricted
+    product(expfam(1, 0, -1), indicator(0.2, math.inf)),     # restricted, open window
+    funsum(product(power(1, -2), indicator(1, 5)), expfam(1, 1, -1)),  # sum
+])
+def test_head_plus_tail_integral_is_the_whole_integral(g):
+    x = np.array([0.3, 1.0, 2.5, 4.0, 9.0])
+    assert g.integral_log(0.0, x) is not None and g.integral_log(x, math.inf) is not None
+    total = integrate(g)
+    both = head_integral_fun(g)(x) + tail_integral_fun(g)(x)
+    np.testing.assert_allclose(both, total, rtol=1e-12)

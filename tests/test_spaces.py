@@ -30,9 +30,9 @@ def test_check_omega_underflow_resistant():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         SpaceSpec("bogus", (1, 2), (W(ONE), W(ONE)))
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         SpaceSpec("ces", (1,), (W(ONE),))
     spec = SpaceSpec("ces", (1, 1), (W(power(1, 0)), W(ONE)))
     with pytest.raises(SpecInvalid):
@@ -106,8 +106,17 @@ def test_space_norm_takes_three_parameters():
 
 def test_space_norm3_rejects_two_parameters():
     spec = SpaceSpec("ces", (1, 2), (W(EDEC), W(ONE)), validate=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         space_norm3(spec, ONE)
+
+
+def test_three_parameter_spec_is_gated():
+    # the outermost weight against the outermost exponent, as for two
+    # parameters: 1 is not in Omega_1 (its tails diverge), e^-t is
+    f = expfam(1, 1, -1)
+    with pytest.raises(SpecInvalid):
+        space_norm(SpaceSpec("ces", (1, 1, 1), (W(ONE), W(ONE), W(ONE))), f)
+    assert 0.0 < space_norm(SpaceSpec("ces", (1, 1, 1), (W(EDEC), W(ONE), W(ONE))), f) < math.inf
 
 
 def test_power_zero_of_a_function_is_one():
