@@ -68,7 +68,7 @@ def parse_exponent(rec, what: str = "exponent") -> Exponent:
             return Exponent(Fraction(int(rec["num"]), int(rec["den"])))
         if isinstance(rec, (int, float, str)):
             return Exponent(rec)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (SpecInvalid, ValueError, TypeError, ZeroDivisionError) as e:
         raise ConfigError(f"{what}: {e}") from e
     raise ConfigError(f"{what}: cannot interpret {rec!r}")
 
@@ -109,7 +109,7 @@ def parse_fun(rec, what: str = "function") -> RealFun:
             return powerof(parse_fun(rec["base"], what), float(rec["s"]))
     except ConfigError:
         raise
-    except (ValueError, TypeError) as e:
+    except (SpecInvalid, ValueError, TypeError) as e:
         raise ConfigError(f"{what}: {e}") from e
     raise ConfigError(f"{what}: unknown family {fam!r}")
 
@@ -141,7 +141,7 @@ def parse_cfg(rec) -> QuadratureConfig:
         return QuadratureConfig(
             S=float(rec.get("S", base.S)),
             sup_grid=int(rec.get("sup_grid", base.sup_grid)))
-    except ValueError as e:
+    except (SpecInvalid, ValueError) as e:
         raise ConfigError(f"cfg: {e}") from e
 
 
@@ -267,15 +267,13 @@ def _cmd_reduce(args) -> dict:
     keys = {"p1", "q1", "p2", "q2", "u1", "v1", "u2", "v2", "f"}
     _need(rec, keys | ({"cfg", "validate", "oracle"} & set(rec)), "reduce config")
     cfg = parse_cfg(rec.get("cfg"))
-    try:
-        prob, outer = reduce_problem(
-            parse_exponent(rec["p1"], "p1"), parse_exponent(rec["q1"], "q1"),
-            parse_exponent(rec["p2"], "p2"), parse_exponent(rec["q2"], "q2"),
-            parse_weight(rec["u1"], "u1"), parse_weight(rec["v1"], "v1"),
-            parse_weight(rec["u2"], "u2"), parse_weight(rec["v2"], "v2"),
-            parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "reduce config"))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    # an infinite exponent raises SpecInvalid, which run() reports as a config error
+    prob, outer = reduce_problem(
+        parse_exponent(rec["p1"], "p1"), parse_exponent(rec["q1"], "q1"),
+        parse_exponent(rec["p2"], "p2"), parse_exponent(rec["q2"], "q2"),
+        parse_weight(rec["u1"], "u1"), parse_weight(rec["v1"], "v1"),
+        parse_weight(rec["u2"], "u2"), parse_weight(rec["v2"], "v2"),
+        parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "reduce config"))
     inner = _mult_report(prob, cfg, rec.get("oracle"))
     from .conventions import xpow
     value = xpow(inner["value"], outer) if inner["value"] > 0 else 0.0

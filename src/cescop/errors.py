@@ -10,8 +10,9 @@ class NonIntegrableOscillation(CescopError):
 
 
 class SpecInvalid(CescopError):
-    """A space descriptor is malformed (kind, arity) or violates its
-    weight-class precondition."""
+    """A malformed input: a space descriptor (kind, arity, weight-class
+    gate), or an exponent, coefficient, interval, quadrature config, weight
+    or table out of range, or an infinite exponent in the reduction."""
 
 
 class DegenerateOperator(CescopError):

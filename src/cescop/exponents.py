@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from functools import total_ordering
 
+from .errors import SpecInvalid
+
 __all__ = ["Exponent", "dual_exponent", "arrow", "INF_EXP"]
 
 
@@ -43,7 +45,7 @@ class Exponent:
     def __init__(self, value):
         v = _coerce(value)
         if v != math.inf and v <= 0:
-            raise ValueError(f"exponent must be positive, got {v}")
+            raise SpecInvalid(f"exponent must be positive, got {v}")
         object.__setattr__(self, "value", v)
 
     @property

@@ -378,7 +378,7 @@ def reduce_problem(p1, q1, p2, q2, u1: Weight, v1: Weight, u2: Weight, v2: Weigh
     p1, q1, p2, q2 = (Exponent(e) for e in (p1, q1, p2, q2))
     for e in (p1, q1, p2, q2):
         if e.is_inf:
-            raise ValueError("reduction needs finite exponents")
+            raise SpecInvalid("reduction needs finite exponents")
     p1f = float(p1)
     prob = ThreeWeightProblem(
         r=_ediv(q1, p1),

@@ -23,6 +23,7 @@ from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
     RealFun,
+    _Table,
     as_fun,
     constant,
     from_log_callable,
@@ -44,26 +45,17 @@ _BIG = 1e30
 
 
 def _sanitize(lv: np.ndarray) -> np.ndarray:
-    """Clip infinities so np.interp never mixes inf endpoints into NaN."""
+    """NaN and -inf as -1e30, +inf as 1e30: the structural checks take
+    finite differences of sampled log-values and report finite witnesses."""
     return np.clip(np.nan_to_num(lv, nan=-_BIG, posinf=_BIG, neginf=-_BIG), -_BIG, _BIG)
 
 
-def _desanitize(lv: np.ndarray) -> np.ndarray:
-    out = np.asarray(lv, dtype=float)
-    out = np.where(out >= _BIG / 2, INF, out)
-    out = np.where(out <= -_BIG / 2, NEG_INF, out)
-    return out
-
-
-def _interp_fun(s: np.ndarray, lv: np.ndarray, label: str) -> RealFun:
-    """RealFun interpolating log-values over log-abscissae, flat outside."""
-    lv = _sanitize(lv)
-
-    def logf(t):
-        st = np.log(np.maximum(np.asarray(t, dtype=float), 1e-300))
-        return _desanitize(np.interp(st, s, lv))
-
-    return from_log_callable(logf, label=label)
+def _grid_norm_fun(g: RealFun, q: float, head: bool, cfg: QuadratureConfig,
+                   label: str) -> RealFun:
+    """x -> ||g||_{q,(0,x)} (head) or ||g||_{q,(x,inf)}, tabulated on the
+    working grid by ``grids.log_cumnorm``."""
+    s, t = grids.log_nodes(cfg)
+    return _Table(s, grids.log_cumnorm(g.logv(t), s, q, head), label)
 
 
 def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:
@@ -74,8 +66,7 @@ def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:
 
     if hint(np.array([1.0])) is not None:
         return from_log_callable(hint, label=label)
-    s, t = grids.log_nodes(cfg)
-    return _interp_fun(s, grids.log_cumint(g.logv(t) + s, s, head), label)
+    return _grid_norm_fun(g, 1.0, head, cfg, label)
 
 
 def head_integral_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
@@ -93,15 +84,13 @@ def tail_integral_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFu
 
 
 def running_sup_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
-    """x -> esssup of g over (0, x), via the memoized grid prefix maxima."""
-    s, t = grids.log_nodes(cfg)
-    return _interp_fun(s, grids.running_logmax(g.logv(t)), f"runsup({g.describe()})")
+    """x -> esssup of g over (0, x), via the grid prefix maxima."""
+    return _grid_norm_fun(g, INF, True, cfg, f"runsup({g.describe()})")
 
 
 def suffix_sup_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
-    """x -> esssup of g over (x, inf)."""
-    s, t = grids.log_nodes(cfg)
-    return _interp_fun(s, grids.suffix_logmax(g.logv(t)), f"sufsup({g.describe()})")
+    """x -> esssup of g over (x, inf), via the grid suffix maxima."""
+    return _grid_norm_fun(g, INF, False, cfg, f"sufsup({g.describe()})")
 
 
 def _window_integral(f: RealFun, e: float, head: bool, cfg: QuadratureConfig) -> RealFun:

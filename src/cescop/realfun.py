@@ -23,7 +23,7 @@ from scipy import special as _sps
 
 from . import grids
 from .conventions import INF
-from .errors import NonIntegrableOscillation, NumericOverflow
+from .errors import NonIntegrableOscillation, NumericOverflow, SpecInvalid
 
 __all__ = [
     "Interval",
@@ -61,7 +61,7 @@ class Interval:
 
     def __post_init__(self):
         if not (0.0 <= self.lo < self.hi):
-            raise ValueError(f"need 0 <= lo < hi, got ({self.lo}, {self.hi})")
+            raise SpecInvalid(f"need 0 <= lo < hi, got ({self.lo}, {self.hi})")
 
     def intersect(self, other: "Interval") -> "Interval | None":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
@@ -84,7 +84,7 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if self.S <= 0 or self.sup_grid < 8:
-            raise ValueError("invalid quadrature configuration")
+            raise SpecInvalid("invalid quadrature configuration")
 
     @classmethod
     def quick(cls) -> "QuadratureConfig":
@@ -134,7 +134,7 @@ class _Elementary(RealFun):
     def __init__(self, c: float, alpha: float, beta: float = 0.0, gamma: float = 0.0):
         self.family = "powerlog" if beta else "exp" if gamma else "power"
         if c <= 0:
-            raise ValueError(f"{self.family} family needs c > 0")
+            raise SpecInvalid(f"{self.family} family needs c > 0")
         self.c, self.alpha = float(c), float(alpha)
         self.beta, self.gamma = float(beta), float(gamma)
         self.logc = math.log(c)
@@ -180,7 +180,8 @@ class _Elementary(RealFun):
     def integral_log(self, lo, hi):
         """The tail at lo when hi = inf, else the head at hi when lo = 0;
         inside (0, inf) the difference of two heads where the head at hi
-        is finite, else of two tails where the tail at lo is finite."""
+        is finite, else of two tails where the tail at lo is finite, else
+        c log(hi/lo) for c/t."""
         if self.beta:
             return None
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
@@ -189,9 +190,11 @@ class _Elementary(RealFun):
             out = np.where(hi == INF, t_lo, h_hi)
             inner = (lo > 0.0) & (hi < INF)
             if inner.any():
+                log_log = (self.logc + np.log(np.log(hi / lo))
+                           if self.alpha == -1.0 and not self.gamma else np.nan)
                 diff = np.where(np.isfinite(h_hi), _log_diff(h_hi, self._log_head(lo)),
                                 np.where(np.isfinite(t_lo), _log_diff(t_lo, self._log_tail(hi)),
-                                         np.nan))
+                                         log_log))
                 out = np.where(inner, diff, out)
         return None if np.isnan(out).any() else out
 
@@ -224,28 +227,22 @@ class _Indicator(RealFun):
 
 
 class _Table(RealFun):
-    """Log-linear interpolation of positive samples, flat beyond the range."""
+    """Log-linear interpolation of log-values, which may be -inf or +inf,
+    at the increasing nodes log_t, flat beyond them.  A run of one
+    infinity, or a panel from it to a finite value, reads that infinity;
+    a panel from -inf to +inf reads -inf, the 0 * inf = 0 rule."""
 
     family = "table"
 
-    def __init__(self, log_t: np.ndarray, values: np.ndarray):
-        log_t = np.asarray(log_t, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if log_t.ndim != 1 or log_t.shape != values.shape or log_t.size < 2:
-            raise ValueError("table needs matching 1-D log_t and values, >= 2 points")
-        if np.any(np.diff(log_t) <= 0):
-            raise ValueError("table log_t must be strictly increasing")
-        if np.any(values <= 0) or not np.all(np.isfinite(values)):
-            raise ValueError("table values must be positive and finite")
-        self.log_t = log_t
-        self.log_values = np.log(values)
-        warnings.warn("table function extended flat beyond its sampled range", stacklevel=3)
+    def __init__(self, log_t: np.ndarray, log_values: np.ndarray, label: str | None = None):
+        self.log_t, self.log_values, self._label = log_t, log_values, label
 
     def logv(self, t):
-        return np.interp(np.log(np.asarray(t, dtype=float)), self.log_t, self.log_values)
+        lv = np.interp(np.log(np.maximum(t, 1e-300)), self.log_t, self.log_values)
+        return np.where(np.isnan(lv), NEG_INF, lv)
 
     def describe(self):
-        return f"table({self.log_t.size} pts)"
+        return self._label or f"table({self.log_t.size} pts)"
 
 
 class _Restricted(RealFun):
@@ -392,7 +389,18 @@ def indicator(lo: float, hi: float) -> RealFun:
 
 
 def table(log_t, values) -> RealFun:
-    return _Table(np.asarray(log_t), np.asarray(values))
+    """Log-linear interpolation of positive samples at t = e^log_t; warns
+    that it is flat beyond them."""
+    log_t = np.asarray(log_t, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if log_t.ndim != 1 or log_t.shape != values.shape or log_t.size < 2:
+        raise SpecInvalid("table needs matching 1-D log_t and values, >= 2 points")
+    if np.any(np.diff(log_t) <= 0):
+        raise SpecInvalid("table log_t must be strictly increasing")
+    if np.any(values <= 0) or not np.all(np.isfinite(values)):
+        raise SpecInvalid("table values must be positive and finite")
+    warnings.warn("table function extended flat beyond its sampled range", stacklevel=2)
+    return _Table(log_t, np.log(values))
 
 
 def constant(c: float) -> RealFun:
@@ -425,23 +433,25 @@ def product(*parts: RealFun) -> RealFun:
     """Pointwise product in normal form.
 
     The elementary factors merge into one (c multiplies; alpha, beta and
-    gamma add); indicator factors collapse into a restriction so analytic
-    primitives survive; a product that vanishes everywhere is ZERO.
+    gamma add); indicators and the windows of restrictions collapse into
+    one restriction of the rest so analytic primitives survive; a product
+    that vanishes everywhere is ZERO.
     """
-    flat: list[RealFun] = []
-    for p in parts:
-        if isinstance(p, _Product):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if any(isinstance(p, _Zero) for p in flat):
-        return ZERO
     c, alpha, beta, gamma = 1.0, 0.0, 0.0, 0.0
     window: Interval | None = FULL
     rest: list[RealFun] = []
     merged = False
-    for p in flat:
-        if isinstance(p, _Elementary):
+    todo = list(parts)
+    while todo:
+        p = todo.pop(0)
+        if isinstance(p, _Zero):
+            return ZERO
+        if isinstance(p, _Product):
+            todo[:0] = p.parts
+        elif isinstance(p, _Restricted):
+            window = window.intersect(p.interval) if window else None
+            todo.insert(0, p.base)
+        elif isinstance(p, _Elementary):
             c *= p.c
             alpha += p.alpha
             beta += p.beta
@@ -449,9 +459,6 @@ def product(*parts: RealFun) -> RealFun:
             merged = True
         elif isinstance(p, _Indicator):
             window = window.intersect(p.interval) if window else None
-        elif isinstance(p, _Restricted):
-            window = window.intersect(p.interval) if window else None
-            rest.append(p.base)
         else:
             rest.append(p)
     core = [_Elementary(c, alpha, beta, gamma)] if merged or not rest else []
@@ -514,7 +521,7 @@ class Weight:
             t = np.logspace(-6, 6, 25)
             lv = self.fun.logv(t)
             if np.any(np.isneginf(lv)) or np.any(np.isposinf(lv)) or np.any(np.isnan(lv)):
-                raise ValueError("weight must be positive and finite on (0, inf)")
+                raise SpecInvalid("weight must be positive and finite on (0, inf)")
 
     def logv(self, t):
         return self.fun.logv(t)
@@ -568,23 +575,13 @@ def _quad_interval(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
         with np.errstate(over="ignore"):
             return float(np.exp(g.logv(np.asarray([math.exp(sv)]))[0] + sv))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", _sciint.IntegrationWarning)
-        try:
-            core, err = _sciint.quad(integrand, slo, shi, limit=_QUAD_LIMIT)
-        except _sciint.IntegrationWarning as exc:
-            # fall back to the grid estimate; reject if it disagrees badly
-            core = grids.from_log(grids.log_trapz(li, s))
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    rough, rerr = _sciint.quad(integrand, slo, shi, limit=_QUAD_LIMIT)
-                if core > 0 and abs(rough - core) > 0.05 * core:
-                    raise NonIntegrableOscillation(str(exc))
-            except NonIntegrableOscillation:
-                raise
-            except Exception:
-                raise NonIntegrableOscillation(str(exc)) from exc
+    core, _, _, *msg = _sciint.quad(integrand, slo, shi, limit=_QUAD_LIMIT, full_output=1)
+    if msg:
+        # quad did not converge: take the grid estimate, and reject it if
+        # quad's own value disagrees badly
+        rough, core = core, grids.from_log(grids.log_trapz(li, s))
+        if core > 0 and abs(rough - core) > 0.05 * core:
+            raise NonIntegrableOscillation(msg[0])
     if math.isinf(core) and np.all(np.isfinite(li)):
         # the integrand overflowed inside quad; the grid estimate says
         # whether the integral itself is beyond the float range

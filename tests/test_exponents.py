@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from cescop.errors import SpecInvalid
 from cescop.exponents import Exponent, INF_EXP, arrow, dual_exponent
 
 
@@ -16,9 +17,9 @@ def test_exponent_construction():
     assert Exponent("3/4").value == F(3, 4)
     assert Exponent("inf").is_inf
     assert Exponent(math.inf).is_inf
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         Exponent(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         Exponent(-1)
 
 

@@ -222,7 +222,7 @@ def test_reduce_problem_substitution():
 
 
 def test_reduce_rejects_infinite_exponents():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         reduce_problem("inf", 1, 1, 1, W(ONE), W(ONE), W(EDEC), W(ONE), ONE)
 
 

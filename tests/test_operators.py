@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cescop import grids
 from cescop.errors import DegenerateOperator
 from cescop.operators import (
     FundamentalSpec,
@@ -15,12 +16,18 @@ from cescop.operators import (
     is_nondegenerate,
     is_quasiconcave,
     kernel_A,
+    head_integral_fun,
     op_A,
     op_A_star,
+    running_sup_fun,
     stieltjes_density,
     stieltjes_tail_density,
+    suffix_sup_fun,
+    tail_integral_fun,
 )
-from cescop.realfun import ONE, ZERO, Weight, expfam, power
+from cescop.realfun import (
+    DEFAULT_CFG, ONE, ZERO, Weight, expfam, indicator, power, powerlog, product,
+)
 
 T = np.logspace(-2, 2, 41)
 EDEC = expfam(1.0, 0.0, -1.0)
@@ -145,3 +152,30 @@ def test_stieltjes_matches_operator_power():
         d = stieltjes_density(u, r, p)
         ref = product(power(float(e) / r, 0.0), powerof(op_A(u, r, p), float(e)))
         np.testing.assert_allclose(d.logv(T), ref.logv(T), atol=1e-10)
+
+
+@pytest.mark.parametrize("build, q, head", [
+    (head_integral_fun, 1.0, True),
+    (tail_integral_fun, 1.0, False),
+    (running_sup_fun, math.inf, True),
+    (suffix_sup_fun, math.inf, False),
+])
+def test_grid_transforms_read_the_cumulative_norm_at_the_nodes(build, q, head):
+    # (1 + |ln t|)^-3 e^-t has no closed-form integral, so every transform
+    # is tabulated on the working grid and reads log_cumnorm at its nodes
+    # (up to the rounding of ln(e^s))
+    g = product(powerlog(1.0, 0.0, -3.0), expfam(1.0, 0.0, -1.0))
+    s, t = grids.log_nodes(DEFAULT_CFG)
+    np.testing.assert_allclose(build(g).logv(t), grids.log_cumnorm(g.logv(t), s, q, head),
+                               rtol=1e-12)
+
+
+def test_suffix_sup_of_an_indicator_is_zero_past_its_end():
+    # inside the grid panel that holds ln 100 the function is 0 from 100 on;
+    # a finite log-value there would break the 0 * inf rule of log_mul
+    F = suffix_sup_fun(indicator(0, 100))
+    s, _ = grids.log_nodes(DEFAULT_CFG)
+    j = int(np.searchsorted(s, math.log(100)))
+    x = s[j - 1] + np.array([0.001, 0.1, 0.3, 0.5, 0.9]) * (s[j] - s[j - 1])
+    assert np.all(np.isneginf(F.logv(np.exp(x))))
+    assert np.all(F.logv(np.exp(s[:j])) == 0.0)

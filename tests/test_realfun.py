@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cescop.errors import NumericOverflow
+from cescop import realfun
+from cescop.errors import NonIntegrableOscillation, NumericOverflow, SpecInvalid
+from cescop.exponents import Exponent
+from cescop.multiplier import reduce_problem
 from cescop.operators import head_integral_fun, tail_integral_fun
 from cescop.realfun import (
     FULL,
@@ -31,6 +34,7 @@ from cescop.realfun import (
     table,
     tail_at,
 )
+from cescop.realfun import _Table
 
 
 def test_power_evaluation():
@@ -151,13 +155,13 @@ def test_quad_integral_overflow_is_a_package_error():
 
 
 def test_weight_rejects_vanishing():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         Weight(indicator(0, 1))
     Weight(indicator(0, 1), check=False)  # explicit opt-out works
 
 
 def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         QuadratureConfig(S=-1)
     q = QuadratureConfig.quick()
     assert q.S < QuadratureConfig().S
@@ -253,3 +257,86 @@ def test_head_plus_tail_integral_is_the_whole_integral(g):
     total = integrate(g)
     both = head_integral_fun(g)(x) + tail_integral_fun(g)(x)
     np.testing.assert_allclose(both, total, rtol=1e-12)
+
+
+def test_table_keeps_infinite_runs_exact():
+    inf = math.inf
+    f = _Table(np.arange(7.0), np.array([-inf, -inf, 0.0, 1.0, inf, inf, -inf]))
+    s = np.array([-1.0, 0.5, 1.5, 2.5, 3.3, 4.5, 5.5, 7.0])
+    # -inf run, panel to -inf, finite panel, panel to +inf, +inf run,
+    # panel from +inf to -inf (the 0 * inf rule), flat beyond
+    want = [-inf, -inf, -inf, 0.5, inf, inf, -inf, -inf]
+    assert np.array_equal(f.logv(np.exp(s)), want)
+    assert np.array_equal(f.logv(np.exp(np.arange(7.0))), f.log_values)
+
+
+def _counting_quad(monkeypatch, reply=None):
+    """Count the quad calls realfun makes; reply(a, b) replaces quad's answer."""
+    calls, real = [], realfun._sciint.quad
+
+    def quad(fn, a, b, **kw):
+        calls.append((a, b))
+        return real(fn, a, b, **kw) if reply is None else reply(a, b)
+
+    monkeypatch.setattr(realfun._sciint, "quad", quad)
+    return calls
+
+
+def test_reciprocal_integral_over_a_finite_interval_is_closed_form(monkeypatch):
+    calls = _counting_quad(monkeypatch)
+    assert integrate(power(1, -1), Interval(3, 7)) == pytest.approx(math.log(7 / 3), rel=1e-15)
+    assert integrate(power(2, -1), Interval(3, 7)) == pytest.approx(2 * math.log(7 / 3),
+                                                                     rel=1e-15)
+    assert integrate(power(1, -1), Interval(0, 7)) == math.inf
+    assert integrate(power(1, -1), Interval(3, math.inf)) == math.inf
+    assert calls == []
+
+
+def test_product_merges_the_base_of_a_restricted_factor(monkeypatch):
+    calls = _counting_quad(monkeypatch)
+    g = product(product(power(1, 2), indicator(0, 1)), power(1, 3))
+    assert g.describe() == "power(c=1, alpha=5) * indicator((0, 1))"
+    assert g.integral_log(0.0, math.inf) is not None
+    assert integrate(g) == pytest.approx(1 / 6, rel=1e-15)
+    assert calls == []
+
+
+@pytest.mark.parametrize("k, value", [(20, 467.65824718614), (50, 486.7949784804417)])
+def test_quad_that_does_not_converge_runs_once(monkeypatch, k, value):
+    # an indicator of {sin(k ln t) <= 0}: quad warns, and the grid value stands
+    calls = _counting_quad(monkeypatch)
+    f = from_log_callable(lambda t: np.where(np.sin(k * np.log(t)) > 0, 0.0, -np.inf))
+    assert integrate(f, Interval(1e-3, 1e3)) == value
+    assert len(calls) == 1
+
+
+def test_quad_far_from_the_grid_raises_oscillation(monkeypatch):
+    # e^-t over (1, 2) is e^-1 - e^-2; a quad that gives up with a value
+    # 1% off leaves the grid value, one 10% off is rejected
+    exact = math.exp(-1) - math.exp(-2)
+    f = from_log_callable(lambda t: -t)
+    _counting_quad(monkeypatch, lambda a, b: (1.01 * exact, 0.0, {}, "no convergence"))
+    assert integrate(f, Interval(1, 2)) == pytest.approx(exact, rel=1e-4)
+    _counting_quad(monkeypatch, lambda a, b: (1.1 * exact, 0.0, {}, "no convergence"))
+    with pytest.raises(NonIntegrableOscillation, match="no convergence"):
+        integrate(f, Interval(1, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Exponent(-1),
+    lambda: Interval(2, 1),
+    lambda: QuadratureConfig(S=-1),
+    lambda: Weight(indicator(0, 1)),
+    lambda: power(-1, 0),
+    lambda: powerlog(-1, 0, 1),
+    lambda: expfam(-1, 0, -1),
+    lambda: constant(-1),
+    lambda: table([0.0, 1.0, 2.0], [1.0, 2.0]),
+    lambda: table([0.0, 0.0], [1.0, 2.0]),
+    lambda: table([0.0, 1.0], [1.0, 0.0]),
+    lambda: reduce_problem("inf", 1, 1, 1, ONE, ONE, ONE, ONE, ONE),
+], ids=["exponent", "interval", "cfg", "weight", "power", "powerlog", "expfam", "constant",
+        "table-shape", "table-order", "table-value", "reduce"])
+def test_public_constructors_raise_a_package_error(build):
+    with pytest.raises(SpecInvalid):
+        build()
