@@ -11,8 +11,8 @@ class NonIntegrableOscillation(CescopError):
 
 class SpecInvalid(CescopError):
     """A malformed input: a space descriptor (kind, arity, weight-class
-    gate), or an exponent, coefficient, interval, quadrature config, weight
-    or table out of range, or an infinite exponent in the reduction."""
+    gate), a glue lemma id, or an exponent, coefficient, interval,
+    quadrature config, weight, table or evaluation point out of range."""
 
 
 class DegenerateOperator(CescopError):

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from . import grids
 from .conventions import INF
-from .errors import NoWitness, ZeroMass
+from .errors import NoWitness, SpecInvalid, ZeroMass
 from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
@@ -89,10 +89,10 @@ class GlueInstance:
 
     def __post_init__(self):
         if self.lemma_id not in LEMMAS:
-            raise ValueError(f"unknown lemma id {self.lemma_id!r}")
+            raise SpecInvalid(f"unknown lemma id {self.lemma_id!r}")
         for k in _needs(self.lemma_id):
             if k not in self.exps or not (0 < float(self.exps[k]) < INF):
-                raise ValueError(f"lemma {self.lemma_id} needs positive exponent {k!r}")
+                raise SpecInvalid(f"lemma {self.lemma_id} needs positive exponent {k!r}")
 
 
 @dataclass(frozen=True)
@@ -121,25 +121,30 @@ def _scale(c: float, arr: np.ndarray) -> np.ndarray:
         return c * arr
 
 
-def _row_kernel_ops(la: np.ndarray, s: np.ndarray, g_side: tuple, h_side: tuple):
+def _row_kernel_ops(la: np.ndarray, s: np.ndarray, g_side: tuple, h_side: tuple,
+                    rows: np.ndarray | None = None):
     """Row reductions of g against the kernel A(x,t) and of h against its
     complement 1 - A(x,t) = A(t,x), one value per node x.
 
     Each side is (log f, e), e None for the row supremum.  A side's
     kernel is built only on the columns where f is not zero, the others
-    adding nothing to a row.  Rows are processed in chunks to bound the
-    memory footprint.
+    adding nothing to a row.  Only the rows at the node indices rows are
+    reduced (every node when None); the others read -inf.  Rows are
+    processed in chunks to bound the memory footprint.
     """
     cols_g, cols_h = (np.flatnonzero(~np.isneginf(lf)) for lf, _ in (g_side, h_side))
-    outs = ([], [])
-    for start in range(0, la.size, _ROW_CHUNK):
-        lx = la[start:start + _ROW_CHUNK, None]
+    if rows is None:
+        rows = np.arange(la.size)
+    outs = (np.full(la.size, NEG_INF), np.full(la.size, NEG_INF))
+    for start in range(0, rows.size, _ROW_CHUNK):
+        chunk = rows[start:start + _ROW_CHUNK]
+        lx = la[chunk, None]
         lA = grids.log_kernel(lx, la[cols_g])
         lAc = np.log(np.maximum(1.0 - np.exp(grids.log_kernel(lx, la[cols_h])), 1e-300))
-        for acc, lk, (lf, e), cols in zip(outs, (lA, lAc), (g_side, h_side),
+        for out, lk, (lf, e), cols in zip(outs, (lA, lAc), (g_side, h_side),
                                           (cols_g, cols_h)):
-            acc.append(grids.log_row_reduce(lk, lf, s, e, cols))
-    return [np.concatenate(acc) for acc in outs]
+            out[chunk] = grids.log_row_reduce(lk, lf, s, e, cols)
+    return outs
 
 
 def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResult:
@@ -161,14 +166,18 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     gsup, hsup = g_entry is _SUP, h_entry is _SUP
     qg, qh = (INF if sup else 1.0 for sup in (gsup, hsup))
 
-    rows = _row_kernel_ops(la, s, (lg, None if gsup else eg), (lh, None if hsup else eh))
+    # under an outer integral each row x carries the factor g(x), so only
+    # the rows on g's support can add to it
+    rows = None if outer is _SUP else np.flatnonzero(~np.isneginf(lg))
+    kern = _row_kernel_ops(la, s, (lg, None if gsup else eg), (lh, None if hsup else eh),
+                           rows)
     near = (grids.log_cumnorm(lg, s, qg, head=True),
             grids.log_cumnorm(lh, s, qh, head=False))
     far = (grids.log_cumnorm(grids.log_mul(-eg * la, lg), s, qg, head=False),
            grids.log_cumnorm(grids.log_mul(eh * la, lh), s, qh, head=True))
     if outer is _SUP:
         lhs, t1, t2 = (float(np.max(grids.log_mul(G / eg, H / eh)))
-                       for G, H in (rows, near, far))
+                       for G, H in (kern, near, far))
     else:
         ga = _exponent(outer, inst.exps)
         cg, ch = ga / eg - 1.0, ga / eh
@@ -176,7 +185,7 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
         def outer_integral(G, H, *factors):
             return grids.log_integral(
                 grids.log_mul(_scale(cg, G), _scale(ch, H), *factors, lg + s), s)
-        lhs, t1 = outer_integral(*rows), outer_integral(*near)
+        lhs, t1 = outer_integral(*kern), outer_integral(*near)
         t2 = outer_integral(*far, -eg * la)
 
     lhs_v = grids.from_log(lhs)

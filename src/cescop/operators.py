@@ -17,7 +17,7 @@ import numpy as np
 
 from . import grids
 from .conventions import INF
-from .errors import DegenerateOperator, DivergentRepresentation
+from .errors import DegenerateOperator, DivergentRepresentation, SpecInvalid
 from .exponents import Exponent, arrow, dual_exponent
 from .realfun import (
     DEFAULT_CFG,
@@ -109,7 +109,7 @@ def _window_integral(f: RealFun, e: float, head: bool, cfg: QuadratureConfig) ->
 def _finite(e) -> float:
     e = Exponent(e)
     if e.is_inf:
-        raise ValueError("operator exponents must be finite")
+        raise SpecInvalid("operator exponents must be finite")
     return float(e)
 
 
@@ -269,7 +269,7 @@ def stieltjes_density(u, r, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     rf = _finite(r)
     e = arrow(r, p)
     if e.is_inf:
-        raise ValueError("requires p < r so that r->p is finite")
+        raise SpecInvalid("requires p < r so that r->p is finite")
     ef = float(e)
     uf = as_fun(u)
     P = _window_integral(uf, rf, True, cfg)
@@ -284,7 +284,7 @@ def stieltjes_tail_density(w, q, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun
     qe = Exponent(q)
     qd = dual_exponent(qe)
     if qd.is_inf:
-        raise ValueError("requires q != 1 so that q' is finite")
+        raise SpecInvalid("requires q != 1 so that q' is finite")
     qf, qdf = float(qe), float(qd)
     wf = as_fun(w)
     T = _window_integral(wf, qf, False, cfg)

@@ -395,8 +395,8 @@ def table(log_t, values) -> RealFun:
     values = np.asarray(values, dtype=float)
     if log_t.ndim != 1 or log_t.shape != values.shape or log_t.size < 2:
         raise SpecInvalid("table needs matching 1-D log_t and values, >= 2 points")
-    if np.any(np.diff(log_t) <= 0):
-        raise SpecInvalid("table log_t must be strictly increasing")
+    if not np.all(np.isfinite(log_t)) or np.any(np.diff(log_t) <= 0):
+        raise SpecInvalid("table log_t must be finite and strictly increasing")
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
         raise SpecInvalid("table values must be positive and finite")
     warnings.warn("table function extended flat beyond its sampled range", stacklevel=2)
@@ -592,14 +592,14 @@ def _quad_interval(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
 def primitive_at(g: RealFun, x: float, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """Integral of g over (0, x)."""
     if x <= 0:
-        raise ValueError("x must be positive")
+        raise SpecInvalid("x must be positive")
     return integrate(g, Interval(0.0, x), cfg)
 
 
 def tail_at(g: RealFun, x: float, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """Integral of g over (x, inf)."""
     if x <= 0:
-        raise ValueError("x must be positive")
+        raise SpecInvalid("x must be positive")
     return integrate(g, Interval(x, INF), cfg)
 
 

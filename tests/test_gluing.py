@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cescop import gluing, grids
-from cescop.errors import NoWitness, ZeroMass
+from cescop.errors import NoWitness, SpecInvalid, ZeroMass
 from cescop.gluing import (
     GLUE_CFG,
     GlueInstance,
@@ -27,16 +27,16 @@ NEEDS = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
 
 def test_instance_validates_exponents():
     g = product(power(1, 0), indicator(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         GlueInstance("SUP_INT", g, g, power(1, 1))  # beta missing
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         GlueInstance("NOPE", g, g, power(1, 1))
     # random instances carry exactly the exponents each lemma needs
     for lem in LEMMAS:
         exps = random_instance(lem, np.random.default_rng(1)).exps
         assert sorted(exps) == NEEDS[lem]
         for k in exps:
-            with pytest.raises(ValueError):
+            with pytest.raises(SpecInvalid):
                 GlueInstance(lem, g, g, power(1, 1),
                              {j: v for j, v in exps.items() if j != k})
 
@@ -179,11 +179,8 @@ def test_support_column_rows_match_full_width_on_a_dense_grid(lem):
     _assert_rows_match_full_width(inst, cfg)
 
 
-def test_glue_kernel_is_built_on_the_support_columns_only(monkeypatch):
-    inst = random_instance("INTEGRAL", np.random.default_rng((12345, 4, 0)))
-    la, s, (lg, _), (lh, _) = _row_inputs(inst)
-    support = np.count_nonzero(~np.isneginf(lg)) + np.count_nonzero(~np.isneginf(lh))
-    assert 0 < support < la.size
+def _kernel_entries_built(monkeypatch, inst):
+    """The number of kernel entries glue_eval builds for inst."""
     built = []
     kernel = grids.log_kernel
 
@@ -193,7 +190,72 @@ def test_glue_kernel_is_built_on_the_support_columns_only(monkeypatch):
         return out
     monkeypatch.setattr(grids, "log_kernel", counting_kernel)
     glue_eval(inst)
-    assert 0 < sum(built) <= la.size * support
+    return sum(built)
+
+
+def _support_size(lf):
+    return np.count_nonzero(~np.isneginf(lf))
+
+
+def test_glue_kernel_is_built_on_the_support_columns_only(monkeypatch):
+    inst = random_instance("INTEGRAL", np.random.default_rng((12345, 4, 0)))
+    la, s, (lg, _), (lh, _) = _row_inputs(inst)
+    support = _support_size(lg) + _support_size(lh)
+    assert 0 < support < la.size
+    assert 0 < _kernel_entries_built(monkeypatch, inst) <= la.size * support
+
+
+@pytest.mark.parametrize("lem", LEMMAS)
+def test_glue_kernel_rows_are_on_g_support_under_an_outer_integral(monkeypatch, lem):
+    # an outer integral weighs row x by g(x), so only g's support is
+    # reduced; an outer sup reduces every row
+    inst = random_instance(lem, np.random.default_rng((12345, LEMMAS.index(lem), 0)))
+    la, s, (lg, _), (lh, _) = _row_inputs(inst)
+    n_g, n_h = _support_size(lg), _support_size(lh)
+    assert 0 < n_g < la.size and n_h > 0
+    outer_sup = gluing._LEMMA_TABLE[lem][2] is gluing._SUP
+    rows = la.size if outer_sup else n_g
+    assert _kernel_entries_built(monkeypatch, inst) == rows * (n_g + n_h)
+
+
+def _assert_glue_matches_every_row(inst, cfg=GLUE_CFG):
+    """glue_eval against a reference that reduces every kernel row."""
+    reduce_rows = gluing._row_kernel_ops
+
+    def every_row(la, s, g_side, h_side, rows=None):
+        return reduce_rows(la, s, g_side, h_side)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gluing, "_row_kernel_ops", every_row)
+        ref = glue_eval(inst, cfg)
+    assert repr(glue_eval(inst, cfg)) == repr(ref)
+
+
+_OUTER_INTEGRAL = ["INTEGRAL", "MIXED"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize("lem", _OUTER_INTEGRAL)
+def test_g_support_rows_match_every_row(seed, lem):
+    i = LEMMAS.index(lem)
+    for k in range(40):
+        _assert_glue_matches_every_row(
+            random_instance(lem, np.random.default_rng((seed, i, k))))
+
+
+@pytest.mark.parametrize("support", sorted(_EDGE_SUPPORTS))
+@pytest.mark.parametrize("lem", _OUTER_INTEGRAL)
+def test_g_support_rows_match_every_row_at_edges(lem, support):
+    # zero leaves no row to reduce; one-node supports at both window ends
+    base = random_instance(lem, np.random.default_rng((11, LEMMAS.index(lem))))
+    g = product(power(1, 0.5), _EDGE_SUPPORTS[support])
+    _assert_glue_matches_every_row(GlueInstance(lem, g, base.h, base.a, base.exps))
+
+
+@pytest.mark.parametrize("lem", _OUTER_INTEGRAL)
+def test_g_support_rows_match_every_row_on_a_dense_grid(lem):
+    cfg = QuadratureConfig(S=20, sup_grid=128)
+    inst = random_instance(lem, np.random.default_rng((13, LEMMAS.index(lem))))
+    _assert_glue_matches_every_row(inst, cfg)
 
 
 def test_dyadic_cover_unit_density():

@@ -10,7 +10,14 @@ from cescop import realfun
 from cescop.errors import NonIntegrableOscillation, NumericOverflow, SpecInvalid
 from cescop.exponents import Exponent
 from cescop.multiplier import reduce_problem
-from cescop.operators import head_integral_fun, tail_integral_fun
+from cescop.operators import (
+    head_integral_fun,
+    op_A,
+    op_A_star,
+    stieltjes_density,
+    stieltjes_tail_density,
+    tail_integral_fun,
+)
 from cescop.realfun import (
     FULL,
     Interval,
@@ -334,9 +341,27 @@ def test_quad_far_from_the_grid_raises_oscillation(monkeypatch):
     lambda: table([0.0, 1.0, 2.0], [1.0, 2.0]),
     lambda: table([0.0, 0.0], [1.0, 2.0]),
     lambda: table([0.0, 1.0], [1.0, 0.0]),
+    lambda: table([0.0, math.nan], [1.0, 2.0]),
+    lambda: table([1.0, math.inf], [1.0, 2.0]),
+    lambda: table([-math.inf, 0.0], [1.0, 2.0]),
     lambda: reduce_problem("inf", 1, 1, 1, ONE, ONE, ONE, ONE, ONE),
 ], ids=["exponent", "interval", "cfg", "weight", "power", "powerlog", "expfam", "constant",
-        "table-shape", "table-order", "table-value", "reduce"])
+        "table-shape", "table-order", "table-value", "table-nan-abscissa",
+        "table-inf-abscissa", "table-neg-inf-abscissa", "reduce"])
 def test_public_constructors_raise_a_package_error(build):
     with pytest.raises(SpecInvalid):
         build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: op_A(ONE, "inf", 1),
+    lambda: op_A_star(ONE, 1, "inf"),
+    lambda: stieltjes_density(ONE, 1, 2),
+    lambda: stieltjes_tail_density(ONE, 1, 1),
+    lambda: primitive_at(ONE, 0.0),
+    lambda: tail_at(ONE, -1.0),
+], ids=["op_A", "op_A_star", "stieltjes-p-above-r", "stieltjes-tail-q-one",
+        "primitive_at", "tail_at"])
+def test_public_functions_raise_a_package_error(call):
+    with pytest.raises(SpecInvalid):
+        call()
