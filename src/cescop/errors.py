@@ -11,8 +11,12 @@ class NonIntegrableOscillation(CescopError):
 
 class SpecInvalid(CescopError):
     """A malformed input: a space descriptor (kind, arity, weight-class
-    gate), a glue lemma id, or an exponent, coefficient, interval,
-    quadrature config, weight, table or evaluation point out of range."""
+    gate), a glue lemma id or a glue exponent that is missing, not a
+    number or out of range, a dyadic-cover or almost-geometric direction,
+    a discrete lemma id, sequence pair of different lengths or negative
+    sequence, an oracle candidate kind, or an exponent, coefficient,
+    interval, quadrature config, weight, table or evaluation point out of
+    range."""
 
 
 class DegenerateOperator(CescopError):

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import grids
 from .conventions import INF
@@ -91,7 +90,11 @@ class GlueInstance:
         if self.lemma_id not in LEMMAS:
             raise SpecInvalid(f"unknown lemma id {self.lemma_id!r}")
         for k in _needs(self.lemma_id):
-            if k not in self.exps or not (0 < float(self.exps[k]) < INF):
+            try:
+                ok = 0 < float(self.exps[k]) < INF
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            if not ok:
                 raise SpecInvalid(f"lemma {self.lemma_id} needs positive exponent {k!r}")
 
 
@@ -211,7 +214,9 @@ def dyadic_cover(g: RealFun, direction: str = "head",
     total mass.  Levels are clipped to the working window.
     """
     if direction not in ("head", "tail"):
-        raise ValueError("direction must be 'head' or 'tail'")
+        raise SpecInvalid("direction must be 'head' or 'tail'")
+    from scipy.optimize import brentq
+
     from .operators import head_integral_fun, tail_integral_fun
 
     head = direction == "head"
@@ -284,7 +289,7 @@ def almost_geometric_check(seq, direction: str) -> AlmostGeometricWitness | None
     elif direction == "inc":
         K = float(np.max(1.0 / ratios))  # tau_n <= K tau_{n+1}
     else:
-        raise ValueError("direction must be 'dec' or 'inc'")
+        raise SpecInvalid("direction must be 'dec' or 'inc'")
     if K < 1.0:
         K = 1.0
     for L in range(1, min(_MAX_LAG, tau.size - 1) + 1):
@@ -318,9 +323,9 @@ def discrete_equiv(lemma: str, tau, a, q) -> tuple:
     tau = np.asarray(tau, dtype=float)
     a = np.asarray(a, dtype=float)
     if tau.shape != a.shape:
-        raise ValueError("sequence lengths differ")
+        raise SpecInvalid("sequence lengths differ")
     if np.any(a < 0):
-        raise ValueError("a must be nonnegative")
+        raise SpecInvalid("a must be nonnegative")
     if lemma == "AGD":
         if almost_geometric_check(tau, "dec") is None:
             raise NoWitness("no almost-geometric-decrease witness found")
@@ -330,7 +335,7 @@ def discrete_equiv(lemma: str, tau, a, q) -> tuple:
             raise NoWitness("no almost-geometric-increase witness found")
         sums = np.cumsum(a[::-1])[::-1]
     else:
-        raise ValueError("lemma must be 'AGD' or 'AGI'")
+        raise SpecInvalid("lemma must be 'AGD' or 'AGI'")
     return _lq_norm(tau * sums, q), _lq_norm(tau * a, q)
 
 

@@ -36,12 +36,29 @@ _SLOPE_TOL = 1e-9
 _SUP_SLOPE_TOL = 1e-6
 
 
+# the full-window nodes of each (S, sup_grid), built once, read-only
+_WINDOW_NODES: dict = {}
+
+
 def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
     """Log-spaced nodes covering (lo, hi) clipped to the working window.
 
     Returns (s, t) with t = exp(s).  Density is cfg.sup_grid points per
-    decade, at least 16 nodes total.
+    decade, at least 16 nodes total.  The full window (lo = 0, hi = inf)
+    is built once per (S, sup_grid) and returned as read-only arrays.
     """
+    if lo == 0.0 and hi == math.inf:
+        key = (cfg.S, cfg.sup_grid)
+        nodes = _WINDOW_NODES.get(key)
+        if nodes is None:
+            nodes = _WINDOW_NODES[key] = _build_nodes(cfg, lo, hi)
+            for arr in nodes:
+                arr.flags.writeable = False
+        return nodes
+    return _build_nodes(cfg, lo, hi)
+
+
+def _build_nodes(cfg, lo: float, hi: float):
     slo = max(math.log(lo), -cfg.S) if lo > 0 else -cfg.S
     shi = min(math.log(hi), cfg.S) if hi != math.inf else cfg.S
     if slo >= shi:

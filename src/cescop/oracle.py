@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyFamily
+from .errors import EmptyFamily, SpecInvalid
 from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
@@ -68,7 +68,7 @@ class Candidate:
         if self.kind == "decay":
             gamma, rate = self.params
             return expfam(1.0, gamma, rate)
-        raise ValueError(f"unknown candidate kind {self.kind!r}")
+        raise SpecInvalid(f"unknown candidate kind {self.kind!r}")
 
     def describe(self) -> str:
         return f"{self.kind}{self.params}"

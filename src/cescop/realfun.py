@@ -13,13 +13,12 @@ t = e^s.
 
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import special as _sps
 
 from . import grids
 from .conventions import INF
@@ -50,6 +49,25 @@ __all__ = [
 ]
 
 NEG_INF = -math.inf
+
+
+class _LazyModule:
+    """A module imported on its first attribute access and kept from then
+    on, so that ``import cescop`` does not pay for scipy up front."""
+
+    def __init__(self, name: str):
+        self._name = name
+        self._module = None
+
+    def __getattr__(self, attr):
+        if self._module is None:
+            self._module = importlib.import_module(self._name)
+        return getattr(self._module, attr)
+
+
+# the incomplete-gamma closed forms and the fallback quadrature
+_sps = _LazyModule("scipy.special")
+_sciint = _LazyModule("scipy.integrate")
 
 
 @dataclass(frozen=True)

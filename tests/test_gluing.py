@@ -18,6 +18,7 @@ from cescop.gluing import (
     glue_eval,
     random_instance,
 )
+from cescop.oracle import Candidate
 from cescop.realfun import ONE, ZERO, QuadratureConfig, as_fun, expfam, indicator, power, product
 
 NEEDS = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
@@ -318,3 +319,23 @@ def test_discrete_lower_bound_exact():
     for q in (0.5, 1, 2, math.inf):
         lhs, rhs = discrete_equiv("AGD", tau, a, q)
         assert lhs >= rhs
+
+
+_GEOM = [2.0 ** -k for k in range(4)]
+_BAND = product(power(1, 0), indicator(1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dyadic_cover(ONE, "up"),
+    lambda: almost_geometric_check([1, 2], "up"),
+    lambda: discrete_equiv("AGX", _GEOM, [1.0] * 4, 1),
+    lambda: discrete_equiv("AGD", [1, 2], [1], 1),
+    lambda: discrete_equiv("AGD", _GEOM, [1.0, -1.0, 1.0, 1.0], 1),
+    lambda: GlueInstance("SUP_INT", _BAND, _BAND, power(1, 1), {"beta": "x"}),
+    lambda: GlueInstance("SUP_INT", _BAND, _BAND, power(1, 1), {"beta": None}),
+    lambda: Candidate("nope", ()).build(),
+], ids=["cover-direction", "geometric-direction", "equiv-lemma", "equiv-lengths",
+        "equiv-negative", "glue-exponent-text", "glue-exponent-none", "candidate-kind"])
+def test_public_entry_points_raise_spec_invalid(call):
+    with pytest.raises(SpecInvalid):
+        call()

@@ -150,3 +150,16 @@ def test_log_cumnorm():
     l2 = grids.log_cumnorm(lf, s, 2.0, head=True)
     np.testing.assert_allclose(2.0 * l2, grids.log_cumint(2.0 * lf + s, s, head=True),
                                rtol=1e-14)
+
+
+def test_full_window_nodes_are_built_once_and_read_only():
+    s, t = grids.log_nodes(CFG)
+    assert grids.log_nodes(CFG)[0] is s and grids.log_nodes(CFG)[1] is t
+    assert not s.flags.writeable and not t.flags.writeable
+    np.testing.assert_array_equal(s, np.linspace(-CFG.S, CFG.S, s.size))
+    np.testing.assert_array_equal(t, np.exp(s))
+    with pytest.raises(ValueError):
+        s[0] = 0.0
+    # an interval inside the window gets fresh arrays every call
+    sub, _ = grids.log_nodes(CFG, 1.0, 10.0)
+    assert sub.flags.writeable and grids.log_nodes(CFG, 1.0, 10.0)[0] is not sub
