@@ -14,9 +14,9 @@ class SpecInvalid(CescopError):
     gate), a glue lemma id or a glue exponent that is missing, not a
     number or out of range, a dyadic-cover or almost-geometric direction,
     a discrete lemma id, sequence pair of different lengths or negative
-    sequence, an oracle candidate kind, or an exponent, coefficient,
-    interval, quadrature config, weight, table or evaluation point out of
-    range."""
+    sequence, an oracle candidate kind or its number of params, or an
+    exponent, coefficient, interval, quadrature config, weight, table or
+    evaluation point out of range."""
 
 
 class DegenerateOperator(CescopError):

@@ -14,11 +14,19 @@ cumulative form (``log_cumint``) and the cumulative q-norm built on it
 and the row sup or integral against it (``log_row_reduce``), the
 product of log factors under the 0 * inf = 0 rule (``log_mul``) and the
 step back from a log-value to a number (``from_log``).
+
+``log_nodes`` builds the full window of each (S, sup_grid) once, as
+read-only arrays, together with two per-window constants: the panel log
+half-widths log(diff(s) / 2), which every trapezoid panel mass adds, and
+log t (``log_t``), which the elementary functions evaluate.  Only these
+arrays are cached, one set per window: an interval grid gets fresh nodes
+and constants, and a span of the window reads a slice of its constants.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +44,17 @@ _SLOPE_TOL = 1e-9
 _SUP_SLOPE_TOL = 1e-6
 
 
-# the full-window nodes of each (S, sup_grid), built once, read-only
-_WINDOW_NODES: dict = {}
+class _Window(NamedTuple):
+    """A full window's read-only nodes and the constants derived from them."""
+
+    s: np.ndarray
+    t: np.ndarray
+    log_half_widths: np.ndarray  # log(diff(s) / 2), one per panel
+    log_t: np.ndarray            # log(t), bit for bit as np.log(t)
+
+
+# the full window of each (S, sup_grid), built once
+_WINDOWS: dict = {}
 
 
 def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
@@ -45,16 +62,18 @@ def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
 
     Returns (s, t) with t = exp(s).  Density is cfg.sup_grid points per
     decade, at least 16 nodes total.  The full window (lo = 0, hi = inf)
-    is built once per (S, sup_grid) and returned as read-only arrays.
+    is built once per (S, sup_grid) and returned as read-only arrays,
+    together with its panel log half-widths and log t.
     """
     if lo == 0.0 and hi == math.inf:
         key = (cfg.S, cfg.sup_grid)
-        nodes = _WINDOW_NODES.get(key)
-        if nodes is None:
-            nodes = _WINDOW_NODES[key] = _build_nodes(cfg, lo, hi)
-            for arr in nodes:
+        win = _WINDOWS.get(key)
+        if win is None:
+            s, t = _build_nodes(cfg, lo, hi)
+            win = _WINDOWS[key] = _Window(s, t, _log_half_widths(s), np.log(t))
+            for arr in win:
                 arr.flags.writeable = False
-        return nodes
+        return win.s, win.t
     return _build_nodes(cfg, lo, hi)
 
 
@@ -68,16 +87,34 @@ def _build_nodes(cfg, lo: float, hi: float):
     return s, np.exp(s)
 
 
-def _panel_logmass(li: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Log of trapezoid panel masses of exp(li) over s, along the last axis."""
-    ds = np.diff(s)
+def _log_half_widths(s: np.ndarray) -> np.ndarray:
+    """log(diff(s) / 2), one per panel; read from the window when s is a
+    full window's nodes from log_nodes."""
+    for win in _WINDOWS.values():
+        if win.s is s:
+            return win.log_half_widths
+    return np.log(np.diff(s) / 2.0)
+
+
+def log_t(t: np.ndarray) -> np.ndarray:
+    """np.log(t); read from the window when t is a full window's nodes
+    from log_nodes."""
+    for win in _WINDOWS.values():
+        if win.t is t:
+            return win.log_t
+    return np.log(t)
+
+
+def _panel_logmass(li: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """Log of trapezoid panel masses of exp(li) along the last axis, from
+    the panel log half-widths lw."""
     with np.errstate(invalid="ignore"):
-        return np.logaddexp(li[..., :-1], li[..., 1:]) + np.log(ds / 2.0)
+        return np.logaddexp(li[..., :-1], li[..., 1:]) + lw
 
 
 def log_trapz(li: np.ndarray, s: np.ndarray) -> np.ndarray:
     """log of the trapezoid integral of exp(li) ds along the last axis."""
-    lm = _panel_logmass(li, s)
+    lm = _panel_logmass(li, _log_half_widths(s))
     with np.errstate(invalid="ignore"):
         out = _logsumexp_last(lm)
     return out
@@ -103,22 +140,23 @@ def _logsumexp_last(lm: np.ndarray, lo: int = 0, width: int | None = None) -> np
     return out
 
 
+def _log_running_sum(log_head: float, lm: np.ndarray) -> np.ndarray:
+    """Log of the running sums e^log_head, e^log_head + e^lm_0, ... over
+    the 1-D log-terms lm."""
+    if log_head == math.inf:
+        return np.full(lm.size + 1, math.inf)
+    return np.logaddexp.accumulate(np.concatenate(([log_head], lm)))
+
+
 def log_cumtrapz(li: np.ndarray, s: np.ndarray, log_head: float = NEG_INF) -> np.ndarray:
     """Log of head + cumulative trapezoid integral of exp(li) ds at each node."""
-    lm = _panel_logmass(li, s)
-    out = np.empty_like(li)
-    out[..., 0] = log_head
-    if np.isposinf(log_head):
-        out[...] = math.inf
-        return out
-    np.logaddexp.accumulate(np.concatenate([[log_head], lm]), out=out)
-    return out
+    return _log_running_sum(log_head, _panel_logmass(li, _log_half_widths(s)))
 
 
 def log_suffix_cumtrapz(li: np.ndarray, s: np.ndarray, log_tail: float = NEG_INF) -> np.ndarray:
     """Log of (integral from each node to the right end) + tail."""
-    rev = log_cumtrapz(li[::-1], -s[::-1], log_head=log_tail)
-    return rev[::-1]
+    lm = _panel_logmass(li, _log_half_widths(s))
+    return _log_running_sum(log_tail, lm[::-1])[::-1]
 
 
 def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool, lo: int = 0):
@@ -129,13 +167,20 @@ def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool, lo: int = 0):
     li per unit of s away from the window.  +inf when the fit says
     divergent (rate not positive), -inf when either log-value is not
     finite.  li may hold only the columns lo, lo + 1, ... of the nodes s;
-    a node outside them reads -inf.
+    a node outside them reads -inf.  One row is worked on floats, with
+    the same np.log as rows take, so it reads bit for bit as a row.
     """
     n = s.shape[0]
     span = min(n - 1, max(4, int(round((n - 1) * LOG10 / (s[-1] - s[0])))))
     i0, i1 = (0, span) if left else (n - 1, n - 1 - span)
     lv, l1 = (li[..., i - lo] if 0 <= i - lo < li.shape[-1] else NEG_INF
               for i in (i0, i1))
+    if li.ndim == 1:
+        lv, l1 = float(lv), float(l1)
+        if not (math.isfinite(lv) and math.isfinite(l1)):
+            return NEG_INF
+        rate = (l1 - lv) / abs(float(s[i1]) - float(s[i0]))
+        return lv - np.log(rate) if rate > _SLOPE_TOL else math.inf
     with np.errstate(invalid="ignore", divide="ignore"):
         rate = (l1 - lv) / abs(s[i1] - s[i0])
         est = np.where(rate > _SLOPE_TOL, lv - np.log(rate), math.inf)
@@ -234,8 +279,9 @@ def log_row_reduce(lk: np.ndarray, lf: np.ndarray, s: np.ndarray, e=None,
     lo, hi = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, s.size)
     li = np.full(lk.shape[:-1] + (hi - lo,), NEG_INF)
     li[..., cols - lo] = e * lk + lf[cols] + s[cols]
+    lm = _panel_logmass(li, _log_half_widths(s)[lo:hi - 1])
     with np.errstate(invalid="ignore"):
-        core = _logsumexp_last(_panel_logmass(li, s[lo:hi]), lo, s.size - 1)
+        core = _logsumexp_last(lm, lo, s.size - 1)
         return np.logaddexp(np.logaddexp(core, _edge_estimate(li, s, True, lo)),
                             _edge_estimate(li, s, False, lo))
 

@@ -34,18 +34,30 @@ __all__ = ["Candidate", "CandidateFamily", "OracleResult",
            "default_family", "brute_force_multiplier", "enrich"]
 
 
+# the number of params of each candidate kind
+_ARITY = {"head": 1, "tail": 1, "band": 2, "bump": 3, "step": 2, "decay": 2}
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One test function, rebuildable from (kind, params).
 
     kinds: head (0,t); tail (t,inf); band (s,t); bump t^gamma on (s,t);
-    step = piecewise-constant levels on dyadic breakpoints.
+    step = piecewise-constant levels on dyadic breakpoints; decay
+    t^gamma e^{rate t}.  ``build`` raises SpecInvalid for an unknown kind
+    or the wrong number of params.
     """
 
     kind: str
     params: tuple
 
     def build(self) -> RealFun:
+        arity = _ARITY.get(self.kind)
+        if arity is None:
+            raise SpecInvalid(f"unknown candidate kind {self.kind!r}")
+        if not isinstance(self.params, (tuple, list)) or len(self.params) != arity:
+            raise SpecInvalid(f"a {self.kind} candidate takes {arity} params, "
+                              f"got {self.params!r}")
         if self.kind == "head":
             (t,) = self.params
             return indicator(0.0, t)
@@ -65,10 +77,8 @@ class Candidate:
             if not parts:
                 return constant(1.0)
             return funsum(*parts)
-        if self.kind == "decay":
-            gamma, rate = self.params
-            return expfam(1.0, gamma, rate)
-        raise SpecInvalid(f"unknown candidate kind {self.kind!r}")
+        gamma, rate = self.params  # decay
+        return expfam(1.0, gamma, rate)
 
     def describe(self) -> str:
         return f"{self.kind}{self.params}"

@@ -159,7 +159,7 @@ class _Elementary(RealFun):
 
     def logv(self, t):
         t = np.asarray(t, dtype=float)
-        lt = np.log(t)
+        lt = grids.log_t(t)
         out = self.logc + self.alpha * lt
         if self.beta:
             out = out + self.beta * np.log1p(np.abs(lt))

@@ -334,8 +334,15 @@ _BAND = product(power(1, 0), indicator(1, 2))
     lambda: GlueInstance("SUP_INT", _BAND, _BAND, power(1, 1), {"beta": "x"}),
     lambda: GlueInstance("SUP_INT", _BAND, _BAND, power(1, 1), {"beta": None}),
     lambda: Candidate("nope", ()).build(),
+    lambda: Candidate("head", ()).build(),
+    lambda: Candidate("band", (1.0,)).build(),
+    lambda: Candidate("bump", (1.0, 2.0)).build(),
+    lambda: Candidate("step", ((1.0, 2.0),)).build(),
+    lambda: Candidate("decay", (1.0,)).build(),
 ], ids=["cover-direction", "geometric-direction", "equiv-lemma", "equiv-lengths",
-        "equiv-negative", "glue-exponent-text", "glue-exponent-none", "candidate-kind"])
+        "equiv-negative", "glue-exponent-text", "glue-exponent-none", "candidate-kind",
+        "candidate-head-arity", "candidate-band-arity", "candidate-bump-arity",
+        "candidate-step-arity", "candidate-decay-arity"])
 def test_public_entry_points_raise_spec_invalid(call):
     with pytest.raises(SpecInvalid):
         call()

@@ -7,7 +7,9 @@ import pytest
 
 from cescop import grids
 from cescop.errors import NumericOverflow
-from cescop.realfun import QuadratureConfig
+from cescop.gluing import GLUE_CFG, LEMMAS, glue_eval, random_instance
+from cescop.realfun import DEFAULT_CFG, ONE, QuadratureConfig, Weight, expfam
+from cescop.spaces import SpaceSpec, space_norm
 
 CFG = QuadratureConfig(S=12.0, sup_grid=32)
 
@@ -163,3 +165,126 @@ def test_full_window_nodes_are_built_once_and_read_only():
     # an interval inside the window gets fresh arrays every call
     sub, _ = grids.log_nodes(CFG, 1.0, 10.0)
     assert sub.flags.writeable and grids.log_nodes(CFG, 1.0, 10.0)[0] is not sub
+
+
+# the three kinds of grid a kernel sees: the default window, the glue
+# window and a fresh interval grid inside the default window
+_WINDOW_GRIDS = {
+    "default": lambda: grids.log_nodes(DEFAULT_CFG),
+    "glue": lambda: grids.log_nodes(GLUE_CFG),
+    "interval": lambda: grids.log_nodes(DEFAULT_CFG, 1e-3, 50.0),
+}
+
+
+def _hostile_rows(s):
+    """Log-values with -inf runs, +inf and NaN, inside and at both edges."""
+    n = s.size
+    rows = []
+    for slope in (-1.5, -0.5, 0.0, 0.5, 1.5):
+        li = slope * s + 0.3 * np.sin(3.0 * s)
+        li[n // 7:n // 7 + 25] = -math.inf
+        li[n // 2] = math.inf
+        li[2 * n // 3] = math.nan
+        rows.append(li)
+    rows.append(np.where((s > -2.0) & (s < 3.0), -np.abs(s), -math.inf))
+    edge = -np.abs(s)
+    edge[0], edge[-1] = math.inf, math.nan
+    rows.append(edge)
+    edge = -np.abs(s)
+    edge[:3], edge[-5:] = -math.inf, math.inf
+    rows.append(edge)
+    rows.append(np.full(n, -math.inf))
+    rows.append(-np.abs(s) - 700.0)
+    return rows
+
+
+@pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
+def test_suffix_cumtrapz_matches_the_reversed_forward_sum(grid):
+    s, _ = _WINDOW_GRIDS[grid]()
+    for li in _hostile_rows(s):
+        for lt in (-math.inf, -3.0, 2.5, math.inf, math.nan):
+            # a NaN summand sets the invalid flag in both, as it always has
+            with np.errstate(invalid="ignore"):
+                old = grids.log_cumtrapz(li[::-1], -s[::-1], lt)[::-1]
+                new = grids.log_suffix_cumtrapz(li, s, lt)
+            assert np.array_equal(new, old, equal_nan=True)
+
+
+@pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
+def test_window_constants_match_a_fresh_computation(grid):
+    s, t = _WINDOW_GRIDS[grid]()
+    fresh_s, fresh_t = s.copy(), t.copy()
+    assert fresh_s.flags.writeable and fresh_t.flags.writeable
+    lw = grids._log_half_widths(s)
+    assert np.array_equal(lw, np.log(np.diff(fresh_s) / 2.0))
+    assert np.array_equal(grids.log_t(t), np.log(fresh_t))
+    for li in _hostile_rows(s):
+        assert np.array_equal(grids._panel_logmass(li, lw),
+                              grids._panel_logmass(li, grids._log_half_widths(fresh_s)),
+                              equal_nan=True)
+    if grid != "interval":
+        assert not lw.flags.writeable and not grids.log_t(t).flags.writeable
+
+
+@pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
+def test_one_row_edge_estimate_matches_the_row_path(grid):
+    s, _ = _WINDOW_GRIDS[grid]()
+    n = s.size
+    for li in _hostile_rows(s) + list(_rows(s)):
+        # lo, hi: the columns li holds, some leaving out an edge node or
+        # the node one decade inside
+        for lo, hi in ((0, n), (3, n), (0, n - 2), (n // 3, n), (0, n // 2), (5, n - 5)):
+            part = li[lo:hi]
+            for left in (True, False):
+                one = grids._edge_estimate(part, s, left, lo)
+                # rows read one -inf for all when neither node is a column
+                row = np.broadcast_to(grids._edge_estimate(part[None], s, left, lo), 1)[0]
+                assert np.array_equal(one, row, equal_nan=True), (lo, hi, left)
+                assert type(one) in (float, np.float64)
+
+
+def test_one_row_edge_estimate_takes_the_rows_log():
+    # math.log and np.log differ in the last bit on a few rates in 10^4,
+    # so a sweep of rates sees a one-row path that leaves np.log
+    s, _ = grids.log_nodes(GLUE_CFG)
+    n = s.size
+    span = min(n - 1, max(4, int(round((n - 1) * grids.LOG10 / (s[-1] - s[0])))))
+    d = s[span] - s[0]
+    rates = np.exp(np.random.default_rng(0).uniform(-15.0, 4.0, 50000))
+    rows = np.zeros((rates.size, span + 1))
+    for left, lo, inner in ((True, 0, span), (False, n - 1 - span, 0)):
+        rows[:, inner] = rates * d
+        whole = grids._edge_estimate(rows, s, left, lo)
+        one = [grids._edge_estimate(r, s, left, lo) for r in rows]
+        assert np.array_equal(whole, one)
+        rows[:, inner] = 0.0
+
+
+def test_window_caches_hold_one_entry_per_window(monkeypatch):
+    monkeypatch.setattr(grids, "_WINDOWS", {})
+    spec = SpaceSpec("ces", (1, 2), (Weight(expfam(1.0, 0.0, -1.0), check=False),
+                                     Weight(ONE, check=False)), validate=False)
+    small = QuadratureConfig(S=10.0, sup_grid=16)
+    insts = [random_instance(lem, np.random.default_rng((3, k)))
+             for k, lem in enumerate(LEMMAS)]
+    for _ in range(3):
+        for inst in insts:
+            glue_eval(inst)
+        for cfg in (small, CFG):
+            space_norm(spec, expfam(1.0, 1.0, -1.0), cfg)
+            s, t = grids.log_nodes(cfg)
+            cols = np.arange(5, s.size // 2)
+            lf = np.full(s.size, -math.inf)
+            lf[cols] = -np.abs(s[cols])
+            lk = grids.log_kernel(s[:, None], s[cols])
+            grids.log_row_reduce(lk, lf, s, 1.0, cols)
+            sub, tsub = grids.log_nodes(cfg, 1e-2, 1e2)
+            grids.log_integral(grids.log_t(tsub) - tsub + sub, sub)
+            grids.log_cumint(-np.abs(sub), sub, head=False)
+    used = {(c.S, c.sup_grid) for c in (GLUE_CFG, small, CFG)}
+    assert set(grids._WINDOWS) == used
+    caches = [v for name, v in vars(grids).items()
+              if isinstance(v, dict) and not name.startswith("__")]
+    assert caches and all(len(c) == len(used) for c in caches)
+    for win in grids._WINDOWS.values():
+        assert not any(arr.flags.writeable for arr in win)
