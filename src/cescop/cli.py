@@ -3,12 +3,14 @@
 Subcommands take a JSON config describing weights (family records),
 exponents (exact rationals or "inf") and the function under test, run
 the requested computation and emit a JSON or CSV report on stdout.
-Exit codes: 0 success, 2 config/schema error, 3 numerical failure.
+Exit codes: 0 success, 1 a failed ``verify`` check, 2 config/schema
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .conventions import xpow
 from .errors import CescopError, ConfigError, SpecInvalid
 from .exponents import Exponent, arrow
 from .gluing import GLUE_CFG, LEMMAS, glue_eval, random_instance
@@ -190,8 +193,7 @@ def _emit(report: dict, fmt: str, out) -> None:
         else:
             rows.append((prefix.rstrip("."), str(obj)))
     flatten("", report)
-    for k, v in rows:
-        out.write(f"{k},{v}\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,6 @@ def _cmd_reduce(args) -> dict:
         parse_weight(rec["u2"], "u2"), parse_weight(rec["v2"], "v2"),
         parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "reduce config"))
     inner = _mult_report(prob, cfg, rec.get("oracle"))
-    from .conventions import xpow
     value = xpow(inner["value"], outer) if inner["value"] > 0 else 0.0
     return {"command": "reduce", "outer_power": outer,
             "reduced": inner, "value": value}

@@ -18,11 +18,17 @@ import numpy as np
 from . import grids
 from .conventions import INF
 from .errors import NoWitness, SpecInvalid, ZeroMass
+from .exponents import Exponent
+from .operators import head_integral_fun, tail_integral_fun
 from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
     RealFun,
     as_fun,
+    funsum,
+    indicator,
+    power,
+    product,
 )
 
 __all__ = [
@@ -217,8 +223,6 @@ def dyadic_cover(g: RealFun, direction: str = "head",
         raise SpecInvalid("direction must be 'head' or 'tail'")
     from scipy.optimize import brentq
 
-    from .operators import head_integral_fun, tail_integral_fun
-
     head = direction == "head"
     F = head_integral_fun(g, cfg) if head else tail_integral_fun(g, cfg)
 
@@ -303,8 +307,6 @@ def almost_geometric_check(seq, direction: str) -> AlmostGeometricWitness | None
 
 
 def _lq_norm(vals: np.ndarray, q) -> float:
-    from .exponents import Exponent
-
     q = Exponent(q)
     vals = np.asarray(vals, dtype=float)
     if q.is_inf:
@@ -342,8 +344,6 @@ def discrete_equiv(lemma: str, tau, a, q) -> tuple:
 def random_instance(lemma_id: str, rng: np.random.Generator) -> GlueInstance:
     """Seeded random instance: power/indicator mixtures for g and h, a
     non-decreasing power weight, exponents bounded by 4."""
-    from .realfun import funsum, indicator, power, product
-
     def bump():
         lo = float(10.0 ** rng.uniform(-3, 2.5))
         hi = lo * float(10.0 ** rng.uniform(0.1, 1.5))

@@ -131,7 +131,7 @@ def _logsumexp_last(lm: np.ndarray, lo: int = 0, width: int | None = None) -> np
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         terms = np.exp(lm - safe_m[..., None])
-        if width is not None:
+        if width not in (None, lm.shape[-1]):
             full = np.zeros(lm.shape[:-1] + (width,))
             full[..., lo:lo + lm.shape[-1]] = terms
             terms = full
@@ -145,7 +145,8 @@ def _log_running_sum(log_head: float, lm: np.ndarray) -> np.ndarray:
     the 1-D log-terms lm."""
     if log_head == math.inf:
         return np.full(lm.size + 1, math.inf)
-    return np.logaddexp.accumulate(np.concatenate(([log_head], lm)))
+    with np.errstate(invalid="ignore"):
+        return np.logaddexp.accumulate(np.concatenate(([log_head], lm)))
 
 
 def log_cumtrapz(li: np.ndarray, s: np.ndarray, log_head: float = NEG_INF) -> np.ndarray:
@@ -205,22 +206,25 @@ def log_tail_estimate(li: np.ndarray, s: np.ndarray):
     return _edge_estimate(li, s, left=False)
 
 
-def log_edge_estimates(li: np.ndarray, s: np.ndarray, head: bool, tail: bool):
-    """(head, tail) estimates beyond the window edges; -inf for an edge
-    not asked for."""
-    return (log_head_estimate(li, s) if head else NEG_INF,
-            log_tail_estimate(li, s) if tail else NEG_INF)
-
-
 def log_integral(li: np.ndarray, s: np.ndarray, head: bool = True, tail: bool = True):
     """Log of the integral of exp(li) ds along the last axis.
 
     The trapezoid sum over the window, plus the head and then the tail
     estimate beyond its edges when asked; li is 1-D or 2-D rows.
     """
-    lh, lt = log_edge_estimates(li, s, head, tail)
+    return _log_integral_from(li, s, 0, head, tail)
+
+
+def _log_integral_from(li: np.ndarray, s: np.ndarray, lo: int, head: bool = True,
+                       tail: bool = True):
+    """log_integral of rows that hold only the columns lo, lo + 1, ... of
+    the nodes s; every other node reads -inf."""
+    lw = _log_half_widths(s)[lo:lo + li.shape[-1] - 1]
     with np.errstate(invalid="ignore"):
-        return np.logaddexp(np.logaddexp(log_trapz(li, s), lh), lt)
+        core = _logsumexp_last(_panel_logmass(li, lw), lo, s.size - 1)
+        lh = _edge_estimate(li, s, True, lo) if head else NEG_INF
+        lt = _edge_estimate(li, s, False, lo) if tail else NEG_INF
+        return np.logaddexp(np.logaddexp(core, lh), lt)
 
 
 def log_cumint(li: np.ndarray, s: np.ndarray, head: bool) -> np.ndarray:
@@ -279,11 +283,7 @@ def log_row_reduce(lk: np.ndarray, lf: np.ndarray, s: np.ndarray, e=None,
     lo, hi = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, s.size)
     li = np.full(lk.shape[:-1] + (hi - lo,), NEG_INF)
     li[..., cols - lo] = e * lk + lf[cols] + s[cols]
-    lm = _panel_logmass(li, _log_half_widths(s)[lo:hi - 1])
-    with np.errstate(invalid="ignore"):
-        core = _logsumexp_last(lm, lo, s.size - 1)
-        return np.logaddexp(np.logaddexp(core, _edge_estimate(li, s, True, lo)),
-                            _edge_estimate(li, s, False, lo))
+    return _log_integral_from(li, s, lo)
 
 
 def running_logmax(li: np.ndarray) -> np.ndarray:

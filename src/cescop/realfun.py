@@ -2,8 +2,9 @@
 
 Functions are represented by a small algebra of families (the elementary
 family c t^alpha (1 + |ln t|)^beta e^{gamma t}, which holds powers,
-power-log perturbations and exponential tilts, indicators, tabulated data
-and their products / sums / real powers).  Every family evaluates in
+power-log perturbations and exponential tilts, restrictions to an
+interval, an indicator being 1 restricted, tabulated data and their
+products / sums / real powers).  Every family evaluates in
 log-space, so compositions like t^2 e^t * t^-2 e^-t are exact where a
 naive evaluation would overflow.  Each family that has a closed-form
 integral over (lo, hi) gives its log through one hint, ``integral_log``;
@@ -23,6 +24,7 @@ import numpy as np
 from . import grids
 from .conventions import INF
 from .errors import NonIntegrableOscillation, NumericOverflow, SpecInvalid
+from .exponents import Exponent
 
 __all__ = [
     "Interval",
@@ -159,6 +161,9 @@ class _Elementary(RealFun):
 
     def logv(self, t):
         t = np.asarray(t, dtype=float)
+        if not (self.alpha or self.beta):
+            # no log t, so a constant reads c at t = 0, not 0 * -inf
+            return self.logc + self.gamma * t if self.gamma else np.full_like(t, self.logc)
         lt = grids.log_t(t)
         out = self.logc + self.alpha * lt
         if self.beta:
@@ -199,10 +204,13 @@ class _Elementary(RealFun):
         """The tail at lo when hi = inf, else the head at hi when lo = 0;
         inside (0, inf) the difference of two heads where the head at hi
         is finite, else of two tails where the tail at lo is finite, else
-        c log(hi/lo) for c/t."""
+        c log(hi/lo) for c/t; a constant c gives c (hi - lo)."""
         if self.beta:
             return None
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        if not (self.alpha or self.gamma):
+            with np.errstate(divide="ignore"):
+                return self.logc + np.log(hi - lo)
         with np.errstate(divide="ignore", invalid="ignore"):
             h_hi, t_lo = self._log_head(hi), self._log_tail(lo)
             out = np.where(hi == INF, t_lo, h_hi)
@@ -222,26 +230,9 @@ class _Elementary(RealFun):
         return f"{self.family}(c={self.c:g}, alpha={self.alpha:g}{extra})"
 
 
-class _Indicator(RealFun):
-    family = "indicator"
-
-    def __init__(self, interval: Interval):
-        self.interval = interval
-        self.support = interval
-
-    def logv(self, t):
-        t = np.asarray(t, dtype=float)
-        # half-open on the right so adjacent pieces tile without gaps
-        inside = (t >= self.interval.lo) & (t < self.interval.hi)
-        return np.where(inside, 0.0, NEG_INF)
-
-    def integral_log(self, lo, hi):
-        a, b = self.interval.lo, self.interval.hi
-        with np.errstate(divide="ignore"):
-            return np.log(np.clip(hi, a, b) - np.clip(lo, a, b))
-
-    def describe(self):
-        return f"indicator(({self.interval.lo:g}, {self.interval.hi:g}))"
+def _is_unit(f: RealFun) -> bool:
+    """Whether f is the elementary 1: c = 1 and every exponent 0."""
+    return isinstance(f, _Elementary) and (f.c, f.alpha, f.beta, f.gamma) == (1.0, 0.0, 0.0, 0.0)
 
 
 class _Table(RealFun):
@@ -284,7 +275,8 @@ class _Restricted(RealFun):
         return self.base.integral_log(np.clip(lo, a, b), np.clip(hi, a, b))
 
     def describe(self):
-        return f"{self.base.describe()} * indicator(({self.interval.lo:g}, {self.interval.hi:g}))"
+        window = f"indicator(({self.interval.lo:g}, {self.interval.hi:g}))"
+        return window if _is_unit(self.base) else f"{self.base.describe()} * {window}"
 
 
 def _log_diff(la, lb):
@@ -403,7 +395,7 @@ def expfam(c: float, alpha: float, gamma: float) -> RealFun:
 
 
 def indicator(lo: float, hi: float) -> RealFun:
-    return _Indicator(Interval(lo, hi))
+    return _Restricted(ONE, Interval(lo, hi))
 
 
 def table(log_t, values) -> RealFun:
@@ -451,14 +443,14 @@ def product(*parts: RealFun) -> RealFun:
     """Pointwise product in normal form.
 
     The elementary factors merge into one (c multiplies; alpha, beta and
-    gamma add); indicators and the windows of restrictions collapse into
-    one restriction of the rest so analytic primitives survive; a product
+    gamma add), left out when it is 1 and other factors remain; the
+    windows of restrictions, indicators among them, collapse into one
+    restriction of the rest so analytic primitives survive; a product
     that vanishes everywhere is ZERO.
     """
     c, alpha, beta, gamma = 1.0, 0.0, 0.0, 0.0
     window: Interval | None = FULL
     rest: list[RealFun] = []
-    merged = False
     todo = list(parts)
     while todo:
         p = todo.pop(0)
@@ -474,13 +466,10 @@ def product(*parts: RealFun) -> RealFun:
             alpha += p.alpha
             beta += p.beta
             gamma += p.gamma
-            merged = True
-        elif isinstance(p, _Indicator):
-            window = window.intersect(p.interval) if window else None
         else:
             rest.append(p)
-    core = [_Elementary(c, alpha, beta, gamma)] if merged or not rest else []
-    core.extend(rest)
+    elementary = _Elementary(c, alpha, beta, gamma)
+    core = rest if rest and _is_unit(elementary) else [elementary, *rest]
     sup = _common_support(core)
     if window is None or sup is None or sup.intersect(window) is None:
         return ZERO
@@ -507,8 +496,6 @@ def powerof(base: RealFun, s: float) -> RealFun:
         return ONE
     if isinstance(base, _Elementary):
         return _Elementary(base.c ** s, base.alpha * s, base.beta * s, base.gamma * s)
-    if isinstance(base, _Indicator) and s > 0:
-        return base
     if isinstance(base, _Restricted) and s > 0:
         return _Restricted(powerof(base.base, s), base.interval)
     if isinstance(base, _Product):
@@ -584,7 +571,8 @@ def _quad_interval(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
     li = g.logv(t) + s  # integrand of the ds integral
     if np.any(np.isposinf(li)):
         return INF
-    lh, lt = grids.log_edge_estimates(li, s, head=I.lo == 0.0, tail=I.hi == INF)
+    lh = grids.log_head_estimate(li, s) if I.lo == 0.0 else NEG_INF
+    lt = grids.log_tail_estimate(li, s) if I.hi == INF else NEG_INF
     if np.isposinf(lh) or np.isposinf(lt):
         return INF
     head, tail = grids.from_log(lh), grids.from_log(lt)
@@ -657,8 +645,6 @@ def lp_norm(f: RealFun, w, I: Interval = FULL, p=None, cfg: QuadratureConfig = D
     p is an Exponent (or float/Fraction); p = inf takes the essential
     supremum of f*w over I.
     """
-    from .exponents import Exponent
-
     p = Exponent(p)
     fw = product(as_fun(f), as_fun(w))
     if p.is_inf:

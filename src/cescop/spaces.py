@@ -24,6 +24,7 @@ from .realfun import (
     RealFun,
     Weight,
     as_fun,
+    log_esssup,
     product,
 )
 
@@ -91,8 +92,6 @@ def check_omega(u: Weight, q, dual: bool = False,
 
 def _log_interval_norm(g, I: Interval, q: Exponent, cfg: QuadratureConfig) -> float:
     """Log of ||g||_{q,I}, computed without linear-space underflow."""
-    from .realfun import log_esssup
-
     if q.is_inf:
         return log_esssup(g, I, cfg)
     s, t = grids.log_nodes(cfg, I.lo, I.hi)

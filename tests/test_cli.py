@@ -1,5 +1,7 @@
 """Command-line front-end: config parsing, reports, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from cescop import cli
 from cescop.cli import run
+from cescop.exponents import Exponent
 
 EDEC = {"family": "exp", "c": 1.0, "alpha": 0.0, "gamma": -1.0}
 ONE = {"family": "constant", "c": 1.0}
@@ -100,6 +104,14 @@ def test_verify_quick_deterministic(capsys):
     assert rep1["ok"] is True
 
 
+def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "arrow", lambda p, q: Exponent(1))
+    code, rep = _run_json(capsys, ["verify", "--quick", "--seed", "0"])
+    assert code == 1
+    assert rep["ok"] is False
+    assert [c["name"] for c in rep["checks"] if not c["ok"]] == ["exponent_arrow_identity"]
+
+
 def test_oracle_command(tmp_path, capsys):
     cfg = _write(tmp_path, {
         "f": ONE,
@@ -120,6 +132,17 @@ def test_csv_format(tmp_path, capsys):
     assert code == 0
     assert out.startswith("field,value")
     assert any(line.startswith("value,") for line in out.splitlines())
+
+
+def test_csv_quotes_fields_that_hold_commas(tmp_path, capsys):
+    cfg = _write(tmp_path, MULT_T6)
+    code_json, rep = _run_json(capsys, ["mult", "--config", cfg])
+    code_csv = run(["mult", "--config", cfg, "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert code_json == code_csv == 0
+    assert all(len(row) == 2 for row in rows)
+    assert "," in rep["problem"]
+    assert dict(rows)["problem"] == rep["problem"]
 
 
 def test_out_path(tmp_path, capsys):

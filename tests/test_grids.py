@@ -1,6 +1,7 @@
 """Log-space grid helpers: integrals, edge estimates, suprema."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,11 +204,23 @@ def test_suffix_cumtrapz_matches_the_reversed_forward_sum(grid):
     s, _ = _WINDOW_GRIDS[grid]()
     for li in _hostile_rows(s):
         for lt in (-math.inf, -3.0, 2.5, math.inf, math.nan):
-            # a NaN summand sets the invalid flag in both, as it always has
-            with np.errstate(invalid="ignore"):
-                old = grids.log_cumtrapz(li[::-1], -s[::-1], lt)[::-1]
-                new = grids.log_suffix_cumtrapz(li, s, lt)
+            old = grids.log_cumtrapz(li[::-1], -s[::-1], lt)[::-1]
+            new = grids.log_suffix_cumtrapz(li, s, lt)
             assert np.array_equal(new, old, equal_nan=True)
+
+
+def test_running_sums_over_a_nan_emit_no_warning():
+    s, _ = grids.log_nodes(CFG)
+    k = s.size // 2
+    li = -np.abs(s)
+    li[k] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        head = grids.log_cumtrapz(li, s)
+        tail = grids.log_suffix_cumtrapz(li, s)
+    # the panels k - 1 and k touch the NaN node; the sums short of them stay finite
+    assert np.all(np.isfinite(head[1:k])) and np.all(np.isnan(head[k:]))
+    assert np.all(np.isfinite(tail[k + 1:-1])) and np.all(np.isnan(tail[:k]))
 
 
 @pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))

@@ -66,6 +66,33 @@ def test_indicator_half_open_tiling():
     assert integrate(funsum(left, right)) == pytest.approx(1.5, rel=1e-9)
 
 
+def test_indicator_has_one_normal_form():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        a = float(10.0 ** rng.uniform(-3, 2))
+        b = a * float(10.0 ** rng.uniform(0.01, 2))
+        forms = [indicator(a, b), product(indicator(a, b)),
+                 product(constant(1), indicator(a, b))]
+        assert len({type(f) for f in forms}) == 1
+        assert {f.describe() for f in forms} == {f"indicator(({a:g}, {b:g}))"}
+        lo = a * float(10.0 ** rng.uniform(-1, 1))
+        for I in (FULL, Interval(lo, lo * float(10.0 ** rng.uniform(0.01, 1)))):
+            assert len({integrate(f, I) for f in forms}) == 1
+
+
+def test_constants_and_indicators_are_finite_at_zero():
+    t = np.array([0.0, 0.5])
+    assert np.array_equal(indicator(0, 1).logv(t), [0.0, 0.0])
+    assert np.array_equal(constant(2).logv(t), [math.log(2)] * 2)
+    assert np.array_equal(expfam(2, 0, -1).logv(t), [math.log(2), math.log(2) - 0.5])
+
+
+def test_a_unit_factor_leaves_the_rest_alone():
+    f = from_log_callable(lambda t: -t, label="e^-t")
+    assert product(constant(1), f) is f
+    assert product(constant(2), f).describe() == "power(c=2, alpha=0) * e^-t"
+
+
 def test_integrate_gamma():
     assert integrate(expfam(1, 3, -1)) == pytest.approx(6.0, rel=1e-9)
 
