@@ -29,9 +29,7 @@ from .realfun import (
     ONE,
     QuadratureConfig,
     RealFun,
-    Weight,
     ZERO,
-    as_fun,
     constant,
     esssup,
     expfam,
@@ -47,6 +45,7 @@ from .realfun import (
     product,
     table,
     tail_at,
+    weight,
 )
 from .spaces import OmegaReport, SpaceSpec, check_omega, space_norm, space_norm3
 from .operators import (

@@ -29,7 +29,6 @@ from .realfun import (
     ONE,
     QuadratureConfig,
     RealFun,
-    Weight,
     constant,
     expfam,
     funsum,
@@ -39,6 +38,7 @@ from .realfun import (
     powerof,
     product,
     table,
+    weight,
 )
 from .spaces import SpaceSpec, space_norm
 
@@ -117,14 +117,10 @@ def parse_fun(rec, what: str = "function") -> RealFun:
     raise ConfigError(f"{what}: unknown family {fam!r}")
 
 
-def parse_weight(rec, what: str = "weight") -> Weight:
-    return Weight(parse_fun(rec, what), check=False)
-
-
 def parse_space(rec, what: str = "space") -> SpaceSpec:
     _need(rec, {"kind", "exponents", "weights"}, what)
     exps = [parse_exponent(e, f"{what}.exponents") for e in rec["exponents"]]
-    ws = [parse_weight(w, f"{what}.weights") for w in rec["weights"]]
+    ws = [parse_fun(w, f"{what}.weights") for w in rec["weights"]]
     try:
         return SpaceSpec(rec["kind"], tuple(exps), tuple(ws), validate=False)
     except SpecInvalid as e:
@@ -144,7 +140,7 @@ def parse_cfg(rec) -> QuadratureConfig:
         return QuadratureConfig(
             S=float(rec.get("S", base.S)),
             sup_grid=int(rec.get("sup_grid", base.sup_grid)))
-    except (SpecInvalid, ValueError) as e:
+    except (SpecInvalid, ValueError, OverflowError) as e:
         raise ConfigError(f"cfg: {e}") from e
 
 
@@ -213,9 +209,9 @@ def _problem_from_config(rec) -> tuple:
     keys = {"r", "u", "p", "q", "w", "v", "f"}
     _need(rec, keys | ({"cfg", "validate", "oracle"} & set(rec)), "mult config")
     prob = ThreeWeightProblem(
-        r=parse_exponent(rec["r"], "r"), u=parse_weight(rec["u"], "u"),
+        r=parse_exponent(rec["r"], "r"), u=parse_fun(rec["u"], "u"),
         p=parse_exponent(rec["p"], "p"), q=parse_exponent(rec["q"], "q"),
-        w=parse_weight(rec["w"], "w"), v=parse_weight(rec["v"], "v"),
+        w=parse_fun(rec["w"], "w"), v=parse_fun(rec["v"], "v"),
         f=parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "mult config"))
     return prob, parse_cfg(rec.get("cfg")), rec.get("oracle")
 
@@ -252,8 +248,7 @@ def _mult_report(prob, cfg, orec) -> dict:
     if orec is not None:
         if not isinstance(orec, dict) or not set(orec) <= _ORACLE_KEYS:
             raise ConfigError(f"oracle: allowed keys are {sorted(_ORACLE_KEYS)}")
-        X = SpaceSpec("cop", (Exponent(1), prob.r),
-                      (prob.u, Weight(ONE, check=False)), validate=False)
+        X = SpaceSpec("cop", (Exponent(1), prob.r), (prob.u, ONE), validate=False)
         Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
         report["oracle"] = _oracle(prob.f, X, Y, orec, cfg)
     return report
@@ -273,8 +268,8 @@ def _cmd_reduce(args) -> dict:
     prob, outer = reduce_problem(
         parse_exponent(rec["p1"], "p1"), parse_exponent(rec["q1"], "q1"),
         parse_exponent(rec["p2"], "p2"), parse_exponent(rec["q2"], "q2"),
-        parse_weight(rec["u1"], "u1"), parse_weight(rec["v1"], "v1"),
-        parse_weight(rec["u2"], "u2"), parse_weight(rec["v2"], "v2"),
+        parse_fun(rec["u1"], "u1"), parse_fun(rec["v1"], "v1"),
+        parse_fun(rec["u2"], "u2"), parse_fun(rec["v2"], "v2"),
         parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "reduce config"))
     inner = _mult_report(prob, cfg, rec.get("oracle"))
     value = xpow(inner["value"], outer) if inner["value"] > 0 else 0.0
@@ -333,8 +328,8 @@ def _verify_checks(seed: int, quick: bool):
     record("exponent_arrow_identity", ok, "50 ordered rational triples, exact")
 
     prob = ThreeWeightProblem(
-        r=Fraction(1, 2), u=Weight(constant(1.0)), p=1, q=2,
-        w=Weight(expfam(1.0, 0.0, -1.0)), v=Weight(constant(1.0)),
+        r=Fraction(1, 2), u=weight(constant(1.0)), p=1, q=2,
+        w=weight(expfam(1.0, 0.0, -1.0)), v=weight(constant(1.0)),
         f=expfam(1.0, 2.0, 1.0))
     base = characterize(prob, cfg)
     scaled = characterize(

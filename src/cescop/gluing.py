@@ -24,7 +24,6 @@ from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
     RealFun,
-    as_fun,
     funsum,
     indicator,
     power,
@@ -167,9 +166,9 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     integrals (q = 1).
     """
     s, t = grids.log_nodes(cfg)
-    lg = as_fun(inst.g).logv(t)
-    lh = as_fun(inst.h).logv(t)
-    la = as_fun(inst.a).logv(t)
+    lg = inst.g.logv(t)
+    lh = inst.h.logv(t)
+    la = inst.a.logv(t)
     g_entry, h_entry, outer = _LEMMA_TABLE[inst.lemma_id]
     eg, eh = _exponent(g_entry, inst.exps), _exponent(h_entry, inst.exps)
     gsup, hsup = g_entry is _SUP, h_entry is _SUP

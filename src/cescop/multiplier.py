@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import grids
-from .conventions import INF, xrecip
+from .conventions import xrecip
 from .errors import SpecInvalid, UnsupportedRegime
 from .exponents import Exponent, arrow, dual_exponent
 from .operators import (
@@ -36,14 +36,12 @@ from .realfun import (
     ONE,
     QuadratureConfig,
     RealFun,
-    Weight,
-    as_fun,
     from_log_callable,
     lp_norm,
     powerof,
     product,
 )
-from .spaces import SpaceSpec, check_omega, space_norm
+from .spaces import SpaceSpec, _log_interval_norm, check_omega, space_norm
 
 __all__ = [
     "ThreeWeightProblem", "CharacterizationResult",
@@ -54,14 +52,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThreeWeightProblem:
-    """Multiplier problem from cop_r(u) into ces_{p,q}(w,v)."""
+    """Multiplier problem from cop_r(u) into ces_{p,q}(w,v); the weights
+    u, w and v are RealFuns."""
 
     r: Exponent
-    u: Weight
+    u: RealFun
     p: Exponent
     q: Exponent
-    w: Weight
-    v: Weight
+    w: RealFun
+    v: RealFun
     f: RealFun
     validate: bool = field(default=True, compare=False)
 
@@ -118,10 +117,6 @@ def classify_regime(p, q, r) -> str:
     return "UNSUPPORTED"
 
 
-def _W(fun: RealFun) -> Weight:
-    return Weight(fun, check=False)
-
-
 def _phi(tag: str, prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig) -> RealFun:
     """phi_1 (T4) or phi_2 (T5) as a RealFun: each x reduces one row of the
     kernel K(x,t) = V(x)/(V(x)+V(t)) against V(t) over the grid nodes t.
@@ -133,7 +128,7 @@ def _phi(tag: str, prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig) 
     lV = V.logv(t)
     if tag.startswith("T4"):
         e, scale = None, 1.0
-        lnu = grids.log_cumnorm(as_fun(prob.u).logv(t), s, float(prob.r), head=True)
+        lnu = grids.log_cumnorm(prob.u.logv(t), s, float(prob.r), head=True)
         with np.errstate(invalid="ignore"):  # 0/0 is a NaN the sup skips
             lf = lV - lnu
     else:
@@ -163,18 +158,20 @@ def hypothesis_check(prob: ThreeWeightProblem, cfg: QuadratureConfig = DEFAULT_C
         if not lrep.ok:
             notes.append(f"{phi.describe()} degenerate or inconclusive: {lrep.statuses}")
     if tag in ("T7i", "T7ii"):
-        vfam = as_fun(prob.v).describe()
+        vfam = prob.v.describe()
         if "indicator" in vfam:
             notes.append("v may be discontinuous; the regime assumes continuous v")
         # a finite q'-norm of 1/w near infinity cannot coexist with the
         # Omega_q gate on w, so the local-integrability reading (0, x)
-        # is the only satisfiable one
-        winv = powerof(as_fun(prob.w), -1.0)
+        # is the only satisfiable one; only whether the norm lies in
+        # (0, inf) matters, so its log is enough and cannot overflow
+        winv = powerof(prob.w, -1.0)
         qd = dual_exponent(prob.q)
         for x in (1e-2, 1.0, 1e2):
-            val = lp_norm(winv, ONE, Interval(0.0, x), qd, cfg)
-            if not (0.0 < val < INF):
-                notes.append(f"||w^-1||_{{q',(0,{x:g})}} = {val:g} out of (0,inf)")
+            lval = _log_interval_norm(winv, Interval(0.0, x), qd, cfg)
+            if not np.isfinite(lval):
+                notes.append(f"||w^-1||_{{q',(0,{x:g})}} = {grids.from_log(lval):g} "
+                             "out of (0,inf)")
                 break
     return notes
 
@@ -303,7 +300,7 @@ class _Memo(dict):
     transforms, each transform built on first use."""
 
     def __init__(self, prob: ThreeWeightProblem, cfg: QuadratureConfig):
-        super().__init__(v=as_fun(prob.v))
+        super().__init__(v=prob.v)
         self.u, self.w, self.cfg = prob.u, prob.w, cfg
         self.p, self.q, self.r = p, q, r = prob.p, prob.q, prob.r
         self.ex = {"p'": dual_exponent(p), "q'": dual_exponent(q),
@@ -343,9 +340,9 @@ def characterize(prob: ThreeWeightProblem,
         m[name] = product(*(m[k] for k in parts)) if len(parts) > 1 else m[parts[0]]
     value, terms = 0.0, []
     for name, exps, wnames in term_rows:
-        c = (xrecip(lp_norm(as_fun(prob.u), ONE, FULL, r, cfg))
+        c = (xrecip(lp_norm(prob.u, ONE, FULL, r, cfg))
              if name.startswith("extra") else 1.0)
-        es, ws = tuple(m.ex[e] for e in exps), tuple(_W(m[n]) for n in wnames)
+        es, ws = tuple(m.ex[e] for e in exps), tuple(m[n] for n in wnames)
         if not c:
             tv = 0.0
         elif len(es) == 1:
@@ -366,7 +363,7 @@ def _ediv(a: Exponent, b: Exponent) -> Exponent:
     return Exponent(float(a) / float(b))
 
 
-def reduce_problem(p1, q1, p2, q2, u1: Weight, v1: Weight, u2: Weight, v2: Weight,
+def reduce_problem(p1, q1, p2, q2, u1: RealFun, v1: RealFun, u2: RealFun, v2: RealFun,
                    f: RealFun, validate: bool = True) -> tuple:
     """Reduce the four-weight Copson-to-Cesaro problem to three weights.
 
@@ -382,11 +379,11 @@ def reduce_problem(p1, q1, p2, q2, u1: Weight, v1: Weight, u2: Weight, v2: Weigh
     p1f = float(p1)
     prob = ThreeWeightProblem(
         r=_ediv(q1, p1),
-        u=_W(powerof(as_fun(u1), p1f)),
+        u=powerof(u1, p1f),
         p=_ediv(p2, p1),
         q=_ediv(q2, p1),
-        w=_W(powerof(as_fun(u2), p1f)),
-        v=_W(product(powerof(as_fun(v1), -p1f), powerof(as_fun(v2), p1f))),
+        w=powerof(u2, p1f),
+        v=product(powerof(v1, -p1f), powerof(v2, p1f)),
         f=powerof(f, p1f),
         validate=validate,
     )

@@ -24,7 +24,6 @@ from .realfun import (
     QuadratureConfig,
     RealFun,
     _Table,
-    as_fun,
     constant,
     from_log_callable,
     powerof,
@@ -113,30 +112,27 @@ def _finite(e) -> float:
     return float(e)
 
 
-def op_A(u, q, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
+def op_A(u: RealFun, q, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """A_{q,p}(u)(x) = (int_0^x u^q)^(-1/p) * u(x)^((q-p)/p)."""
     qf, pf = _finite(q), _finite(p)
-    uf = as_fun(u)
-    P = _window_integral(uf, qf, True, cfg)
-    return product(powerof(P, -1.0 / pf), powerof(uf, (qf - pf) / pf))
+    P = _window_integral(u, qf, True, cfg)
+    return product(powerof(P, -1.0 / pf), powerof(u, (qf - pf) / pf))
 
 
-def op_A_star(u, q, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
+def op_A_star(u: RealFun, q, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """A*_{q,p}(u)(x) = (int_x^inf u^q)^(1/p) * u(x)^((p-q)/p)."""
     qf, pf = _finite(q), _finite(p)
-    uf = as_fun(u)
-    T = _window_integral(uf, qf, False, cfg)
-    return product(powerof(T, 1.0 / pf), powerof(uf, (pf - qf) / pf))
+    T = _window_integral(u, qf, False, cfg)
+    return product(powerof(T, 1.0 / pf), powerof(u, (pf - qf) / pf))
 
 
-def big_V(v, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
+def big_V(v: RealFun, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """V(x) = ||v||_{p',(0,x)}, non-decreasing in x."""
     pd = dual_exponent(p)
-    vf = as_fun(v)
     if pd.is_inf:
-        return running_sup_fun(vf, cfg)
+        return running_sup_fun(v, cfg)
     pdf = float(pd)
-    return powerof(head_integral_fun(powerof(vf, pdf), cfg), 1.0 / pdf)
+    return powerof(head_integral_fun(powerof(v, pdf), cfg), 1.0 / pdf)
 
 
 def cal_V(V: RealFun, x, t):
@@ -148,7 +144,7 @@ def cal_V(V: RealFun, x, t):
 
 def kernel_A(a: RealFun, x, t):
     """a(x) / (a(x) + a(t)) for a non-decreasing a."""
-    return cal_V(as_fun(a), x, t)
+    return cal_V(a, x, t)
 
 
 @dataclass(frozen=True)
@@ -188,13 +184,13 @@ def _trend_samples(kmax: int = 40) -> np.ndarray:
     return 2.0 ** np.arange(-kmax, kmax + 1, dtype=float)
 
 
-def is_quasiconcave(f: RealFun, a, cfg: QuadratureConfig = DEFAULT_CFG,
+def is_quasiconcave(f: RealFun, a: RealFun, cfg: QuadratureConfig = DEFAULT_CFG,
                     slack: float = 10.0) -> MonotoneReport:
     """Sampled check that f is equivalent to an increasing function while
     f/a is equivalent to a decreasing one, within the given factor."""
     t = _trend_samples()
     lf = _sanitize(f.logv(t))
-    la = _sanitize(as_fun(a).logv(t))
+    la = _sanitize(a.logv(t))
     up = float(np.max(np.maximum.accumulate(lf) - lf))
     ld = lf - la
     down = float(np.max(ld - np.minimum.accumulate(ld)))
@@ -260,7 +256,7 @@ def is_nondegenerate(phi: RealFun, U: RealFun,
                        witnesses=tuple(tuple(_sanitize(c)[-3:]) for c in checks))
 
 
-def stieltjes_density(u, r, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
+def stieltjes_density(u: RealFun, r, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """Density of d(-||u||_{r,(0,t)}^{-(r->p)}).
 
     Computed by differentiating the head primitive directly:
@@ -271,12 +267,11 @@ def stieltjes_density(u, r, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     if e.is_inf:
         raise SpecInvalid("requires p < r so that r->p is finite")
     ef = float(e)
-    uf = as_fun(u)
-    P = _window_integral(uf, rf, True, cfg)
-    return product(constant(ef / rf), powerof(P, -ef / rf - 1.0), powerof(uf, rf))
+    P = _window_integral(u, rf, True, cfg)
+    return product(constant(ef / rf), powerof(P, -ef / rf - 1.0), powerof(u, rf))
 
 
-def stieltjes_tail_density(w, q, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
+def stieltjes_tail_density(w: RealFun, q, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """Density of d(-||w||_{q,(t,inf)}^{q'}) for q < 1.
 
     Computed as (q'/q) * (int_t^inf w^q)^(q'/q - 1) * w(t)^q.
@@ -286,6 +281,5 @@ def stieltjes_tail_density(w, q, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun
     if qd.is_inf:
         raise SpecInvalid("requires q != 1 so that q' is finite")
     qf, qdf = float(qe), float(qd)
-    wf = as_fun(w)
-    T = _window_integral(wf, qf, False, cfg)
-    return product(constant(qdf / qf), powerof(T, qdf / qf - 1.0), powerof(wf, qf))
+    T = _window_integral(w, qf, False, cfg)
+    return product(constant(qdf / qf), powerof(T, qdf / qf - 1.0), powerof(w, qf))

@@ -4,9 +4,10 @@ Functions are represented by a small algebra of families (the elementary
 family c t^alpha (1 + |ln t|)^beta e^{gamma t}, which holds powers,
 power-log perturbations and exponential tilts, restrictions to an
 interval, an indicator being 1 restricted, tabulated data and their
-products / sums / real powers).  Every family evaluates in
-log-space, so compositions like t^2 e^t * t^-2 e^-t are exact where a
-naive evaluation would overflow.  Each family that has a closed-form
+products / sums / real powers).  A weight is such a function, passed
+as is; ``weight`` checks that one is positive and finite.  Every family
+evaluates in log-space, so compositions like t^2 e^t * t^-2 e^-t are
+exact where a naive evaluation would overflow.  Each family that has a closed-form
 integral over (lo, hi) gives its log through one hint, ``integral_log``;
 everything else goes through adaptive quadrature after the substitution
 t = e^s.
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import importlib
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +32,12 @@ __all__ = [
     "Interval",
     "QuadratureConfig",
     "RealFun",
-    "Weight",
     "power",
     "powerlog",
     "expfam",
     "indicator",
     "table",
+    "weight",
     "product",
     "funsum",
     "powerof",
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 NEG_INF = -math.inf
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class _LazyModule:
@@ -95,15 +98,16 @@ FULL = Interval(0.0, INF)
 class QuadratureConfig:
     """Numerical policy: window size and grid density.
 
-    The working window is [e^-S, e^S]; sup_grid is nodes per decade for
-    grid-based suprema and nested norms.
+    The working window is [e^-S, e^S], so S is at most the log of the
+    largest float; sup_grid is nodes per decade for grid-based suprema
+    and nested norms.
     """
 
     S: float = 30.0
     sup_grid: int = 256
 
     def __post_init__(self):
-        if self.S <= 0 or self.sup_grid < 8:
+        if not (0 < self.S <= _LOG_FLOAT_MAX and 8 <= self.sup_grid < INF):
             raise SpecInvalid("invalid quadrature configuration")
 
     @classmethod
@@ -511,35 +515,19 @@ def from_log_callable(logfn, support: Interval = FULL, label: str = "opaque") ->
     return _LogCallable(logfn, support=support, label=label)
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A positive, a.e.-finite function on (0, inf).
-
-    Positivity is checked on a coarse log grid at construction.
-    """
-
-    fun: RealFun
-    check: bool = field(default=True, compare=False)
-
-    def __post_init__(self):
-        if self.check:
-            t = np.logspace(-6, 6, 25)
-            lv = self.fun.logv(t)
-            if np.any(np.isneginf(lv)) or np.any(np.isposinf(lv)) or np.any(np.isnan(lv)):
-                raise SpecInvalid("weight must be positive and finite on (0, inf)")
-
-    def logv(self, t):
-        return self.fun.logv(t)
-
-    def __call__(self, t):
-        return self.fun(t)
-
-    def describe(self) -> str:
-        return self.fun.describe()
+def weight(fun: RealFun) -> RealFun:
+    """fun, checked on a coarse log grid to be a weight: a positive,
+    a.e.-finite function on (0, inf)."""
+    if not np.all(np.isfinite(fun.logv(np.logspace(-6, 6, 25)))):
+        raise SpecInvalid("weight must be positive and finite on (0, inf)")
+    return fun
 
 
-def as_fun(w) -> RealFun:
-    return w.fun if isinstance(w, Weight) else w
+def as_fun(f: RealFun) -> RealFun:
+    """f itself.  Only the benchmark's layer map (perfbench/layers.py)
+    still binds this name; it goes when that map is rewritten (ROADMAP
+    direction 2)."""
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +540,6 @@ def integrate(g: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CF
     otherwise adaptive quadrature on the log-substituted window plus
     power-law estimates for the truncated head and tail.
     """
-    g = as_fun(g)
     eff = I.intersect(g.support)
     if eff is None:
         return 0.0
@@ -581,7 +568,10 @@ def _quad_interval(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
         with np.errstate(over="ignore"):
             return float(np.exp(g.logv(np.asarray([math.exp(sv)]))[0] + sv))
 
-    core, _, _, *msg = _sciint.quad(integrand, slo, shi, limit=_QUAD_LIMIT, full_output=1)
+    # epsabs=0: quad's default absolute floor (1.49e-8) would accept a
+    # small integral at any relative error
+    core, _, _, *msg = _sciint.quad(integrand, slo, shi, epsabs=0.0, limit=_QUAD_LIMIT,
+                                    full_output=1)
     if msg:
         # quad did not converge: take the grid estimate, and reject it if
         # quad's own value disagrees badly
@@ -614,7 +604,6 @@ def tail_at(g: RealFun, x: float, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
 
 def log_esssup(f: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """Log of the essential supremum of f over I (grid max + refinement)."""
-    f = as_fun(f)
     eff = I.intersect(f.support)
     if eff is None:
         return NEG_INF
@@ -639,14 +628,14 @@ def esssup(f: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CFG) 
     return grids.from_log(log_esssup(f, I, cfg))
 
 
-def lp_norm(f: RealFun, w, I: Interval = FULL, p=None, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
+def lp_norm(f: RealFun, w: RealFun, I: Interval = FULL, p=None, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """Weighted Lebesgue quasi-norm ||f w||_{p, I}.
 
     p is an Exponent (or float/Fraction); p = inf takes the essential
     supremum of f*w over I.
     """
     p = Exponent(p)
-    fw = product(as_fun(f), as_fun(w))
+    fw = product(f, w)
     if p.is_inf:
         return esssup(fw, I, cfg)
     pf = float(p)

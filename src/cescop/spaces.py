@@ -22,8 +22,6 @@ from .realfun import (
     Interval,
     QuadratureConfig,
     RealFun,
-    Weight,
-    as_fun,
     log_esssup,
     product,
 )
@@ -39,7 +37,8 @@ class SpaceSpec:
     """Descriptor of a 2- or 3-parameter Cesaro/Copson space.
 
     Exponents are ordered innermost-first, matching the subscripts of
-    ces_{p,q}(u,v) and ces_{p,q,r}(u,v,w); weights are outermost-first.
+    ces_{p,q}(u,v) and ces_{p,q,r}(u,v,w); weights are RealFuns,
+    outermost-first.
     """
 
     kind: str
@@ -70,7 +69,7 @@ class OmegaReport:
     failures: tuple  # (t, value) samples violating 0 < value < inf
 
 
-def check_omega(u: Weight, q, dual: bool = False,
+def check_omega(u: RealFun, q, dual: bool = False,
                 cfg: QuadratureConfig = DEFAULT_CFG) -> OmegaReport:
     """Sampled membership check of u in Omega_q (tail norms) or its dual.
 
@@ -81,10 +80,9 @@ def check_omega(u: Weight, q, dual: bool = False,
     decades = int(cfg.S / grids.LOG10)
     samples = [10.0 ** k for k in range(-decades + 1, decades, max(1, decades // 4))]
     failures = []
-    ufun = as_fun(u)
     for t0 in samples:
         I = Interval(0.0, t0) if dual else Interval(t0, INF)
-        lval = _log_interval_norm(ufun, I, q, cfg)
+        lval = _log_interval_norm(u, I, q, cfg)
         if np.isneginf(lval) or np.isposinf(lval):
             failures.append((t0, grids.from_log(lval)))
     return OmegaReport(ok=not failures, failures=tuple(failures))
@@ -127,11 +125,11 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
     ws = spec.weights[::-1]
     head = spec.kind == CES
     s, t = grids.log_nodes(cfg)
-    lv = product(as_fun(f), as_fun(ws[0])).logv(t)
+    lv = product(f, ws[0]).logv(t)
     if np.all(np.isneginf(lv)) and not inner[0].is_inf:
         return 0.0
     for e, w in zip(inner, ws[1:]):
-        lv = grids.log_mul(grids.log_cumnorm(lv, s, float(e), head), as_fun(w).logv(t))
+        lv = grids.log_mul(grids.log_cumnorm(lv, s, float(e), head), w.logv(t))
     if outer.is_inf:
         return grids.from_log(grids.log_sup(lv, s))
     q = float(outer)

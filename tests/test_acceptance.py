@@ -21,7 +21,6 @@ from cescop import (
     ONE,
     SpaceSpec,
     ThreeWeightProblem,
-    Weight,
     arrow,
     brute_force_multiplier,
     characterize,
@@ -39,10 +38,10 @@ from cescop import (
     reduce_problem,
     space_norm,
     stieltjes_density,
+    weight,
 )
 from cescop.gluing import LEMMAS, almost_geometric_check, discrete_equiv, glue_eval, random_instance
 
-W = lambda f: Weight(f, check=False)
 EDEC = expfam(1.0, 0.0, -1.0)
 
 
@@ -238,33 +237,33 @@ def test_criterion_5_discrete_lemmas():
 # 6. theorem cross-validation
 
 REGIME_INSTANCES = [
-    ("T1", dict(r=1, u=W(ONE), p=F(1, 2), q=F(1, 2), w=W(EDEC), v=W(ONE)),
+    ("T1", dict(r=1, u=ONE, p=F(1, 2), q=F(1, 2), w=EDEC, v=ONE),
      expfam(1, 2, -1)),
-    ("T2i", dict(r=1, u=W(ONE), p=F(1, 2), q=2, w=W(EDEC), v=W(ONE)),
+    ("T2i", dict(r=1, u=ONE, p=F(1, 2), q=2, w=EDEC, v=ONE),
      expfam(1, 2, -1)),
-    ("T2ii", dict(r=1, u=W(ONE), p=F(1, 2), q=F(1, 3), w=W(EDEC), v=W(ONE)),
+    ("T2ii", dict(r=1, u=ONE, p=F(1, 2), q=F(1, 3), w=EDEC, v=ONE),
      expfam(1, 2, -1)),
-    ("T3i", dict(r=F(1, 3), u=W(ONE), p=F(1, 2), q=F(1, 2), w=W(EDEC), v=W(ONE)),
+    ("T3i", dict(r=F(1, 3), u=ONE, p=F(1, 2), q=F(1, 2), w=EDEC, v=ONE),
      expfam(1, 4, -1)),
-    ("T3ii", dict(r=2, u=W(EDEC), p=F(1, 2), q=F(1, 2), w=W(EDEC), v=W(ONE)),
+    ("T3ii", dict(r=2, u=EDEC, p=F(1, 2), q=F(1, 2), w=EDEC, v=ONE),
      expfam(1, 2, -1)),
-    ("T4i", dict(r=F(1, 3), u=W(ONE), p=F(1, 2), q=2, w=W(EDEC),
-                 v=W(power(1, 2.5))), expfam(1, 1, -1)),
-    ("T4ii", dict(r=F(1, 3), u=W(ONE), p=F(1, 2), q=F(3, 4), w=W(EDEC),
-                  v=W(power(1, 2.5))), expfam(1, 1, -1)),
-    ("T5i", dict(r=F(3, 4), u=W(ONE), p=F(1, 2), q=2, w=W(EDEC),
-                 v=W(power(1, 1.0))), expfam(1, 1, -1)),
-    ("T5ii", dict(r=2, u=W(ONE), p=F(1, 2), q=F(3, 2), w=W(EDEC),
-                  v=W(power(1, 0.2))), expfam(1, 1, -1)),
-    ("T5iii", dict(r=F(3, 4), u=W(ONE), p=F(1, 2), q=F(4, 5), w=W(EDEC),
-                   v=W(power(1, 1.0))), expfam(1, 1, -1)),
-    ("T5iv", dict(r=F(3, 4), u=W(ONE), p=F(1, 2), q=F(3, 5), w=W(EDEC),
-                  v=W(power(1, 1.0))), expfam(1, 1, -1)),
-    ("T6", dict(r=F(1, 2), u=W(ONE), p=1, q=2, w=W(EDEC), v=W(ONE)),
+    ("T4i", dict(r=F(1, 3), u=ONE, p=F(1, 2), q=2, w=EDEC,
+                 v=power(1, 2.5)), expfam(1, 1, -1)),
+    ("T4ii", dict(r=F(1, 3), u=ONE, p=F(1, 2), q=F(3, 4), w=EDEC,
+                  v=power(1, 2.5)), expfam(1, 1, -1)),
+    ("T5i", dict(r=F(3, 4), u=ONE, p=F(1, 2), q=2, w=EDEC,
+                 v=power(1, 1.0)), expfam(1, 1, -1)),
+    ("T5ii", dict(r=2, u=ONE, p=F(1, 2), q=F(3, 2), w=EDEC,
+                  v=power(1, 0.2)), expfam(1, 1, -1)),
+    ("T5iii", dict(r=F(3, 4), u=ONE, p=F(1, 2), q=F(4, 5), w=EDEC,
+                   v=power(1, 1.0)), expfam(1, 1, -1)),
+    ("T5iv", dict(r=F(3, 4), u=ONE, p=F(1, 2), q=F(3, 5), w=EDEC,
+                  v=power(1, 1.0)), expfam(1, 1, -1)),
+    ("T6", dict(r=F(1, 2), u=ONE, p=1, q=2, w=EDEC, v=ONE),
      expfam(1, 2, 1)),
-    ("T7i", dict(r=F(3, 2), u=W(EDEC), p=1, q=2, w=W(EDEC), v=W(ONE)),
+    ("T7i", dict(r=F(3, 2), u=EDEC, p=1, q=2, w=EDEC, v=ONE),
      expfam(1, 4, -1)),
-    ("T7ii", dict(r=2, u=W(EDEC), p=1, q=F(3, 2), w=W(EDEC), v=W(ONE)),
+    ("T7ii", dict(r=2, u=EDEC, p=1, q=F(3, 2), w=EDEC, v=ONE),
      expfam(1, 4, -1)),
 ]
 
@@ -284,7 +283,7 @@ def test_criterion_6_theorem_cross_validation():
         prob = ThreeWeightProblem(f=f, **kw)
         res = characterize(prob)
         assert res.regime == tag
-        X = SpaceSpec("cop", (Exponent(1), prob.r), (prob.u, W(ONE)),
+        X = SpaceSpec("cop", (Exponent(1), prob.r), (prob.u, ONE),
                       validate=False)
         Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
         scores = {}
@@ -309,16 +308,16 @@ def test_criterion_6_theorem_cross_validation():
 # 7. reduction proposition
 
 REDUCTION_INSTANCES = [
-    dict(p1=2, q1=2, p2=1, q2=1, u1=W(ONE), v1=W(ONE), u2=W(EDEC), v2=W(ONE),
+    dict(p1=2, q1=2, p2=1, q2=1, u1=ONE, v1=ONE, u2=EDEC, v2=ONE,
          f=expfam(1, 1, -0.5)),
-    dict(p1=2, q1=2, p2=1, q2=4, u1=W(ONE), v1=W(ONE), u2=W(EDEC), v2=W(ONE),
+    dict(p1=2, q1=2, p2=1, q2=4, u1=ONE, v1=ONE, u2=EDEC, v2=ONE,
          f=expfam(1, 1, -0.5)),
-    dict(p1=3, q1=3, p2=F(3, 2), q2=F(3, 2), u1=W(ONE), v1=W(ONE), u2=W(EDEC),
-         v2=W(ONE), f=expfam(1, 1, -0.5)),
-    dict(p1=2, q1=2, p2=1, q2=1, u1=W(powerof(EDEC, 0.5)), v1=W(ONE),
-         u2=W(EDEC), v2=W(ONE), f=expfam(1, 1, -0.5)),
-    dict(p1=2, q1=2, p2=1, q2=F(2, 3), u1=W(ONE), v1=W(power(1, 0.25)),
-         u2=W(EDEC), v2=W(ONE), f=expfam(1, 2, -0.5)),
+    dict(p1=3, q1=3, p2=F(3, 2), q2=F(3, 2), u1=ONE, v1=ONE, u2=EDEC,
+         v2=ONE, f=expfam(1, 1, -0.5)),
+    dict(p1=2, q1=2, p2=1, q2=1, u1=powerof(EDEC, 0.5), v1=ONE,
+         u2=EDEC, v2=ONE, f=expfam(1, 1, -0.5)),
+    dict(p1=2, q1=2, p2=1, q2=F(2, 3), u1=ONE, v1=power(1, 0.25),
+         u2=EDEC, v2=ONE, f=expfam(1, 2, -0.5)),
 ]
 
 
@@ -351,8 +350,8 @@ def test_criterion_7_reduction():
 # 8. T6 spot check
 
 def test_criterion_8_t6_spot_check():
-    prob = ThreeWeightProblem(r=F(1, 2), u=Weight(ONE), p=1, q=2,
-                              w=Weight(EDEC), v=Weight(ONE),
+    prob = ThreeWeightProblem(r=F(1, 2), u=weight(ONE), p=1, q=2,
+                              w=weight(EDEC), v=weight(ONE),
                               f=expfam(1, 2, 1))
     res = characterize(prob)
     err = _rel(res.value, 1.0 / math.sqrt(2.0))
@@ -379,7 +378,7 @@ def test_criterion_9_invariants():
                       <= 1e-10 * max(scaled.value, 1e-300))
 
     # monotonicity of space norms in f
-    spec = SpaceSpec("ces", (1, 2), (W(EDEC), W(ONE)), validate=False)
+    spec = SpaceSpec("ces", (1, 2), (EDEC, ONE), validate=False)
     f1, f2 = expfam(1, 1, -1), expfam(2, 1, -0.5)
     checks.append(space_norm(spec, f1) <= space_norm(spec, f2))
 
@@ -393,7 +392,7 @@ def test_criterion_9_invariants():
     assert tag == "T6"
     base = characterize(ThreeWeightProblem(f=f, **kw))
     kw2 = dict(kw)
-    kw2["u"] = W(power(5.0, 0.0))
+    kw2["u"] = power(5.0, 0.0)
     scaled = characterize(ThreeWeightProblem(f=f, **kw2))
     checks.append(abs(scaled.value - base.value / 5.0) <= 1e-9 * base.value)
 
@@ -403,8 +402,8 @@ def test_criterion_9_invariants():
     checks.append(a.value == b.value and a.terms == b.terms)
 
     # oracle determinism and enrich monotonicity
-    X = SpaceSpec("cop", (1, F(1, 2)), (W(ONE), W(ONE)), validate=False)
-    Y = SpaceSpec("ces", (1, 2), (W(EDEC), W(ONE)), validate=False)
+    X = SpaceSpec("cop", (1, F(1, 2)), (ONE, ONE), validate=False)
+    Y = SpaceSpec("ces", (1, 2), (EDEC, ONE), validate=False)
     fam = default_family(seed=9, size=30)
     r1 = brute_force_multiplier(f, X, Y, fam)
     r2 = brute_force_multiplier(f, X, Y, default_family(seed=9, size=30))

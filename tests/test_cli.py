@@ -198,6 +198,10 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     {"oracle": {"size": True}},
     {"validate": "no"},
     {"cfg": {"panels": 256}},
+    {"cfg": {"S": float("inf")}},
+    {"cfg": {"S": float("nan")}},
+    {"cfg": {"S": 710}},
+    {"cfg": {"sup_grid": float("inf")}},
 ])
 def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
     code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, **extra})])

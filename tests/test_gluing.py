@@ -19,7 +19,7 @@ from cescop.gluing import (
     random_instance,
 )
 from cescop.oracle import Candidate
-from cescop.realfun import ONE, ZERO, QuadratureConfig, as_fun, expfam, indicator, power, product
+from cescop.realfun import ONE, ZERO, QuadratureConfig, expfam, indicator, power, product
 
 NEEDS = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
          "INT_INT_SUP": ["alpha", "beta"], "INTEGRAL": ["alpha", "beta", "gamma"],
@@ -122,8 +122,8 @@ def _row_inputs(inst, cfg=GLUE_CFG):
 
     def side(f, entry):
         e = None if entry is gluing._SUP else gluing._exponent(entry, inst.exps)
-        return as_fun(f).logv(t), e
-    return as_fun(inst.a).logv(t), s, side(inst.g, g_entry), side(inst.h, h_entry)
+        return f.logv(t), e
+    return inst.a.logv(t), s, side(inst.g, g_entry), side(inst.h, h_entry)
 
 
 def _assert_rows_match_full_width(inst, cfg=GLUE_CFG):

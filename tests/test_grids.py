@@ -9,7 +9,7 @@ import pytest
 from cescop import grids
 from cescop.errors import NumericOverflow
 from cescop.gluing import GLUE_CFG, LEMMAS, glue_eval, random_instance
-from cescop.realfun import DEFAULT_CFG, ONE, QuadratureConfig, Weight, expfam
+from cescop.realfun import DEFAULT_CFG, ONE, QuadratureConfig, expfam
 from cescop.spaces import SpaceSpec, space_norm
 
 CFG = QuadratureConfig(S=12.0, sup_grid=32)
@@ -275,8 +275,8 @@ def test_one_row_edge_estimate_takes_the_rows_log():
 
 def test_window_caches_hold_one_entry_per_window(monkeypatch):
     monkeypatch.setattr(grids, "_WINDOWS", {})
-    spec = SpaceSpec("ces", (1, 2), (Weight(expfam(1.0, 0.0, -1.0), check=False),
-                                     Weight(ONE, check=False)), validate=False)
+    spec = SpaceSpec("ces", (1, 2), (expfam(1.0, 0.0, -1.0),
+                                     ONE), validate=False)
     small = QuadratureConfig(S=10.0, sup_grid=16)
     insts = [random_instance(lem, np.random.default_rng((3, k)))
              for k, lem in enumerate(LEMMAS)]

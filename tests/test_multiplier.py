@@ -16,10 +16,9 @@ from cescop.multiplier import (
     hypothesis_check,
     reduce_problem,
 )
-from cescop.realfun import ONE, Weight, ZERO, as_fun, expfam, power, product, table
+from cescop.realfun import ONE, ZERO, expfam, power, product, table
 from test_acceptance import REGIME_INSTANCES
 
-W = lambda f: Weight(f, check=False)
 EDEC = expfam(1.0, 0.0, -1.0)
 
 DISPATCH_CASES = [
@@ -64,8 +63,8 @@ def test_classification_total_and_exclusive():
 
 
 def _t6_problem(f=expfam(1, 2, 1), u=ONE):
-    return ThreeWeightProblem(r=F(1, 2), u=W(u), p=1, q=2, w=W(EDEC),
-                              v=W(ONE), f=f)
+    return ThreeWeightProblem(r=F(1, 2), u=u, p=1, q=2, w=EDEC,
+                              v=ONE, f=f)
 
 
 def test_t6_closed_form():
@@ -76,7 +75,7 @@ def test_t6_closed_form():
 
 
 def test_unsupported_regime_raises():
-    prob = ThreeWeightProblem(r=1, u=W(ONE), p=2, q=3, w=W(EDEC), v=W(ONE),
+    prob = ThreeWeightProblem(r=1, u=ONE, p=2, q=3, w=EDEC, v=ONE,
                               f=ONE)
     with pytest.raises(UnsupportedRegime):
         characterize(prob)
@@ -84,18 +83,18 @@ def test_unsupported_regime_raises():
 
 def test_gate_violation_raises():
     # w = 1 has infinite tail norms, failing the Omega_2 gate
-    prob = ThreeWeightProblem(r=F(1, 2), u=W(ONE), p=1, q=2, w=W(ONE),
-                              v=W(ONE), f=ONE)
+    prob = ThreeWeightProblem(r=F(1, 2), u=ONE, p=1, q=2, w=ONE,
+                              v=ONE, f=ONE)
     with pytest.raises(SpecInvalid):
         characterize(prob)
 
 
 def test_zero_multiplier_everywhere():
     regimes = [
-        dict(r=1, u=W(ONE), p=F(1, 2), q=F(1, 2), w=W(EDEC), v=W(ONE)),
-        dict(r=2, u=W(EDEC), p=F(1, 2), q=F(1, 2), w=W(EDEC), v=W(ONE)),
-        dict(r=F(1, 2), u=W(ONE), p=1, q=2, w=W(EDEC), v=W(ONE)),
-        dict(r=2, u=W(EDEC), p=1, q=F(3, 2), w=W(EDEC), v=W(ONE)),
+        dict(r=1, u=ONE, p=F(1, 2), q=F(1, 2), w=EDEC, v=ONE),
+        dict(r=2, u=EDEC, p=F(1, 2), q=F(1, 2), w=EDEC, v=ONE),
+        dict(r=F(1, 2), u=ONE, p=1, q=2, w=EDEC, v=ONE),
+        dict(r=2, u=EDEC, p=1, q=F(3, 2), w=EDEC, v=ONE),
     ]
     for kw in regimes:
         assert characterize(ThreeWeightProblem(f=ZERO, **kw)).value == 0.0
@@ -116,8 +115,8 @@ def test_u_scaling_inverse_in_t6():
 
 def test_extra_term_vanishes_for_nonintegrable_u():
     # ||u||_r = inf -> the coefficient 1/||u||_r is 0 by convention
-    prob = ThreeWeightProblem(r=2, u=W(ONE), p=F(1, 2), q=F(1, 2), w=W(EDEC),
-                              v=W(ONE), f=expfam(1, 2, -1))
+    prob = ThreeWeightProblem(r=2, u=ONE, p=F(1, 2), q=F(1, 2), w=EDEC,
+                              v=ONE, f=expfam(1, 2, -1))
     res = characterize(prob)
     assert res.regime == "T3ii"
     extras = [v for n, v in res.terms if n.startswith("extra")]
@@ -125,23 +124,23 @@ def test_extra_term_vanishes_for_nonintegrable_u():
 
 
 def test_extra_term_active_for_integrable_u():
-    prob = ThreeWeightProblem(r=2, u=W(EDEC), p=F(1, 2), q=F(1, 2), w=W(EDEC),
-                              v=W(ONE), f=expfam(1, 2, -1))
+    prob = ThreeWeightProblem(r=2, u=EDEC, p=F(1, 2), q=F(1, 2), w=EDEC,
+                              v=ONE, f=expfam(1, 2, -1))
     res = characterize(prob)
     extras = [v for n, v in res.terms if n.startswith("extra")]
     assert extras[0] > 0.0
 
 
 def test_hypothesis_check_t4_power_weights_clean():
-    prob = ThreeWeightProblem(r=F(1, 3), u=W(ONE), p=F(1, 2), q=2, w=W(EDEC),
-                              v=W(power(1, 2.5)), f=ONE)
+    prob = ThreeWeightProblem(r=F(1, 3), u=ONE, p=F(1, 2), q=2, w=EDEC,
+                              v=power(1, 2.5), f=ONE)
     assert hypothesis_check(prob) == []
 
 
 def test_hypothesis_check_flags_degenerate_phi():
     # u with finite r-norm freezes phi1 at large x: degenerate
-    prob = ThreeWeightProblem(r=F(1, 3), u=W(EDEC), p=F(1, 2), q=2, w=W(EDEC),
-                              v=W(ONE), f=ONE)
+    prob = ThreeWeightProblem(r=F(1, 3), u=EDEC, p=F(1, 2), q=2, w=EDEC,
+                              v=ONE, f=ONE)
     notes = hypothesis_check(prob)
     assert any("phi1" in n for n in notes)
 
@@ -167,7 +166,7 @@ PHI_US = {"exp": EDEC, "sqrt": power(1, -0.5), "one": ONE}
 def test_hypothesis_check_phi_notes(tag, u):
     (r, p, q), expected = PHI_CASES[tag]
     assert classify_regime(p, q, r) == tag
-    prob = ThreeWeightProblem(r=r, u=W(PHI_US[u]), p=p, q=q, w=W(EDEC), v=W(ONE), f=ONE,
+    prob = ThreeWeightProblem(r=r, u=PHI_US[u], p=p, q=q, w=EDEC, v=ONE, f=ONE,
                               validate=False)
     statuses = expected[u]
     which = "phi1" if tag.startswith("T4") else "phi2"
@@ -177,13 +176,13 @@ def test_hypothesis_check_phi_notes(tag, u):
 
 def test_hypothesis_check_classifies_the_problem():
     # (r, p, q) = (3/4, 1/2, 2/3) is T5iv, so its phi2 checks run
-    prob = ThreeWeightProblem(r=F(3, 4), u=W(power(1, -0.5)), p=F(1, 2), q=F(2, 3),
-                              w=W(EDEC), v=W(ONE), f=ONE, validate=False)
+    prob = ThreeWeightProblem(r=F(3, 4), u=power(1, -0.5), p=F(1, 2), q=F(2, 3),
+                              w=EDEC, v=ONE, f=ONE, validate=False)
     assert classify_regime(prob.p, prob.q, prob.r) == "T5iv"
     assert hypothesis_check(prob) == [
         "phi2 degenerate or inconclusive: ('fail', 'pass', 'pass', 'pass')"]
     # a triple with no closed form has no regime hypotheses to check
-    prob = ThreeWeightProblem(r=1, u=W(ONE), p=2, q=3, w=W(EDEC), v=W(ONE), f=ONE,
+    prob = ThreeWeightProblem(r=1, u=ONE, p=2, q=3, w=EDEC, v=ONE, f=ONE,
                               validate=False)
     assert classify_regime(prob.p, prob.q, prob.r) == "UNSUPPORTED"
     assert hypothesis_check(prob) == []
@@ -194,15 +193,15 @@ def test_hypothesis_check_t7_gates():
     # of 1/w near zero when w blows up too slowly? use discontinuous v
     from cescop.realfun import funsum, indicator, product as prod
     v = funsum(indicator(0, 1), prod(power(2, 0), indicator(1, math.inf)))
-    prob = ThreeWeightProblem(r=F(3, 2), u=W(EDEC), p=1, q=2, w=W(EDEC),
-                              v=W(v, ), f=ONE)
+    prob = ThreeWeightProblem(r=F(3, 2), u=EDEC, p=1, q=2, w=EDEC,
+                              v=v, f=ONE)
     notes = hypothesis_check(prob)
     assert any("discontinuous" in n for n in notes)
 
 
 def test_reduce_problem_identity_at_p1_one():
-    prob, outer = reduce_problem(1, 2, F(1, 2), 1, W(ONE), W(ONE), W(EDEC),
-                                 W(ONE), EDEC, validate=False)
+    prob, outer = reduce_problem(1, 2, F(1, 2), 1, ONE, ONE, EDEC,
+                                 ONE, EDEC, validate=False)
     assert outer == 1.0
     assert prob.r == Exponent(2)
     assert prob.p == Exponent(F(1, 2))
@@ -210,7 +209,7 @@ def test_reduce_problem_identity_at_p1_one():
 
 
 def test_reduce_problem_substitution():
-    prob, outer = reduce_problem(2, 4, 1, 2, W(ONE), W(ONE), W(EDEC), W(ONE),
+    prob, outer = reduce_problem(2, 4, 1, 2, ONE, ONE, EDEC, ONE,
                                  EDEC, validate=False)
     assert outer == 0.5
     assert prob.r == Exponent(2)
@@ -223,12 +222,12 @@ def test_reduce_problem_substitution():
 
 def test_reduce_rejects_infinite_exponents():
     with pytest.raises(SpecInvalid):
-        reduce_problem("inf", 1, 1, 1, W(ONE), W(ONE), W(EDEC), W(ONE), ONE)
+        reduce_problem("inf", 1, 1, 1, ONE, ONE, EDEC, ONE, ONE)
 
 
 def test_interpretive_warnings_present():
-    prob = ThreeWeightProblem(r=2, u=W(EDEC), p=F(1, 2), q=F(1, 2), w=W(EDEC),
-                              v=W(ONE), f=expfam(1, 2, -1))
+    prob = ThreeWeightProblem(r=2, u=EDEC, p=F(1, 2), q=F(1, 2), w=EDEC,
+                              v=ONE, f=expfam(1, 2, -1))
     res = characterize(prob)
     assert any("||u||_r^-1" in w for w in res.warnings)
 
@@ -243,8 +242,8 @@ def test_t7_table_v_is_not_flagged_discontinuous():
     # a table is log-linear between samples and flat outside: continuous
     with pytest.warns(UserWarning):
         v = table([-2.0, 0.0, 2.0], [1.0, 2.0, 1.5])
-    prob = ThreeWeightProblem(r=F(3, 2), u=W(EDEC), p=1, q=2, w=W(EDEC),
-                              v=W(v), f=ONE)
+    prob = ThreeWeightProblem(r=F(3, 2), u=EDEC, p=1, q=2, w=EDEC,
+                              v=v, f=ONE)
     notes = hypothesis_check(prob)
     assert not any("discontinuous" in n for n in notes)
 
@@ -252,8 +251,8 @@ def test_t7_table_v_is_not_flagged_discontinuous():
 @pytest.mark.parametrize("pqr", [(1, 2, F(3, 2)), (1, F(3, 2), 2)])  # T7i, T7ii
 def test_t7_divergent_w_tail_names_w(pqr):
     p, q, r = pqr
-    prob = ThreeWeightProblem(r=r, u=W(EDEC), p=p, q=q, w=W(power(1, 5)),
-                              v=W(ONE), f=ONE, validate=False)
+    prob = ThreeWeightProblem(r=r, u=EDEC, p=p, q=q, w=power(1, 5),
+                              v=ONE, f=ONE, validate=False)
     with pytest.raises(DegenerateOperator,
                        match=r"tail integral of \(power\(c=1, alpha=5\)\)"):
         characterize(prob)
@@ -297,7 +296,7 @@ def test_characterize_builds_each_transform_once(monkeypatch):
     def counting(name, op):
         def wrapped(g, *args, **kwargs):
             kept.append(g)  # keeps ids unique while the call runs
-            builds.append((name, id(as_fun(g)), tuple(float(a) for a in args[:2])))
+            builds.append((name, id(g), tuple(float(a) for a in args[:2])))
             return op(g, *args, **kwargs)
         return wrapped
 

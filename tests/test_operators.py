@@ -26,7 +26,7 @@ from cescop.operators import (
     tail_integral_fun,
 )
 from cescop.realfun import (
-    DEFAULT_CFG, ONE, ZERO, Weight, expfam, indicator, power, powerlog, product,
+    DEFAULT_CFG, ONE, ZERO, expfam, indicator, power, powerlog, product,
 )
 
 T = np.logspace(-2, 2, 41)

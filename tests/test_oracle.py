@@ -17,14 +17,13 @@ from cescop.oracle import (
     default_family,
     enrich,
 )
-from cescop.realfun import ONE, Weight, ZERO, expfam, power
+from cescop.realfun import ONE, ZERO, expfam, power
 from cescop.spaces import SpaceSpec
 
-W = lambda f: Weight(f, check=False)
 EDEC = expfam(1.0, 0.0, -1.0)
 
-Y = SpaceSpec("ces", (1, 2), (W(EDEC), W(ONE)), validate=False)
-XCOP = SpaceSpec("cop", (1, F(1, 2)), (W(ONE), W(ONE)), validate=False)
+Y = SpaceSpec("ces", (1, 2), (EDEC, ONE), validate=False)
+XCOP = SpaceSpec("cop", (1, F(1, 2)), (ONE, ONE), validate=False)
 
 
 def test_identity_multiplier():
@@ -49,7 +48,7 @@ def test_determinism():
 
 
 def test_enrich_monotone_superset():
-    X = SpaceSpec("cop", (1, F(1, 2)), (W(ONE), W(ONE)), validate=False)
+    X = SpaceSpec("cop", (1, F(1, 2)), (ONE, ONE), validate=False)
     f = expfam(1, 2, 1)
     fam = default_family(seed=3, size=30)
     base = brute_force_multiplier(f, X, Y, fam).lower_bound
@@ -62,7 +61,7 @@ def test_enrich_monotone_superset():
 
 def test_empty_family_raises():
     # outer weight 1/t makes every candidate's source norm infinite
-    X = SpaceSpec("ces", (1, 1), (W(power(1, -1)), W(ONE)), validate=False)
+    X = SpaceSpec("ces", (1, 1), (power(1, -1), ONE), validate=False)
     fam = default_family(seed=2, size=10)
     with pytest.raises(EmptyFamily):
         brute_force_multiplier(ONE, X, Y, fam)

@@ -1,6 +1,7 @@
 """Function families, quadrature, and norms on (0, inf)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from cescop.realfun import (
     Interval,
     ONE,
     QuadratureConfig,
-    Weight,
     ZERO,
     constant,
     esssup,
@@ -40,6 +40,7 @@ from cescop.realfun import (
     product,
     table,
     tail_at,
+    weight,
 )
 from cescop.realfun import _Table
 
@@ -113,7 +114,7 @@ def test_lp_norm_weighted():
     assert lp_norm(expfam(1, 0, -1), ONE, FULL, 2) == pytest.approx(
         1 / math.sqrt(2), rel=1e-8)
     # sup norm with weight
-    assert lp_norm(ONE, Weight(expfam(1, 0, -1)), FULL, "inf") == pytest.approx(
+    assert lp_norm(ONE, weight(expfam(1, 0, -1)), FULL, "inf") == pytest.approx(
         1.0, rel=1e-6)
 
 
@@ -188,10 +189,18 @@ def test_quad_integral_overflow_is_a_package_error():
         integrate(expfam(1, 0, 1), Interval(0, 800))
 
 
+def test_quad_has_no_absolute_tolerance_floor(monkeypatch):
+    # 1e6 t^2 e^-1000t * (e^-500t / 500)^2 = 4 t^2 e^-2000t integrates to
+    # 1e-9; with quad's default absolute tolerance (1.49e-8) it read 1.285e-9
+    calls = _counting_quad(monkeypatch)
+    g = product(expfam(1e6, 2, -1000), op_A_star(expfam(1, 0, -1000), 0.5, 0.5))
+    assert integrate(g) == pytest.approx(1e-9, rel=1e-12)
+    assert len(calls) == 1
+
+
 def test_weight_rejects_vanishing():
     with pytest.raises(SpecInvalid):
-        Weight(indicator(0, 1))
-    Weight(indicator(0, 1), check=False)  # explicit opt-out works
+        weight(indicator(0, 1))
 
 
 def test_quadrature_config_validation():
@@ -199,6 +208,8 @@ def test_quadrature_config_validation():
         QuadratureConfig(S=-1)
     q = QuadratureConfig.quick()
     assert q.S < QuadratureConfig().S
+    # the window edge e^S must stay a float
+    assert QuadratureConfig(S=math.log(sys.float_info.max)).S > 709
 
 
 @settings(max_examples=30, deadline=None)
@@ -360,7 +371,11 @@ def test_quad_far_from_the_grid_raises_oscillation(monkeypatch):
     lambda: Exponent(-1),
     lambda: Interval(2, 1),
     lambda: QuadratureConfig(S=-1),
-    lambda: Weight(indicator(0, 1)),
+    lambda: QuadratureConfig(S=math.inf),
+    lambda: QuadratureConfig(S=math.nan),
+    lambda: QuadratureConfig(S=710),
+    lambda: QuadratureConfig(sup_grid=math.inf),
+    lambda: weight(indicator(0, 1)),
     lambda: power(-1, 0),
     lambda: powerlog(-1, 0, 1),
     lambda: expfam(-1, 0, -1),
@@ -372,7 +387,8 @@ def test_quad_far_from_the_grid_raises_oscillation(monkeypatch):
     lambda: table([1.0, math.inf], [1.0, 2.0]),
     lambda: table([-math.inf, 0.0], [1.0, 2.0]),
     lambda: reduce_problem("inf", 1, 1, 1, ONE, ONE, ONE, ONE, ONE),
-], ids=["exponent", "interval", "cfg", "weight", "power", "powerlog", "expfam", "constant",
+], ids=["exponent", "interval", "cfg", "cfg-inf-S", "cfg-nan-S", "cfg-S-beyond-float",
+        "cfg-inf-sup-grid", "weight", "power", "powerlog", "expfam", "constant",
         "table-shape", "table-order", "table-value", "table-nan-abscissa",
         "table-inf-abscissa", "table-neg-inf-abscissa", "reduce"])
 def test_public_constructors_raise_a_package_error(build):
