@@ -136,19 +136,18 @@ def parse_cfg(rec) -> QuadratureConfig:
     if not isinstance(rec, dict) or not set(rec) <= _CFG_KEYS:
         raise ConfigError(f"cfg: allowed keys are {sorted(_CFG_KEYS)}")
     base = DEFAULT_CFG
+    sup_grid = _count(rec, "sup_grid", base.sup_grid, "cfg")
     try:
-        return QuadratureConfig(
-            S=float(rec.get("S", base.S)),
-            sup_grid=int(rec.get("sup_grid", base.sup_grid)))
+        return QuadratureConfig(S=float(rec.get("S", base.S)), sup_grid=sup_grid)
     except (SpecInvalid, ValueError, OverflowError) as e:
         raise ConfigError(f"cfg: {e}") from e
 
 
-def _oracle_count(rec: dict, key: str, default: int) -> int:
+def _count(rec: dict, key: str, default: int, what: str) -> int:
     """rec[key] as a non-negative integer (a JSON boolean is not one)."""
     v = rec.get(key, default)
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise ConfigError(f"oracle.{key}: expected a non-negative integer, got {v!r}")
+        raise ConfigError(f"{what}.{key}: expected a non-negative integer, got {v!r}")
     return v
 
 
@@ -225,10 +224,10 @@ def _oracle(f, X, Y, rec: dict, cfg) -> dict:
     One score dict serves the enrich rounds and the final scoring, so
     each candidate is scored once; it lives only for this call.
     """
-    fam = default_family(seed=_oracle_count(rec, "seed", 0),
-                         size=_oracle_count(rec, "size", 60))
+    fam = default_family(seed=_count(rec, "seed", 0, "oracle"),
+                         size=_count(rec, "size", 60, "oracle"))
     scores = {}
-    fam = enrich(fam, f, X, Y, rounds=_oracle_count(rec, "rounds", 0), cfg=cfg,
+    fam = enrich(fam, f, X, Y, rounds=_count(rec, "rounds", 0, "oracle"), cfg=cfg,
                  scores=scores)
     res = brute_force_multiplier(f, X, Y, fam, cfg, scores=scores)
     return {"lower_bound": res.lower_bound,

@@ -16,11 +16,16 @@ product of log factors under the 0 * inf = 0 rule (``log_mul``) and the
 step back from a log-value to a number (``from_log``).
 
 ``log_nodes`` builds the full window of each (S, sup_grid) once, as
-read-only arrays, together with two per-window constants: the panel log
-half-widths log(diff(s) / 2), which every trapezoid panel mass adds, and
-log t (``log_t``), which the elementary functions evaluate.  Only these
-arrays are cached, one set per window: an interval grid gets fresh nodes
-and constants, and a span of the window reads a slice of its constants.
+read-only arrays, together with three per-window constants: the panel
+log half-widths log(diff(s) / 2), which every trapezoid panel mass adds,
+log t (``log_t``), which the elementary functions evaluate, and the
+number of panels in one decade, which the edge estimates fit over.
+Only these are cached, one set per window: an interval grid gets fresh
+nodes and constants, and a span of the window reads a slice of its
+constants.
+
+A single row (1-D) is reduced on scalars, without the masks a block of
+rows needs; it reads bit for bit as the same row inside a 2-D block.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ class _Window(NamedTuple):
     t: np.ndarray
     log_half_widths: np.ndarray  # log(diff(s) / 2), one per panel
     log_t: np.ndarray            # log(t), bit for bit as np.log(t)
+    decade: int                  # panels from an edge node to one decade inside
 
 
 # the full window of each (S, sup_grid), built once
@@ -70,8 +76,9 @@ def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
         win = _WINDOWS.get(key)
         if win is None:
             s, t = _build_nodes(cfg, lo, hi)
-            win = _WINDOWS[key] = _Window(s, t, _log_half_widths(s), np.log(t))
-            for arr in win:
+            win = _WINDOWS[key] = _Window(s, t, _log_half_widths(s), np.log(t),
+                                          _decade_span(s))
+            for arr in (win.s, win.t, win.log_half_widths, win.log_t):
                 arr.flags.writeable = False
         return win.s, win.t
     return _build_nodes(cfg, lo, hi)
@@ -87,13 +94,30 @@ def _build_nodes(cfg, lo: float, hi: float):
     return s, np.exp(s)
 
 
+def _window_of(s: np.ndarray) -> _Window | None:
+    """The cached window whose nodes s are, if any."""
+    for win in _WINDOWS.values():
+        if win.s is s:
+            return win
+    return None
+
+
 def _log_half_widths(s: np.ndarray) -> np.ndarray:
     """log(diff(s) / 2), one per panel; read from the window when s is a
     full window's nodes from log_nodes."""
-    for win in _WINDOWS.values():
-        if win.s is s:
-            return win.log_half_widths
-    return np.log(np.diff(s) / 2.0)
+    win = _window_of(s)
+    return win.log_half_widths if win is not None else np.log(np.diff(s) / 2.0)
+
+
+def _decade_span(s: np.ndarray) -> int:
+    """Panels from an edge node to the node one decade inside (at least 4,
+    at most all of them); read from the window when s is a full window's
+    nodes from log_nodes."""
+    win = _window_of(s)
+    if win is not None:
+        return win.decade
+    n = s.shape[0]
+    return min(n - 1, max(4, int(round((n - 1) * LOG10 / (s[-1] - s[0])))))
 
 
 def log_t(t: np.ndarray) -> np.ndarray:
@@ -127,6 +151,16 @@ def _logsumexp_last(lm: np.ndarray, lo: int = 0, width: int | None = None) -> np
     other entries are -inf.  Their zero terms are laid out at full width,
     so the pairwise sum rounds as it does on the full rows.
     """
+    if lm.ndim == 1:
+        m = np.max(lm)
+        if not math.isfinite(m):  # all -inf -> -inf, any +inf -> +inf
+            return m
+        terms = np.exp(lm - m)
+        if width not in (None, lm.size):
+            full = np.zeros(width)
+            full[lo:lo + lm.size] = terms
+            terms = full
+        return np.log(np.sum(terms)) + m
     m = np.max(lm, axis=-1)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -145,8 +179,11 @@ def _log_running_sum(log_head: float, lm: np.ndarray) -> np.ndarray:
     the 1-D log-terms lm."""
     if log_head == math.inf:
         return np.full(lm.size + 1, math.inf)
+    out = np.empty(lm.size + 1)
+    out[0] = log_head
+    out[1:] = lm
     with np.errstate(invalid="ignore"):
-        return np.logaddexp.accumulate(np.concatenate(([log_head], lm)))
+        return np.logaddexp.accumulate(out, out=out)
 
 
 def log_cumtrapz(li: np.ndarray, s: np.ndarray, log_head: float = NEG_INF) -> np.ndarray:
@@ -172,10 +209,10 @@ def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool, lo: int = 0):
     the same np.log as rows take, so it reads bit for bit as a row.
     """
     n = s.shape[0]
-    span = min(n - 1, max(4, int(round((n - 1) * LOG10 / (s[-1] - s[0])))))
+    span = _decade_span(s)
     i0, i1 = (0, span) if left else (n - 1, n - 1 - span)
-    lv, l1 = (li[..., i - lo] if 0 <= i - lo < li.shape[-1] else NEG_INF
-              for i in (i0, i1))
+    lv = li[..., i0 - lo] if 0 <= i0 - lo < li.shape[-1] else NEG_INF
+    l1 = li[..., i1 - lo] if 0 <= i1 - lo < li.shape[-1] else NEG_INF
     if li.ndim == 1:
         lv, l1 = float(lv), float(l1)
         if not (math.isfinite(lv) and math.isfinite(l1)):
@@ -241,6 +278,8 @@ def log_cumnorm(lf: np.ndarray, s: np.ndarray, q: float, head: bool) -> np.ndarr
     at every node t_j; q = inf is the running sup."""
     if q == math.inf:
         return running_logmax(lf) if head else suffix_logmax(lf)
+    if q == 1.0:  # 1.0 * x and x / 1.0 are x, bit for bit
+        return log_cumint(lf + s, s, head)
     return log_cumint(q * lf + s, s, head) / q
 
 
@@ -324,12 +363,15 @@ def log_mul(*parts: np.ndarray) -> np.ndarray:
 
     A NaN sum is (+inf) + (-inf): an infinite factor against a zero
     one, which the 0 * inf = 0 convention resolves to zero (-inf).
+    The parts are left unchanged.
     """
     with np.errstate(invalid="ignore"):
-        out = parts[0]
-        for p in parts[1:]:
+        out = np.array(parts[0], dtype=float) if len(parts) == 1 else parts[0] + parts[1]
+        for p in parts[2:]:
             out = out + p
-    return np.where(np.isnan(out), NEG_INF, out)
+    out = np.asarray(out)
+    out[np.isnan(out)] = NEG_INF
+    return out
 
 
 def from_log(lx) -> float:

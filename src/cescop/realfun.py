@@ -54,6 +54,9 @@ __all__ = [
 
 NEG_INF = -math.inf
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# nodes of the largest working window a QuadratureConfig may ask for:
+# about 37 times the 26,700 of S = 30 at 1,024 per decade
+_MAX_NODES = 1_000_000
 
 
 class _LazyModule:
@@ -87,8 +90,18 @@ class Interval:
             raise SpecInvalid(f"need 0 <= lo < hi, got ({self.lo}, {self.hi})")
 
     def intersect(self, other: "Interval") -> "Interval | None":
+        # an operand whose ends max and min return, bit for bit, is the
+        # intersection; on a tie they return self's end, and the only
+        # equal ends with other bits are zeros of opposite sign
+        if other.lo <= self.lo and self.hi <= other.hi:
+            return self
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo < hi else None
+        if not lo < hi:
+            return None
+        if (hi == other.hi and lo == other.lo
+                and math.copysign(1.0, lo) == math.copysign(1.0, other.lo)):
+            return other
+        return Interval(lo, hi)
 
 
 FULL = Interval(0.0, INF)
@@ -100,7 +113,7 @@ class QuadratureConfig:
 
     The working window is [e^-S, e^S], so S is at most the log of the
     largest float; sup_grid is nodes per decade for grid-based suprema
-    and nested norms.
+    and nested norms, and the window holds at most _MAX_NODES nodes.
     """
 
     S: float = 30.0
@@ -109,6 +122,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0 < self.S <= _LOG_FLOAT_MAX and 8 <= self.sup_grid < INF):
             raise SpecInvalid("invalid quadrature configuration")
+        if 2.0 * self.S / grids.LOG10 * self.sup_grid + 1 > _MAX_NODES:
+            raise SpecInvalid(f"S = {self.S} at {self.sup_grid} nodes per decade "
+                              f"needs a window above {_MAX_NODES} nodes")
 
     @classmethod
     def quick(cls) -> "QuadratureConfig":

@@ -279,6 +279,11 @@ def test_criterion_6_theorem_cross_validation():
     t0 = time.time()
     lines = []
     ok = True
+    # the oracle bound of every tag, as recorded for the benchmark;
+    # compared by repr, so bit for bit
+    ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(ref_path.read_text())["crossval_lower_bound"]
+    moved = []
     for tag, kw, f in REGIME_INSTANCES:
         prob = ThreeWeightProblem(f=f, **kw)
         res = characterize(prob)
@@ -290,6 +295,8 @@ def test_criterion_6_theorem_cross_validation():
         fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=5,
                      scores=scores)
         lb = brute_force_multiplier(f, X, Y, fam, scores=scores).lower_bound
+        if repr(lb) != repr(reference[tag]):
+            moved.append((tag, lb))
         good = (0.0 < lb < math.inf and 0.0 < res.value < math.inf
                 and lb <= ENVELOPE * res.value and res.value <= ENVELOPE * lb)
         ok = ok and good
@@ -302,6 +309,7 @@ def test_criterion_6_theorem_cross_validation():
            f"two-sided envelope, {elapsed:.1f}s")
     assert ok
     assert elapsed < 600.0
+    assert not moved, f"oracle bounds differ from perfbench/reference.json: {moved}"
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,11 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     {"cfg": {"S": float("nan")}},
     {"cfg": {"S": 710}},
     {"cfg": {"sup_grid": float("inf")}},
+    {"cfg": {"sup_grid": 8.5}},
+    {"cfg": {"sup_grid": 300.7}},
+    {"cfg": {"sup_grid": "300"}},
+    {"cfg": {"sup_grid": 1e9}},
+    {"cfg": {"sup_grid": 10**9}},
 ])
 def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
     code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, **extra})])

@@ -256,6 +256,60 @@ def test_one_row_edge_estimate_matches_the_row_path(grid):
                 assert type(one) in (float, np.float64)
 
 
+@pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
+def test_one_row_reduces_as_its_row_in_a_block(grid):
+    s, _ = _WINDOW_GRIDS[grid]()
+    n = s.size
+    rows = _hostile_rows(s) + list(_rows(s))
+    block = np.array(rows)
+    lm_block = grids._panel_logmass(block, grids._log_half_widths(s))
+    for i, li in enumerate(rows):
+        for head in (True, False):
+            for tail in (True, False):
+                assert np.array_equal(grids.log_integral(li, s, head, tail),
+                                      grids.log_integral(block, s, head, tail)[i],
+                                      equal_nan=True), (i, head, tail)
+        lm = grids._panel_logmass(li, grids._log_half_widths(s))
+        assert np.array_equal(grids._logsumexp_last(lm), grids._logsumexp_last(lm_block)[i],
+                              equal_nan=True), i
+        # lo, hi: the panels lm holds; the others are laid out as zeros
+        for lo, hi in ((0, n - 1), (3, n - 1), (0, n // 2), (n // 3, n - 6)):
+            one = grids._logsumexp_last(lm[lo:hi], lo, n - 1)
+            row = grids._logsumexp_last(lm_block[:, lo:hi], lo, n - 1)[i]
+            assert np.array_equal(one, row, equal_nan=True), (i, lo, hi)
+            one = grids._log_integral_from(li[lo:hi + 1], s, lo)
+            row = grids._log_integral_from(block[:, lo:hi + 1], s, lo)[i]
+            assert np.array_equal(one, row, equal_nan=True), (i, lo, hi)
+
+
+@pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
+def test_log_cumnorm_at_q_one_is_the_general_rule(grid):
+    s, _ = _WINDOW_GRIDS[grid]()
+    for lf in _hostile_rows(s) + list(_rows(s)):
+        for head in (True, False):
+            with np.errstate(invalid="ignore"):
+                general = grids.log_cumint(1.0 * lf + s, s, head) / 1.0
+            assert np.array_equal(grids.log_cumnorm(lf, s, 1.0, head), general, equal_nan=True)
+
+
+def test_log_mul_leaves_its_arguments_unchanged():
+    inf = math.inf
+    a = np.array([inf, -inf, 1.0, math.nan])
+    b = np.array([-inf, 0.0, 1.0, 2.0])
+    c = np.array([0.5, inf, -inf, 0.0])
+    for parts, want in (((a,), [inf, -inf, 1.0, -inf]),
+                        ((a, b), [-inf, -inf, 2.0, -inf]),
+                        ((a, b, c), [-inf, -inf, -inf, -inf]),
+                        ((b, 1.0), [-inf, 1.0, 2.0, 3.0])):
+        before = [np.copy(p) for p in parts]
+        out = grids.log_mul(*parts)
+        np.testing.assert_array_equal(out, want)
+        for p, p0 in zip(parts, before):
+            assert np.array_equal(p, p0, equal_nan=True) and out is not p
+    # scalars give a 0-d array, as a sum of 0-d arrays would
+    assert grids.log_mul(inf, -inf).shape == () and grids.log_mul(inf, -inf) == -inf
+
+
 def test_one_row_edge_estimate_takes_the_rows_log():
     # math.log and np.log differ in the last bit on a few rates in 10^4,
     # so a sweep of rates sees a one-row path that leaves np.log
@@ -300,4 +354,7 @@ def test_window_caches_hold_one_entry_per_window(monkeypatch):
               if isinstance(v, dict) and not name.startswith("__")]
     assert caches and all(len(c) == len(used) for c in caches)
     for win in grids._WINDOWS.values():
-        assert not any(arr.flags.writeable for arr in win)
+        assert not any(arr.flags.writeable for arr in win if isinstance(arr, np.ndarray))
+        n = win.s.size
+        span = round((n - 1) * grids.LOG10 / (win.s[-1] - win.s[0]))
+        assert win.decade == min(n - 1, max(4, span))

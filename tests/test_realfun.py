@@ -210,6 +210,26 @@ def test_quadrature_config_validation():
     assert q.S < QuadratureConfig().S
     # the window edge e^S must stay a float
     assert QuadratureConfig(S=math.log(sys.float_info.max)).S > 709
+    # the densest window in use, 1024 per decade at S = 30, stays valid
+    assert QuadratureConfig(S=30.0, sup_grid=1024).sup_grid == 1024
+
+
+def test_intersect_keeps_the_ends_max_and_min_pick():
+    # an operand comes back as is only when its ends are bit for bit the
+    # intersection's; -0.0 and 0.0 compare equal but print apart
+    ends = (0.0, -0.0, 0.5, 1.0, 2.0, math.inf)
+    ivs = [Interval(lo, hi) for lo in ends for hi in ends if lo < hi]
+    for a in ivs:
+        for b in ivs:
+            got = a.intersect(b)
+            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+            if not lo < hi:
+                assert got is None
+                continue
+            assert (repr(got.lo), repr(got.hi)) == (repr(lo), repr(hi))
+    assert FULL.intersect(FULL) is FULL
+    inner = Interval(0.0, 5.0)
+    assert FULL.intersect(inner) is inner and inner.intersect(FULL) is inner
 
 
 @settings(max_examples=30, deadline=None)
@@ -375,6 +395,8 @@ def test_quad_far_from_the_grid_raises_oscillation(monkeypatch):
     lambda: QuadratureConfig(S=math.nan),
     lambda: QuadratureConfig(S=710),
     lambda: QuadratureConfig(sup_grid=math.inf),
+    lambda: QuadratureConfig(sup_grid=10**9),
+    lambda: QuadratureConfig(S=math.log(sys.float_info.max), sup_grid=2048),
     lambda: weight(indicator(0, 1)),
     lambda: power(-1, 0),
     lambda: powerlog(-1, 0, 1),
@@ -388,7 +410,8 @@ def test_quad_far_from_the_grid_raises_oscillation(monkeypatch):
     lambda: table([-math.inf, 0.0], [1.0, 2.0]),
     lambda: reduce_problem("inf", 1, 1, 1, ONE, ONE, ONE, ONE, ONE),
 ], ids=["exponent", "interval", "cfg", "cfg-inf-S", "cfg-nan-S", "cfg-S-beyond-float",
-        "cfg-inf-sup-grid", "weight", "power", "powerlog", "expfam", "constant",
+        "cfg-inf-sup-grid", "cfg-huge-sup-grid", "cfg-huge-window", "weight", "power",
+        "powerlog", "expfam", "constant",
         "table-shape", "table-order", "table-value", "table-nan-abscissa",
         "table-inf-abscissa", "table-neg-inf-abscissa", "reduce"])
 def test_public_constructors_raise_a_package_error(build):
