@@ -80,27 +80,31 @@ def parse_fun(rec, what: str = "function") -> RealFun:
     if not isinstance(rec, dict) or "family" not in rec:
         raise ConfigError(f"{what}: expected an object with a 'family' key")
     fam = rec["family"]
+
+    def num(key):
+        return _number(rec, key, what)
+
     try:
         if fam == "power":
             _need(rec, {"family", "c", "alpha"}, what)
-            return power(float(rec["c"]), float(rec["alpha"]))
+            return power(num("c"), num("alpha"))
         if fam == "powerlog":
             _need(rec, {"family", "c", "alpha", "beta"}, what)
-            return powerlog(float(rec["c"]), float(rec["alpha"]), float(rec["beta"]))
+            return powerlog(num("c"), num("alpha"), num("beta"))
         if fam == "exp":
             _need(rec, {"family", "c", "alpha", "gamma"}, what)
-            return expfam(float(rec["c"]), float(rec["alpha"]), float(rec["gamma"]))
+            return expfam(num("c"), num("alpha"), num("gamma"))
         if fam == "indicator":
             _need(rec, {"family", "lo", "hi"}, what)
-            hi = math.inf if rec["hi"] == "inf" else float(rec["hi"])
-            return indicator(float(rec["lo"]), hi)
+            hi = math.inf if rec["hi"] == "inf" else num("hi")
+            return indicator(num("lo"), hi)
         if fam == "table":
             _need(rec, {"family", "log_t", "values"}, what)
             return table(np.asarray(rec["log_t"], dtype=float),
                          np.asarray(rec["values"], dtype=float))
         if fam == "constant":
             _need(rec, {"family", "c"}, what)
-            return constant(float(rec["c"]))
+            return constant(num("c"))
         if fam == "product":
             _need(rec, {"family", "parts"}, what)
             return product(*(parse_fun(p, what) for p in rec["parts"]))
@@ -109,7 +113,7 @@ def parse_fun(rec, what: str = "function") -> RealFun:
             return funsum(*(parse_fun(p, what) for p in rec["parts"]))
         if fam == "powerof":
             _need(rec, {"family", "base", "s"}, what)
-            return powerof(parse_fun(rec["base"], what), float(rec["s"]))
+            return powerof(parse_fun(rec["base"], what), num("s"))
     except ConfigError:
         raise
     except (SpecInvalid, ValueError, TypeError) as e:
@@ -138,9 +142,21 @@ def parse_cfg(rec) -> QuadratureConfig:
     base = DEFAULT_CFG
     sup_grid = _count(rec, "sup_grid", base.sup_grid, "cfg")
     try:
-        return QuadratureConfig(S=float(rec.get("S", base.S)), sup_grid=sup_grid)
+        return QuadratureConfig(S=_number(rec, "S", "cfg", base.S), sup_grid=sup_grid)
     except (SpecInvalid, ValueError, OverflowError) as e:
         raise ConfigError(f"cfg: {e}") from e
+
+
+def _number(rec: dict, key: str, what: str, default: float | None = None) -> float:
+    """rec[key] as a float; it must be a JSON number (a string or a
+    boolean is not one)."""
+    v = rec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{what}.{key}: expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as e:  # an integer beyond the float range
+        raise ConfigError(f"{what}.{key}: {e}") from e
 
 
 def _count(rec: dict, key: str, default: int, what: str) -> int:

@@ -16,16 +16,23 @@ product of log factors under the 0 * inf = 0 rule (``log_mul``) and the
 step back from a log-value to a number (``from_log``).
 
 ``log_nodes`` builds the full window of each (S, sup_grid) once, as
-read-only arrays, together with three per-window constants: the panel
-log half-widths log(diff(s) / 2), which every trapezoid panel mass adds,
-log t (``log_t``), which the elementary functions evaluate, and the
-number of panels in one decade, which the edge estimates fit over.
-Only these are cached, one set per window: an interval grid gets fresh
-nodes and constants, and a span of the window reads a slice of its
-constants.
+read-only arrays, together with four per-window constants: the panel
+half-widths diff(s) / 2 and their logs, which every trapezoid panel mass
+multiplies or adds, log t (``log_t``), which the elementary functions
+evaluate, and the number of panels in one decade, which the edge
+estimates fit over.  Only these are cached, one set per window: an
+interval grid gets fresh nodes and constants, and a span of the window
+reads a slice of its constants.
 
 A single row (1-D) is reduced on scalars, without the masks a block of
 rows needs; it reads bit for bit as the same row inside a 2-D block.
+
+Two private rules take the same integrals in scaled linear space, for a
+screen that only has to rank rows: ``_scaled_cumint`` (``log_cumint``)
+and ``_scaled_integral`` (``log_integral`` over the full window).  Each
+shifts the row by its max, takes one exp per node, sums the trapezoid
+panels and takes one log, and returns a bound on its distance from the
+log-space rule; none of the reported numbers is computed this way.
 """
 
 from __future__ import annotations
@@ -48,12 +55,24 @@ _SLOPE_TOL = 1e-9
 # faster than this per unit of s is taken to be infinite.
 _SUP_SLOPE_TOL = 1e-6
 
+# The unit roundoff of a float.
+_U = 2.0 ** -53
+
+# The scaled rules clip a row's shifted log-values at _CLIP, so that no
+# exp lands among the subnormals, where float arithmetic is ~50x slower.
+# The clipped terms add at most 4 S e^_CLIP in all, under 1e-16 of a
+# scaled running sum above _SCALED_FLOOR; an entry below it is taken as
+# an upper bound only.
+_CLIP = -690.0
+_SCALED_FLOOR = 1e-280
+
 
 class _Window(NamedTuple):
     """A full window's read-only nodes and the constants derived from them."""
 
     s: np.ndarray
     t: np.ndarray
+    half_widths: np.ndarray      # diff(s) / 2, one per panel
     log_half_widths: np.ndarray  # log(diff(s) / 2), one per panel
     log_t: np.ndarray            # log(t), bit for bit as np.log(t)
     decade: int                  # panels from an edge node to one decade inside
@@ -69,16 +88,17 @@ def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
     Returns (s, t) with t = exp(s).  Density is cfg.sup_grid points per
     decade, at least 16 nodes total.  The full window (lo = 0, hi = inf)
     is built once per (S, sup_grid) and returned as read-only arrays,
-    together with its panel log half-widths and log t.
+    together with its panel half-widths, their logs and log t.
     """
     if lo == 0.0 and hi == math.inf:
         key = (cfg.S, cfg.sup_grid)
         win = _WINDOWS.get(key)
         if win is None:
             s, t = _build_nodes(cfg, lo, hi)
-            win = _WINDOWS[key] = _Window(s, t, _log_half_widths(s), np.log(t),
+            hw = np.diff(s) / 2.0
+            win = _WINDOWS[key] = _Window(s, t, hw, np.log(hw), np.log(t),
                                           _decade_span(s))
-            for arr in (win.s, win.t, win.log_half_widths, win.log_t):
+            for arr in (win.s, win.t, win.half_widths, win.log_half_widths, win.log_t):
                 arr.flags.writeable = False
         return win.s, win.t
     return _build_nodes(cfg, lo, hi)
@@ -107,6 +127,13 @@ def _log_half_widths(s: np.ndarray) -> np.ndarray:
     full window's nodes from log_nodes."""
     win = _window_of(s)
     return win.log_half_widths if win is not None else np.log(np.diff(s) / 2.0)
+
+
+def _half_widths(s: np.ndarray) -> np.ndarray:
+    """diff(s) / 2, one per panel; read from the window when s is a full
+    window's nodes from log_nodes."""
+    win = _window_of(s)
+    return win.half_widths if win is not None else np.diff(s) / 2.0
 
 
 def _decade_span(s: np.ndarray) -> int:
@@ -208,9 +235,7 @@ def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool, lo: int = 0):
     a node outside them reads -inf.  One row is worked on floats, with
     the same np.log as rows take, so it reads bit for bit as a row.
     """
-    n = s.shape[0]
-    span = _decade_span(s)
-    i0, i1 = (0, span) if left else (n - 1, n - 1 - span)
+    i0, i1 = _edge_nodes(s)[0 if left else 1]
     lv = li[..., i0 - lo] if 0 <= i0 - lo < li.shape[-1] else NEG_INF
     l1 = li[..., i1 - lo] if 0 <= i1 - lo < li.shape[-1] else NEG_INF
     if li.ndim == 1:
@@ -223,6 +248,14 @@ def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool, lo: int = 0):
         rate = (l1 - lv) / abs(s[i1] - s[i0])
         est = np.where(rate > _SLOPE_TOL, lv - np.log(rate), math.inf)
     return np.where(np.isfinite(lv) & np.isfinite(l1), est, NEG_INF)[()]
+
+
+def _edge_nodes(s: np.ndarray):
+    """The node pairs the edge estimates fit over: (edge node, the node one
+    decade inside), left edge first."""
+    n = s.shape[0]
+    span = _decade_span(s)
+    return (0, span), (n - 1, n - 1 - span)
 
 
 def log_head_estimate(li: np.ndarray, s: np.ndarray):
@@ -281,6 +314,162 @@ def log_cumnorm(lf: np.ndarray, s: np.ndarray, q: float, head: bool) -> np.ndarr
     if q == 1.0:  # 1.0 * x and x / 1.0 are x, bit for bit
         return log_cumint(lf + s, s, head)
     return log_cumint(q * lf + s, s, head) / q
+
+
+def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool, keep=()):
+    """log_cumint of one full-window row, summed in scaled linear space.
+
+    Returns (lc, (a, b), low), or None when li holds +inf or NaN.  The
+    edge estimate is log_cumint's own, so a divergent one gives +inf
+    everywhere, as log_cumint does.  Otherwise each finite lc_j lies
+    within a |lc_j| + b of log_cumint(li, s, head)'s entry j, except
+    where low is set: there the scaled running sum fell below
+    _SCALED_FLOOR and lc is only an upper bound.  An entry with no finite
+    term is exactly -inf, and the entries listed in keep are taken bit
+    for bit on the log path.
+
+    (a, b): both rules sum the same terms, so the distance is the
+    rounding of the two.  The log path rounds each panel log and each
+    running logaddexp by a few ulps of its value, and an earlier term's
+    error reaches entry j weighted by its share of that sum; with |x|e^-x
+    bounded this keeps each of the n steps within a few ulps of
+    |lc_j| + 4.  The scaled sum has a relative error of n ulps from the
+    cumsum and of about |lc_j - m| ulps from the exp of the shift by the
+    row max m.  16 n ulps of 2 |lc_j| + 3 |m| + |log hw| + 30 (hw the
+    panel half-width) covers both: about 1e-9 where lc_j is near 50.
+    """
+    n = li.size
+    le = _edge_estimate(li, s, left=head)
+    low = np.zeros(n, dtype=bool)
+    if le == math.inf:
+        return np.full(n, math.inf), (0.0, 0.0), low
+    m = float(np.max(li))
+    if not m < math.inf:
+        return None
+    if m == NEG_INF:
+        return np.full(n, NEG_INF), (0.0, 0.0), low
+    hw = _half_widths(s)
+    # the terms in summing order: the edge estimate, then the panels
+    # from that edge on
+    x = li - m
+    np.maximum(x, _CLIP, out=x)
+    np.exp(x, out=x)
+    acc = np.empty(n)
+    acc[0] = math.exp(le - m)
+    if head:
+        np.add(x[:-1], x[1:], out=acc[1:])
+        acc[1:] *= hw
+    else:
+        np.add(x[:0:-1], x[-2::-1], out=acc[1:])
+        acc[1:] *= hw[::-1]
+    np.cumsum(acc, out=acc)
+    with np.errstate(divide="ignore"):
+        lc = np.log(acc)
+    lc += m
+    # entries [0, k0) of the summing order have no finite term, [k0, k)
+    # a scaled sum below the floor (it never falls along the order)
+    k0 = 0
+    if le == NEG_INF:
+        k0 = max(int(np.argmax((li if head else li[::-1]) > NEG_INF)), 1)
+        lc[:k0] = NEG_INF
+    k = max(int(np.searchsorted(acc, _SCALED_FLOOR)), k0)
+    lc[k0:k] = m + math.log(2.0 * _SCALED_FLOOR)
+    low[k0:k] = True
+    if not head:
+        lc, low = lc[::-1], low[::-1]
+    redo = sorted(j for j in set(keep) if low[j])
+    if redo:
+        lm = _log_half_widths(s)
+        if head:
+            hi = redo[-1]
+            run = _log_running_sum(le, _panel_logmass(li[:hi + 1], lm[:hi]))
+            lc[redo] = run[redo]
+        else:
+            lo = redo[0]
+            run = _log_running_sum(le, _panel_logmass(li[lo:], lm[lo:])[::-1])[::-1]
+            lc[redo] = run[[j - lo for j in redo]]
+        low[redo] = False
+    ulps = 16.0 * n * _U
+    return lc, (2.0 * ulps, ulps * (3.0 * abs(m) + abs(math.log(float(hw[0]))) + 30.0)), low
+
+
+def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
+                     upper: np.ndarray):
+    """log_integral of one full-window row, summed in scaled linear space.
+
+    li must hold no +inf or NaN.  It lies within err, node by node, of
+    the row the log path integrates, except where upper is set: there li
+    is only an upper bound of that row.  Where li is -inf that row is
+    -inf too, and err is not read (it may be inf).  Returns (log value,
+    bound), the log_integral of that row lying within bound of the log
+    value; -inf or +inf with bound 0 are exact.  None when that cannot be certified: an
+    upper entry less than 60 below the max of the others or at a node an
+    edge estimate reads, an edge slope within 1e-6 of _SLOPE_TOL (or node
+    errors that could move it by 1e-6), or node errors that are not small.
+
+    bound: each part of the sum (the core and the two edge estimates)
+    moves by at most a factor e^err of its own error err, weighted by
+    its share of the sum.  In the core, err is the max over the nodes
+    within 100 of the max m; a node further down must stay 90 below m
+    with its error, so all of them add under 4 n e^-90 of the sum.  An edge estimate lv - log(rate), rate = (l1 - lv) /
+    ds, moves by err_lv + dr / (rate - dr), where dr = (err_lv + err_l1)
+    / ds: this 1/rate sensitivity is why slopes near _SLOPE_TOL are
+    refused, and dr must not reach the slope's distance from it.  The
+    upper entries add at most 4 n e^-60 of the sum, and the clip at
+    _CLIP under 1e-290.  Rounding of the two paths adds 16 (n + |value| +
+    |value - m| + |log hw| + 30) ulps.
+    """
+    n = li.size
+    some_upper = bool(upper.any())
+    core = np.where(upper, NEG_INF, li) if some_upper else li
+    m = float(np.max(core))
+    if m == NEG_INF:
+        return None if some_upper else (NEG_INF, 0.0)
+    if some_upper and float(np.max(li[upper])) > m - 60.0:
+        return None
+    near = core >= m - 100.0
+    if not np.all(near | (err <= (m - 90.0) - core)):
+        return None
+    hw = _half_widths(s)
+    x = core - m
+    np.maximum(x, _CLIP, out=x)
+    np.exp(x, out=x)
+    total = float(np.dot(x[:-1] + x[1:], hw))
+    edges = []  # (estimate, its error)
+    for i0, i1 in _edge_nodes(s):
+        if upper[i0] or upper[i1]:
+            return None
+        lv, l1 = float(core[i0]), float(core[i1])
+        if lv == NEG_INF or l1 == NEG_INF:
+            continue
+        ds = abs(float(s[i1]) - float(s[i0]))
+        rate = (l1 - lv) / ds
+        gap = abs(rate - _SLOPE_TOL)
+        dr = (err[i0] + err[i1]) / ds + 4.0 * _U * abs(rate)
+        if gap <= 1e-6 or not dr < gap:
+            return None
+        if rate < _SLOPE_TOL:
+            return math.inf, 0.0
+        est = lv - math.log(rate)
+        edges.append((est, err[i0] + dr / (rate - dr)
+                      + 16.0 * _U * (abs(est) + 2.0 * abs(math.log(rate)) + 4.0)))
+        total += math.exp(est - m)
+    value = math.log(total) + m
+    rho = math.expm1(float(np.max(err, where=near, initial=0.0))) + 4.0 * n * math.exp(-90.0)
+    for est, err_est in edges:
+        if err_est < 1.0:
+            rho += math.exp(est - value) * math.expm1(err_est)
+        elif est + err_est < value - 60.0:
+            rho += math.exp(est + err_est - value)
+        else:
+            return None
+    if some_upper:
+        rho += 4.0 * n * math.exp(-60.0)
+    if not rho < 1e-3:
+        return None
+    rounding = 16.0 * _U * (n + abs(value) + abs(value - m)
+                            + abs(math.log(float(hw[0]))) + 30.0)
+    return value, 1.001 * rho + rounding
 
 
 def log_kernel(lx, lt) -> np.ndarray:

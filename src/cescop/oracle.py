@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyFamily, SpecInvalid
+from .grids import _U
 from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
@@ -28,7 +30,7 @@ from .realfun import (
     power,
     product,
 )
-from .spaces import SpaceSpec, space_norm
+from .spaces import SpaceSpec, _screen_log_norm, space_norm
 
 __all__ = ["Candidate", "CandidateFamily", "OracleResult",
            "default_family", "brute_force_multiplier", "enrich"]
@@ -146,6 +148,51 @@ def _ratio(f: RealFun, X: SpaceSpec, Y: SpaceSpec, cand: Candidate,
     return space_norm(Y, product(f, g), cfg) / den
 
 
+class _Screened(NamedTuple):
+    """A candidate's ratio known only to lie in [lo, hi], from screened
+    norms; brute_force_multiplier scores it exactly if it may win."""
+
+    lo: float
+    hi: float
+
+
+# A screened norm whose log lies outside (-_LOG_RANGE, _LOG_RANGE), or a
+# ratio whose log does, is scored exactly: from_log and the division then
+# stay among normal floats.  A numerator whose log lies below _LOG_ZERO
+# rounds to 0.0 in from_log.
+_LOG_RANGE = 700.0
+_LOG_ZERO = -746.0
+
+
+def _score(f: RealFun, X: SpaceSpec, Y: SpaceSpec, cand: Candidate,
+           cfg: QuadratureConfig):
+    """What _ratio returns for cand, or a _Screened interval around it.
+
+    The norms are screened (spaces._screen_log_norm) in _ratio's order: X
+    first, and Y only when ||g||_X is finite.  Where a screen is missing
+    or out of range the candidate takes _ratio, so every error _ratio
+    raises is raised here too.
+    """
+    g = cand.build()
+    den = _screen_log_norm(X, g, cfg)
+    if den is not None and math.isinf(den[0]):
+        return None  # ||g||_X is exactly 0 or inf
+    if den is None or not -_LOG_RANGE < den[0] < _LOG_RANGE:
+        return _ratio(f, X, Y, cand, cfg)
+    num = _screen_log_norm(Y, product(f, g), cfg)
+    if num is not None and num[0] + num[1] < _LOG_ZERO:
+        return 0.0
+    if num is None or not -_LOG_RANGE < num[0] < _LOG_RANGE:
+        return _ratio(f, X, Y, cand, cfg)
+    # the rounding of num - den and of lr -+ bound, and of the two
+    # from_log calls, the division and the two exps, in log terms
+    lr = num[0] - den[0]
+    bound = num[1] + den[1] + 4.0 * _U * (abs(lr) + 4.0)
+    if not -_LOG_RANGE < lr < _LOG_RANGE:
+        return _ratio(f, X, Y, cand, cfg)
+    return _Screened(math.exp(lr - bound), math.exp(lr + bound))
+
+
 def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
                            fam: CandidateFamily,
                            cfg: QuadratureConfig = DEFAULT_CFG, *,
@@ -156,23 +203,43 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     carry no information about the supremum.  The result is a lower
     bound of the true multiplier norm up to quadrature error.
 
+    Each candidate is first screened with cheap linear-space norms that
+    come with an error bound (``_score``); only the candidates whose
+    interval reaches the largest lower end in the family are then scored
+    exactly, so every candidate that may be the argmax or tie it has an
+    exact ratio.  The argmax is taken among exact ratios in family order,
+    and the result is the one that scoring every candidate exactly gives.
+
     ``scores`` maps each candidate already scored against this same f,
-    X, Y and cfg to its ratio (None for a skipped one); candidates not
-    in it are scored and added.  Sharing one dict across calls with
-    other arguments gives wrong results.
+    X, Y and cfg to its ratio (None for a skipped one) or to a screened
+    interval; candidates not in it are scored and added.  Sharing one
+    dict across calls with other arguments gives wrong results.
     """
     scores = {} if scores is None else scores
+    for cand in fam.candidates:
+        if cand not in scores:
+            scores[cand] = _score(f, X, Y, cand, cfg)
+    floor = -1.0
+    for cand in fam.candidates:
+        ratio = scores[cand]
+        lo = ratio.lo if isinstance(ratio, _Screened) else ratio
+        if lo is not None and lo > floor:
+            floor = lo
+    # exact scores only raise the largest lower end, so no interval below
+    # it now can reach it later
+    for cand in fam.candidates:
+        ratio = scores[cand]
+        if isinstance(ratio, _Screened) and ratio.hi >= floor:
+            scores[cand] = _ratio(f, X, Y, cand, cfg)
     best, best_cand = -1.0, None
     evaluated = skipped = 0
     for cand in fam.candidates:
-        if cand not in scores:
-            scores[cand] = _ratio(f, X, Y, cand, cfg)
         ratio = scores[cand]
         if ratio is None:
             skipped += 1
             continue
         evaluated += 1
-        if ratio > best:
+        if not isinstance(ratio, _Screened) and ratio > best:
             best, best_cand = ratio, cand
     if evaluated == 0:
         raise EmptyFamily("no candidate has a nontrivial source norm")

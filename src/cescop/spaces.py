@@ -5,6 +5,10 @@ A two-parameter Cesaro norm takes the inner p-norm of f in weight v over
 uses (t, inf) inside.  Three-parameter spaces add a middle cumulative
 level.  Inner norms are accumulated on the shared log grid, so the outer
 integral sees the inner norm at every node at once.
+
+``_screen_log_norm`` estimates the log of a two-parameter norm with
+grids' scaled linear-space integrals and bounds its distance from the
+log of ``space_norm``; the oracle ranks its candidates with it.
 """
 
 from __future__ import annotations
@@ -120,6 +124,11 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
     the cumulative norm over (0, t) (ces) or (t, inf) (cop) and multiplies
     it by the next weight out; the outermost exponent reduces over (0, inf).
     """
+    return grids.from_log(_log_norm(spec, f, cfg))
+
+
+def _log_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig) -> float:
+    """The log of space_norm(spec, f, cfg), gate included."""
     _gate(spec, cfg)
     *inner, outer = spec.exponents
     ws = spec.weights[::-1]
@@ -127,13 +136,58 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
     s, t = grids.log_nodes(cfg)
     lv = product(f, ws[0]).logv(t)
     if np.all(np.isneginf(lv)) and not inner[0].is_inf:
-        return 0.0
+        return grids.NEG_INF
     for e, w in zip(inner, ws[1:]):
         lv = grids.log_mul(grids.log_cumnorm(lv, s, float(e), head), w.logv(t))
     if outer.is_inf:
-        return grids.from_log(grids.log_sup(lv, s))
+        return grids.log_sup(lv, s)
     q = float(outer)
-    return grids.from_log(float(grids.log_integral(q * lv + s, s)) / q)
+    return float(grids.log_integral(q * lv + s, s)) / q
+
+
+def _screen_log_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG):
+    """(log value, bound) with _log_norm(spec, f, cfg) within bound of the
+    log value, or None.
+
+    Mirrors _log_norm for an arity-2 spec with finite exponents: the
+    same gate, the same product(...).logv and the same elementwise steps,
+    with grids._scaled_cumint and grids._scaled_integral in place of
+    log_cumnorm and log_integral.  -inf or +inf come with bound 0 and are
+    exact.  None for any other spec, for rows holding +inf or NaN, and
+    wherever grids cannot certify its integrals.
+    """
+    if spec.arity != 2 or any(e.is_inf for e in spec.exponents):
+        return None
+    _gate(spec, cfg)
+    p, q = (float(e) for e in spec.exponents)
+    u, v = spec.weights
+    s, t = grids.log_nodes(cfg)
+    li = p * product(f, v).logv(t) + s
+    lu = u.logv(t)
+    edges = grids._edge_nodes(s)
+    res = grids._scaled_cumint(li, s, spec.kind == CES, keep=edges[0] + edges[1])
+    if res is None or not np.max(lu) < INF:
+        return None
+    lc, (a, b), low = res
+    if lc[0] == INF:  # the inner edge estimate diverges
+        return (INF if np.max(lu) > grids.NEG_INF else grids.NEG_INF), 0.0
+    # as log_mul(lc / p, lu), which finds no NaN to mend: lc and lu hold
+    # no +inf
+    li = lc / p
+    li += lu
+    li *= q
+    li += s
+    # the inner error times q / p, then the rounding of / p, + lu, q * and
+    # + s in both paths, from |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
+    err = np.abs(lc)
+    err *= (q / p) * a + 16.0 * grids._U * q / p
+    err += np.abs(lu) * (12.0 * grids._U * q)
+    err += (q / p) * b + 4.0 * grids._U * (cfg.S + 1.0)
+    res = grids._scaled_integral(li, s, err, low)
+    if res is None or not np.isfinite(res[0]):
+        return res
+    value = res[0] / q
+    return value, res[1] / q + 4.0 * grids._U * abs(value)
 
 
 def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> float:

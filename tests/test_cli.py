@@ -207,6 +207,13 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     {"cfg": {"sup_grid": "300"}},
     {"cfg": {"sup_grid": 1e9}},
     {"cfg": {"sup_grid": 10**9}},
+    # numbers must be JSON numbers, not strings or booleans
+    {"cfg": {"S": "30"}},
+    {"cfg": {"S": True}},
+    {"f": {"family": "exp", "c": "2", "alpha": 2.0, "gamma": 1.0}},
+    {"f": {"family": "exp", "c": 1.0, "alpha": True, "gamma": 1.0}},
+    {"v": {"family": "indicator", "lo": "0", "hi": "inf"}},
+    {"v": {"family": "constant", "c": 10**400}},
 ])
 def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
     code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, **extra})])
@@ -232,6 +239,11 @@ def test_exit_2_on_bad_family(tmp_path, capsys):
     rec = dict(MULT_T6)
     rec["f"] = {"family": "mystery", "c": 1}
     assert run(["mult", "--config", _write(tmp_path, rec)]) == 2
+
+
+def test_indicator_takes_inf_as_its_upper_end():
+    g = cli.parse_fun({"family": "indicator", "lo": 2, "hi": "inf"})
+    assert (g.support.lo, g.support.hi) == (2.0, float("inf"))
 
 
 def test_exit_3_on_unsupported_regime(tmp_path, capsys):

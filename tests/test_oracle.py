@@ -3,22 +3,30 @@
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cescop import oracle
-from cescop.cli import run
+from cescop.cli import _problem_from_config, run
 from cescop.errors import EmptyFamily
+from cescop.exponents import Exponent
+from cescop.grids import from_log
 from cescop.oracle import (
     Candidate,
+    CandidateFamily,
+    OracleResult,
     _perturb,
     brute_force_multiplier,
     default_family,
     enrich,
 )
-from cescop.realfun import ONE, ZERO, expfam, power
-from cescop.spaces import SpaceSpec
+from cescop.realfun import DEFAULT_CFG, ONE, ZERO, expfam, power, product
+from cescop.spaces import SpaceSpec, _log_norm, _screen_log_norm
+
+TAGS = ("T1", "T2i", "T2ii", "T3i", "T3ii", "T4i", "T4ii", "T5i", "T5ii",
+        "T5iii", "T5iv", "T6", "T7i", "T7ii")
 
 EDEC = expfam(1.0, 0.0, -1.0)
 
@@ -111,13 +119,21 @@ def test_shared_scores_give_the_unshared_result():
 
 
 def test_shared_scores_score_each_candidate_once(monkeypatch):
-    calls, norm = [], oracle.space_norm
+    # every candidate's first scoring, screened or exact, goes through
+    # _score; a contender is then scored exactly through _ratio
+    calls, score = [], oracle._score
+    exact, ratio = [], oracle._ratio
 
-    def counted(spec, g, cfg):
-        calls.append(spec)
-        return norm(spec, g, cfg)
+    def counted(f, X, Y, cand, cfg):
+        calls.append(cand)
+        return score(f, X, Y, cand, cfg)
 
-    monkeypatch.setattr(oracle, "space_norm", counted)
+    def counted_exact(f, X, Y, cand, cfg):
+        exact.append(cand)
+        return ratio(f, X, Y, cand, cfg)
+
+    monkeypatch.setattr(oracle, "_score", counted)
+    monkeypatch.setattr(oracle, "_ratio", counted_exact)
     f = expfam(1, 2, 1)
     scores = {}
     fam = enrich(default_family(seed=3, size=30), f, XCOP, Y, rounds=3, scores=scores)
@@ -125,11 +141,12 @@ def test_shared_scores_score_each_candidate_once(monkeypatch):
     distinct = len(set(fam.candidates))
     assert res.evaluated + res.skipped == len(fam.candidates)
     assert set(scores) == set(fam.candidates)
-    assert len(calls) <= 2 * distinct
+    assert len(calls) <= distinct
+    assert len(exact) == len(set(exact))  # no candidate is scored exactly twice
     # without the shared dict every round scores the whole family again
     calls.clear()
     _enriched_result(f, seed=3, size=30, rounds=3)
-    assert len(calls) > 2 * distinct
+    assert len(calls) > distinct
 
 
 def test_oracle_runs_in_one_process_share_no_scores(tmp_path, capsys):
@@ -155,3 +172,157 @@ def test_oracle_runs_in_one_process_share_no_scores(tmp_path, capsys):
         rep = json.loads(capsys.readouterr().out)
         assert (rep["lower_bound"], rep["argmax"],
                 rep["evaluated"], rep["skipped"]) == expected[name]
+
+
+PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+def _crossval_spaces(tag):
+    """f, X and Y of the criterion-6 oracle run on one perfbench config."""
+    prob, cfg, _ = _problem_from_config(json.loads((PERFBENCH_CONFIGS / f"{tag}.json").read_text()))
+    X = SpaceSpec("cop", (Exponent(1), prob.r), (prob.u, ONE), validate=False)
+    Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
+    return prob.f, X, Y, cfg
+
+
+def _check_screen(spec, g, cfg):
+    """The screened log-norm of g lies within its bound of the exact one;
+    an exact 0, inf or numerator 0.0 reading is the exact path's."""
+    screened = _screen_log_norm(spec, g, cfg)
+    if screened is None:
+        return None
+    value, bound = screened
+    exact = _log_norm(spec, g, cfg)
+    if math.isinf(value):
+        assert bound == 0.0 and exact == value
+        return 0.0
+    assert abs(value - exact) <= bound, (spec.describe(), g.describe(), value, exact, bound)
+    if value + bound < oracle._LOG_ZERO:
+        assert from_log(exact) == 0.0
+    return abs(value - exact) / bound
+
+
+# candidates beyond the crossval family: supports outside the window
+# [e^-30, e^30], near-empty bands, steep and slow decays, growing tilts
+# and extreme step levels
+ADVERSARIAL = (
+    Candidate("head", (1e-20,)), Candidate("head", (1e20,)), Candidate("tail", (1e20,)),
+    Candidate("tail", (1e-20,)), Candidate("band", (1e14, 1e16)),
+    Candidate("band", (1e-25, 1e-15)), Candidate("band", (1.0, 1.0000001)),
+    Candidate("band", (1e-13, 2e-13)), Candidate("band", (5e12, 1e13)),
+    Candidate("decay", (0.0, -1e-3)), Candidate("decay", (-5.0, -50.0)),
+    Candidate("decay", (10.0, -1.0)), Candidate("decay", (2.0, 0.5)),
+    Candidate("decay", (-0.999, -1e-4)), Candidate("bump", (1e-12, 1e12, -1.9)),
+    Candidate("step", ((1e-12, 1.0, 1e12), (1e-200, 1e200))),
+)
+
+
+def test_screened_norms_lie_within_their_bounds():
+    """The screen's certified error bound holds on the criterion-6 runs.
+
+    For the 14 perfbench configs, the criterion-6 X and Y, and the family
+    default_family(101, 60) with 3 rounds of enrich perturbations, plus
+    the ADVERSARIAL candidates (decays against u = e^-t in T3ii and T7,
+    T6's growing f = t^2 e^t, supports outside the window), wherever
+    spaces._screen_log_norm returns (value, bound), the exact log-norm
+    (spaces._log_norm, the log of space_norm) lies within bound of
+    value, and the skip and 0.0 readings are the exact path's.
+
+    The bound and its derivation.  Both paths compute the same trapezoid
+    rule with the same edge estimates, so the bound is their rounding:
+    - inner cumulative integral (grids._scaled_cumint): the log path
+      rounds each panel log and each running logaddexp by a few ulps of
+      its value, and an earlier rounding reaches entry j weighted by its
+      share of that sum, so n steps cost a few n ulps of |lc_j| + 4; the
+      scaled sum has n ulps of relative error from the cumsum and about
+      |lc_j - m| ulps from the shift by the row max m.  The bound takes
+      16 n ulps of 2 |lc_j| + 3 |m| + |log hw| + 30, about 1e-9 at
+      |lc_j| = 50.  Entries whose scaled sum falls below 1e-280 are only
+      upper bounds, and must sit 60 below the outer max (4 n e^-60);
+    - elementwise steps lc / p + lu, q *, + s: q / p times the inner
+      bound plus 16 q / p |lc_j| + 12 q |lu_j| + 4 (S + 1) ulps;
+    - outer integral (grids._scaled_integral): the core sum moves by a
+      factor e^err of the largest node error err within 100 of its max,
+      each edge estimate lv - log(rate), rate = (l1 - lv) / ds, by
+      err_lv + dr / (rate - dr) with dr = (err_lv + err_l1) / ds.  That
+      1/rate sensitivity grows without limit near the divergence
+      threshold _SLOPE_TOL, so slopes within 1e-6 of it are not
+      screened, nor slopes dr could move across it.  Parts count by
+      their share of the sum; rounding adds 16 (n + |value| + |value -
+      m| + |log hw| + 30) ulps; the outer log is divided by q.
+    Measured deviations are about 1e-14, far inside the bound.
+    """
+    worst = 0.0
+    screened = 0
+    for tag in TAGS:
+        f, X, Y, cfg = _crossval_spaces(tag)
+        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=3, cfg=cfg)
+        for cand in fam.candidates + ADVERSARIAL:
+            g = cand.build()
+            for spec, fun in ((X, g), (Y, product(f, g))):
+                dev = _check_screen(spec, fun, cfg)
+                if dev is not None:
+                    screened += 1
+                    worst = max(worst, dev)
+    # the screen covers nearly every norm and is far inside its bound
+    assert screened > 0.9 * 2 * 14 * (90 + len(ADVERSARIAL))
+    assert worst < 1e-2
+
+
+def test_screened_ratios_bracket_the_exact_ones():
+    # _score reads None, 0.0 or an exact ratio where _ratio does, and
+    # otherwise an interval around it
+    for tag in ("T3ii", "T6", "T7i"):
+        f, X, Y, cfg = _crossval_spaces(tag)
+        for cand in default_family(seed=101, size=60).candidates + ADVERSARIAL:
+            got, exact = oracle._score(f, X, Y, cand, cfg), oracle._ratio(f, X, Y, cand, cfg)
+            if isinstance(got, oracle._Screened):
+                assert got.lo <= exact <= got.hi
+            else:
+                assert got == exact
+
+
+def test_edge_slopes_near_the_divergence_threshold_are_not_screened():
+    # the outer integrand of ces_{1,1}(t^-1 t^-d, 1) at head(1) has s-slope
+    # -d at the right edge: d = 2e-9 lies within 1e-6 of _SLOPE_TOL, and
+    # at d = 1e-5 the estimate's 1/rate sensitivity is 1e5
+    g = Candidate("head", (1.0,)).build()
+    near = SpaceSpec("ces", (1, 1), (power(1.0, -1.0 - 2e-9), ONE), validate=False)
+    assert _screen_log_norm(near, g) is None
+    steep = SpaceSpec("ces", (1, 1), (power(1.0, -1.0 - 1e-5), ONE), validate=False)
+    assert _check_screen(steep, g, DEFAULT_CFG) is not None
+
+
+def _reference_result(f, X, Y, fam):
+    """brute_force_multiplier scoring every candidate exactly, in order."""
+    best, best_cand, evaluated, skipped = -1.0, None, 0, 0
+    for cand in fam.candidates:
+        ratio = oracle._ratio(f, X, Y, cand, DEFAULT_CFG)
+        if ratio is None:
+            skipped += 1
+            continue
+        evaluated += 1
+        if ratio > best:
+            best, best_cand = ratio, cand
+    return OracleResult(lower_bound=best, argmax=best_cand,
+                        evaluated=evaluated, skipped=skipped)
+
+
+def test_ties_and_duplicates_resolve_as_exact_scoring_does():
+    # heads beyond e^S are 1 on the whole window: identical rows, so
+    # their ratios tie exactly, here at the max; duplicates share a score
+    beyond = [Candidate("head", (t,)) for t in (1e20, 1e30, 1e20, 1e25)]
+    cands = (Candidate("tail", (10.0,)), Candidate("band", (100.0, 1000.0)), beyond[0],
+             Candidate("tail", (1e3,)), beyond[1], Candidate("bump", (1.0, 5.0, 1.0)),
+             beyond[2], Candidate("tail", (1e20,)), beyond[3], Candidate("tail", (10.0,)),
+             Candidate("decay", (1.0, -0.5)))
+    fam = CandidateFamily(candidates=cands, seed=0)
+    for f in (EDEC, ZERO):
+        ref = _reference_result(f, Y, Y, fam)
+        assert brute_force_multiplier(f, Y, Y, fam) == ref
+        scores = {}
+        brute_force_multiplier(f, Y, Y, CandidateFamily(cands[:5], seed=0), scores=scores)
+        assert brute_force_multiplier(f, Y, Y, fam, scores=scores) == ref
+    ref = _reference_result(EDEC, Y, Y, fam)
+    assert ref.argmax == beyond[0] and ref.skipped == 2
+    assert oracle._ratio(EDEC, Y, Y, beyond[3], DEFAULT_CFG) == ref.lower_bound
