@@ -316,17 +316,18 @@ def log_cumnorm(lf: np.ndarray, s: np.ndarray, q: float, head: bool) -> np.ndarr
     return log_cumint(q * lf + s, s, head) / q
 
 
-def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool, keep=()):
+def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool):
     """log_cumint of one full-window row, summed in scaled linear space.
 
-    Returns (lc, (a, b), low), or None when li holds +inf or NaN.  The
-    edge estimate is log_cumint's own, so a divergent one gives +inf
-    everywhere, as log_cumint does.  Otherwise each finite lc_j lies
+    Returns (lc, (a, b), low).  The edge estimate is log_cumint's own,
+    so a divergent one gives +inf everywhere, as log_cumint does;
+    otherwise a row holding +inf or NaN gives None.  Otherwise each finite lc_j lies
     within a |lc_j| + b of log_cumint(li, s, head)'s entry j, except
     where low is set: there the scaled running sum fell below
     _SCALED_FLOOR and lc is only an upper bound.  An entry with no finite
-    term is exactly -inf, and the entries listed in keep are taken bit
-    for bit on the log path.
+    term is exactly -inf, and an edge-fit node (_edge_nodes) is taken bit
+    for bit on the log path rather than bounded, so that edge estimates
+    over lc never read a bound.
 
     (a, b): both rules sum the same terms, so the distance is the
     rounding of the two.  The log path rounds each panel log and each
@@ -377,7 +378,8 @@ def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool, keep=()):
     low[k0:k] = True
     if not head:
         lc, low = lc[::-1], low[::-1]
-    redo = sorted(j for j in set(keep) if low[j])
+    left, right = _edge_nodes(s)
+    redo = sorted(j for j in set(left + right) if low[j])
     if redo:
         lm = _log_half_widths(s)
         if head:
@@ -390,7 +392,8 @@ def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool, keep=()):
             lc[redo] = run[[j - lo for j in redo]]
         low[redo] = False
     ulps = 16.0 * n * _U
-    return lc, (2.0 * ulps, ulps * (3.0 * abs(m) + abs(math.log(float(hw[0]))) + 30.0)), low
+    b = ulps * (3.0 * abs(m) + abs(math.log(float(hw[0]))) + 30.0)
+    return lc, (2.0 * ulps, b), low
 
 
 def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
@@ -402,22 +405,24 @@ def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
     is only an upper bound of that row.  Where li is -inf that row is
     -inf too, and err is not read (it may be inf).  Returns (log value,
     bound), the log_integral of that row lying within bound of the log
-    value; -inf or +inf with bound 0 are exact.  None when that cannot be certified: an
-    upper entry less than 60 below the max of the others or at a node an
-    edge estimate reads, an edge slope within 1e-6 of _SLOPE_TOL (or node
-    errors that could move it by 1e-6), or node errors that are not small.
+    value; -inf or +inf with bound 0 are exact.  None when that cannot be
+    certified: an upper entry less than 60 below the max of the others or
+    at a node an edge estimate reads, an edge slope within 1e-6 of
+    _SLOPE_TOL or one that node errors could move across it, or node
+    errors that are not small.
 
     bound: each part of the sum (the core and the two edge estimates)
     moves by at most a factor e^err of its own error err, weighted by
     its share of the sum.  In the core, err is the max over the nodes
     within 100 of the max m; a node further down must stay 90 below m
-    with its error, so all of them add under 4 n e^-90 of the sum.  An edge estimate lv - log(rate), rate = (l1 - lv) /
-    ds, moves by err_lv + dr / (rate - dr), where dr = (err_lv + err_l1)
-    / ds: this 1/rate sensitivity is why slopes near _SLOPE_TOL are
-    refused, and dr must not reach the slope's distance from it.  The
-    upper entries add at most 4 n e^-60 of the sum, and the clip at
-    _CLIP under 1e-290.  Rounding of the two paths adds 16 (n + |value| +
-    |value - m| + |log hw| + 30) ulps.
+    with its error, so all of them add under 4 n e^-90 of the sum.  An
+    edge estimate lv - log(rate), rate = (l1 - lv) / ds, moves by
+    err_lv + dr / (rate - dr), where dr = (err_lv + err_l1) / ds: this
+    1/rate sensitivity is why slopes near _SLOPE_TOL are refused, and dr
+    must not reach the slope's distance from it.  The upper entries add
+    at most 4 n e^-60 of the sum, and the clip at _CLIP under 1e-290.
+    Rounding of the two paths adds 16 (n + |value| + |value - m| +
+    |log hw| + 30) ulps.
     """
     n = li.size
     some_upper = bool(upper.any())
@@ -455,7 +460,8 @@ def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
                       + 16.0 * _U * (abs(est) + 2.0 * abs(math.log(rate)) + 4.0)))
         total += math.exp(est - m)
     value = math.log(total) + m
-    rho = math.expm1(float(np.max(err, where=near, initial=0.0))) + 4.0 * n * math.exp(-90.0)
+    rho = (math.expm1(float(np.max(err, where=near, initial=0.0)))
+           + 4.0 * n * math.exp(-90.0))
     for est, err_est in edges:
         if err_est < 1.0:
             rho += math.exp(est - value) * math.expm1(err_est)

@@ -164,8 +164,7 @@ def _screen_log_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAUL
     s, t = grids.log_nodes(cfg)
     li = p * product(f, v).logv(t) + s
     lu = u.logv(t)
-    edges = grids._edge_nodes(s)
-    res = grids._scaled_cumint(li, s, spec.kind == CES, keep=edges[0] + edges[1])
+    res = grids._scaled_cumint(li, s, spec.kind == CES)
     if res is None or not np.max(lu) < INF:
         return None
     lc, (a, b), low = res

@@ -358,3 +358,39 @@ def test_window_caches_hold_one_entry_per_window(monkeypatch):
         n = win.s.size
         span = round((n - 1) * grids.LOG10 / (win.s[-1] - win.s[0]))
         assert win.decade == min(n - 1, max(4, span))
+
+
+@pytest.mark.parametrize("grid", ["default", "glue"])
+def test_scaled_rules_lie_within_their_bounds_of_the_log_rules(grid):
+    # rows whose log range runs past 1400, with -inf runs, +inf and NaN
+    s, t = _WINDOW_GRIDS[grid]()
+    wide = [-t, 2.0 * s - t, np.where(s < 0.0, -math.inf, -40.0 * np.abs(s)),
+            np.where(s > 1.0, -math.inf, 60.0 * s), -np.exp(np.abs(s))]
+    left, right = grids._edge_nodes(s)
+    for li in _hostile_rows(s) + list(_rows(s)) + wide:
+        for head in (True, False):
+            res = grids._scaled_cumint(li, s, head)
+            if res is None:  # a +inf or NaN, and no divergent edge
+                assert not np.max(li) < math.inf
+                continue
+            lc, (a, b), low = res
+            with np.errstate(invalid="ignore"):
+                exact = grids.log_cumint(li, s, head)
+            assert np.array_equal(np.isneginf(lc), np.isneginf(exact))
+            assert np.array_equal(np.isposinf(lc), np.isposinf(exact))
+            fin = np.isfinite(exact) & ~low
+            assert np.all(np.abs(lc[fin] - exact[fin]) <= a * np.abs(lc[fin]) + b)
+            assert np.all(lc[low] >= exact[low])
+            # an edge-fit node is never a bound: below the floor it is the
+            # log rule's own entry
+            edge = list(left + right)
+            assert not low[edge].any()
+            deep = [i for i in edge if exact[i] < np.max(li) + math.log(grids._SCALED_FLOOR)]
+            assert np.array_equal(lc[deep], exact[deep])
+        if not np.max(li) < math.inf:
+            continue
+        res = grids._scaled_integral(li, s, np.zeros(s.size), np.zeros(s.size, dtype=bool))
+        if res is not None:
+            value, bound = res
+            exact = float(grids.log_integral(li, s))
+            assert value == exact if math.isinf(value) else abs(value - exact) <= bound

@@ -179,7 +179,8 @@ PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "conf
 
 def _crossval_spaces(tag):
     """f, X and Y of the criterion-6 oracle run on one perfbench config."""
-    prob, cfg, _ = _problem_from_config(json.loads((PERFBENCH_CONFIGS / f"{tag}.json").read_text()))
+    rec = json.loads((PERFBENCH_CONFIGS / f"{tag}.json").read_text())
+    prob, cfg, _ = _problem_from_config(rec)
     X = SpaceSpec("cop", (Exponent(1), prob.r), (prob.u, ONE), validate=False)
     Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
     return prob.f, X, Y, cfg
