@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -63,17 +64,25 @@ def _need(rec: dict, keys: set, what: str) -> None:
 
 
 def parse_exponent(rec, what: str = "exponent") -> Exponent:
+    """An exponent record: a JSON number, a string such as "3/4" or "inf",
+    or {"num": ..., "den": ...} with JSON integers."""
     try:
-        if rec == "inf":
-            return Exponent("inf")
         if isinstance(rec, dict):
             _need(rec, {"num", "den"}, what)
-            return Exponent(Fraction(int(rec["num"]), int(rec["den"])))
-        if isinstance(rec, (int, float, str)):
-            return Exponent(rec)
-    except (SpecInvalid, ValueError, TypeError, ZeroDivisionError) as e:
+            num, den = rec["num"], rec["den"]
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in (num, den)):
+                raise ConfigError(f"{what}: num and den must be integers, got {rec!r}")
+            return Exponent(Fraction(num, den))
+        return Exponent(rec)
+    except (SpecInvalid, ZeroDivisionError) as e:
         raise ConfigError(f"{what}: {e}") from e
-    raise ConfigError(f"{what}: cannot interpret {rec!r}")
+
+
+# family -> (factory, the number fields it takes in order)
+_ELEMENTARY = {"power": (power, ("c", "alpha")),
+               "powerlog": (powerlog, ("c", "alpha", "beta")),
+               "exp": (expfam, ("c", "alpha", "gamma")),
+               "constant": (constant, ("c",))}
 
 
 def parse_fun(rec, what: str = "function") -> RealFun:
@@ -82,29 +91,20 @@ def parse_fun(rec, what: str = "function") -> RealFun:
     fam = rec["family"]
 
     def num(key):
-        return _number(rec, key, what)
+        return _number(rec[key], f"{what}.{key}")
 
     try:
-        if fam == "power":
-            _need(rec, {"family", "c", "alpha"}, what)
-            return power(num("c"), num("alpha"))
-        if fam == "powerlog":
-            _need(rec, {"family", "c", "alpha", "beta"}, what)
-            return powerlog(num("c"), num("alpha"), num("beta"))
-        if fam == "exp":
-            _need(rec, {"family", "c", "alpha", "gamma"}, what)
-            return expfam(num("c"), num("alpha"), num("gamma"))
+        if isinstance(fam, str) and fam in _ELEMENTARY:
+            make, keys = _ELEMENTARY[fam]
+            _need(rec, {"family", *keys}, what)
+            return make(*(num(k) for k in keys))
         if fam == "indicator":
             _need(rec, {"family", "lo", "hi"}, what)
             hi = math.inf if rec["hi"] == "inf" else num("hi")
             return indicator(num("lo"), hi)
         if fam == "table":
             _need(rec, {"family", "log_t", "values"}, what)
-            return table(np.asarray(rec["log_t"], dtype=float),
-                         np.asarray(rec["values"], dtype=float))
-        if fam == "constant":
-            _need(rec, {"family", "c"}, what)
-            return constant(num("c"))
+            return table(_numbers(rec, "log_t", what), _numbers(rec, "values", what))
         if fam == "product":
             _need(rec, {"family", "parts"}, what)
             return product(*(parse_fun(p, what) for p in rec["parts"]))
@@ -142,21 +142,28 @@ def parse_cfg(rec) -> QuadratureConfig:
     base = DEFAULT_CFG
     sup_grid = _count(rec, "sup_grid", base.sup_grid, "cfg")
     try:
-        return QuadratureConfig(S=_number(rec, "S", "cfg", base.S), sup_grid=sup_grid)
+        return QuadratureConfig(S=_number(rec.get("S", base.S), "cfg.S"), sup_grid=sup_grid)
     except (SpecInvalid, ValueError, OverflowError) as e:
         raise ConfigError(f"cfg: {e}") from e
 
 
-def _number(rec: dict, key: str, what: str, default: float | None = None) -> float:
-    """rec[key] as a float; it must be a JSON number (a string or a
-    boolean is not one)."""
-    v = rec.get(key, default)
+def _number(v, where: str) -> float:
+    """v, read at where, as a float; it must be a JSON number (a string or
+    a boolean is not one)."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{what}.{key}: expected a number, got {v!r}")
+        raise ConfigError(f"{where}: expected a number, got {v!r}")
     try:
         return float(v)
     except OverflowError as e:  # an integer beyond the float range
-        raise ConfigError(f"{what}.{key}: {e}") from e
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _numbers(rec: dict, key: str, what: str) -> np.ndarray:
+    """rec[key] as a float array; it must be a list of JSON numbers."""
+    v = rec[key]
+    if not isinstance(v, list):
+        raise ConfigError(f"{what}.{key}: expected a list of numbers, got {v!r}")
+    return np.array([_number(x, f"{what}.{key}") for x in v])
 
 
 def _count(rec: dict, key: str, default: int, what: str) -> int:
@@ -220,14 +227,17 @@ def _cmd_norm(args) -> dict:
     return {"command": "norm", "space": spec.describe(), "value": value}
 
 
+# the fields of a mult config's problem, in parsing order, with their parsers
+_PROBLEM_FIELDS = {"r": parse_exponent, "u": parse_fun, "p": parse_exponent,
+                   "q": parse_exponent, "w": parse_fun, "v": parse_fun, "f": parse_fun}
+
+
 def _problem_from_config(rec) -> tuple:
-    keys = {"r", "u", "p", "q", "w", "v", "f"}
-    _need(rec, keys | ({"cfg", "validate", "oracle"} & set(rec)), "mult config")
+    _need(rec, set(_PROBLEM_FIELDS) | ({"cfg", "validate", "oracle"} & set(rec)),
+          "mult config")
     prob = ThreeWeightProblem(
-        r=parse_exponent(rec["r"], "r"), u=parse_fun(rec["u"], "u"),
-        p=parse_exponent(rec["p"], "p"), q=parse_exponent(rec["q"], "q"),
-        w=parse_fun(rec["w"], "w"), v=parse_fun(rec["v"], "v"),
-        f=parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "mult config"))
+        **{k: parse(rec[k], k) for k, parse in _PROBLEM_FIELDS.items()},
+        validate=_validate_flag(rec, "mult config"))
     return prob, parse_cfg(rec.get("cfg")), rec.get("oracle")
 
 
@@ -348,8 +358,7 @@ def _verify_checks(seed: int, quick: bool):
         f=expfam(1.0, 2.0, 1.0))
     base = characterize(prob, cfg)
     scaled = characterize(
-        ThreeWeightProblem(r=prob.r, u=prob.u, p=prob.p, q=prob.q, w=prob.w,
-                           v=prob.v, f=product(constant(3.0), prob.f)), cfg)
+        dataclasses.replace(prob, f=product(constant(3.0), prob.f)), cfg)
     record("homogeneity_in_f",
            abs(scaled.value - 3.0 * base.value) <= 1e-10 * scaled.value,
            f"value {base.value:.12g}, 3x {scaled.value:.12g}")

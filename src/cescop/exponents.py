@@ -17,23 +17,22 @@ __all__ = ["Exponent", "dual_exponent", "arrow", "INF_EXP"]
 
 
 def _coerce(value) -> Fraction | float:
+    """value as a Fraction, or as a float when it is inf or an irrational
+    float; SpecInvalid for anything else, a boolean included."""
     if isinstance(value, Exponent):
         return value.value
-    if value == math.inf:
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, str)):
+        raise SpecInvalid(f"cannot read {value!r} as an exponent")
+    if value == math.inf or value in ("inf", "oo"):
         return math.inf
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    try:
+        if isinstance(value, float) and not (
+                value.is_integer()
+                or Fraction(value).limit_denominator(10**6) == Fraction(value)):
+            return value
         return Fraction(value)
-    if isinstance(value, float):
-        if value.is_integer() or Fraction(value).limit_denominator(10**6) == Fraction(value):
-            return Fraction(value)
-        return value
-    if isinstance(value, str):
-        if value in ("inf", "oo"):
-            return math.inf
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exponent")
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise SpecInvalid(f"cannot read {value!r} as an exponent: {e}") from None
 
 
 @total_ordering

@@ -19,6 +19,7 @@ from . import grids
 from .conventions import INF
 from .errors import NoWitness, SpecInvalid, ZeroMass
 from .exponents import Exponent
+from .grids import NEG_INF
 from .operators import head_integral_fun, tail_integral_fun
 from .realfun import (
     DEFAULT_CFG,
@@ -36,8 +37,6 @@ __all__ = [
     "AlmostGeometricWitness", "almost_geometric_check", "discrete_equiv",
     "random_instance",
 ]
-
-NEG_INF = -math.inf
 
 SUP_SUP = "SUP_SUP"
 SUP_INT = "SUP_INT"

@@ -165,10 +165,7 @@ def _panel_logmass(li: np.ndarray, lw: np.ndarray) -> np.ndarray:
 
 def log_trapz(li: np.ndarray, s: np.ndarray) -> np.ndarray:
     """log of the trapezoid integral of exp(li) ds along the last axis."""
-    lm = _panel_logmass(li, _log_half_widths(s))
-    with np.errstate(invalid="ignore"):
-        out = _logsumexp_last(lm)
-    return out
+    return _log_integral_from(li, s, 0, head=False, tail=False)
 
 
 def _logsumexp_last(lm: np.ndarray, lo: int = 0, width: int | None = None) -> np.ndarray:
@@ -176,18 +173,14 @@ def _logsumexp_last(lm: np.ndarray, lo: int = 0, width: int | None = None) -> np
 
     lm may hold only the entries lo, lo + 1, ... of rows width long whose
     other entries are -inf.  Their zero terms are laid out at full width,
-    so the pairwise sum rounds as it does on the full rows.
+    so the pairwise sum rounds as it does on the full rows.  One full row
+    is reduced on its scalar max, without the masks a block needs.
     """
-    if lm.ndim == 1:
+    if lm.ndim == 1 and width in (None, lm.size):
         m = np.max(lm)
         if not math.isfinite(m):  # all -inf -> -inf, any +inf -> +inf
             return m
-        terms = np.exp(lm - m)
-        if width not in (None, lm.size):
-            full = np.zeros(width)
-            full[lo:lo + lm.size] = terms
-            terms = full
-        return np.log(np.sum(terms)) + m
+        return np.log(np.sum(np.exp(lm - m))) + m
     m = np.max(lm, axis=-1)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -381,15 +374,12 @@ def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool):
     left, right = _edge_nodes(s)
     redo = sorted(j for j in set(left + right) if low[j])
     if redo:
-        lm = _log_half_widths(s)
         if head:
-            hi = redo[-1]
-            run = _log_running_sum(le, _panel_logmass(li[:hi + 1], lm[:hi]))
-            lc[redo] = run[redo]
+            hi = redo[-1] + 1
+            lc[redo] = log_cumtrapz(li[:hi], s[:hi], le)[redo]
         else:
             lo = redo[0]
-            run = _log_running_sum(le, _panel_logmass(li[lo:], lm[lo:])[::-1])[::-1]
-            lc[redo] = run[[j - lo for j in redo]]
+            lc[redo] = log_suffix_cumtrapz(li[lo:], s[lo:], le)[[j - lo for j in redo]]
         low[redo] = False
     ulps = 16.0 * n * _U
     b = ulps * (3.0 * abs(m) + abs(math.log(float(hw[0]))) + 30.0)

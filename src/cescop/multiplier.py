@@ -149,12 +149,12 @@ def hypothesis_check(prob: ThreeWeightProblem, cfg: QuadratureConfig = DEFAULT_C
     notes = []
     if tag in ("T4i", "T4ii", "T5i", "T5ii", "T5iii", "T5iv"):
         V = big_V(prob.v, prob.p, cfg)
-        rep = is_admissible(V, cfg)
+        rep = is_admissible(V)
         if not rep.ok:
             notes.append(f"V is not admissible (checks: {rep.statuses})")
         U = powerof(V, float(dual_exponent(prob.p).reciprocal()))
         phi = _phi(tag, prob, V, cfg)
-        lrep = is_nondegenerate(phi, U, cfg)
+        lrep = is_nondegenerate(phi, U)
         if not lrep.ok:
             notes.append(f"{phi.describe()} degenerate or inconclusive: {lrep.statuses}")
     if tag in ("T7i", "T7ii"):

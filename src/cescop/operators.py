@@ -19,6 +19,7 @@ from . import grids
 from .conventions import INF
 from .errors import DegenerateOperator, DivergentRepresentation, SpecInvalid
 from .exponents import Exponent, arrow, dual_exponent
+from .grids import NEG_INF
 from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
@@ -39,8 +40,11 @@ __all__ = [
     "head_integral_fun", "tail_integral_fun", "running_sup_fun", "suffix_sup_fun",
 ]
 
-NEG_INF = -math.inf
 _BIG = 1e30
+
+# the factor within which is_quasiconcave takes f as increasing and f/a
+# as decreasing
+_QC_SLACK = 10.0
 
 
 def _sanitize(lv: np.ndarray) -> np.ndarray:
@@ -181,26 +185,27 @@ class LimitReport:
 
 
 def _trend_samples(kmax: int = 40) -> np.ndarray:
+    """The points t = 2^k, |k| <= kmax, that the structural checks sample
+    whatever the working window, so they take no QuadratureConfig."""
     return 2.0 ** np.arange(-kmax, kmax + 1, dtype=float)
 
 
-def is_quasiconcave(f: RealFun, a: RealFun, cfg: QuadratureConfig = DEFAULT_CFG,
-                    slack: float = 10.0) -> MonotoneReport:
+def is_quasiconcave(f: RealFun, a: RealFun) -> MonotoneReport:
     """Sampled check that f is equivalent to an increasing function while
-    f/a is equivalent to a decreasing one, within the given factor."""
+    f/a is equivalent to a decreasing one, within a factor _QC_SLACK = 10."""
     t = _trend_samples()
     lf = _sanitize(f.logv(t))
     la = _sanitize(a.logv(t))
     up = float(np.max(np.maximum.accumulate(lf) - lf))
     ld = lf - la
     down = float(np.max(ld - np.minimum.accumulate(ld)))
-    tol = math.log(slack)
+    tol = math.log(_QC_SLACK)
     return MonotoneReport(ok=(up <= tol and down <= tol),
                           increase_defect=math.exp(min(up, 700.0)),
                           decrease_defect=math.exp(min(down, 700.0)))
 
 
-def is_admissible(U: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> LimitReport:
+def is_admissible(U: RealFun) -> LimitReport:
     """U continuous and strictly increasing with U(0+) = 0, U(inf) = inf."""
     t = _trend_samples()
     lv = U.logv(t)
@@ -233,8 +238,7 @@ def _limit_zero_status(lv: np.ndarray) -> str:
     return "fail"
 
 
-def is_nondegenerate(phi: RealFun, U: RealFun,
-                     cfg: QuadratureConfig = DEFAULT_CFG) -> LimitReport:
+def is_nondegenerate(phi: RealFun, U: RealFun) -> LimitReport:
     """The four vanishing limits of non-degenerate U-quasiconcavity.
 
     Limits are estimated by extrapolation along t = 2^(+-k), k <= 40.

@@ -216,25 +216,22 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     dict across calls with other arguments gives wrong results.
     """
     scores = {} if scores is None else scores
+    floor = -1.0
     for cand in fam.candidates:
         if cand not in scores:
             scores[cand] = _score(f, X, Y, cand, cfg)
-    floor = -1.0
-    for cand in fam.candidates:
         ratio = scores[cand]
         lo = ratio.lo if isinstance(ratio, _Screened) else ratio
         if lo is not None and lo > floor:
             floor = lo
     # exact scores only raise the largest lower end, so no interval below
     # it now can reach it later
-    for cand in fam.candidates:
-        ratio = scores[cand]
-        if isinstance(ratio, _Screened) and ratio.hi >= floor:
-            scores[cand] = _ratio(f, X, Y, cand, cfg)
     best, best_cand = -1.0, None
     evaluated = skipped = 0
     for cand in fam.candidates:
         ratio = scores[cand]
+        if isinstance(ratio, _Screened) and ratio.hi >= floor:
+            ratio = scores[cand] = _ratio(f, X, Y, cand, cfg)
         if ratio is None:
             skipped += 1
             continue
@@ -245,6 +242,10 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
         raise EmptyFamily("no candidate has a nontrivial source norm")
     return OracleResult(lower_bound=best, argmax=best_cand,
                         evaluated=evaluated, skipped=skipped)
+
+
+# the variants of the argmax that each enrich round appends
+_PER_ROUND = 10
 
 
 def _perturb(cand: Candidate, rng) -> Candidate:
@@ -271,13 +272,12 @@ def _perturb(cand: Candidate, rng) -> Candidate:
 
 
 def enrich(fam: CandidateFamily, f: RealFun, X: SpaceSpec, Y: SpaceSpec,
-           rounds: int = 1, per_round: int = 10,
-           cfg: QuadratureConfig = DEFAULT_CFG, *,
+           rounds: int = 1, cfg: QuadratureConfig = DEFAULT_CFG, *,
            scores: dict | None = None) -> CandidateFamily:
     """Local search around the current argmax.
 
     Each round evaluates the family, perturbs the best candidate and
-    appends the variants.  The output family is a superset of the
+    appends _PER_ROUND variants.  The output family is a superset of the
     input, so the brute-force value never decreases.  ``scores`` is
     passed to every round's ``brute_force_multiplier``; a caller that
     scores the result against the same f, X, Y and cfg can pass it on.
@@ -285,6 +285,6 @@ def enrich(fam: CandidateFamily, f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     for k in range(rounds):
         rng = np.random.default_rng((fam.seed, k))
         res = brute_force_multiplier(f, X, Y, fam, cfg, scores=scores)
-        extra = tuple(_perturb(res.argmax, rng) for _ in range(per_round))
+        extra = tuple(_perturb(res.argmax, rng) for _ in range(_PER_ROUND))
         fam = replace(fam, candidates=fam.candidates + extra)
     return fam

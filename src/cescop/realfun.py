@@ -27,6 +27,7 @@ from . import grids
 from .conventions import INF
 from .errors import NonIntegrableOscillation, NumericOverflow, SpecInvalid
 from .exponents import Exponent
+from .grids import NEG_INF
 
 __all__ = [
     "Interval",
@@ -52,7 +53,6 @@ __all__ = [
     "esssup",
 ]
 
-NEG_INF = -math.inf
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # nodes of the largest working window a QuadratureConfig may ask for:
 # about 37 times the 26,700 of S = 30 at 1,024 per decade
@@ -310,16 +310,6 @@ def _log_diff(la, lb):
     return out
 
 
-def _common_support(parts) -> Interval | None:
-    """The intersection of the parts' supports; None when it is empty."""
-    sup = FULL
-    for p in parts:
-        sup = sup.intersect(p.support)
-        if sup is None:
-            break
-    return sup
-
-
 class _Product(RealFun):
     """Pointwise product of parts whose supports overlap."""
 
@@ -327,7 +317,12 @@ class _Product(RealFun):
 
     def __init__(self, parts):
         self.parts = list(parts)
-        self.support = _common_support(self.parts)
+        # the intersection of the parts' supports; None when it is empty
+        self.support = FULL
+        for p in self.parts:
+            self.support = self.support.intersect(p.support)
+            if self.support is None:
+                break
 
     def logv(self, t):
         t = np.asarray(t, dtype=float)
@@ -387,9 +382,8 @@ class _LogCallable(RealFun):
 
     family = "opaque"
 
-    def __init__(self, logfn, support: Interval = FULL, label: str = "opaque"):
+    def __init__(self, logfn, label: str = "opaque"):
         self._logfn = logfn
-        self.support = support
         self._label = label
 
     def logv(self, t):
@@ -490,10 +484,9 @@ def product(*parts: RealFun) -> RealFun:
             rest.append(p)
     elementary = _Elementary(c, alpha, beta, gamma)
     core = rest if rest and _is_unit(elementary) else [elementary, *rest]
-    sup = _common_support(core)
-    if window is None or sup is None or sup.intersect(window) is None:
-        return ZERO
     base = core[0] if len(core) == 1 else _Product(core)
+    if window is None or base.support is None or base.support.intersect(window) is None:
+        return ZERO
     if window.lo == 0.0 and window.hi == INF:
         return base
     return _Restricted(base, window)
@@ -527,8 +520,8 @@ def powerof(base: RealFun, s: float) -> RealFun:
     return _PowerOf(base, s)
 
 
-def from_log_callable(logfn, support: Interval = FULL, label: str = "opaque") -> RealFun:
-    return _LogCallable(logfn, support=support, label=label)
+def from_log_callable(logfn, label: str = "opaque") -> RealFun:
+    return _LogCallable(logfn, label=label)
 
 
 def weight(fun: RealFun) -> RealFun:

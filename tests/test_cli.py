@@ -214,6 +214,13 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     {"f": {"family": "exp", "c": 1.0, "alpha": True, "gamma": 1.0}},
     {"v": {"family": "indicator", "lo": "0", "hi": "inf"}},
     {"v": {"family": "constant", "c": 10**400}},
+    # an exponent is not a boolean, num and den are JSON integers and
+    # table samples lists of JSON numbers
+    {"p": True},
+    {"r": {"num": 3.7, "den": 2}},
+    {"r": {"num": True, "den": 2}},
+    {"v": {"family": "table", "log_t": [True, 2.0], "values": [1.0, 1.0]}},
+    {"v": {"family": "table", "log_t": ["0", "1"], "values": [1.0, 1.0]}},
 ])
 def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
     code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, **extra})])

@@ -23,6 +23,12 @@ def test_exponent_construction():
         Exponent(-1)
 
 
+@pytest.mark.parametrize("value", [True, None, [1], "abc", "1/0", float("nan"), -math.inf])
+def test_exponent_rejects_unreadable_values(value):
+    with pytest.raises(SpecInvalid):
+        Exponent(value)
+
+
 def test_exponent_ordering():
     assert Exponent(F(1, 2)) < Exponent(1) < Exponent(2) < INF_EXP
     assert Exponent(F(2, 4)) == Exponent(F(1, 2))

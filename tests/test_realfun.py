@@ -118,6 +118,11 @@ def test_lp_norm_weighted():
         1.0, rel=1e-6)
 
 
+def test_lp_norm_needs_an_exponent():
+    with pytest.raises(SpecInvalid):
+        lp_norm(ONE, ONE)
+
+
 def test_lp_norm_quasi_p_below_one():
     # ||e^-t||_{1/2} = (int e^{-t/2})^2 = 4
     assert lp_norm(expfam(1, 0, -1), ONE, FULL, 0.5) == pytest.approx(4.0, rel=1e-8)
