@@ -8,6 +8,7 @@ irrational floats fall back to float arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import total_ordering
 
@@ -18,14 +19,21 @@ __all__ = ["Exponent", "dual_exponent", "arrow", "INF_EXP"]
 
 def _coerce(value) -> Fraction | float:
     """value as a Fraction, or as a float when it is inf or an irrational
-    float; SpecInvalid for anything else, a boolean included."""
+    float; SpecInvalid for anything but a real number (a NumPy one
+    included) or a string, and for a boolean."""
     if isinstance(value, Exponent):
         return value.value
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, str)):
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
         raise SpecInvalid(f"cannot read {value!r} as an exponent")
     if value == math.inf or value in ("inf", "oo"):
         return math.inf
     try:
+        # NumPy integers as ints, so that no fixed-width integer enters a
+        # Fraction, and other reals, such as NumPy floats, as floats
+        if isinstance(value, numbers.Integral):
+            value = int(value)
+        elif not isinstance(value, (numbers.Rational, float, str)):
+            value = float(value)
         if isinstance(value, float) and not (
                 value.is_integer()
                 or Fraction(value).limit_denominator(10**6) == Fraction(value)):

@@ -220,6 +220,10 @@ def is_admissible(U: RealFun) -> LimitReport:
                        statuses=statuses, witnesses=(tuple(lv[:3]), tuple(lv[-3:])))
 
 
+# the steps toward a limit point that _limit_zero_status reads
+_LIMIT_SPAN = 10
+
+
 def _limit_zero_status(lv: np.ndarray) -> str:
     """Decide whether the sampled log-values tend to -inf (limit 0).
 
@@ -228,7 +232,7 @@ def _limit_zero_status(lv: np.ndarray) -> str:
     fail; anything non-monotone is inconclusive.
     """
     lv = _sanitize(np.asarray(lv, dtype=float))
-    span = min(10, lv.size - 1)
+    span = min(_LIMIT_SPAN, lv.size - 1)
     steps = np.diff(lv[-(span + 1):])
     slope = float(np.mean(steps))
     if slope <= -0.05:
@@ -242,8 +246,10 @@ def is_nondegenerate(phi: RealFun, U: RealFun) -> LimitReport:
     """The four vanishing limits of non-degenerate U-quasiconcavity.
 
     Limits are estimated by extrapolation along t = 2^(+-k), k <= 40.
+    _limit_zero_status reads the last 11 samples of each side and the
+    witnesses the last 3, so only k = 30..40 are sampled.
     """
-    ks = np.arange(0, 41, dtype=float)
+    ks = np.arange(40 - _LIMIT_SPAN, 41, dtype=float)
     t_small = 2.0 ** (-ks)
     t_large = 2.0 ** ks
     ls, ll = phi.logv(t_small), phi.logv(t_large)

@@ -12,7 +12,9 @@ breakpoints.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +32,7 @@ from .realfun import (
     power,
     product,
 )
-from .spaces import SpaceSpec, _screen_log_norm, space_norm
+from .spaces import SpaceSpec, _Screen, space_norm
 
 __all__ = ["Candidate", "CandidateFamily", "OracleResult",
            "default_family", "brute_force_multiplier", "enrich"]
@@ -40,14 +42,19 @@ __all__ = ["Candidate", "CandidateFamily", "OracleResult",
 _ARITY = {"head": 1, "tail": 1, "band": 2, "bump": 3, "step": 2, "decay": 2}
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One test function, rebuildable from (kind, params).
 
     kinds: head (0,t); tail (t,inf); band (s,t); bump t^gamma on (s,t);
     step = piecewise-constant levels on dyadic breakpoints; decay
-    t^gamma e^{rate t}.  ``build`` raises SpecInvalid for an unknown kind
-    or the wrong number of params.
+    t^gamma e^{rate t}.  ``build`` raises SpecInvalid for an unknown kind,
+    the wrong number of params or params that are not real numbers (for
+    a step, two sequences of them: edges and levels).
     """
 
     kind: str
@@ -59,6 +66,11 @@ class Candidate:
             raise SpecInvalid(f"unknown candidate kind {self.kind!r}")
         if not isinstance(self.params, (tuple, list)) or len(self.params) != arity:
             raise SpecInvalid(f"a {self.kind} candidate takes {arity} params, "
+                              f"got {self.params!r}")
+        seqs = self.params if self.kind == "step" else (self.params,)
+        if not all(isinstance(seq, (tuple, list)) and all(map(_is_real, seq))
+                   for seq in seqs):
+            raise SpecInvalid(f"{self.kind} candidate params must be real numbers, "
                               f"got {self.params!r}")
         if self.kind == "head":
             (t,) = self.params
@@ -138,14 +150,36 @@ def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
     return CandidateFamily(candidates=tuple(cands), seed=seed)
 
 
+class _Spaces:
+    """X and Y of one scoring call, each prepared (spaces._Screen) at its
+    first use, so that a gate fails where an unprepared norm's would."""
+
+    def __init__(self, X: SpaceSpec, Y: SpaceSpec, cfg: QuadratureConfig):
+        self._X, self._Y, self._cfg = X, Y, cfg
+
+    @cached_property
+    def X(self) -> _Screen:
+        return _Screen(self._X, self._cfg)
+
+    @cached_property
+    def Y(self) -> _Screen:
+        return _Screen(self._Y, self._cfg)
+
+
 def _ratio(f: RealFun, X: SpaceSpec, Y: SpaceSpec, cand: Candidate,
-           cfg: QuadratureConfig) -> float | None:
-    """||f*g||_Y / ||g||_X for g built from cand; None if ||g||_X is 0 or inf."""
+           cfg: QuadratureConfig, prepared: _Spaces | None = None) -> float | None:
+    """||f*g||_Y / ||g||_X for g built from cand; None if ||g||_X is 0 or inf.
+
+    ``prepared`` holds X and Y prepared for cfg; without it they are
+    prepared here.
+    """
+    if prepared is None:
+        prepared = _Spaces(X, Y, cfg)
     g = cand.build()
-    den = space_norm(X, g, cfg)
+    den = space_norm(prepared.X.spec, g, cfg)
     if not (0.0 < den < math.inf):
         return None
-    return space_norm(Y, product(f, g), cfg) / den
+    return space_norm(prepared.Y.spec, product(f, g), cfg) / den
 
 
 class _Screened(NamedTuple):
@@ -165,31 +199,33 @@ _LOG_ZERO = -746.0
 
 
 def _score(f: RealFun, X: SpaceSpec, Y: SpaceSpec, cand: Candidate,
-           cfg: QuadratureConfig):
+           cfg: QuadratureConfig, prepared: _Spaces | None = None):
     """What _ratio returns for cand, or a _Screened interval around it.
 
-    The norms are screened (spaces._screen_log_norm) in _ratio's order: X
-    first, and Y only when ||g||_X is finite.  Where a screen is missing
-    or out of range the candidate takes _ratio, so every error _ratio
-    raises is raised here too.
+    The norms are screened (spaces._Screen) in _ratio's order: X first,
+    and Y only when ||g||_X is finite.  Where a screen is missing or out
+    of range the candidate takes _ratio, so every error _ratio raises is
+    raised here too.  ``prepared`` is as for _ratio.
     """
+    if prepared is None:
+        prepared = _Spaces(X, Y, cfg)
     g = cand.build()
-    den = _screen_log_norm(X, g, cfg)
+    den = prepared.X(g)
     if den is not None and math.isinf(den[0]):
         return None  # ||g||_X is exactly 0 or inf
     if den is None or not -_LOG_RANGE < den[0] < _LOG_RANGE:
-        return _ratio(f, X, Y, cand, cfg)
-    num = _screen_log_norm(Y, product(f, g), cfg)
+        return _ratio(f, X, Y, cand, cfg, prepared)
+    num = prepared.Y(product(f, g))
     if num is not None and num[0] + num[1] < _LOG_ZERO:
         return 0.0
     if num is None or not -_LOG_RANGE < num[0] < _LOG_RANGE:
-        return _ratio(f, X, Y, cand, cfg)
+        return _ratio(f, X, Y, cand, cfg, prepared)
     # the rounding of num - den and of lr -+ bound, and of the two
     # from_log calls, the division and the two exps, in log terms
     lr = num[0] - den[0]
     bound = num[1] + den[1] + 4.0 * _U * (abs(lr) + 4.0)
     if not -_LOG_RANGE < lr < _LOG_RANGE:
-        return _ratio(f, X, Y, cand, cfg)
+        return _ratio(f, X, Y, cand, cfg, prepared)
     return _Screened(math.exp(lr - bound), math.exp(lr + bound))
 
 
@@ -209,6 +245,8 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     exactly, so every candidate that may be the argmax or tie it has an
     exact ratio.  The argmax is taken among exact ratios in family order,
     and the result is the one that scoring every candidate exactly gives.
+    Each call prepares X and Y once, at their first use (``_Spaces``):
+    the gate, the exponents and the outer weight on the window.
 
     ``scores`` maps each candidate already scored against this same f,
     X, Y and cfg to its ratio (None for a skipped one) or to a screened
@@ -216,10 +254,11 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     dict across calls with other arguments gives wrong results.
     """
     scores = {} if scores is None else scores
+    prepared = _Spaces(X, Y, cfg)
     floor = -1.0
     for cand in fam.candidates:
         if cand not in scores:
-            scores[cand] = _score(f, X, Y, cand, cfg)
+            scores[cand] = _score(f, X, Y, cand, cfg, prepared)
         ratio = scores[cand]
         lo = ratio.lo if isinstance(ratio, _Screened) else ratio
         if lo is not None and lo > floor:
@@ -231,7 +270,7 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     for cand in fam.candidates:
         ratio = scores[cand]
         if isinstance(ratio, _Screened) and ratio.hi >= floor:
-            ratio = scores[cand] = _ratio(f, X, Y, cand, cfg)
+            ratio = scores[cand] = _ratio(f, X, Y, cand, cfg, prepared)
         if ratio is None:
             skipped += 1
             continue

@@ -173,6 +173,9 @@ class _Elementary(RealFun):
 
     def __init__(self, c: float, alpha: float, beta: float = 0.0, gamma: float = 0.0):
         self.family = "powerlog" if beta else "exp" if gamma else "power"
+        if not all(map(math.isfinite, (c, alpha, beta, gamma))):
+            raise SpecInvalid(f"{self.family} family needs finite c, alpha, beta and "
+                              f"gamma, got {c}, {alpha}, {beta}, {gamma}")
         if c <= 0:
             raise SpecInvalid(f"{self.family} family needs c > 0")
         self.c, self.alpha = float(c), float(alpha)

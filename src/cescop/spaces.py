@@ -6,14 +6,15 @@ uses (t, inf) inside.  Three-parameter spaces add a middle cumulative
 level.  Inner norms are accumulated on the shared log grid, so the outer
 integral sees the inner norm at every node at once.
 
-``_screen_log_norm`` estimates the log of a two-parameter norm with
-grids' scaled linear-space integrals and bounds its distance from the
-log of ``space_norm``; the oracle ranks its candidates with it.
+``_Screen`` prepares one space for many norms and estimates the log of
+a two-parameter norm with grids' scaled linear-space integrals, bounded
+in its distance from the log of ``space_norm``; the oracle ranks its
+candidates with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,48 +146,68 @@ def _log_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig) -> float:
     return float(grids.log_integral(q * lv + s, s)) / q
 
 
-def _screen_log_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG):
-    """(log value, bound) with _log_norm(spec, f, cfg) within bound of the
-    log value, or None.
+class _Screen:
+    """One (spec, cfg) made ready to screen many two-parameter norms.
 
-    Mirrors _log_norm for an arity-2 spec with finite exponents: the
-    same gate, the same product(...).logv and the same elementwise steps,
-    with grids._scaled_cumint and grids._scaled_integral in place of
+    Construction runs the gate, so ``spec`` is the spec with its gate off,
+    for the exact norms that follow.  For an arity-2 spec with finite
+    exponents it also takes the exponents as floats and the outer weight's
+    log-values on the window once, with their max and rounding terms.
+
+    Calling it with f gives (log value, bound) with _log_norm(spec, f,
+    cfg) within bound of the log value, or None: the same
+    product(...).logv and the same elementwise steps as _log_norm, with
+    grids._scaled_cumint and grids._scaled_integral in place of
     log_cumnorm and log_integral.  -inf or +inf come with bound 0 and are
     exact.  None for any other spec, for rows holding +inf or NaN, and
     wherever grids cannot certify its integrals.
     """
-    if spec.arity != 2 or any(e.is_inf for e in spec.exponents):
-        return None
-    _gate(spec, cfg)
-    p, q = (float(e) for e in spec.exponents)
-    u, v = spec.weights
-    s, t = grids.log_nodes(cfg)
-    li = p * product(f, v).logv(t) + s
-    lu = u.logv(t)
-    res = grids._scaled_cumint(li, s, spec.kind == CES)
-    if res is None or not np.max(lu) < INF:
-        return None
-    lc, (a, b), low = res
-    if lc[0] == INF:  # the inner edge estimate diverges
-        return (INF if np.max(lu) > grids.NEG_INF else grids.NEG_INF), 0.0
-    # as log_mul(lc / p, lu), which finds no NaN to mend: lc and lu hold
-    # no +inf
-    li = lc / p
-    li += lu
-    li *= q
-    li += s
-    # the inner error times q / p, then the rounding of / p, + lu, q * and
-    # + s in both paths, from |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
-    err = np.abs(lc)
-    err *= (q / p) * a + 16.0 * grids._U * q / p
-    err += np.abs(lu) * (12.0 * grids._U * q)
-    err += (q / p) * b + 4.0 * grids._U * (cfg.S + 1.0)
-    res = grids._scaled_integral(li, s, err, low)
-    if res is None or not np.isfinite(res[0]):
-        return res
-    value = res[0] / q
-    return value, res[1] / q + 4.0 * grids._U * abs(value)
+
+    def __init__(self, spec: SpaceSpec, cfg: QuadratureConfig = DEFAULT_CFG):
+        _gate(spec, cfg)
+        self.spec = replace(spec, validate=False)
+        self.usable = spec.arity == 2 and not any(e.is_inf for e in spec.exponents)
+        if not self.usable:
+            return
+        self.p, self.q = p, q = tuple(float(e) for e in spec.exponents)
+        u, self.v = spec.weights
+        self.head = spec.kind == CES
+        self.s, self.t = grids.log_nodes(cfg)
+        self.lu = u.logv(self.t)
+        self.lu_max = np.max(self.lu)
+        # the rounding of / p, + lu, q * and + s in both paths, from
+        # |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
+        self.lu_err = np.abs(self.lu) * (12.0 * grids._U * q)
+        self.lc_err = 16.0 * grids._U * q / p
+        self.s_err = 4.0 * grids._U * (cfg.S + 1.0)
+
+    def __call__(self, f: RealFun):
+        if not (self.usable and self.lu_max < INF):
+            return None
+        p, q, s = self.p, self.q, self.s
+        li = p * product(f, self.v).logv(self.t) + s
+        res = grids._scaled_cumint(li, s, self.head)
+        if res is None:
+            return None
+        lc, (a, b), low = res
+        if lc[0] == INF:  # the inner edge estimate diverges
+            return (INF if self.lu_max > grids.NEG_INF else grids.NEG_INF), 0.0
+        # as log_mul(lc / p, lu), which finds no NaN to mend: lc and lu hold
+        # no +inf
+        li = lc / p
+        li += self.lu
+        li *= q
+        li += s
+        # the inner error times q / p, then the rounding terms
+        err = np.abs(lc)
+        err *= (q / p) * a + self.lc_err
+        err += self.lu_err
+        err += (q / p) * b + self.s_err
+        res = grids._scaled_integral(li, s, err, low)
+        if res is None or not np.isfinite(res[0]):
+            return res
+        value = res[0] / q
+        return value, res[1] / q + 4.0 * grids._U * abs(value)
 
 
 def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> float:

@@ -221,6 +221,9 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     {"r": {"num": True, "den": 2}},
     {"v": {"family": "table", "log_t": [True, 2.0], "values": [1.0, 1.0]}},
     {"v": {"family": "table", "log_t": ["0", "1"], "values": [1.0, 1.0]}},
+    # JSON's NaN and Infinity are numbers, but no function parameter
+    {"f": {"family": "exp", "c": float("nan"), "alpha": 2.0, "gamma": 1.0}},
+    {"v": {"family": "power", "c": 1, "alpha": float("inf")}},
 ])
 def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
     code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, **extra})])

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,10 +24,21 @@ def test_exponent_construction():
         Exponent(-1)
 
 
-@pytest.mark.parametrize("value", [True, None, [1], "abc", "1/0", float("nan"), -math.inf])
+@pytest.mark.parametrize("value", [True, None, [1], "abc", "1/0", float("nan"), -math.inf,
+                                   np.bool_(True)])
 def test_exponent_rejects_unreadable_values(value):
     with pytest.raises(SpecInvalid):
         Exponent(value)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (np.int64(2), F(2)), (np.uint8(3), F(3)), (np.float32(0.5), F(1, 2)),
+    (np.float64(1.5), F(3, 2)), (np.float32("inf"), math.inf)])
+def test_exponent_reads_numpy_numbers(value, expected):
+    e = Exponent(value)
+    assert e.value == expected
+    # no fixed-width integer inside an exact exponent
+    assert e.is_inf or type(e.value.numerator) is int
 
 
 def test_exponent_ordering():

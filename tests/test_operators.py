@@ -9,6 +9,9 @@ from cescop import grids
 from cescop.errors import DegenerateOperator
 from cescop.operators import (
     FundamentalSpec,
+    LimitReport,
+    _limit_zero_status,
+    _sanitize,
     big_V,
     cal_V,
     fundamental_function,
@@ -26,7 +29,7 @@ from cescop.operators import (
     tail_integral_fun,
 )
 from cescop.realfun import (
-    DEFAULT_CFG, ONE, ZERO, expfam, indicator, power, powerlog, product,
+    DEFAULT_CFG, ONE, ZERO, expfam, from_log_callable, indicator, power, powerlog, product,
 )
 
 T = np.logspace(-2, 2, 41)
@@ -133,6 +136,48 @@ def test_is_nondegenerate():
     assert is_nondegenerate(power(1, 0.5), U).ok
     # phi = U itself fails the vanishing ratio limits
     assert not is_nondegenerate(power(1, 1), U).ok
+
+
+def _nondegenerate_reference(phi, U):
+    """is_nondegenerate sampling every t = 2^(+-k), k = 0..40."""
+    ks = np.arange(0, 41, dtype=float)
+    ls, ll = phi.logv(2.0 ** -ks), phi.logv(2.0 ** ks)
+    lUs, lUl = U.logv(2.0 ** -ks), U.logv(2.0 ** ks)
+    checks = (ls, -ll, ll - lUl, lUs - ls)
+    statuses = tuple(_limit_zero_status(c) for c in checks)
+    return LimitReport(ok=all(s == "pass" for s in statuses), statuses=statuses,
+                       witnesses=tuple(tuple(_sanitize(c)[-3:]) for c in checks))
+
+
+def _log_fun(logfn):
+    return from_log_callable(lambda t: logfn(np.log(t)))
+
+
+NONDEGENERACY_PHIS = (
+    power(1, 0.5), power(1, 1), power(1, 2), powerlog(1, 0.5, -3.0), EDEC,
+    # -inf runs: vanishing off (1e-3, 1e3), and on 2^-36 < t < 2^-32
+    product(power(1, 0.5), indicator(1e-3, 1e3)),
+    _log_fun(lambda lt: np.where(np.abs(lt + 34 * math.log(2)) < 2, -np.inf, 0.5 * lt)),
+    # +inf beyond 2^35 and NaN below 2^-35
+    _log_fun(lambda lt: np.where(lt > 35 * math.log(2), np.inf,
+                                 np.where(lt < -35 * math.log(2), np.nan, 0.5 * lt))),
+    # oscillating tails, one of them growing
+    _log_fun(lambda lt: 5.0 * np.sin(3.0 * lt)),
+    _log_fun(lambda lt: 0.5 * lt + 0.2 * lt * np.sin(2.0 * lt)),
+)
+
+
+def test_nondegeneracy_reads_only_the_limit_samples():
+    # the last 11 samples toward each limit decide every status and the
+    # last 3 are the witnesses, so sampling only those reports the same
+    seen = set()
+    for U in (power(1, 1), power(1, 0.25), expfam(1, 0, 1), NONDEGENERACY_PHIS[7]):
+        for phi in NONDEGENERACY_PHIS:
+            with np.errstate(invalid="ignore"):  # inf - inf where both are +inf
+                got, ref = is_nondegenerate(phi, U), _nondegenerate_reference(phi, U)
+            assert got == ref, (phi.describe(), U.describe())
+            seen.update(ref.statuses)
+    assert seen == {"pass", "fail", "inconclusive"}
 
 
 def test_fundamental_function_positive_and_monotone():

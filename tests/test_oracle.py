@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cescop import oracle
+from cescop import grids, oracle, spaces
 from cescop.cli import _problem_from_config, run
-from cescop.errors import EmptyFamily
+from cescop.errors import EmptyFamily, SpecInvalid
 from cescop.exponents import Exponent
 from cescop.grids import from_log
 from cescop.oracle import (
@@ -22,8 +22,8 @@ from cescop.oracle import (
     default_family,
     enrich,
 )
-from cescop.realfun import DEFAULT_CFG, ONE, ZERO, expfam, power, product
-from cescop.spaces import SpaceSpec, _log_norm, _screen_log_norm
+from cescop.realfun import DEFAULT_CFG, ONE, ZERO, RealFun, expfam, power, product
+from cescop.spaces import SpaceSpec, _Screen, _log_norm
 
 TAGS = ("T1", "T2i", "T2ii", "T3i", "T3ii", "T4i", "T4ii", "T5i", "T5ii",
         "T5iii", "T5iv", "T6", "T7i", "T7ii")
@@ -124,13 +124,13 @@ def test_shared_scores_score_each_candidate_once(monkeypatch):
     calls, score = [], oracle._score
     exact, ratio = [], oracle._ratio
 
-    def counted(f, X, Y, cand, cfg):
+    def counted(f, X, Y, cand, cfg, prepared=None):
         calls.append(cand)
-        return score(f, X, Y, cand, cfg)
+        return score(f, X, Y, cand, cfg, prepared)
 
-    def counted_exact(f, X, Y, cand, cfg):
+    def counted_exact(f, X, Y, cand, cfg, prepared=None):
         exact.append(cand)
-        return ratio(f, X, Y, cand, cfg)
+        return ratio(f, X, Y, cand, cfg, prepared)
 
     monkeypatch.setattr(oracle, "_score", counted)
     monkeypatch.setattr(oracle, "_ratio", counted_exact)
@@ -189,7 +189,7 @@ def _crossval_spaces(tag):
 def _check_screen(spec, g, cfg):
     """The screened log-norm of g lies within its bound of the exact one;
     an exact 0, inf or numerator 0.0 reading is the exact path's."""
-    screened = _screen_log_norm(spec, g, cfg)
+    screened = _Screen(spec, cfg)(g)
     if screened is None:
         return None
     value, bound = screened
@@ -225,7 +225,7 @@ def test_screened_norms_lie_within_their_bounds():
     default_family(101, 60) with 3 rounds of enrich perturbations, plus
     the ADVERSARIAL candidates (decays against u = e^-t in T3ii and T7,
     T6's growing f = t^2 e^t, supports outside the window), wherever
-    spaces._screen_log_norm returns (value, bound), the exact log-norm
+    a spaces._Screen returns (value, bound), the exact log-norm
     (spaces._log_norm, the log of space_norm) lies within bound of
     value, and the skip and 0.0 readings are the exact path's.
 
@@ -289,7 +289,7 @@ def test_edge_slopes_near_the_divergence_threshold_are_not_screened():
     # at d = 1e-5 the estimate's 1/rate sensitivity is 1e5
     g = Candidate("head", (1.0,)).build()
     near = SpaceSpec("ces", (1, 1), (power(1.0, -1.0 - 2e-9), ONE), validate=False)
-    assert _screen_log_norm(near, g) is None
+    assert _Screen(near)(g) is None
     steep = SpaceSpec("ces", (1, 1), (power(1.0, -1.0 - 1e-5), ONE), validate=False)
     assert _check_screen(steep, g, DEFAULT_CFG) is not None
 
@@ -327,3 +327,72 @@ def test_ties_and_duplicates_resolve_as_exact_scoring_does():
     ref = _reference_result(EDEC, Y, Y, fam)
     assert ref.argmax == beyond[0] and ref.skipped == 2
     assert oracle._ratio(EDEC, Y, Y, beyond[3], DEFAULT_CFG) == ref.lower_bound
+
+
+@pytest.mark.parametrize("cand", [
+    Candidate("bump", (1.0, 2.0, "x")), Candidate("head", ("a",)),
+    Candidate("decay", ("a", -1.0)), Candidate("tail", (True,)),
+    Candidate("step", ((1.0, 2.0), "ab")), Candidate("step", ((1.0, 2.0), (1.0, None))),
+])
+def test_candidate_params_must_be_real_numbers(cand):
+    with pytest.raises(SpecInvalid):
+        cand.build()
+
+
+def _counted_calls(monkeypatch, module, name, key):
+    """The keys of every call to module.name, which keeps working."""
+    seen, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        seen.append(key(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_one_call_gates_each_space_once(monkeypatch):
+    # XCOP's outer weight passes the dual-Omega gate and Y's the Omega gate
+    X = SpaceSpec("cop", XCOP.exponents, XCOP.weights)
+    Yv = SpaceSpec("ces", Y.exponents, Y.weights)
+    fam = default_family(seed=3, size=40)
+    f = expfam(1, 2, 1)
+    expected = brute_force_multiplier(f, XCOP, Y, fam)
+    gates = _counted_calls(monkeypatch, spaces, "check_omega",
+                           lambda u, q, dual=False, cfg=None: "X" if dual else "Y")
+    assert brute_force_multiplier(f, X, Yv, fam) == expected
+    assert sorted(gates) == ["X", "Y"]
+
+
+WINDOW_NODES = grids.log_nodes(DEFAULT_CFG)[0].size
+
+
+class _CountedWeight(RealFun):
+    """A weight that counts its evaluations on the window."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, 0
+        self.support, self.family = base.support, base.family
+
+    def logv(self, t):
+        self.calls += np.size(t) == WINDOW_NODES
+        return self.base.logv(t)
+
+    def describe(self):
+        return self.base.describe()
+
+
+def test_one_call_reads_each_outer_weight_once_per_space(monkeypatch):
+    # every read of an outer weight beyond the one that prepares its
+    # space comes from an exact norm of that space
+    ux, uy = _CountedWeight(ONE), _CountedWeight(EDEC)
+    X = SpaceSpec("cop", XCOP.exponents, (ux, ONE), validate=False)
+    Yc = SpaceSpec("ces", Y.exponents, (uy, ONE), validate=False)
+    exact = _counted_calls(monkeypatch, oracle, "space_norm",
+                           lambda spec, g, cfg: spec.weights[0])
+    fam = default_family(seed=3, size=60)
+    res = brute_force_multiplier(expfam(1, 2, 1), X, Yc, fam)
+    assert res.evaluated > 40
+    assert ux.calls == 1 + exact.count(ux)
+    assert uy.calls == 1 + exact.count(uy)
+    assert exact.count(uy) < 10

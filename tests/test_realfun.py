@@ -436,3 +436,11 @@ def test_public_constructors_raise_a_package_error(build):
 def test_public_functions_raise_a_package_error(call):
     with pytest.raises(SpecInvalid):
         call()
+
+
+@pytest.mark.parametrize("make, args", [
+    (power, (1, math.nan)), (power, (math.nan, 1)), (expfam, (math.inf, 0, -1)),
+    (powerlog, (1, 0, math.inf)), (constant, (math.nan,))])
+def test_elementary_parameters_must_be_finite(make, args):
+    with pytest.raises(SpecInvalid):
+        make(*args)
