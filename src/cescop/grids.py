@@ -394,12 +394,12 @@ def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
     the row the log path integrates, except where upper is set: there li
     is only an upper bound of that row.  Where li is -inf that row is
     -inf too, and err is not read (it may be inf).  Returns (log value,
-    bound), the log_integral of that row lying within bound of the log
-    value; -inf or +inf with bound 0 are exact.  None when that cannot be
-    certified: an upper entry less than 60 below the max of the others or
-    at a node an edge estimate reads, an edge slope within 1e-6 of
-    _SLOPE_TOL or one that node errors could move across it, or node
-    errors that are not small.
+    bound), the log_integral of that row lying within bound of the finite
+    log value.  None when that cannot be certified: a row with no finite
+    entry outside upper, an upper entry less than 60 below the max of the
+    others or at a node an edge estimate reads, an edge estimate that
+    diverges, an edge slope within 1e-6 of _SLOPE_TOL or one that node
+    errors could move across it, or node errors that are not small.
 
     bound: each part of the sum (the core and the two edge estimates)
     moves by at most a factor e^err of its own error err, weighted by
@@ -419,7 +419,7 @@ def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
     core = np.where(upper, NEG_INF, li) if some_upper else li
     m = float(np.max(core))
     if m == NEG_INF:
-        return None if some_upper else (NEG_INF, 0.0)
+        return None
     if some_upper and float(np.max(li[upper])) > m - 60.0:
         return None
     near = core >= m - 100.0
@@ -441,10 +441,8 @@ def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
         rate = (l1 - lv) / ds
         gap = abs(rate - _SLOPE_TOL)
         dr = (err[i0] + err[i1]) / ds + 4.0 * _U * abs(rate)
-        if gap <= 1e-6 or not dr < gap:
+        if gap <= 1e-6 or not dr < gap or rate < _SLOPE_TOL:
             return None
-        if rate < _SLOPE_TOL:
-            return math.inf, 0.0
         est = lv - math.log(rate)
         edges.append((est, err[i0] + dr / (rate - dr)
                       + 16.0 * _U * (abs(est) + 2.0 * abs(math.log(rate)) + 4.0)))

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,12 +37,80 @@ __all__ = ["Candidate", "CandidateFamily", "OracleResult",
            "default_family", "brute_force_multiplier", "enrich"]
 
 
-# the number of params of each candidate kind
-_ARITY = {"head": 1, "tail": 1, "band": 2, "bump": 3, "step": 2, "decay": 2}
-
-
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _jit(x, rng) -> float:
+    return float(x * 2.0 ** rng.uniform(-1.0, 1.0))
+
+
+def _draw_span(rng) -> tuple:
+    lo = float(10.0 ** rng.uniform(-4, 3))
+    return lo, lo * float(10.0 ** rng.uniform(0.1, 2.0))
+
+
+def _jit_span(lo, hi, rng) -> tuple:
+    lo2 = _jit(lo, rng)
+    return lo2, max(_jit(hi, rng), lo2 * 1.05)
+
+
+def _build_step(edges, levels) -> RealFun:
+    if len(edges) != len(levels) + 1:
+        raise SpecInvalid(f"a step candidate takes one edge more than levels, "
+                          f"got edges {edges!r} and levels {levels!r}")
+    parts = [product(constant(c), indicator(a, b))
+             for a, b, c in zip(edges[:-1], edges[1:], levels) if c > 0.0]
+    return funsum(*parts) if parts else constant(1.0)
+
+
+def _draw_step(rng) -> tuple:
+    k0 = int(rng.integers(-12, 4))
+    nlev = int(rng.integers(2, 7))
+    edges = tuple(2.0 ** (k0 + 2 * np.arange(nlev + 1, dtype=float)))
+    return edges, tuple(float(10.0 ** rng.uniform(-2, 2)) for _ in range(nlev))
+
+
+def _perturb_step(params, rng) -> tuple:
+    edges, levels = params
+    levels = tuple(_jit(c, rng) for c in levels)
+    # sorted, so that edges jittered past each other still bound intervals
+    return (tuple(sorted(_jit(e, rng) for e in edges)) if rng.random() < 0.5
+            else edges), levels
+
+
+class _Kind(NamedTuple):
+    """A candidate kind: its number of params (reals, or with ``seqs`` sequences of
+    reals), the RealFun they build, and how default_family and _perturb draw them."""
+
+    arity: int
+    seqs: bool
+    build: Callable
+    draw: Callable
+    perturb: Callable
+
+
+def _head_or_tail(build) -> _Kind:
+    return _Kind(1, False, build, lambda rng: (float(10.0 ** rng.uniform(-4, 4)),),
+                 lambda p, rng: (_jit(p[0], rng),))
+
+
+# in the order default_family draws a kind from
+_KINDS = {
+    "head": _head_or_tail(lambda t: indicator(0.0, t)),
+    "tail": _head_or_tail(lambda t: indicator(t, math.inf)),
+    "band": _Kind(2, False, indicator, _draw_span, lambda p, rng: _jit_span(*p, rng)),
+    "bump": _Kind(3, False,
+                  lambda lo, hi, gamma: product(power(1.0, gamma), indicator(lo, hi)),
+                  lambda rng: (*_draw_span(rng), float(rng.uniform(-2.0, 2.0))),
+                  lambda p, rng: (*_jit_span(p[0], p[1], rng),
+                                  float(p[2] + rng.uniform(-0.5, 0.5)))),
+    "step": _Kind(2, True, _build_step, _draw_step, _perturb_step),
+    "decay": _Kind(2, False, lambda gamma, rate: expfam(1.0, gamma, rate),
+                   lambda rng: (float(rng.uniform(-1.0, 4.0)),
+                                -float(10.0 ** rng.uniform(-1.5, 0.5))),
+                   lambda p, rng: (float(p[0] + rng.uniform(-0.5, 0.5)), _jit(p[1], rng))),
+}
 
 
 @dataclass(frozen=True)
@@ -54,45 +121,25 @@ class Candidate:
     step = piecewise-constant levels on dyadic breakpoints; decay
     t^gamma e^{rate t}.  ``build`` raises SpecInvalid for an unknown kind,
     the wrong number of params or params that are not real numbers (for
-    a step, two sequences of them: edges and levels).
+    a step, two sequences of them: edges, and one level fewer).
     """
 
     kind: str
     params: tuple
 
     def build(self) -> RealFun:
-        arity = _ARITY.get(self.kind)
-        if arity is None:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise SpecInvalid(f"unknown candidate kind {self.kind!r}")
-        if not isinstance(self.params, (tuple, list)) or len(self.params) != arity:
-            raise SpecInvalid(f"a {self.kind} candidate takes {arity} params, "
+        if not isinstance(self.params, (tuple, list)) or len(self.params) != kind.arity:
+            raise SpecInvalid(f"a {self.kind} candidate takes {kind.arity} params, "
                               f"got {self.params!r}")
-        seqs = self.params if self.kind == "step" else (self.params,)
+        seqs = self.params if kind.seqs else (self.params,)
         if not all(isinstance(seq, (tuple, list)) and all(map(_is_real, seq))
                    for seq in seqs):
             raise SpecInvalid(f"{self.kind} candidate params must be real numbers, "
                               f"got {self.params!r}")
-        if self.kind == "head":
-            (t,) = self.params
-            return indicator(0.0, t)
-        if self.kind == "tail":
-            (t,) = self.params
-            return indicator(t, math.inf)
-        if self.kind == "band":
-            lo, hi = self.params
-            return indicator(lo, hi)
-        if self.kind == "bump":
-            lo, hi, gamma = self.params
-            return product(power(1.0, gamma), indicator(lo, hi))
-        if self.kind == "step":
-            edges, levels = self.params
-            parts = [product(constant(c), indicator(a, b))
-                     for a, b, c in zip(edges[:-1], edges[1:], levels) if c > 0.0]
-            if not parts:
-                return constant(1.0)
-            return funsum(*parts)
-        gamma, rate = self.params  # decay
-        return expfam(1.0, gamma, rate)
+        return kind.build(*self.params)
 
     def describe(self) -> str:
         return f"{self.kind}{self.params}"
@@ -128,58 +175,18 @@ def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
         cands.append(Candidate("head", (t,)))
         cands.append(Candidate("tail", (t,)))
     while len(cands) < size:
-        kind = rng.choice(["head", "tail", "band", "bump", "step", "decay"])
-        if kind == "head" or kind == "tail":
-            cands.append(Candidate(kind, (float(10.0 ** rng.uniform(-4, 4)),)))
-        elif kind == "band":
-            lo = float(10.0 ** rng.uniform(-4, 3))
-            cands.append(Candidate(kind, (lo, lo * float(10.0 ** rng.uniform(0.1, 2.0)))))
-        elif kind == "bump":
-            lo = float(10.0 ** rng.uniform(-4, 3))
-            hi = lo * float(10.0 ** rng.uniform(0.1, 2.0))
-            cands.append(Candidate(kind, (lo, hi, float(rng.uniform(-2.0, 2.0)))))
-        elif kind == "decay":
-            cands.append(Candidate(kind, (float(rng.uniform(-1.0, 4.0)),
-                                          -float(10.0 ** rng.uniform(-1.5, 0.5)))))
-        else:
-            k0 = int(rng.integers(-12, 4))
-            nlev = int(rng.integers(2, 7))
-            edges = tuple(2.0 ** (k0 + 2 * np.arange(nlev + 1, dtype=float)))
-            levels = tuple(float(10.0 ** rng.uniform(-2, 2)) for _ in range(nlev))
-            cands.append(Candidate("step", (edges, levels)))
+        kind = str(rng.choice(list(_KINDS)))
+        cands.append(Candidate(kind, _KINDS[kind].draw(rng)))
     return CandidateFamily(candidates=tuple(cands), seed=seed)
 
 
-class _Spaces:
-    """X and Y of one scoring call, each prepared (spaces._Screen) at its
-    first use, so that a gate fails where an unprepared norm's would."""
-
-    def __init__(self, X: SpaceSpec, Y: SpaceSpec, cfg: QuadratureConfig):
-        self._X, self._Y, self._cfg = X, Y, cfg
-
-    @cached_property
-    def X(self) -> _Screen:
-        return _Screen(self._X, self._cfg)
-
-    @cached_property
-    def Y(self) -> _Screen:
-        return _Screen(self._Y, self._cfg)
-
-
-def _ratio(f: RealFun, X: SpaceSpec, Y: SpaceSpec, cand: Candidate,
-           cfg: QuadratureConfig, prepared: _Spaces | None = None) -> float | None:
-    """||f*g||_Y / ||g||_X for g built from cand; None if ||g||_X is 0 or inf.
-
-    ``prepared`` holds X and Y prepared for cfg; without it they are
-    prepared here.
-    """
-    if prepared is None:
-        prepared = _Spaces(X, Y, cfg)
-    g = cand.build()
-    den = space_norm(prepared.X.spec, g, cfg)
+def _ratio(f: RealFun, X: _Screen, Y: _Screen, g: RealFun,
+           cfg: QuadratureConfig) -> float | None:
+    """||f*g||_Y / ||g||_X, X and Y prepared for cfg; None if ||g||_X is 0 or inf."""
+    den = space_norm(X.spec, g, cfg)
     if not (0.0 < den < math.inf):
         return None
-    return space_norm(prepared.Y.spec, product(f, g), cfg) / den
+    return space_norm(Y.spec, product(f, g), cfg) / den
 
 
 class _Screened(NamedTuple):
@@ -198,34 +205,26 @@ _LOG_RANGE = 700.0
 _LOG_ZERO = -746.0
 
 
-def _score(f: RealFun, X: SpaceSpec, Y: SpaceSpec, cand: Candidate,
-           cfg: QuadratureConfig, prepared: _Spaces | None = None):
-    """What _ratio returns for cand, or a _Screened interval around it.
+def _score(f: RealFun, X: _Screen, Y: _Screen, g: RealFun, cfg: QuadratureConfig):
+    """What _ratio returns for g, or a _Screened interval around it.
 
-    The norms are screened (spaces._Screen) in _ratio's order: X first,
-    and Y only when ||g||_X is finite.  Where a screen is missing or out
-    of range the candidate takes _ratio, so every error _ratio raises is
-    raised here too.  ``prepared`` is as for _ratio.
+    The norms are screened in _ratio's order: X first, and Y only when
+    ||g||_X is finite.  Where a screen is missing or out of range g takes
+    _ratio, so every error _ratio raises is raised here too.
     """
-    if prepared is None:
-        prepared = _Spaces(X, Y, cfg)
-    g = cand.build()
-    den = prepared.X(g)
+    den = X(g)
     if den is not None and math.isinf(den[0]):
         return None  # ||g||_X is exactly 0 or inf
-    if den is None or not -_LOG_RANGE < den[0] < _LOG_RANGE:
-        return _ratio(f, X, Y, cand, cfg, prepared)
-    num = prepared.Y(product(f, g))
+    in_range = lambda x: -_LOG_RANGE < x < _LOG_RANGE
+    num = Y(product(f, g)) if den is not None and in_range(den[0]) else None
     if num is not None and num[0] + num[1] < _LOG_ZERO:
         return 0.0
-    if num is None or not -_LOG_RANGE < num[0] < _LOG_RANGE:
-        return _ratio(f, X, Y, cand, cfg, prepared)
+    if num is None or not (in_range(num[0]) and in_range(num[0] - den[0])):
+        return _ratio(f, X, Y, g, cfg)
     # the rounding of num - den and of lr -+ bound, and of the two
     # from_log calls, the division and the two exps, in log terms
     lr = num[0] - den[0]
     bound = num[1] + den[1] + 4.0 * _U * (abs(lr) + 4.0)
-    if not -_LOG_RANGE < lr < _LOG_RANGE:
-        return _ratio(f, X, Y, cand, cfg, prepared)
     return _Screened(math.exp(lr - bound), math.exp(lr + bound))
 
 
@@ -245,8 +244,8 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     exactly, so every candidate that may be the argmax or tie it has an
     exact ratio.  The argmax is taken among exact ratios in family order,
     and the result is the one that scoring every candidate exactly gives.
-    Each call prepares X and Y once, at their first use (``_Spaces``):
-    the gate, the exponents and the outer weight on the window.
+    Each call first prepares X and Y (``spaces._Screen``): the gate, the
+    exponents and the outer weight on the window.
 
     ``scores`` maps each candidate already scored against this same f,
     X, Y and cfg to its ratio (None for a skipped one) or to a screened
@@ -254,11 +253,11 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     dict across calls with other arguments gives wrong results.
     """
     scores = {} if scores is None else scores
-    prepared = _Spaces(X, Y, cfg)
+    X, Y = _Screen(X, cfg), _Screen(Y, cfg)
     floor = -1.0
     for cand in fam.candidates:
         if cand not in scores:
-            scores[cand] = _score(f, X, Y, cand, cfg, prepared)
+            scores[cand] = _score(f, X, Y, cand.build(), cfg)
         ratio = scores[cand]
         lo = ratio.lo if isinstance(ratio, _Screened) else ratio
         if lo is not None and lo > floor:
@@ -270,7 +269,7 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     for cand in fam.candidates:
         ratio = scores[cand]
         if isinstance(ratio, _Screened) and ratio.hi >= floor:
-            ratio = scores[cand] = _ratio(f, X, Y, cand, cfg, prepared)
+            ratio = scores[cand] = _ratio(f, X, Y, cand.build(), cfg)
         if ratio is None:
             skipped += 1
             continue
@@ -288,26 +287,7 @@ _PER_ROUND = 10
 
 
 def _perturb(cand: Candidate, rng) -> Candidate:
-    jit = lambda x: float(x * 2.0 ** rng.uniform(-1.0, 1.0))
-    if cand.kind in ("head", "tail"):
-        return Candidate(cand.kind, (jit(cand.params[0]),))
-    if cand.kind == "band":
-        lo, hi = cand.params
-        lo2 = jit(lo)
-        return Candidate("band", (lo2, max(jit(hi), lo2 * 1.05)))
-    if cand.kind == "bump":
-        lo, hi, gamma = cand.params
-        lo2 = jit(lo)
-        return Candidate("bump", (lo2, max(jit(hi), lo2 * 1.05),
-                                  float(gamma + rng.uniform(-0.5, 0.5))))
-    if cand.kind == "decay":
-        gamma, rate = cand.params
-        return Candidate("decay", (float(gamma + rng.uniform(-0.5, 0.5)), jit(rate)))
-    edges, levels = cand.params
-    new_levels = tuple(jit(c) for c in levels)
-    # sorted, so that edges jittered past each other still bound intervals
-    return Candidate("step", (tuple(sorted(jit(e) for e in edges)) if rng.random() < 0.5
-                              else edges, new_levels))
+    return Candidate(cand.kind, _KINDS[cand.kind].perturb(cand.params, rng))
 
 
 def enrich(fam: CandidateFamily, f: RealFun, X: SpaceSpec, Y: SpaceSpec,

@@ -511,7 +511,11 @@ def powerof(base: RealFun, s: float) -> RealFun:
     if s == 0.0:
         return ONE
     if isinstance(base, _Elementary):
-        return _Elementary(base.c ** s, base.alpha * s, base.beta * s, base.gamma * s)
+        try:
+            c = base.c ** s
+        except OverflowError:
+            raise SpecInvalid(f"{base.describe()} ** {s:g} is beyond the float range") from None
+        return _Elementary(c, base.alpha * s, base.beta * s, base.gamma * s)
     if isinstance(base, _Restricted) and s > 0:
         return _Restricted(powerof(base.base, s), base.interval)
     if isinstance(base, _Product):
@@ -655,12 +659,14 @@ def lp_norm(f: RealFun, w: RealFun, I: Interval = FULL, p=None, cfg: QuadratureC
     try:
         val = integrate(g, I, cfg)
     except NumericOverflow:
-        # the p-th power is beyond the float range; where the closed
-        # form gives its log, the root is taken in log space
+        # the p-th power is beyond the float range: the root is taken in log space, of
+        # the closed form or of the integral of (fw/m)^p, m the max of fw on I's nodes
         eff = I.intersect(g.support)
         lv = g.integral_log(eff.lo, eff.hi)
         if lv is None:
-            raise
+            lm = float(np.max(fw.logv(grids.log_nodes(cfg, eff.lo, eff.hi)[1])))
+            scaled = powerof(from_log_callable(lambda t: fw.logv(t) - lm), pf)
+            return grids.from_log(math.log(integrate(scaled, eff, cfg)) / pf + lm)
         return grids.from_log(float(lv) / pf)
     if val == 0.0:
         return 0.0

@@ -158,9 +158,10 @@ class _Screen:
     cfg) within bound of the log value, or None: the same
     product(...).logv and the same elementwise steps as _log_norm, with
     grids._scaled_cumint and grids._scaled_integral in place of
-    log_cumnorm and log_integral.  -inf or +inf come with bound 0 and are
-    exact.  None for any other spec, for rows holding +inf or NaN, and
-    wherever grids cannot certify its integrals.
+    log_cumnorm and log_integral.  Only a divergent inner edge gives -inf
+    or +inf, exact and with bound 0.  None for any other spec or an outer
+    weight reaching +inf, for rows holding +inf or NaN, and wherever grids
+    cannot certify its integrals.
     """
 
     def __init__(self, spec: SpaceSpec, cfg: QuadratureConfig = DEFAULT_CFG):
@@ -175,6 +176,7 @@ class _Screen:
         self.s, self.t = grids.log_nodes(cfg)
         self.lu = u.logv(self.t)
         self.lu_max = np.max(self.lu)
+        self.usable = self.lu_max < INF
         # the rounding of / p, + lu, q * and + s in both paths, from
         # |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
         self.lu_err = np.abs(self.lu) * (12.0 * grids._U * q)
@@ -182,7 +184,7 @@ class _Screen:
         self.s_err = 4.0 * grids._U * (cfg.S + 1.0)
 
     def __call__(self, f: RealFun):
-        if not (self.usable and self.lu_max < INF):
+        if not self.usable:
             return None
         p, q, s = self.p, self.q, self.s
         li = p * product(f, self.v).logv(self.t) + s
@@ -204,8 +206,8 @@ class _Screen:
         err += self.lu_err
         err += (q / p) * b + self.s_err
         res = grids._scaled_integral(li, s, err, low)
-        if res is None or not np.isfinite(res[0]):
-            return res
+        if res is None:
+            return None
         value = res[0] / q
         return value, res[1] / q + 4.0 * grids._U * abs(value)
 

@@ -1,6 +1,12 @@
 """Shared fixtures and the acceptance-gate summary printer."""
 
 from acceptance_report import RESULTS
+from hypothesis import settings
+
+# the same examples on every run; each test keeps its own max_examples
+# and deadline
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -224,6 +224,8 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     # JSON's NaN and Infinity are numbers, but no function parameter
     {"f": {"family": "exp", "c": float("nan"), "alpha": 2.0, "gamma": 1.0}},
     {"v": {"family": "power", "c": 1, "alpha": float("inf")}},
+    # c ** s beyond the float range
+    {"v": {"family": "powerof", "base": {"family": "constant", "c": 1e200}, "s": 2}},
 ])
 def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
     code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, **extra})])

@@ -135,7 +135,11 @@ def test_lp_norm_root_in_log_space_when_the_power_overflows():
     # -p of a tail: (int_1e-100^inf t^-4)^(1/2) = 1e150 / sqrt(3)
     assert lp_norm(power(1, -2), ONE, Interval(1e-100, math.inf), 2) == pytest.approx(
         1e150 / math.sqrt(3), rel=1e-12)
-    # an overflow without an analytic hint still raises
+    # no analytic hint: the integral e^799.3 is beyond the float range,
+    # (int_0^400 e^2t)^(1/2) = e^400 / sqrt(2) is not
+    assert lp_norm(expfam(1, 0, 1), ONE, Interval(0, 400), 2) == pytest.approx(
+        math.exp(400) / math.sqrt(2), rel=1e-12)
+    # a norm beyond the float range still raises
     with pytest.raises(NumericOverflow):
         lp_norm(expfam(1, 0, 1), ONE, Interval(0, 800), 1)
 
