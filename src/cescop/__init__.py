@@ -14,7 +14,6 @@ from .errors import (
     DegenerateOperator,
     DivergentRepresentation,
     EmptyFamily,
-    NonIntegrableOscillation,
     NoWitness,
     NumericOverflow,
     SpecInvalid,

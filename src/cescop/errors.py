@@ -5,10 +5,6 @@ class CescopError(Exception):
     """Base class for all package errors."""
 
 
-class NonIntegrableOscillation(CescopError):
-    """Adaptive quadrature failed to converge within the panel budget."""
-
-
 class SpecInvalid(CescopError):
     """A malformed input: a space descriptor (kind, arity, weight-class
     gate), a glue lemma id or a glue exponent that is missing, not a

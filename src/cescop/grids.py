@@ -38,14 +38,19 @@ log-space rule; none of the reported numbers is computed this way.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericOverflow
+from .errors import NumericOverflow, SpecInvalid
 
 NEG_INF = -math.inf
 LOG10 = math.log(10.0)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows exactly above it
+
+# nodes of the largest grid: 37 times the window of S = 30 at 1,024 per decade
+_MAX_NODES = 1_000_000
 
 # Slopes within this margin of the critical exponent 0 are treated as
 # divergent: a borderline tail cannot be resolved numerically anyway.
@@ -83,12 +88,15 @@ _WINDOWS: dict = {}
 
 
 def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
-    """Log-spaced nodes covering (lo, hi) clipped to the working window.
+    """Log-spaced nodes covering (lo, hi).
 
-    Returns (s, t) with t = exp(s).  Density is cfg.sup_grid points per
-    decade, at least 16 nodes total.  The full window (lo = 0, hi = inf)
-    is built once per (S, sup_grid) and returned as read-only arrays,
-    together with its panel half-widths, their logs and log t.
+    Returns (s, t) with t = exp(s).  A finite end is a node; an open end
+    (0 or inf) is cut at the edge of the working window [e^-S, e^S], or a
+    decade past a finite end that lies beyond it.  Density is cfg.sup_grid
+    points per decade, at least 16 and at most _MAX_NODES nodes (else
+    SpecInvalid).  The full window (lo = 0, hi = inf) is built once per
+    (S, sup_grid) and returned as read-only arrays, together with its
+    panel half-widths, their logs and log t.
     """
     if lo == 0.0 and hi == math.inf:
         key = (cfg.S, cfg.sup_grid)
@@ -105,11 +113,18 @@ def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
 
 
 def _build_nodes(cfg, lo: float, hi: float):
-    slo = max(math.log(lo), -cfg.S) if lo > 0 else -cfg.S
-    shi = min(math.log(hi), cfg.S) if hi != math.inf else cfg.S
-    if slo >= shi:
+    slo = math.log(lo) if lo > 0 else -cfg.S
+    shi = math.log(hi) if hi != math.inf else cfg.S
+    # an open end lies a decade past a finite end beyond the window, as floats allow
+    if lo == 0 and shi <= slo:
+        slo = shi - LOG10
+    elif hi == math.inf and slo >= shi:
+        shi = min(slo + LOG10, LOG_FLOAT_MAX)
+    if slo >= shi:  # ends a few ulps apart, or lo at the largest float
         shi = slo + 1e-6
     n = max(16, int(round((shi - slo) / LOG10 * cfg.sup_grid)) + 1)
+    if n > _MAX_NODES:
+        raise SpecInvalid(f"a grid of {n} nodes is above the cap of {_MAX_NODES}")
     s = np.linspace(slo, shi, n)
     return s, np.exp(s)
 

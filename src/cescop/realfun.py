@@ -9,15 +9,14 @@ as is; ``weight`` checks that one is positive and finite.  Every family
 evaluates in log-space, so compositions like t^2 e^t * t^-2 e^-t are
 exact where a naive evaluation would overflow.  Each family that has a closed-form
 integral over (lo, hi) gives its log through one hint, ``integral_log``;
-everything else goes through adaptive quadrature after the substitution
-t = e^s.
+everything else is integrated after the substitution t = e^s on the
+interval's log grid, by the trapezoid refined by Romberg doubling.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import grids
 from .conventions import INF
-from .errors import NonIntegrableOscillation, NumericOverflow, SpecInvalid
+from .errors import SpecInvalid
 from .exponents import Exponent
 from .grids import NEG_INF
 
@@ -53,12 +52,6 @@ __all__ = [
     "esssup",
 ]
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# nodes of the largest working window a QuadratureConfig may ask for:
-# about 37 times the 26,700 of S = 30 at 1,024 per decade
-_MAX_NODES = 1_000_000
-
-
 class _LazyModule:
     """A module imported on its first attribute access and kept from then
     on, so that ``import cescop`` does not pay for scipy up front."""
@@ -73,8 +66,10 @@ class _LazyModule:
         return getattr(self._module, attr)
 
 
-# the incomplete-gamma closed forms and the fallback quadrature
+# the incomplete-gamma closed forms
 _sps = _LazyModule("scipy.special")
+# no package code integrates with scipy: only the benchmark's layer map
+# (perfbench/layers.py) binds this, until it is rewritten (ROADMAP direction 2)
 _sciint = _LazyModule("scipy.integrate")
 
 
@@ -113,18 +108,18 @@ class QuadratureConfig:
 
     The working window is [e^-S, e^S], so S is at most the log of the
     largest float; sup_grid is nodes per decade for grid-based suprema
-    and nested norms, and the window holds at most _MAX_NODES nodes.
+    and nested norms, and the window holds at most grids._MAX_NODES nodes.
     """
 
     S: float = 30.0
     sup_grid: int = 256
 
     def __post_init__(self):
-        if not (0 < self.S <= _LOG_FLOAT_MAX and 8 <= self.sup_grid < INF):
+        if not (0 < self.S <= grids.LOG_FLOAT_MAX and 8 <= self.sup_grid < INF):
             raise SpecInvalid("invalid quadrature configuration")
-        if 2.0 * self.S / grids.LOG10 * self.sup_grid + 1 > _MAX_NODES:
+        if 2.0 * self.S / grids.LOG10 * self.sup_grid + 1 > grids._MAX_NODES:
             raise SpecInvalid(f"S = {self.S} at {self.sup_grid} nodes per decade "
-                              f"needs a window above {_MAX_NODES} nodes")
+                              f"needs a window above {grids._MAX_NODES} nodes")
 
     @classmethod
     def quick(cls) -> "QuadratureConfig":
@@ -134,8 +129,8 @@ class QuadratureConfig:
 
 DEFAULT_CFG = QuadratureConfig()
 
-# subinterval budget of each adaptive quadrature call
-_QUAD_LIMIT = 1024
+# the relative change at which the grid integral stops refining
+_ROMBERG_TOL = 1e-10
 
 
 class RealFun:
@@ -550,55 +545,63 @@ def as_fun(f: RealFun) -> RealFun:
 # integration
 
 def integrate(g: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
-    """Integral of g over I as a nonnegative extended real.
+    """Integral of g over I as a nonnegative extended real: the family's
+    closed form (``integral_log``) when it has one, else the integral on
+    I's log grid (``_log_grid_integral``).  NumericOverflow when a finite
+    integral is beyond the float range."""
+    return grids.from_log(_log_integral(g, I, cfg))
 
-    Uses the family's closed form (``integral_log``) when it has one,
-    otherwise adaptive quadrature on the log-substituted window plus
-    power-law estimates for the truncated head and tail.
-    """
+
+def _log_integral(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
+    """Log of the integral of g over I."""
     eff = I.intersect(g.support)
     if eff is None:
-        return 0.0
+        return NEG_INF
     lv = g.integral_log(eff.lo, eff.hi)
-    if lv is not None:
-        return grids.from_log(float(lv))
-    return _quad_interval(g, eff, cfg)
+    return _log_grid_integral(g, eff, cfg) if lv is None else float(lv)
 
 
-def _quad_interval(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
-    slo = max(math.log(I.lo), -cfg.S) if I.lo > 0 else -cfg.S
-    shi = min(math.log(I.hi), cfg.S) if I.hi != INF else cfg.S
-    if slo >= shi:
-        return 0.0
-    s, t = grids.log_nodes(cfg, math.exp(slo), math.exp(shi))
+def _log_grid_integral(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
+    """Log of the integral of g over I: ``grids.log_integral`` of the ds
+    integrand on I's log grid, its span above 1e-30 of its max m refined by
+    Romberg doubling in linear space scaled by m, the rest held fixed.  The
+    grid value stands, bit for bit, when the first doubling agrees with it
+    within _ROMBERG_TOL, when a midpoint value is not finite, or when the
+    next doubling would pass grids._MAX_NODES; else the Romberg diagonal,
+    once it moves by no more than _ROMBERG_TOL."""
+    s, t = grids.log_nodes(cfg, I.lo, I.hi)
     li = g.logv(t) + s  # integrand of the ds integral
     if np.any(np.isposinf(li)):
         return INF
-    lh = grids.log_head_estimate(li, s) if I.lo == 0.0 else NEG_INF
-    lt = grids.log_tail_estimate(li, s) if I.hi == INF else NEG_INF
-    if np.isposinf(lh) or np.isposinf(lt):
-        return INF
-    head, tail = grids.from_log(lh), grids.from_log(lt)
-
-    def integrand(sv):
+    base = float(grids.log_integral(li, s, head=I.lo == 0.0, tail=I.hi == INF))
+    if not math.isfinite(base):
+        return base
+    m = float(np.max(li))
+    f = np.exp(li - m)
+    live = np.flatnonzero(f >= 1e-30)
+    span = slice(max(live[0] - 1, 0), live[-1] + 2)
+    ss, fs = s[span], f[span]
+    trap = float(np.dot(np.diff(ss), fs[:-1] + fs[1:])) / 2.0
+    row = [math.exp(base - m)]  # the grid value, scaled
+    rest = row[0] - trap  # the edge estimates and the panels off the span
+    while 2 * ss.size - 1 <= grids._MAX_NODES:
+        h = np.diff(ss)  # the spacings of linspace drift by ulps of s
+        mid = (ss[:-1] + ss[1:]) / 2.0
         with np.errstate(over="ignore"):
-            return float(np.exp(g.logv(np.asarray([math.exp(sv)]))[0] + sv))
-
-    # epsabs=0: quad's default absolute floor (1.49e-8) would accept a
-    # small integral at any relative error
-    core, _, _, *msg = _sciint.quad(integrand, slo, shi, epsabs=0.0, limit=_QUAD_LIMIT,
-                                    full_output=1)
-    if msg:
-        # quad did not converge: take the grid estimate, and reject it if
-        # quad's own value disagrees badly
-        rough, core = core, grids.from_log(grids.log_trapz(li, s))
-        if core > 0 and abs(rough - core) > 0.05 * core:
-            raise NonIntegrableOscillation(msg[0])
-    if math.isinf(core) and np.all(np.isfinite(li)):
-        # the integrand overflowed inside quad; the grid estimate says
-        # whether the integral itself is beyond the float range
-        core = grids.from_log(grids.log_trapz(li, s))
-    return head + core + tail
+            fm = np.exp(g.logv(np.exp(mid)) + mid - m)
+        if not np.all(np.isfinite(fm)):
+            return base
+        trap = (trap + float(np.dot(h, fm))) / 2.0
+        new = [trap + rest]
+        for j, prev in enumerate(row, 1):
+            new.append(new[-1] + (new[-1] - prev) / (4.0 ** j - 1.0))
+        if len(row) == 1 and abs(new[0] - row[0]) <= _ROMBERG_TOL * new[0]:
+            return base
+        if abs(new[-1] - row[-1]) <= _ROMBERG_TOL * new[-1]:
+            return math.log(new[-1]) + m
+        row = new
+        ss = np.insert(ss, np.arange(1, ss.size), mid)
+    return base
 
 
 def primitive_at(g: RealFun, x: float, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
@@ -655,21 +658,8 @@ def lp_norm(f: RealFun, w: RealFun, I: Interval = FULL, p=None, cfg: QuadratureC
     if p.is_inf:
         return esssup(fw, I, cfg)
     pf = float(p)
-    g = powerof(fw, pf)
-    try:
-        val = integrate(g, I, cfg)
-    except NumericOverflow:
-        # the p-th power is beyond the float range: the root is taken in log space, of
-        # the closed form or of the integral of (fw/m)^p, m the max of fw on I's nodes
-        eff = I.intersect(g.support)
-        lv = g.integral_log(eff.lo, eff.hi)
-        if lv is None:
-            lm = float(np.max(fw.logv(grids.log_nodes(cfg, eff.lo, eff.hi)[1])))
-            scaled = powerof(from_log_callable(lambda t: fw.logv(t) - lm), pf)
-            return grids.from_log(math.log(integrate(scaled, eff, cfg)) / pf + lm)
-        return grids.from_log(float(lv) / pf)
-    if val == 0.0:
-        return 0.0
-    if math.isinf(val):
-        return INF
-    return val ** (1.0 / pf)
+    lv = _log_integral(powerof(fw, pf), I, cfg)
+    # a p-th power or root beyond the float range: the root in log space
+    if max(lv, lv / pf) > grids.LOG_FLOAT_MAX:
+        return grids.from_log(lv / pf)
+    return grids.from_log(lv) ** (1.0 / pf)

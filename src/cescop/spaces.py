@@ -82,7 +82,7 @@ def check_omega(u: RealFun, q, dual: bool = False,
     dual=True uses head norms over (0, t).
     """
     q = Exponent(q)
-    decades = int(cfg.S / grids.LOG10)
+    decades = max(1, int(cfg.S / grids.LOG10))  # at least t = 1
     samples = [10.0 ** k for k in range(-decades + 1, decades, max(1, decades // 4))]
     failures = []
     for t0 in samples:

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cescop import expfam, integrate
+from cescop import Interval, expfam, from_log_callable, integrate
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -51,3 +51,13 @@ def test_first_closed_form_call_loads_scipy_special_and_matches_a_warm_call():
             "                  repr(integrate(expfam(1, 0.5, -1)))]))")
     warm = repr(integrate(expfam(1, 0.5, -1)))
     assert _fresh(code) == [False, True, warm, warm]
+
+
+def test_integral_without_a_closed_form_loads_no_scipy_integrate():
+    # the log grid is the one integration engine
+    code = ("import json, sys\n"
+            "from cescop import Interval, from_log_callable, integrate\n"
+            "value = integrate(from_log_callable(lambda t: -t), Interval(1, 2))\n"
+            "print(json.dumps([repr(value), 'scipy.integrate' in sys.modules]))")
+    warm = repr(integrate(from_log_callable(lambda t: -t), Interval(1, 2)))
+    assert _fresh(code) == [warm, False]

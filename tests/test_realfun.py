@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cescop import realfun
-from cescop.errors import NonIntegrableOscillation, NumericOverflow, SpecInvalid
+from cescop.errors import NumericOverflow, SpecInvalid
 from cescop.exponents import Exponent
 from cescop.multiplier import reduce_problem
 from cescop.operators import (
@@ -139,9 +139,13 @@ def test_lp_norm_root_in_log_space_when_the_power_overflows():
     # (int_0^400 e^2t)^(1/2) = e^400 / sqrt(2) is not
     assert lp_norm(expfam(1, 0, 1), ONE, Interval(0, 400), 2) == pytest.approx(
         math.exp(400) / math.sqrt(2), rel=1e-12)
-    # a norm beyond the float range still raises
+    # a norm beyond the float range still raises, also where p < 1 puts
+    # only the root beyond it: (int_0^1e200 1)^2 = 1e400
     with pytest.raises(NumericOverflow):
         lp_norm(expfam(1, 0, 1), ONE, Interval(0, 800), 1)
+    with pytest.raises(NumericOverflow):
+        lp_norm(ONE, ONE, Interval(0, 1e200), 0.5)
+    assert lp_norm(ONE, ONE, Interval(0, 1e100), 0.5) == pytest.approx(1e200, rel=1e-12)
 
 
 def test_divergent_integral_is_inf():
@@ -192,18 +196,20 @@ def test_analytic_integral_overflow_is_a_package_error(g, I):
 
 
 def test_quad_integral_overflow_is_a_package_error():
-    # e^t has no primitive hint, so this takes the quadrature path
-    assert integrate(expfam(1, 0, 1), Interval(0, 700)) == 1.0142320547343756e+304
+    # e^t has no primitive hint, so this takes the grid path; the exact
+    # value is e^700 - 1
+    assert integrate(expfam(1, 0, 1), Interval(0, 700)) == pytest.approx(math.expm1(700),
+                                                                         rel=1e-12)
     with pytest.raises(NumericOverflow):
         integrate(expfam(1, 0, 1), Interval(0, 800))
 
 
 def test_quad_has_no_absolute_tolerance_floor(monkeypatch):
     # 1e6 t^2 e^-1000t * (e^-500t / 500)^2 = 4 t^2 e^-2000t integrates to
-    # 1e-9; with quad's default absolute tolerance (1.49e-8) it read 1.285e-9
-    calls = _counting_quad(monkeypatch)
+    # 1e-9; an absolute tolerance of 1.49e-8 (scipy's quad default) read 1.285e-9
+    calls = _counting_grid(monkeypatch)
     g = product(expfam(1e6, 2, -1000), op_A_star(expfam(1, 0, -1000), 0.5, 0.5))
-    assert integrate(g) == pytest.approx(1e-9, rel=1e-12)
+    assert integrate(g) == pytest.approx(1e-9, rel=1e-12, abs=0.0)
     assert len(calls) == 1
 
 
@@ -344,20 +350,20 @@ def test_table_keeps_infinite_runs_exact():
     assert np.array_equal(f.logv(np.exp(np.arange(7.0))), f.log_values)
 
 
-def _counting_quad(monkeypatch, reply=None):
-    """Count the quad calls realfun makes; reply(a, b) replaces quad's answer."""
-    calls, real = [], realfun._sciint.quad
+def _counting_grid(monkeypatch):
+    """Count the grid integrals realfun takes where there is no closed form."""
+    calls, real = [], realfun._log_grid_integral
 
-    def quad(fn, a, b, **kw):
-        calls.append((a, b))
-        return real(fn, a, b, **kw) if reply is None else reply(a, b)
+    def grid(g, I, cfg):
+        calls.append(I)
+        return real(g, I, cfg)
 
-    monkeypatch.setattr(realfun._sciint, "quad", quad)
+    monkeypatch.setattr(realfun, "_log_grid_integral", grid)
     return calls
 
 
 def test_reciprocal_integral_over_a_finite_interval_is_closed_form(monkeypatch):
-    calls = _counting_quad(monkeypatch)
+    calls = _counting_grid(monkeypatch)
     assert integrate(power(1, -1), Interval(3, 7)) == pytest.approx(math.log(7 / 3), rel=1e-15)
     assert integrate(power(2, -1), Interval(3, 7)) == pytest.approx(2 * math.log(7 / 3),
                                                                      rel=1e-15)
@@ -367,7 +373,7 @@ def test_reciprocal_integral_over_a_finite_interval_is_closed_form(monkeypatch):
 
 
 def test_product_merges_the_base_of_a_restricted_factor(monkeypatch):
-    calls = _counting_quad(monkeypatch)
+    calls = _counting_grid(monkeypatch)
     g = product(product(power(1, 2), indicator(0, 1)), power(1, 3))
     assert g.describe() == "power(c=1, alpha=5) * indicator((0, 1))"
     assert g.integral_log(0.0, math.inf) is not None
@@ -377,23 +383,64 @@ def test_product_merges_the_base_of_a_restricted_factor(monkeypatch):
 
 @pytest.mark.parametrize("k, value", [(20, 467.65824718614), (50, 486.7949784804417)])
 def test_quad_that_does_not_converge_runs_once(monkeypatch, k, value):
-    # an indicator of {sin(k ln t) <= 0}: quad warns, and the grid value stands
-    calls = _counting_quad(monkeypatch)
+    # an indicator of {sin(k ln t) <= 0}: Romberg doubling does not settle
+    # before the node cap, and the grid value stands
+    calls = _counting_grid(monkeypatch)
     f = from_log_callable(lambda t: np.where(np.sin(k * np.log(t)) > 0, 0.0, -np.inf))
     assert integrate(f, Interval(1e-3, 1e3)) == value
     assert len(calls) == 1
 
 
-def test_quad_far_from_the_grid_raises_oscillation(monkeypatch):
-    # e^-t over (1, 2) is e^-1 - e^-2; a quad that gives up with a value
-    # 1% off leaves the grid value, one 10% off is rejected
-    exact = math.exp(-1) - math.exp(-2)
-    f = from_log_callable(lambda t: -t)
-    _counting_quad(monkeypatch, lambda a, b: (1.01 * exact, 0.0, {}, "no convergence"))
-    assert integrate(f, Interval(1, 2)) == pytest.approx(exact, rel=1e-4)
-    _counting_quad(monkeypatch, lambda a, b: (1.1 * exact, 0.0, {}, "no convergence"))
-    with pytest.raises(NonIntegrableOscillation, match="no convergence"):
-        integrate(f, Interval(1, 2))
+_LOG10 = math.log(10.0)
+
+
+@pytest.mark.parametrize("logfn, I, exact", [
+    (lambda t: t, Interval(0, 50), math.expm1(50)),
+    (lambda t: 2 * np.log(t) + t, Interval(0, 30), math.exp(30) * 842 - 2),
+    (lambda t: 3 * t, Interval(0, 100), math.expm1(300) / 3),
+    (lambda t: 10 * t, Interval(0, 60), math.expm1(600) / 10),
+    (lambda t: -t, Interval(1, 2), math.exp(-1) - math.exp(-2)),
+    # (1 + |ln t|)^2 over (0.1, 10), through u = |ln t| on each side of 1
+    (powerlog(1, 0, 2).logv, Interval(0.1, 10), 9.9 * _LOG10 ** 2 - 0.4 * _LOG10 + 13.5),
+])
+def test_grid_integral_without_a_closed_form_is_exact(logfn, I, exact):
+    # growing exponentials are refined until the Romberg diagonal settles
+    assert integrate(from_log_callable(logfn), I) == pytest.approx(exact, rel=1e-11)
+
+
+def _opaque_one(t):
+    return np.zeros_like(t)
+
+
+@pytest.mark.parametrize("value, exact", [
+    (lambda: integrate(from_log_callable(_opaque_one), Interval(1e14, 1e15)), 9e14),
+    (lambda: integrate(from_log_callable(_opaque_one), Interval(1e10, 1e15)), 1e15 - 1e10),
+    (lambda: integrate(from_log_callable(_opaque_one), Interval(0, 1e-20)), 1e-20),
+    (lambda: integrate(from_log_callable(lambda t: -2 * np.log(t)), Interval(1e20, math.inf)),
+     1e-20),
+    (lambda: esssup(power(1, 1), Interval(1e14, 1e15)), 1e15),
+    (lambda: esssup(power(1, 1), Interval(0, 1e-20)), 1e-20),
+], ids=["one-above", "one-across", "one-below", "tail-above", "sup-above", "sup-below"])
+def test_interval_grids_cover_intervals_beyond_the_window(value, exact):
+    # the default window is [e^-30, e^30], about [1e-13, 1e13]: a finite
+    # end is a node, and an open end lies a decade past a finite end beyond it
+    assert value() == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_interval_grid_stays_within_the_float_range():
+    # a decade past 1e308 is beyond the largest float, so the grid of
+    # (1e308, inf) ends there and the tail estimate takes the rest
+    got = integrate(from_log_callable(lambda t: -1.5 * np.log(t)), Interval(1e308, math.inf))
+    assert got == pytest.approx(2e-154, rel=1e-12, abs=0.0)
+
+
+def test_interval_grid_above_the_node_cap_is_invalid():
+    # 600 decades at 2048 per decade would take 1.2 million nodes
+    cfg = QuadratureConfig(sup_grid=2048)
+    with pytest.raises(SpecInvalid, match="above the cap of 1000000"):
+        integrate(from_log_callable(_opaque_one), Interval(1e-300, 1e300), cfg)
+    with pytest.raises(SpecInvalid, match="above the cap of 1000000"):
+        esssup(power(1, 1), Interval(1e-300, 1e300), cfg)
 
 
 @pytest.mark.parametrize("build", [

@@ -26,3 +26,34 @@ def test_public_functions_read_every_parameter():
     assert paths
     unread = {path.name: _unread_parameters(path) for path in paths}
     assert {k: v for k, v in unread.items() if v} == {}
+
+
+def _error_classes() -> set:
+    """Names of the CescopError subclasses that errors.py defines."""
+    names = {"CescopError"}
+    for node in ast.parse((SRC / "errors.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in names for b in node.bases):
+            names.add(node.name)
+    return names - {"CescopError"}
+
+
+def _raised_names(path: Path) -> set:
+    """Names in path's raise statements: X in raise X, raise X(...) and
+    raise m.X(...)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                found.add(exc.attr)
+    return found
+
+
+def test_every_error_class_is_raised():
+    classes = _error_classes()
+    assert "SpecInvalid" in classes
+    raised = set().union(*(_raised_names(path) for path in SRC.glob("*.py")))
+    assert sorted(classes - raised) == []

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from cescop.errors import SpecInvalid
-from cescop.realfun import ONE, ZERO, expfam, indicator, power, powerof, product
+from cescop.realfun import ONE, ZERO, QuadratureConfig, expfam, indicator, power, powerof, product
 from cescop.spaces import SpaceSpec, check_omega, space_norm, space_norm3
 
 EDEC = expfam(1.0, 0.0, -1.0)
@@ -15,6 +15,14 @@ def test_check_omega_tail_class():
     assert check_omega(EDEC, 1).ok                 # finite positive tails
     assert not check_omega(power(1, 0), 1).ok      # tails diverge
     assert not check_omega(power(1, -3), 1, dual=True).ok  # heads diverge
+
+
+def test_check_omega_samples_t_1_in_a_window_below_a_decade():
+    # at S < ln 10 the window holds no whole decade; t = 1 is still
+    # sampled, where the tail of indicator(0, 1) vanishes
+    rep = check_omega(indicator(0, 1), 1, cfg=QuadratureConfig(S=2.0))
+    assert not rep.ok and rep.failures == ((1.0, 0.0),)
+    assert not check_omega(indicator(0, 1), 1, cfg=QuadratureConfig(S=30.0)).ok
 
 
 def test_check_omega_dual_class():
