@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -399,6 +400,7 @@ def _cmd_oracle(args) -> dict:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache  # one parser per process: building one costs over a millisecond
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cescop",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
 from functools import total_ordering
 
@@ -43,6 +44,10 @@ def _coerce(value) -> Fraction | float:
         raise SpecInvalid(f"cannot read {value!r} as an exponent: {e}") from None
 
 
+# a finite exponent lies within the positive floats, so that float() reads it
+_FLOAT_LO, _FLOAT_HI = Fraction(math.ulp(0.0)), Fraction(sys.float_info.max)
+
+
 @total_ordering
 class Exponent:
     """A value in (0, inf], exact when constructed from rationals."""
@@ -53,6 +58,8 @@ class Exponent:
         v = _coerce(value)
         if v != math.inf and v <= 0:
             raise SpecInvalid(f"exponent must be positive, got {v}")
+        if v != math.inf and not _FLOAT_LO <= v <= _FLOAT_HI:
+            raise SpecInvalid("a finite exponent must lie within the positive floats")
         object.__setattr__(self, "value", v)
 
     @property

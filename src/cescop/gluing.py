@@ -128,7 +128,7 @@ def _scale(c: float, arr: np.ndarray) -> np.ndarray:
         return c * arr
 
 
-def _row_kernel_ops(la: np.ndarray, s: np.ndarray, g_side: tuple, h_side: tuple,
+def _row_kernel_ops(la: np.ndarray, grid: grids.Grid, g_side: tuple, h_side: tuple,
                     rows: np.ndarray | None = None):
     """Row reductions of g against the kernel A(x,t) and of h against its
     complement 1 - A(x,t) = A(t,x), one value per node x.
@@ -150,7 +150,7 @@ def _row_kernel_ops(la: np.ndarray, s: np.ndarray, g_side: tuple, h_side: tuple,
         lAc = np.log(np.maximum(1.0 - np.exp(grids.log_kernel(lx, la[cols_h])), 1e-300))
         for out, lk, (lf, e), cols in zip(outs, (lA, lAc), (g_side, h_side),
                                           (cols_g, cols_h)):
-            out[chunk] = grids.log_row_reduce(lk, lf, s, e, cols)
+            out[chunk] = grids.log_row_reduce(lk, lf, grid, e, cols)
     return outs
 
 
@@ -164,10 +164,10 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     A sup side cumulates by running maxima, an integral side by running
     integrals (q = 1).
     """
-    s, t = grids.log_nodes(cfg)
-    lg = inst.g.logv(t)
-    lh = inst.h.logv(t)
-    la = inst.a.logv(t)
+    grid = grids.log_nodes(cfg)
+    lg = inst.g.logv(grid.t)
+    lh = inst.h.logv(grid.t)
+    la = inst.a.logv(grid.t)
     g_entry, h_entry, outer = _LEMMA_TABLE[inst.lemma_id]
     eg, eh = _exponent(g_entry, inst.exps), _exponent(h_entry, inst.exps)
     gsup, hsup = g_entry is _SUP, h_entry is _SUP
@@ -176,12 +176,12 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     # under an outer integral each row x carries the factor g(x), so only
     # the rows on g's support can add to it
     rows = None if outer is _SUP else np.flatnonzero(~np.isneginf(lg))
-    kern = _row_kernel_ops(la, s, (lg, None if gsup else eg), (lh, None if hsup else eh),
+    kern = _row_kernel_ops(la, grid, (lg, None if gsup else eg), (lh, None if hsup else eh),
                            rows)
-    near = (grids.log_cumnorm(lg, s, qg, head=True),
-            grids.log_cumnorm(lh, s, qh, head=False))
-    far = (grids.log_cumnorm(grids.log_mul(-eg * la, lg), s, qg, head=False),
-           grids.log_cumnorm(grids.log_mul(eh * la, lh), s, qh, head=True))
+    near = (grids.log_cumnorm(lg, grid, qg, head=True),
+            grids.log_cumnorm(lh, grid, qh, head=False))
+    far = (grids.log_cumnorm(grids.log_mul(-eg * la, lg), grid, qg, head=False),
+           grids.log_cumnorm(grids.log_mul(eh * la, lh), grid, qh, head=True))
     if outer is _SUP:
         lhs, t1, t2 = (float(np.max(grids.log_mul(G / eg, H / eh)))
                        for G, H in (kern, near, far))
@@ -191,7 +191,7 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
 
         def outer_integral(G, H, *factors):
             return grids.log_integral(
-                grids.log_mul(_scale(cg, G), _scale(ch, H), *factors, lg + s), s)
+                grids.log_mul(_scale(cg, G), _scale(ch, H), *factors, lg + grid.s), grid)
         lhs, t1 = outer_integral(*kern), outer_integral(*near)
         t2 = outer_integral(*far, -eg * la)
 

@@ -15,14 +15,14 @@ and the row sup or integral against it (``log_row_reduce``), the
 product of log factors under the 0 * inf = 0 rule (``log_mul``) and the
 step back from a log-value to a number (``from_log``).
 
-``log_nodes`` builds the full window of each (S, sup_grid) once, as
-read-only arrays, together with four per-window constants: the panel
-half-widths diff(s) / 2 and their logs, which every trapezoid panel mass
-multiplies or adds, log t (``log_t``), which the elementary functions
-evaluate, and the number of panels in one decade, which the edge
-estimates fit over.  Only these are cached, one set per window: an
-interval grid gets fresh nodes and constants, and a span of the window
-reads a slice of its constants.
+``log_nodes`` returns a ``Grid``, which every rule takes: the nodes s
+and t = e^s with the panel half-widths diff(s) / 2 and their logs, which
+every trapezoid panel mass multiplies or adds, the panels in one decade,
+which the edge estimates fit over, and which ends are open (0 or inf),
+where integrals add an edge estimate and the supremum tests divergence.
+The full window of each (S, sup_grid) is built once, as read-only
+arrays, with its log t.  ``log_t`` is the one lookup by array identity,
+since the elementary functions are handed a bare t.
 
 A single row (1-D) is reduced on scalars, without the masks a block of
 rows needs; it reads bit for bit as the same row inside a 2-D block.
@@ -72,47 +72,45 @@ _CLIP = -690.0
 _SCALED_FLOOR = 1e-280
 
 
-class _Window(NamedTuple):
-    """A full window's read-only nodes and the constants derived from them."""
+class Grid(NamedTuple):
+    """Log-spaced nodes s, t = e^s, and the constants every rule reads."""
 
     s: np.ndarray
     t: np.ndarray
     half_widths: np.ndarray      # diff(s) / 2, one per panel
     log_half_widths: np.ndarray  # log(diff(s) / 2), one per panel
-    log_t: np.ndarray            # log(t), bit for bit as np.log(t)
     decade: int                  # panels from an edge node to one decade inside
+    open_lo: bool                # the left end stands for 0: a head lies beyond it
+    open_hi: bool                # the right end stands for inf: a tail lies beyond it
 
 
-# the full window of each (S, sup_grid), built once
+# the full window of each (S, sup_grid), built once, with its log t
 _WINDOWS: dict = {}
 
 
-def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf):
-    """Log-spaced nodes covering (lo, hi).
+def log_nodes(cfg, lo: float = 0.0, hi: float = math.inf) -> Grid:
+    """The Grid of log-spaced nodes covering (lo, hi).
 
-    Returns (s, t) with t = exp(s).  A finite end is a node; an open end
-    (0 or inf) is cut at the edge of the working window [e^-S, e^S], or a
-    decade past a finite end that lies beyond it.  Density is cfg.sup_grid
-    points per decade, at least 16 and at most _MAX_NODES nodes (else
-    SpecInvalid).  The full window (lo = 0, hi = inf) is built once per
-    (S, sup_grid) and returned as read-only arrays, together with its
-    panel half-widths, their logs and log t.
+    A finite end is a node; an open end (0 or inf) is cut at the edge of
+    the working window [e^-S, e^S], or a decade past a finite end that
+    lies beyond it, and no node passes the largest float.  Density is
+    cfg.sup_grid points per decade, at least 16 and at most _MAX_NODES
+    nodes (else SpecInvalid).  The full window (lo = 0, hi = inf) is
+    built once per (S, sup_grid), as read-only arrays.
     """
     if lo == 0.0 and hi == math.inf:
         key = (cfg.S, cfg.sup_grid)
         win = _WINDOWS.get(key)
         if win is None:
-            s, t = _build_nodes(cfg, lo, hi)
-            hw = np.diff(s) / 2.0
-            win = _WINDOWS[key] = _Window(s, t, hw, np.log(hw), np.log(t),
-                                          _decade_span(s))
-            for arr in (win.s, win.t, win.half_widths, win.log_half_widths, win.log_t):
+            grid = _build_nodes(cfg, lo, hi)
+            win = _WINDOWS[key] = (grid, np.log(grid.t))
+            for arr in (*grid[:4], win[1]):
                 arr.flags.writeable = False
-        return win.s, win.t
+        return win[0]
     return _build_nodes(cfg, lo, hi)
 
 
-def _build_nodes(cfg, lo: float, hi: float):
+def _build_nodes(cfg, lo: float, hi: float) -> Grid:
     slo = math.log(lo) if lo > 0 else -cfg.S
     shi = math.log(hi) if hi != math.inf else cfg.S
     # an open end lies a decade past a finite end beyond the window, as floats allow
@@ -122,52 +120,26 @@ def _build_nodes(cfg, lo: float, hi: float):
         shi = min(slo + LOG10, LOG_FLOAT_MAX)
     if slo >= shi:  # ends a few ulps apart, or lo at the largest float
         shi = slo + 1e-6
+        if shi > LOG_FLOAT_MAX:  # then the sliver lies below it
+            slo, shi = LOG_FLOAT_MAX - 1e-6, LOG_FLOAT_MAX
     n = max(16, int(round((shi - slo) / LOG10 * cfg.sup_grid)) + 1)
     if n > _MAX_NODES:
         raise SpecInvalid(f"a grid of {n} nodes is above the cap of {_MAX_NODES}")
     s = np.linspace(slo, shi, n)
-    return s, np.exp(s)
-
-
-def _window_of(s: np.ndarray) -> _Window | None:
-    """The cached window whose nodes s are, if any."""
-    for win in _WINDOWS.values():
-        if win.s is s:
-            return win
-    return None
-
-
-def _log_half_widths(s: np.ndarray) -> np.ndarray:
-    """log(diff(s) / 2), one per panel; read from the window when s is a
-    full window's nodes from log_nodes."""
-    win = _window_of(s)
-    return win.log_half_widths if win is not None else np.log(np.diff(s) / 2.0)
-
-
-def _half_widths(s: np.ndarray) -> np.ndarray:
-    """diff(s) / 2, one per panel; read from the window when s is a full
-    window's nodes from log_nodes."""
-    win = _window_of(s)
-    return win.half_widths if win is not None else np.diff(s) / 2.0
-
-
-def _decade_span(s: np.ndarray) -> int:
-    """Panels from an edge node to the node one decade inside (at least 4,
-    at most all of them); read from the window when s is a full window's
-    nodes from log_nodes."""
-    win = _window_of(s)
-    if win is not None:
-        return win.decade
-    n = s.shape[0]
-    return min(n - 1, max(4, int(round((n - 1) * LOG10 / (s[-1] - s[0])))))
+    hw = np.diff(s) / 2.0
+    with np.errstate(divide="ignore"):  # ends a few ulps apart: a panel of width 0
+        lw = np.log(hw)
+    decade = min(n - 1, max(4, int(round((n - 1) * LOG10 / (s[-1] - s[0])))))
+    return Grid(s, np.exp(s), hw, lw, decade, lo == 0.0, hi == math.inf)
 
 
 def log_t(t: np.ndarray) -> np.ndarray:
     """np.log(t); read from the window when t is a full window's nodes
-    from log_nodes."""
-    for win in _WINDOWS.values():
+    from log_nodes.  The one lookup by array identity: RealFun.logv is
+    handed the bare t."""
+    for win, lt in _WINDOWS.values():
         if win.t is t:
-            return win.log_t
+            return lt
     return np.log(t)
 
 
@@ -178,9 +150,9 @@ def _panel_logmass(li: np.ndarray, lw: np.ndarray) -> np.ndarray:
         return np.logaddexp(li[..., :-1], li[..., 1:]) + lw
 
 
-def log_trapz(li: np.ndarray, s: np.ndarray) -> np.ndarray:
+def log_trapz(li: np.ndarray, g: Grid) -> np.ndarray:
     """log of the trapezoid integral of exp(li) ds along the last axis."""
-    return _log_integral_from(li, s, 0, head=False, tail=False)
+    return _logsumexp_last(_panel_logmass(li, g.log_half_widths))
 
 
 def _logsumexp_last(lm: np.ndarray, lo: int = 0, width: int | None = None) -> np.ndarray:
@@ -221,116 +193,114 @@ def _log_running_sum(log_head: float, lm: np.ndarray) -> np.ndarray:
         return np.logaddexp.accumulate(out, out=out)
 
 
-def log_cumtrapz(li: np.ndarray, s: np.ndarray, log_head: float = NEG_INF) -> np.ndarray:
+def log_cumtrapz(li: np.ndarray, g: Grid, log_head: float = NEG_INF) -> np.ndarray:
     """Log of head + cumulative trapezoid integral of exp(li) ds at each node."""
-    return _log_running_sum(log_head, _panel_logmass(li, _log_half_widths(s)))
+    return _log_running_sum(log_head, _panel_logmass(li, g.log_half_widths))
 
 
-def log_suffix_cumtrapz(li: np.ndarray, s: np.ndarray, log_tail: float = NEG_INF) -> np.ndarray:
+def log_suffix_cumtrapz(li: np.ndarray, g: Grid, log_tail: float = NEG_INF) -> np.ndarray:
     """Log of (integral from each node to the right end) + tail."""
-    lm = _panel_logmass(li, _log_half_widths(s))
+    lm = _panel_logmass(li, g.log_half_widths)
     return _log_running_sum(log_tail, lm[::-1])[::-1]
 
 
-def _edge_estimate(li: np.ndarray, s: np.ndarray, left: bool, lo: int = 0):
+def _edge_estimate(li: np.ndarray, g: Grid, left: bool, lo: int = 0):
     """Log of the integral of exp(li) ds beyond one window edge, row by row.
 
     Fits a power law between the edge node and the node one decade
     inside: the integral is exp(lv) / rate, where rate is the decay of
     li per unit of s away from the window.  +inf when the fit says
     divergent (rate not positive), -inf when either log-value is not
-    finite.  li may hold only the columns lo, lo + 1, ... of the nodes s;
-    a node outside them reads -inf.  One row is worked on floats, with
+    finite.  li may hold only the columns lo, lo + 1, ... of the nodes
+    g.s; a node outside them reads -inf.  One row is worked on floats, with
     the same np.log as rows take, so it reads bit for bit as a row.
     """
-    i0, i1 = _edge_nodes(s)[0 if left else 1]
+    i0, i1 = _edge_nodes(g)[0 if left else 1]
     lv = li[..., i0 - lo] if 0 <= i0 - lo < li.shape[-1] else NEG_INF
     l1 = li[..., i1 - lo] if 0 <= i1 - lo < li.shape[-1] else NEG_INF
     if li.ndim == 1:
         lv, l1 = float(lv), float(l1)
         if not (math.isfinite(lv) and math.isfinite(l1)):
             return NEG_INF
-        rate = (l1 - lv) / abs(float(s[i1]) - float(s[i0]))
+        rate = (l1 - lv) / abs(float(g.s[i1]) - float(g.s[i0]))
         return lv - np.log(rate) if rate > _SLOPE_TOL else math.inf
     with np.errstate(invalid="ignore", divide="ignore"):
-        rate = (l1 - lv) / abs(s[i1] - s[i0])
+        rate = (l1 - lv) / abs(g.s[i1] - g.s[i0])
         est = np.where(rate > _SLOPE_TOL, lv - np.log(rate), math.inf)
     return np.where(np.isfinite(lv) & np.isfinite(l1), est, NEG_INF)[()]
 
 
-def _edge_nodes(s: np.ndarray):
+def _edge_nodes(g: Grid):
     """The node pairs the edge estimates fit over: (edge node, the node one
     decade inside), left edge first."""
-    n = s.shape[0]
-    span = _decade_span(s)
-    return (0, span), (n - 1, n - 1 - span)
+    n = g.s.shape[0]
+    return (0, g.decade), (n - 1, n - 1 - g.decade)
 
 
-def log_head_estimate(li: np.ndarray, s: np.ndarray):
+def log_head_estimate(li: np.ndarray, g: Grid):
     """Log of the integral of exp(li) ds over (-inf, s_0), power-law fit.
 
     li is the log of the ds-integrand (Jacobian included), so the head
     converges exactly when its s-slope at the left edge is positive.
     Works on one row (n,) or on rows (..., n).
     """
-    return _edge_estimate(li, s, left=True)
+    return _edge_estimate(li, g, left=True)
 
 
-def log_tail_estimate(li: np.ndarray, s: np.ndarray):
+def log_tail_estimate(li: np.ndarray, g: Grid):
     """Log of the integral of exp(li) ds over (s_end, inf), power-law fit.
 
     Converges exactly when the s-slope at the right edge is negative.
     """
-    return _edge_estimate(li, s, left=False)
+    return _edge_estimate(li, g, left=False)
 
 
-def log_integral(li: np.ndarray, s: np.ndarray, head: bool = True, tail: bool = True):
+def log_integral(li: np.ndarray, g: Grid):
     """Log of the integral of exp(li) ds along the last axis.
 
-    The trapezoid sum over the window, plus the head and then the tail
-    estimate beyond its edges when asked; li is 1-D or 2-D rows.
+    The trapezoid sum over the grid, plus the head and then the tail
+    estimate beyond each of its open ends; li is 1-D or 2-D rows.
     """
-    return _log_integral_from(li, s, 0, head, tail)
+    return _log_integral_from(li, g, 0)
 
 
-def _log_integral_from(li: np.ndarray, s: np.ndarray, lo: int, head: bool = True,
-                       tail: bool = True):
+def _log_integral_from(li: np.ndarray, g: Grid, lo: int):
     """log_integral of rows that hold only the columns lo, lo + 1, ... of
-    the nodes s; every other node reads -inf."""
-    lw = _log_half_widths(s)[lo:lo + li.shape[-1] - 1]
+    the nodes g.s; every other node reads -inf."""
+    lw = g.log_half_widths[lo:lo + li.shape[-1] - 1]
     with np.errstate(invalid="ignore"):
-        core = _logsumexp_last(_panel_logmass(li, lw), lo, s.size - 1)
-        lh = _edge_estimate(li, s, True, lo) if head else NEG_INF
-        lt = _edge_estimate(li, s, False, lo) if tail else NEG_INF
+        core = _logsumexp_last(_panel_logmass(li, lw), lo, g.s.size - 1)
+        lh = _edge_estimate(li, g, True, lo) if g.open_lo else NEG_INF
+        lt = _edge_estimate(li, g, False, lo) if g.open_hi else NEG_INF
         return np.logaddexp(np.logaddexp(core, lh), lt)
 
 
-def log_cumint(li: np.ndarray, s: np.ndarray, head: bool) -> np.ndarray:
-    """Log of the integral of exp(li) ds up to each node (head=True, from
-    -inf) or from each node on (head=False, to +inf), edge estimate
-    included."""
+def log_cumint(li: np.ndarray, g: Grid, head: bool) -> np.ndarray:
+    """Log of the integral of exp(li) ds up to each node (head=True) or
+    from each node on (head=False), with the edge estimate beyond that
+    end of the grid when it is open."""
     if head:
-        return log_cumtrapz(li, s, log_head=log_head_estimate(li, s))
-    return log_suffix_cumtrapz(li, s, log_tail=log_tail_estimate(li, s))
+        return log_cumtrapz(li, g, log_head_estimate(li, g) if g.open_lo else NEG_INF)
+    return log_suffix_cumtrapz(li, g, log_tail_estimate(li, g) if g.open_hi else NEG_INF)
 
 
-def log_cumnorm(lf: np.ndarray, s: np.ndarray, q: float, head: bool) -> np.ndarray:
+def log_cumnorm(lf: np.ndarray, g: Grid, q: float, head: bool) -> np.ndarray:
     """Log of ||exp(lf)||_{q,(0,t_j)} (head) or ||exp(lf)||_{q,(t_j,inf)}
     at every node t_j; q = inf is the running sup."""
     if q == math.inf:
         return running_logmax(lf) if head else suffix_logmax(lf)
     if q == 1.0:  # 1.0 * x and x / 1.0 are x, bit for bit
-        return log_cumint(lf + s, s, head)
-    return log_cumint(q * lf + s, s, head) / q
+        return log_cumint(lf + g.s, g, head)
+    return log_cumint(q * lf + g.s, g, head) / q
 
 
-def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool):
+def _scaled_cumint(li: np.ndarray, g: Grid, head: bool):
     """log_cumint of one full-window row, summed in scaled linear space.
 
     Returns (lc, (a, b), low).  The edge estimate is log_cumint's own,
     so a divergent one gives +inf everywhere, as log_cumint does;
     otherwise a row holding +inf or NaN gives None.  Otherwise each finite lc_j lies
-    within a |lc_j| + b of log_cumint(li, s, head)'s entry j, except
+    within a |lc_j| + b of log_cumint(li, g, head)'s entry j, except
     where low is set: there the scaled running sum fell below
     _SCALED_FLOOR and lc is only an upper bound.  An entry with no finite
     term is exactly -inf, and an edge-fit node (_edge_nodes) is taken bit
@@ -348,7 +318,7 @@ def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool):
     panel half-width) covers both: about 1e-9 where lc_j is near 50.
     """
     n = li.size
-    le = _edge_estimate(li, s, left=head)
+    le = _edge_estimate(li, g, left=head)
     low = np.zeros(n, dtype=bool)
     if le == math.inf:
         return np.full(n, math.inf), (0.0, 0.0), low
@@ -357,7 +327,7 @@ def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool):
         return None
     if m == NEG_INF:
         return np.full(n, NEG_INF), (0.0, 0.0), low
-    hw = _half_widths(s)
+    hw = g.half_widths
     # the terms in summing order: the edge estimate, then the panels
     # from that edge on
     x = li - m
@@ -386,22 +356,24 @@ def _scaled_cumint(li: np.ndarray, s: np.ndarray, head: bool):
     low[k0:k] = True
     if not head:
         lc, low = lc[::-1], low[::-1]
-    left, right = _edge_nodes(s)
+    left, right = _edge_nodes(g)
     redo = sorted(j for j in set(left + right) if low[j])
     if redo:
+        lw = g.log_half_widths
         if head:
             hi = redo[-1] + 1
-            lc[redo] = log_cumtrapz(li[:hi], s[:hi], le)[redo]
+            lc[redo] = _log_running_sum(le, _panel_logmass(li[:hi], lw[:hi - 1]))[redo]
         else:
             lo = redo[0]
-            lc[redo] = log_suffix_cumtrapz(li[lo:], s[lo:], le)[[j - lo for j in redo]]
+            lm = _panel_logmass(li[lo:], lw[lo:])
+            lc[redo] = _log_running_sum(le, lm[::-1])[::-1][[j - lo for j in redo]]
         low[redo] = False
     ulps = 16.0 * n * _U
     b = ulps * (3.0 * abs(m) + abs(math.log(float(hw[0]))) + 30.0)
     return lc, (2.0 * ulps, b), low
 
 
-def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
+def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
                      upper: np.ndarray):
     """log_integral of one full-window row, summed in scaled linear space.
 
@@ -440,19 +412,19 @@ def _scaled_integral(li: np.ndarray, s: np.ndarray, err: np.ndarray,
     near = core >= m - 100.0
     if not np.all(near | (err <= (m - 90.0) - core)):
         return None
-    hw = _half_widths(s)
+    hw = g.half_widths
     x = core - m
     np.maximum(x, _CLIP, out=x)
     np.exp(x, out=x)
     total = float(np.dot(x[:-1] + x[1:], hw))
     edges = []  # (estimate, its error)
-    for i0, i1 in _edge_nodes(s):
+    for i0, i1 in _edge_nodes(g):
         if upper[i0] or upper[i1]:
             return None
         lv, l1 = float(core[i0]), float(core[i1])
         if lv == NEG_INF or l1 == NEG_INF:
             continue
-        ds = abs(float(s[i1]) - float(s[i0]))
+        ds = abs(float(g.s[i1]) - float(g.s[i0]))
         rate = (l1 - lv) / ds
         gap = abs(rate - _SLOPE_TOL)
         dr = (err[i0] + err[i1]) / ds + 4.0 * _U * abs(rate)
@@ -493,7 +465,7 @@ def log_kernel(lx, lt) -> np.ndarray:
     return np.where(np.isnan(lk), math.log(0.5), lk)
 
 
-def log_row_reduce(lk: np.ndarray, lf: np.ndarray, s: np.ndarray, e=None,
+def log_row_reduce(lk: np.ndarray, lf: np.ndarray, g: Grid, e=None,
                    cols=None) -> np.ndarray:
     """Per-row log of esup_t K(x,t) f(t) (e None), or of int K(x,t)^e f(t) dt,
     from the log kernel rows lk and the log-values lf at the nodes.
@@ -511,8 +483,9 @@ def log_row_reduce(lk: np.ndarray, lf: np.ndarray, s: np.ndarray, e=None,
             # a column left out is a -inf term of the full-width row
             initial = NEG_INF if cols.size < lf.size else None
             return np.fmax.reduce(lk + lf[cols], axis=-1, initial=initial)
+    s = g.s
     if cols is None:
-        return log_integral(e * lk + lf + s, s)
+        return log_integral(e * lk + lf + s, g)
     if cols.size == 0:
         return np.full(lk.shape[:-1], NEG_INF)
     # the nodes from one before the first column to one after the last
@@ -520,7 +493,7 @@ def log_row_reduce(lk: np.ndarray, lf: np.ndarray, s: np.ndarray, e=None,
     lo, hi = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, s.size)
     li = np.full(lk.shape[:-1] + (hi - lo,), NEG_INF)
     li[..., cols - lo] = e * lk + lf[cols] + s[cols]
-    return _log_integral_from(li, s, lo)
+    return _log_integral_from(li, g, lo)
 
 
 def running_logmax(li: np.ndarray) -> np.ndarray:
@@ -533,13 +506,12 @@ def suffix_logmax(li: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(li[..., ::-1], axis=-1)[..., ::-1]
 
 
-def log_sup(lv: np.ndarray, s: np.ndarray, open_lo: bool = True,
-            open_hi: bool = True) -> float:
-    """Max of the log-values lv at the nodes s.
+def log_sup(lv: np.ndarray, g: Grid) -> float:
+    """Max of the log-values lv at the nodes g.s.
 
-    +inf when the max sits at an open end of the window and the values
+    +inf when the max sits at an open end of the grid and the values
     still climb towards it from a finite neighbour: the supremum then
-    lies beyond the window.
+    lies beyond the grid.
     """
     if np.all(np.isneginf(lv)):
         return NEG_INF
@@ -547,11 +519,11 @@ def log_sup(lv: np.ndarray, s: np.ndarray, open_lo: bool = True,
     best = float(lv[i])
     if np.isposinf(best):
         return math.inf
-    if open_hi and i == lv.size - 1 and np.isfinite(lv[-2]):
-        if (lv[-1] - lv[-2]) / (s[-1] - s[-2]) > _SUP_SLOPE_TOL:
+    if g.open_hi and i == lv.size - 1 and np.isfinite(lv[-2]):
+        if (lv[-1] - lv[-2]) / (g.s[-1] - g.s[-2]) > _SUP_SLOPE_TOL:
             return math.inf
-    if open_lo and i == 0 and np.isfinite(lv[1]):
-        if (lv[1] - lv[0]) / (s[1] - s[0]) < -_SUP_SLOPE_TOL:
+    if g.open_lo and i == 0 and np.isfinite(lv[1]):
+        if (lv[1] - lv[0]) / (g.s[1] - g.s[0]) < -_SUP_SLOPE_TOL:
             return math.inf
     return best
 

@@ -124,20 +124,20 @@ def _phi(tag: str, prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig) 
     phi_1(x) = esup_t K V(t) ||u||_{r,(0,t)}^{-1}; phi_2(x) is the
     (r->p)-mean of K V against the density of d(-||u||_{r,(0,t)}^{-(r->p)}).
     """
-    s, t = grids.log_nodes(cfg)
-    lV = V.logv(t)
+    g = grids.log_nodes(cfg)
+    lV = V.logv(g.t)
     if tag.startswith("T4"):
         e, scale = None, 1.0
-        lnu = grids.log_cumnorm(prob.u.logv(t), s, float(prob.r), head=True)
+        lnu = grids.log_cumnorm(prob.u.logv(g.t), g, float(prob.r), head=True)
         with np.errstate(invalid="ignore"):  # 0/0 is a NaN the sup skips
             lf = lV - lnu
     else:
         e = scale = float(arrow(prob.r, prob.p))
-        lf = e * lV + stieltjes_density(prob.u, prob.r, prob.p, cfg).logv(t)
+        lf = e * lV + stieltjes_density(prob.u, prob.r, prob.p, cfg).logv(g.t)
 
     def logphi(x):
         # one kernel row per x: a (len(x), n) block is slower, not faster
-        return np.array([grids.log_row_reduce(grids.log_kernel(lx, lV), lf, s, e)
+        return np.array([grids.log_row_reduce(grids.log_kernel(lx, lV), lf, g, e)
                          for lx in V.logv(x)]) / scale
 
     return from_log_callable(logphi, label="phi1" if e is None else "phi2")

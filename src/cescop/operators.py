@@ -57,8 +57,8 @@ def _grid_norm_fun(g: RealFun, q: float, head: bool, cfg: QuadratureConfig,
                    label: str) -> RealFun:
     """x -> ||g||_{q,(0,x)} (head) or ||g||_{q,(x,inf)}, tabulated on the
     working grid by ``grids.log_cumnorm``."""
-    s, t = grids.log_nodes(cfg)
-    return _Table(s, grids.log_cumnorm(g.logv(t), s, q, head), label)
+    grid = grids.log_nodes(cfg)
+    return _Table(grid.s, grids.log_cumnorm(g.logv(grid.t), grid, q, head), label)
 
 
 def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:
@@ -162,9 +162,9 @@ class FundamentalSpec:
 def fundamental_function(spec: FundamentalSpec, t: float,
                          cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """phi(t) = int_0^inf w(tau) U(t) / (U(t) + U(tau)) dtau."""
-    s, tau = grids.log_nodes(cfg)
-    lk = grids.log_kernel(spec.U.logv(np.array([float(t)]))[0], spec.U.logv(tau))
-    tot = grids.log_row_reduce(lk, spec.w.logv(tau), s, 1.0)
+    grid = grids.log_nodes(cfg)
+    lk = grids.log_kernel(spec.U.logv(np.array([float(t)]))[0], spec.U.logv(grid.t))
+    tot = grids.log_row_reduce(lk, spec.w.logv(grid.t), grid, 1.0)
     if np.isposinf(tot):
         raise DivergentRepresentation(f"representation integral diverges at t = {t:g}")
     return grids.from_log(tot)

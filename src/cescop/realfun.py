@@ -569,18 +569,18 @@ def _log_grid_integral(g: RealFun, I: Interval, cfg: QuadratureConfig) -> float:
     within _ROMBERG_TOL, when a midpoint value is not finite, or when the
     next doubling would pass grids._MAX_NODES; else the Romberg diagonal,
     once it moves by no more than _ROMBERG_TOL."""
-    s, t = grids.log_nodes(cfg, I.lo, I.hi)
-    li = g.logv(t) + s  # integrand of the ds integral
+    grid = grids.log_nodes(cfg, I.lo, I.hi)
+    li = g.logv(grid.t) + grid.s  # integrand of the ds integral
     if np.any(np.isposinf(li)):
         return INF
-    base = float(grids.log_integral(li, s, head=I.lo == 0.0, tail=I.hi == INF))
+    base = float(grids.log_integral(li, grid))
     if not math.isfinite(base):
         return base
     m = float(np.max(li))
     f = np.exp(li - m)
     live = np.flatnonzero(f >= 1e-30)
     span = slice(max(live[0] - 1, 0), live[-1] + 2)
-    ss, fs = s[span], f[span]
+    ss, fs = grid.s[span], f[span]
     trap = float(np.dot(np.diff(ss), fs[:-1] + fs[1:])) / 2.0
     row = [math.exp(base - m)]  # the grid value, scaled
     rest = row[0] - trap  # the edge estimates and the panels off the span
@@ -626,14 +626,13 @@ def log_esssup(f: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_C
     eff = I.intersect(f.support)
     if eff is None:
         return NEG_INF
-    s, t = grids.log_nodes(cfg, eff.lo, eff.hi)
-    lv = f.logv(t)
-    best = grids.log_sup(lv, s, open_lo=eff.lo == 0.0, open_hi=eff.hi == INF)
+    grid = grids.log_nodes(cfg, eff.lo, eff.hi)
+    lv = f.logv(grid.t)
+    best = grids.log_sup(lv, grid)
     if math.isinf(best):
         return best
     i = int(np.nanargmax(lv))
-    lo = s[max(i - 1, 0)]
-    hi = s[min(i + 1, s.size - 1)]
+    lo, hi = grid.s[max(i - 1, 0)], grid.s[min(i + 1, lv.size - 1)]
     for _ in range(4):
         ss = np.linspace(lo, hi, 33)
         vv = f.logv(np.exp(ss))

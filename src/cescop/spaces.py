@@ -97,10 +97,9 @@ def _log_interval_norm(g, I: Interval, q: Exponent, cfg: QuadratureConfig) -> fl
     """Log of ||g||_{q,I}, computed without linear-space underflow."""
     if q.is_inf:
         return log_esssup(g, I, cfg)
-    s, t = grids.log_nodes(cfg, I.lo, I.hi)
+    grid = grids.log_nodes(cfg, I.lo, I.hi)
     qf = float(q)
-    li = qf * g.logv(t) + s
-    return float(grids.log_integral(li, s, head=I.lo == 0.0, tail=I.hi == INF)) / qf
+    return float(grids.log_integral(qf * g.logv(grid.t) + grid.s, grid)) / qf
 
 
 def _gate(spec: SpaceSpec, cfg: QuadratureConfig) -> None:
@@ -134,16 +133,16 @@ def _log_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig) -> float:
     *inner, outer = spec.exponents
     ws = spec.weights[::-1]
     head = spec.kind == CES
-    s, t = grids.log_nodes(cfg)
-    lv = product(f, ws[0]).logv(t)
+    g = grids.log_nodes(cfg)
+    lv = product(f, ws[0]).logv(g.t)
     if np.all(np.isneginf(lv)) and not inner[0].is_inf:
         return grids.NEG_INF
     for e, w in zip(inner, ws[1:]):
-        lv = grids.log_mul(grids.log_cumnorm(lv, s, float(e), head), w.logv(t))
+        lv = grids.log_mul(grids.log_cumnorm(lv, g, float(e), head), w.logv(g.t))
     if outer.is_inf:
-        return grids.log_sup(lv, s)
+        return grids.log_sup(lv, g)
     q = float(outer)
-    return float(grids.log_integral(q * lv + s, s)) / q
+    return float(grids.log_integral(q * lv + g.s, g)) / q
 
 
 class _Screen:
@@ -173,8 +172,8 @@ class _Screen:
         self.p, self.q = p, q = tuple(float(e) for e in spec.exponents)
         u, self.v = spec.weights
         self.head = spec.kind == CES
-        self.s, self.t = grids.log_nodes(cfg)
-        self.lu = u.logv(self.t)
+        self.grid = grids.log_nodes(cfg)
+        self.lu = u.logv(self.grid.t)
         self.lu_max = np.max(self.lu)
         self.usable = self.lu_max < INF
         # the rounding of / p, + lu, q * and + s in both paths, from
@@ -186,9 +185,9 @@ class _Screen:
     def __call__(self, f: RealFun):
         if not self.usable:
             return None
-        p, q, s = self.p, self.q, self.s
-        li = p * product(f, self.v).logv(self.t) + s
-        res = grids._scaled_cumint(li, s, self.head)
+        p, q, g = self.p, self.q, self.grid
+        li = p * product(f, self.v).logv(g.t) + g.s
+        res = grids._scaled_cumint(li, g, self.head)
         if res is None:
             return None
         lc, (a, b), low = res
@@ -199,13 +198,13 @@ class _Screen:
         li = lc / p
         li += self.lu
         li *= q
-        li += s
+        li += g.s
         # the inner error times q / p, then the rounding terms
         err = np.abs(lc)
         err *= (q / p) * a + self.lc_err
         err += self.lu_err
         err += (q / p) * b + self.s_err
-        res = grids._scaled_integral(li, s, err, low)
+        res = grids._scaled_integral(li, g, err, low)
         if res is None:
             return None
         value = res[0] / q

@@ -1,0 +1,79 @@
+"""Print digests of the CLI outputs that every change must keep byte-identical.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/output_digests.py
+
+Each line is the first 16 hex digits of the sha256 of the concatenation,
+in order, of f"{exit code}\\n{stdout}{stderr}" over the ``cescop.cli.run``
+calls of one suite:
+
+    mult      ``mult`` on the 14 regime configs of perfbench/configs, in tag order
+    crossval  the same 14 with the oracle block of acceptance criterion 6
+    glue      ``glue --lemma all --count 100 --seed 12345``
+    verify    ``verify --seed 0``
+    quick     ``verify --seed 0 --quick``
+
+Compare the lines printed on two commits to show that a change moved no
+output.  pytest does not collect this file (its name has no test_ prefix).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from cescop import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG_DIR = os.path.join(ROOT, "perfbench", "configs")
+TAGS = ("T1", "T2i", "T2ii", "T3i", "T3ii", "T4i", "T4ii", "T5i", "T5ii",
+        "T5iii", "T5iv", "T6", "T7i", "T7ii")
+ORACLE = {"seed": 101, "size": 60, "rounds": 5}
+
+
+def _run(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return f"{code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def _digest(argvs) -> str:
+    text = "".join(_run(argv) for argv in argvs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _mult(paths) -> list:
+    return [["mult", "--config", path] for path in paths]
+
+
+def main() -> None:
+    paths = [os.path.join(CONFIG_DIR, f"{tag}.json") for tag in TAGS]
+    with tempfile.TemporaryDirectory() as tmp:
+        oracle_paths = []
+        for tag, path in zip(TAGS, paths):
+            with open(path) as fh:
+                rec = json.load(fh)
+            oracle_paths.append(os.path.join(tmp, f"{tag}.json"))
+            with open(oracle_paths[-1], "w") as fh:
+                json.dump({**rec, "oracle": ORACLE}, fh)
+        suites = (
+            ("mult", _mult(paths)),
+            ("crossval", _mult(oracle_paths)),
+            ("glue", [["glue", "--lemma", "all", "--count", "100", "--seed", "12345"]]),
+            ("verify", [["verify", "--seed", "0"]]),
+            ("quick", [["verify", "--seed", "0", "--quick"]]),
+        )
+        for name, argvs in suites:
+            print(f"{name:<9} {_digest(argvs)}")
+    sys.stdout.flush()
+
+
+if __name__ == "__main__":
+    main()

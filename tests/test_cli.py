@@ -1,5 +1,6 @@
 """Command-line front-end: config parsing, reports, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -219,6 +220,9 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     {"p": True},
     {"r": {"num": 3.7, "den": 2}},
     {"r": {"num": True, "den": 2}},
+    # finite exponents whose float overflows or reads 0.0
+    {"r": {"num": 10**400, "den": 3}},
+    {"r": {"num": 1, "den": 10**400}},
     {"v": {"family": "table", "log_t": [True, 2.0], "values": [1.0, 1.0]}},
     {"v": {"family": "table", "log_t": ["0", "1"], "values": [1.0, 1.0]}},
     # JSON's NaN and Infinity are numbers, but no function parameter
@@ -245,6 +249,22 @@ def test_exit_2_on_negative_seed_or_count(capsys, argv):
     assert code == 2
     assert "config error" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    argv = ["glue", "--lemma", "SUP_SUP", "--count", "1"]
+    first = _run_json(capsys, argv)
+    assert _run_json(capsys, argv + ["--seed", "5"]) != first
+    assert _run_json(capsys, argv) == first  # the default seed again
+    assert len(parsers) == 3 and all(p is parsers[0] for p in parsers)
 
 
 def test_exit_2_on_bad_family(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact rational exponent arithmetic."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +19,9 @@ def test_exponent_construction():
     assert Exponent("3/4").value == F(3, 4)
     assert Exponent("inf").is_inf
     assert Exponent(math.inf).is_inf
+    # the ends of the float range are exponents
+    assert float(Exponent(5e-324)) == 5e-324
+    assert float(Exponent(sys.float_info.max)) == sys.float_info.max
     with pytest.raises(SpecInvalid):
         Exponent(0)
     with pytest.raises(SpecInvalid):
@@ -39,6 +43,14 @@ def test_exponent_reads_numpy_numbers(value, expected):
     assert e.value == expected
     # no fixed-width integer inside an exact exponent
     assert e.is_inf or type(e.value.numerator) is int
+
+
+@pytest.mark.parametrize("value", [10**400, F(10**400, 3), "1e400", F(1, 10**400), "1e-400"],
+                         ids=["int", "fraction", "string", "tiny-fraction", "tiny-string"])
+def test_finite_exponent_beyond_the_float_range_is_invalid(value):
+    # its float would overflow or read 0.0
+    with pytest.raises(SpecInvalid):
+        Exponent(value)
 
 
 def test_exponent_ordering():

@@ -103,7 +103,7 @@ def test_glue_deterministic_replay():
     assert r1.lhs == r2.lhs and r1.rhs_terms == r2.rhs_terms
 
 
-def _full_width_rows(la, s, g_side, h_side):
+def _full_width_rows(la, grid, g_side, h_side):
     """The row reductions with the kernel built on every column: the
     reference the support-column rows must match bit for bit."""
     outs = ([], [])
@@ -111,19 +111,20 @@ def _full_width_rows(la, s, g_side, h_side):
         lA = grids.log_kernel(la[start:start + gluing._ROW_CHUNK, None], la)
         lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
         for acc, lk, (lf, e) in zip(outs, (lA, lAc), (g_side, h_side)):
-            acc.append(grids.log_row_reduce(lk, lf, s, e))
+            acc.append(grids.log_row_reduce(lk, lf, grid, e))
     return [np.concatenate(acc) for acc in outs]
 
 
 def _row_inputs(inst, cfg=GLUE_CFG):
-    """(la, s, g side, h side) on the glue grid, as glue_eval builds them."""
-    s, t = grids.log_nodes(cfg)
+    """(la, grid, g side, h side) on the glue grid, as glue_eval builds them."""
+    grid = grids.log_nodes(cfg)
+    t = grid.t
     g_entry, h_entry, _ = gluing._LEMMA_TABLE[inst.lemma_id]
 
     def side(f, entry):
         e = None if entry is gluing._SUP else gluing._exponent(entry, inst.exps)
         return f.logv(t), e
-    return inst.a.logv(t), s, side(inst.g, g_entry), side(inst.h, h_entry)
+    return inst.a.logv(t), grid, side(inst.g, g_entry), side(inst.h, h_entry)
 
 
 def _assert_rows_match_full_width(inst, cfg=GLUE_CFG):
@@ -143,7 +144,7 @@ def test_support_column_rows_match_full_width(seed, lem):
 
 def _one_node(j):
     """An indicator whose support holds exactly node j of the glue grid."""
-    _, t = grids.log_nodes(GLUE_CFG)
+    t = grids.log_nodes(GLUE_CFG).t
     return indicator(0.0 if j == 0 else t[j] * (1 - 1e-9), t[j] * (1 + 1e-9))
 
 

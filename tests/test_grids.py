@@ -1,6 +1,7 @@
 """Log-space grid helpers: integrals, edge estimates, suprema."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +14,13 @@ from cescop.realfun import DEFAULT_CFG, ONE, QuadratureConfig, expfam
 from cescop.spaces import SpaceSpec, space_norm
 
 CFG = QuadratureConfig(S=12.0, sup_grid=32)
+
+
+def _grid(s):
+    """A Grid on the nodes s, open at both ends, with its constants computed
+    afresh."""
+    hw = np.diff(s) / 2.0
+    return grids.Grid(s, np.exp(s), hw, np.log(hw), min(s.size - 1, 4), True, True)
 
 
 def _rows(s):
@@ -29,50 +37,55 @@ def _rows(s):
 
 
 def test_2d_rows_match_1d_bit_for_bit():
-    s, _ = grids.log_nodes(CFG)
-    rows = _rows(s)
+    g = grids.log_nodes(CFG)
+    rows = _rows(g.s)
     for head in (False, True):
         for tail in (False, True):
-            whole = grids.log_integral(rows, s, head=head, tail=tail)
-            each = [grids.log_integral(r, s, head=head, tail=tail) for r in rows]
+            ends = g._replace(open_lo=head, open_hi=tail)
+            whole = grids.log_integral(rows, ends)
+            each = [grids.log_integral(r, ends) for r in rows]
             np.testing.assert_array_equal(whole, each)
     for estimate in (grids.log_head_estimate, grids.log_tail_estimate):
-        np.testing.assert_array_equal(estimate(rows, s), [estimate(r, s) for r in rows])
+        np.testing.assert_array_equal(estimate(rows, g), [estimate(r, g) for r in rows])
 
 
 def test_edge_estimates_follow_the_power_law():
-    s, _ = grids.log_nodes(CFG)
+    g = grids.log_nodes(CFG)
+    s = g.s
     # e^{2s} on (-inf, s_0) integrates to e^{2 s_0} / 2; e^{-2s} likewise on the right
-    assert grids.log_head_estimate(2.0 * s, s) == pytest.approx(2.0 * s[0] - math.log(2.0))
-    assert grids.log_tail_estimate(-2.0 * s, s) == pytest.approx(-2.0 * s[-1] - math.log(2.0))
-    assert grids.log_head_estimate(-2.0 * s, s) == math.inf
-    assert grids.log_tail_estimate(np.zeros_like(s), s) == math.inf
-    assert grids.log_head_estimate(np.where(s < 0, -math.inf, 0.0), s) == -math.inf
+    assert grids.log_head_estimate(2.0 * s, g) == pytest.approx(2.0 * s[0] - math.log(2.0))
+    assert grids.log_tail_estimate(-2.0 * s, g) == pytest.approx(-2.0 * s[-1] - math.log(2.0))
+    assert grids.log_head_estimate(-2.0 * s, g) == math.inf
+    assert grids.log_tail_estimate(np.zeros_like(s), g) == math.inf
+    assert grids.log_head_estimate(np.where(s < 0, -math.inf, 0.0), g) == -math.inf
 
 
 def test_log_cumint_ends_at_log_integral():
-    s, _ = grids.log_nodes(CFG)
-    li = -np.abs(s)
-    head = grids.log_cumint(li, s, head=True)
-    tail = grids.log_cumint(li, s, head=False)
-    assert head[-1] == pytest.approx(grids.log_integral(li, s, tail=False), abs=1e-12)
-    assert tail[0] == pytest.approx(grids.log_integral(li, s, head=False), abs=1e-12)
+    g = grids.log_nodes(CFG)
+    li = -np.abs(g.s)
+    head = grids.log_cumint(li, g, head=True)
+    tail = grids.log_cumint(li, g, head=False)
+    assert head[-1] == pytest.approx(grids.log_integral(li, g._replace(open_hi=False)),
+                                     abs=1e-12)
+    assert tail[0] == pytest.approx(grids.log_integral(li, g._replace(open_lo=False)),
+                                    abs=1e-12)
     assert np.all(np.diff(head) >= 0) and np.all(np.diff(tail) <= 0)
 
 
 def test_log_sup_edge_divergence():
-    s, _ = grids.log_nodes(CFG)
+    g = grids.log_nodes(CFG)
+    s = g.s
     rising, falling = 0.5 * s, -0.5 * s
-    assert grids.log_sup(rising, s) == math.inf
-    assert grids.log_sup(falling, s) == math.inf
-    assert grids.log_sup(rising, s, open_hi=False) == rising[-1]
-    assert grids.log_sup(falling, s, open_lo=False) == falling[0]
-    assert grids.log_sup(-np.abs(s - 1.0), s) == pytest.approx(0.0, abs=0.05)
-    assert grids.log_sup(np.full_like(s, -math.inf), s) == -math.inf
+    assert grids.log_sup(rising, g) == math.inf
+    assert grids.log_sup(falling, g) == math.inf
+    assert grids.log_sup(rising, g._replace(open_hi=False)) == rising[-1]
+    assert grids.log_sup(falling, g._replace(open_lo=False)) == falling[0]
+    assert grids.log_sup(-np.abs(s - 1.0), g) == pytest.approx(0.0, abs=0.05)
+    assert grids.log_sup(np.full_like(s, -math.inf), g) == -math.inf
     # a lone finite value at the edge gives no slope to extrapolate
     lone = np.full_like(s, -math.inf)
     lone[-1] = 3.0
-    assert grids.log_sup(lone, s) == 3.0
+    assert grids.log_sup(lone, g) == 3.0
 
 
 def test_zero_wins_and_from_log():
@@ -99,25 +112,27 @@ def test_log_kernel_splits_evenly_where_undetermined():
 
 
 def test_log_row_reduce_sup_and_integral():
-    s, _ = grids.log_nodes(CFG)
+    g = grids.log_nodes(CFG)
+    s = g.s
     lk = np.stack([np.zeros_like(s), np.full_like(s, math.log(0.5))])
     lf = -np.abs(s)
-    np.testing.assert_array_equal(grids.log_row_reduce(lk, lf, s),
+    np.testing.assert_array_equal(grids.log_row_reduce(lk, lf, g),
                                   [0.0, math.log(0.5)])
     # a zero kernel against an infinite value (0 * inf) does not count
     np.testing.assert_array_equal(
         grids.log_row_reduce(np.array([-math.inf, 0.0]), np.array([math.inf, 1.0]),
-                             s[:2]), 1.0)
+                             _grid(s[:2])), 1.0)
     # int K^2 f dt with K = 1/2 is a quarter of int f dt
-    whole = grids.log_integral(lf + s, s)
-    np.testing.assert_allclose(grids.log_row_reduce(lk, lf, s, 2.0),
+    whole = grids.log_integral(lf + s, g)
+    np.testing.assert_allclose(grids.log_row_reduce(lk, lf, g, 2.0),
                                [whole, whole + 2.0 * math.log(0.5)], rtol=1e-14)
 
 
 @pytest.mark.parametrize("e", [None, 0.5, 2.0])
 def test_log_row_reduce_on_columns_matches_full_width(e):
     # lf vanishes off its columns: two bumps, one touching each window end
-    s, _ = grids.log_nodes(CFG)
+    g = grids.log_nodes(CFG)
+    s = g.s
     la = 0.7 * s
     lk = grids.log_kernel(la[:, None], la)
     n = s.size
@@ -127,8 +142,8 @@ def test_log_row_reduce_on_columns_matches_full_width(e):
         lf = np.full(n, -math.inf)
         lf[cols] = -np.abs(s[cols]) + 1.0
         np.testing.assert_array_equal(
-            grids.log_row_reduce(lk[:, cols], lf, s, e, cols),
-            grids.log_row_reduce(lk, lf, s, e))
+            grids.log_row_reduce(lk[:, cols], lf, g, e, cols),
+            grids.log_row_reduce(lk, lf, g, e))
 
 
 def test_log_row_reduce_on_columns_keeps_an_all_nan_sup():
@@ -136,35 +151,40 @@ def test_log_row_reduce_on_columns_keeps_an_all_nan_sup():
     lk = np.full((2, 3), -math.inf)
     lk[1, 0] = 0.0
     lf = np.full(3, math.inf)
-    full = grids.log_row_reduce(lk, lf, np.arange(3.0))
+    g = _grid(np.arange(3.0))
+    full = grids.log_row_reduce(lk, lf, g)
     np.testing.assert_array_equal(full, [math.nan, math.inf])
     np.testing.assert_array_equal(
-        grids.log_row_reduce(lk, lf, np.arange(3.0), None, np.arange(3)), full)
+        grids.log_row_reduce(lk, lf, g, None, np.arange(3)), full)
 
 
 def test_log_cumnorm():
-    s, _ = grids.log_nodes(CFG)
+    g = grids.log_nodes(CFG)
+    s = g.s
     lf = -np.abs(s)
-    np.testing.assert_array_equal(grids.log_cumnorm(lf, s, 1.0, head=True),
-                                  grids.log_cumint(lf + s, s, head=True))
-    np.testing.assert_array_equal(grids.log_cumnorm(lf, s, math.inf, head=False),
+    np.testing.assert_array_equal(grids.log_cumnorm(lf, g, 1.0, head=True),
+                                  grids.log_cumint(lf + s, g, head=True))
+    np.testing.assert_array_equal(grids.log_cumnorm(lf, g, math.inf, head=False),
                                   grids.suffix_logmax(lf))
     # ||f||_{2,(0,t)}^2 = int_0^t f^2
-    l2 = grids.log_cumnorm(lf, s, 2.0, head=True)
-    np.testing.assert_allclose(2.0 * l2, grids.log_cumint(2.0 * lf + s, s, head=True),
+    l2 = grids.log_cumnorm(lf, g, 2.0, head=True)
+    np.testing.assert_allclose(2.0 * l2, grids.log_cumint(2.0 * lf + s, g, head=True),
                                rtol=1e-14)
 
 
 def test_full_window_nodes_are_built_once_and_read_only():
-    s, t = grids.log_nodes(CFG)
+    g = grids.log_nodes(CFG)
+    s, t = g.s, g.t
     assert grids.log_nodes(CFG)[0] is s and grids.log_nodes(CFG)[1] is t
     assert not s.flags.writeable and not t.flags.writeable
+    assert grids.log_nodes(CFG) is g
+    assert not g.half_widths.flags.writeable and not g.log_half_widths.flags.writeable
     np.testing.assert_array_equal(s, np.linspace(-CFG.S, CFG.S, s.size))
     np.testing.assert_array_equal(t, np.exp(s))
     with pytest.raises(ValueError):
         s[0] = 0.0
     # an interval inside the window gets fresh arrays every call
-    sub, _ = grids.log_nodes(CFG, 1.0, 10.0)
+    sub = grids.log_nodes(CFG, 1.0, 10.0).s
     assert sub.flags.writeable and grids.log_nodes(CFG, 1.0, 10.0)[0] is not sub
 
 
@@ -201,23 +221,25 @@ def _hostile_rows(s):
 
 @pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
 def test_suffix_cumtrapz_matches_the_reversed_forward_sum(grid):
-    s, _ = _WINDOW_GRIDS[grid]()
+    g = _WINDOW_GRIDS[grid]()
+    s = g.s
+    mirror = _grid(-s[::-1])
     for li in _hostile_rows(s):
         for lt in (-math.inf, -3.0, 2.5, math.inf, math.nan):
-            old = grids.log_cumtrapz(li[::-1], -s[::-1], lt)[::-1]
-            new = grids.log_suffix_cumtrapz(li, s, lt)
+            old = grids.log_cumtrapz(li[::-1], mirror, lt)[::-1]
+            new = grids.log_suffix_cumtrapz(li, g, lt)
             assert np.array_equal(new, old, equal_nan=True)
 
 
 def test_running_sums_over_a_nan_emit_no_warning():
-    s, _ = grids.log_nodes(CFG)
-    k = s.size // 2
-    li = -np.abs(s)
+    g = grids.log_nodes(CFG)
+    k = g.s.size // 2
+    li = -np.abs(g.s)
     li[k] = math.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        head = grids.log_cumtrapz(li, s)
-        tail = grids.log_suffix_cumtrapz(li, s)
+        head = grids.log_cumtrapz(li, g)
+        tail = grids.log_suffix_cumtrapz(li, g)
     # the panels k - 1 and k touch the NaN node; the sums short of them stay finite
     assert np.all(np.isfinite(head[1:k])) and np.all(np.isnan(head[k:]))
     assert np.all(np.isfinite(tail[k + 1:-1])) and np.all(np.isnan(tail[:k]))
@@ -225,15 +247,17 @@ def test_running_sums_over_a_nan_emit_no_warning():
 
 @pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
 def test_window_constants_match_a_fresh_computation(grid):
-    s, t = _WINDOW_GRIDS[grid]()
+    g = _WINDOW_GRIDS[grid]()
+    s, t = g.s, g.t
     fresh_s, fresh_t = s.copy(), t.copy()
     assert fresh_s.flags.writeable and fresh_t.flags.writeable
-    lw = grids._log_half_widths(s)
+    lw = g.log_half_widths
     assert np.array_equal(lw, np.log(np.diff(fresh_s) / 2.0))
+    assert np.array_equal(g.half_widths, np.diff(fresh_s) / 2.0)
     assert np.array_equal(grids.log_t(t), np.log(fresh_t))
     for li in _hostile_rows(s):
         assert np.array_equal(grids._panel_logmass(li, lw),
-                              grids._panel_logmass(li, grids._log_half_widths(fresh_s)),
+                              grids._panel_logmass(li, _grid(fresh_s).log_half_widths),
                               equal_nan=True)
     if grid != "interval":
         assert not lw.flags.writeable and not grids.log_t(t).flags.writeable
@@ -241,7 +265,8 @@ def test_window_constants_match_a_fresh_computation(grid):
 
 @pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
 def test_one_row_edge_estimate_matches_the_row_path(grid):
-    s, _ = _WINDOW_GRIDS[grid]()
+    g = _WINDOW_GRIDS[grid]()
+    s = g.s
     n = s.size
     for li in _hostile_rows(s) + list(_rows(s)):
         # lo, hi: the columns li holds, some leaving out an edge node or
@@ -249,27 +274,29 @@ def test_one_row_edge_estimate_matches_the_row_path(grid):
         for lo, hi in ((0, n), (3, n), (0, n - 2), (n // 3, n), (0, n // 2), (5, n - 5)):
             part = li[lo:hi]
             for left in (True, False):
-                one = grids._edge_estimate(part, s, left, lo)
+                one = grids._edge_estimate(part, g, left, lo)
                 # rows read one -inf for all when neither node is a column
-                row = np.broadcast_to(grids._edge_estimate(part[None], s, left, lo), 1)[0]
+                row = np.broadcast_to(grids._edge_estimate(part[None], g, left, lo), 1)[0]
                 assert np.array_equal(one, row, equal_nan=True), (lo, hi, left)
                 assert type(one) in (float, np.float64)
 
 
 @pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
 def test_one_row_reduces_as_its_row_in_a_block(grid):
-    s, _ = _WINDOW_GRIDS[grid]()
+    g = _WINDOW_GRIDS[grid]()
+    s = g.s
     n = s.size
     rows = _hostile_rows(s) + list(_rows(s))
     block = np.array(rows)
-    lm_block = grids._panel_logmass(block, grids._log_half_widths(s))
+    lm_block = grids._panel_logmass(block, g.log_half_widths)
     for i, li in enumerate(rows):
         for head in (True, False):
             for tail in (True, False):
-                assert np.array_equal(grids.log_integral(li, s, head, tail),
-                                      grids.log_integral(block, s, head, tail)[i],
+                ends = g._replace(open_lo=head, open_hi=tail)
+                assert np.array_equal(grids.log_integral(li, ends),
+                                      grids.log_integral(block, ends)[i],
                                       equal_nan=True), (i, head, tail)
-        lm = grids._panel_logmass(li, grids._log_half_widths(s))
+        lm = grids._panel_logmass(li, g.log_half_widths)
         assert np.array_equal(grids._logsumexp_last(lm), grids._logsumexp_last(lm_block)[i],
                               equal_nan=True), i
         # lo, hi: the panels lm holds; the others are laid out as zeros
@@ -277,19 +304,20 @@ def test_one_row_reduces_as_its_row_in_a_block(grid):
             one = grids._logsumexp_last(lm[lo:hi], lo, n - 1)
             row = grids._logsumexp_last(lm_block[:, lo:hi], lo, n - 1)[i]
             assert np.array_equal(one, row, equal_nan=True), (i, lo, hi)
-            one = grids._log_integral_from(li[lo:hi + 1], s, lo)
-            row = grids._log_integral_from(block[:, lo:hi + 1], s, lo)[i]
+            one = grids._log_integral_from(li[lo:hi + 1], g, lo)
+            row = grids._log_integral_from(block[:, lo:hi + 1], g, lo)[i]
             assert np.array_equal(one, row, equal_nan=True), (i, lo, hi)
 
 
 @pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
 def test_log_cumnorm_at_q_one_is_the_general_rule(grid):
-    s, _ = _WINDOW_GRIDS[grid]()
+    g = _WINDOW_GRIDS[grid]()
+    s = g.s
     for lf in _hostile_rows(s) + list(_rows(s)):
         for head in (True, False):
             with np.errstate(invalid="ignore"):
-                general = grids.log_cumint(1.0 * lf + s, s, head) / 1.0
-            assert np.array_equal(grids.log_cumnorm(lf, s, 1.0, head), general, equal_nan=True)
+                general = grids.log_cumint(1.0 * lf + s, g, head) / 1.0
+            assert np.array_equal(grids.log_cumnorm(lf, g, 1.0, head), general, equal_nan=True)
 
 
 def test_log_mul_leaves_its_arguments_unchanged():
@@ -313,16 +341,18 @@ def test_log_mul_leaves_its_arguments_unchanged():
 def test_one_row_edge_estimate_takes_the_rows_log():
     # math.log and np.log differ in the last bit on a few rates in 10^4,
     # so a sweep of rates sees a one-row path that leaves np.log
-    s, _ = grids.log_nodes(GLUE_CFG)
+    g = grids.log_nodes(GLUE_CFG)
+    s = g.s
     n = s.size
     span = min(n - 1, max(4, int(round((n - 1) * grids.LOG10 / (s[-1] - s[0])))))
+    assert span == g.decade
     d = s[span] - s[0]
     rates = np.exp(np.random.default_rng(0).uniform(-15.0, 4.0, 50000))
     rows = np.zeros((rates.size, span + 1))
     for left, lo, inner in ((True, 0, span), (False, n - 1 - span, 0)):
         rows[:, inner] = rates * d
-        whole = grids._edge_estimate(rows, s, left, lo)
-        one = [grids._edge_estimate(r, s, left, lo) for r in rows]
+        whole = grids._edge_estimate(rows, g, left, lo)
+        one = [grids._edge_estimate(r, g, left, lo) for r in rows]
         assert np.array_equal(whole, one)
         rows[:, inner] = 0.0
 
@@ -339,22 +369,23 @@ def test_window_caches_hold_one_entry_per_window(monkeypatch):
             glue_eval(inst)
         for cfg in (small, CFG):
             space_norm(spec, expfam(1.0, 1.0, -1.0), cfg)
-            s, t = grids.log_nodes(cfg)
+            g = grids.log_nodes(cfg)
+            s = g.s
             cols = np.arange(5, s.size // 2)
             lf = np.full(s.size, -math.inf)
             lf[cols] = -np.abs(s[cols])
             lk = grids.log_kernel(s[:, None], s[cols])
-            grids.log_row_reduce(lk, lf, s, 1.0, cols)
-            sub, tsub = grids.log_nodes(cfg, 1e-2, 1e2)
-            grids.log_integral(grids.log_t(tsub) - tsub + sub, sub)
-            grids.log_cumint(-np.abs(sub), sub, head=False)
+            grids.log_row_reduce(lk, lf, g, 1.0, cols)
+            sub = grids.log_nodes(cfg, 1e-2, 1e2)
+            grids.log_integral(grids.log_t(sub.t) - sub.t + sub.s, sub)
+            grids.log_cumint(-np.abs(sub.s), sub, head=False)
     used = {(c.S, c.sup_grid) for c in (GLUE_CFG, small, CFG)}
     assert set(grids._WINDOWS) == used
     caches = [v for name, v in vars(grids).items()
               if isinstance(v, dict) and not name.startswith("__")]
     assert caches and all(len(c) == len(used) for c in caches)
-    for win in grids._WINDOWS.values():
-        assert not any(arr.flags.writeable for arr in win if isinstance(arr, np.ndarray))
+    for win, lt in grids._WINDOWS.values():
+        assert not any(arr.flags.writeable for arr in (*win, lt) if isinstance(arr, np.ndarray))
         n = win.s.size
         span = round((n - 1) * grids.LOG10 / (win.s[-1] - win.s[0]))
         assert win.decade == min(n - 1, max(4, span))
@@ -363,19 +394,20 @@ def test_window_caches_hold_one_entry_per_window(monkeypatch):
 @pytest.mark.parametrize("grid", ["default", "glue"])
 def test_scaled_rules_lie_within_their_bounds_of_the_log_rules(grid):
     # rows whose log range runs past 1400, with -inf runs, +inf and NaN
-    s, t = _WINDOW_GRIDS[grid]()
+    g = _WINDOW_GRIDS[grid]()
+    s, t = g.s, g.t
     wide = [-t, 2.0 * s - t, np.where(s < 0.0, -math.inf, -40.0 * np.abs(s)),
             np.where(s > 1.0, -math.inf, 60.0 * s), -np.exp(np.abs(s))]
-    left, right = grids._edge_nodes(s)
+    left, right = grids._edge_nodes(g)
     for li in _hostile_rows(s) + list(_rows(s)) + wide:
         for head in (True, False):
-            res = grids._scaled_cumint(li, s, head)
+            res = grids._scaled_cumint(li, g, head)
             if res is None:  # a +inf or NaN, and no divergent edge
                 assert not np.max(li) < math.inf
                 continue
             lc, (a, b), low = res
             with np.errstate(invalid="ignore"):
-                exact = grids.log_cumint(li, s, head)
+                exact = grids.log_cumint(li, g, head)
             assert np.array_equal(np.isneginf(lc), np.isneginf(exact))
             assert np.array_equal(np.isposinf(lc), np.isposinf(exact))
             fin = np.isfinite(exact) & ~low
@@ -389,8 +421,81 @@ def test_scaled_rules_lie_within_their_bounds_of_the_log_rules(grid):
             assert np.array_equal(lc[deep], exact[deep])
         if not np.max(li) < math.inf:
             continue
-        res = grids._scaled_integral(li, s, np.zeros(s.size), np.zeros(s.size, dtype=bool))
+        res = grids._scaled_integral(li, g, np.zeros(s.size), np.zeros(s.size, dtype=bool))
         if res is not None:
             value, bound = res
-            exact = float(grids.log_integral(li, s))
+            exact = float(grids.log_integral(li, g))
             assert abs(value - exact) <= bound  # finite: an exact ±inf is refused
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("grid", ["default", "glue"])
+def test_rules_read_the_grid_by_value(grid, monkeypatch):
+    # a Grid rebuilt from copies of the window's arrays, read while no
+    # window is cached, gives every rule's results bit for bit
+    g = _WINDOW_GRIDS[grid]()
+    copy = grids.Grid(*(np.array(f) if isinstance(f, np.ndarray) else f for f in g))
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(g[:4], copy[:4]))
+    s = g.s
+    n = s.size
+    la = 0.7 * s
+    lk = grids.log_kernel(la[::n // 3, None], la)
+    cols = np.arange(n // 5, n // 2)
+    wide = [-g.t, np.where(s > 1.0, -math.inf, 60.0 * s)]
+
+    certified = []
+
+    def results(g):
+        out = []
+        for li in _hostile_rows(s) + list(_rows(s)) + wide:
+            off = np.full(n, -math.inf)
+            off[cols] = li[cols]
+            with np.errstate(invalid="ignore"):
+                out += [grids.log_trapz(li, g), grids.log_cumtrapz(li, g, -1.0),
+                        grids.log_suffix_cumtrapz(li, g, -1.0),
+                        grids.log_head_estimate(li, g), grids.log_tail_estimate(li, g),
+                        grids.log_integral(li, g), grids.log_sup(li, g)]
+                for head in (True, False):
+                    out.append(grids.log_cumint(li, g, head))
+                    out += [grids.log_cumnorm(li, g, q, head) for q in (0.5, 1.0, 2.0, math.inf)]
+                    res = grids._scaled_cumint(li, g, head)
+                    out += [None] if res is None else [res[0], *res[1], res[2]]
+                for e in (None, 2.0):
+                    out.append(grids.log_row_reduce(lk, li, g, e))
+                    out.append(grids.log_row_reduce(lk[:, cols], off, g, e, cols))
+            if np.max(li) < math.inf:
+                zeros = np.zeros(n)
+                res = grids._scaled_integral(li, g, zeros, zeros > 0.0)
+                out += [None] if res is None else list(res)
+                certified.append(res is not None)
+        return out
+
+    want = results(g)
+    monkeypatch.setattr(grids, "_WINDOWS", {})
+    got = results(copy)
+    assert len(got) == len(want)
+    assert all(_same(a, b) for a, b in zip(got, want))
+    assert any(certified)  # the scaled integral certified some of these rows
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, math.inf), (0.0, 1.0), (1.0, math.inf), (1e-3, 50.0), (0.0, 1e-20),
+    (1e20, math.inf), (sys.float_info.max, math.inf)])
+def test_an_interval_grid_knows_its_open_ends(lo, hi):
+    g = grids.log_nodes(DEFAULT_CFG, lo, hi)
+    assert (g.open_lo, g.open_hi) == (lo == 0.0, hi == math.inf)
+    assert g[0] is g.s and np.all(np.isfinite(g.t))
+    # the integral adds an edge estimate, and the supremum tests for
+    # divergence, exactly at the open ends
+    li = -np.abs(g.s - np.mean(g.s))
+    lh = grids.log_head_estimate(li, g) if g.open_lo else -math.inf
+    lt = grids.log_tail_estimate(li, g) if g.open_hi else -math.inf
+    assert grids.log_integral(li, g) == np.logaddexp(np.logaddexp(grids.log_trapz(li, g), lh), lt)
+    rising = 0.5 * g.s
+    assert grids.log_sup(rising, g) == (math.inf if g.open_hi else rising[-1])
+    assert grids.log_sup(-rising, g) == (math.inf if g.open_lo else -rising[0])

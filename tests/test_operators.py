@@ -210,8 +210,9 @@ def test_grid_transforms_read_the_cumulative_norm_at_the_nodes(build, q, head):
     # is tabulated on the working grid and reads log_cumnorm at its nodes
     # (up to the rounding of ln(e^s))
     g = product(powerlog(1.0, 0.0, -3.0), expfam(1.0, 0.0, -1.0))
-    s, t = grids.log_nodes(DEFAULT_CFG)
-    np.testing.assert_allclose(build(g).logv(t), grids.log_cumnorm(g.logv(t), s, q, head),
+    grid = grids.log_nodes(DEFAULT_CFG)
+    t = grid.t
+    np.testing.assert_allclose(build(g).logv(t), grids.log_cumnorm(g.logv(t), grid, q, head),
                                rtol=1e-12)
 
 
@@ -219,7 +220,7 @@ def test_suffix_sup_of_an_indicator_is_zero_past_its_end():
     # inside the grid panel that holds ln 100 the function is 0 from 100 on;
     # a finite log-value there would break the 0 * inf rule of log_mul
     F = suffix_sup_fun(indicator(0, 100))
-    s, _ = grids.log_nodes(DEFAULT_CFG)
+    s = grids.log_nodes(DEFAULT_CFG).s
     j = int(np.searchsorted(s, math.log(100)))
     x = s[j - 1] + np.array([0.001, 0.1, 0.3, 0.5, 0.9]) * (s[j] - s[j - 1])
     assert np.all(np.isneginf(F.logv(np.exp(x))))

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,16 @@ def test_interval_grid_stays_within_the_float_range():
     assert got == pytest.approx(2e-154, rel=1e-12, abs=0.0)
 
 
+def test_interval_grid_from_the_largest_float_stays_within_it():
+    # no sliver of nodes past the largest float: the grid ends there and
+    # the tail estimate takes the rest, 1 / max exactly
+    big = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate(from_log_callable(lambda t: -2 * np.log(t)), Interval(big, math.inf))
+    assert got == pytest.approx(1.0 / big, rel=1e-5, abs=0.0)
+
+
 def test_interval_grid_above_the_node_cap_is_invalid():
     # 600 decades at 2048 per decade would take 1.2 million nodes
     cfg = QuadratureConfig(sup_grid=2048)
@@ -465,11 +476,13 @@ def test_interval_grid_above_the_node_cap_is_invalid():
     lambda: table([1.0, math.inf], [1.0, 2.0]),
     lambda: table([-math.inf, 0.0], [1.0, 2.0]),
     lambda: reduce_problem("inf", 1, 1, 1, ONE, ONE, ONE, ONE, ONE),
+    lambda: reduce_problem(10**400, 1, 1, 1, ONE, ONE, ONE, ONE, ONE),
 ], ids=["exponent", "interval", "cfg", "cfg-inf-S", "cfg-nan-S", "cfg-S-beyond-float",
         "cfg-inf-sup-grid", "cfg-huge-sup-grid", "cfg-huge-window", "weight", "power",
         "powerlog", "expfam", "constant",
         "table-shape", "table-order", "table-value", "table-nan-abscissa",
-        "table-inf-abscissa", "table-neg-inf-abscissa", "reduce"])
+        "table-inf-abscissa", "table-neg-inf-abscissa", "reduce",
+        "reduce-exponent-beyond-float"])
 def test_public_constructors_raise_a_package_error(build):
     with pytest.raises(SpecInvalid):
         build()
