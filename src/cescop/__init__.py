@@ -7,7 +7,6 @@ pointwise-multiplier norms between weighted Copson and Cesaro spaces,
 with a brute-force oracle for validation.
 """
 
-from .conventions import INF, xpow, xrecip
 from .errors import (
     CescopError,
     ConfigError,
@@ -21,6 +20,7 @@ from .errors import (
     ZeroMass,
 )
 from .exponents import Exponent, INF_EXP, arrow, dual_exponent
+from .grids import INF
 from .realfun import (
     DEFAULT_CFG,
     FULL,

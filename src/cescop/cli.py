@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conventions import xpow
-from .errors import CescopError, ConfigError, SpecInvalid
+from .errors import CescopError, ConfigError, NumericOverflow, SpecInvalid
 from .exponents import Exponent, arrow
 from .gluing import GLUE_CFG, LEMMAS, glue_eval, random_instance
 from .multiplier import ThreeWeightProblem, characterize, reduce_problem
@@ -105,13 +104,13 @@ def parse_fun(rec, what: str = "function") -> RealFun:
             return indicator(num("lo"), hi)
         if fam == "table":
             _need(rec, {"family", "log_t", "values"}, what)
-            return table(_numbers(rec, "log_t", what), _numbers(rec, "values", what))
+            return table(*(_list(rec, key, what, _number) for key in ("log_t", "values")))
         if fam == "product":
             _need(rec, {"family", "parts"}, what)
-            return product(*(parse_fun(p, what) for p in rec["parts"]))
+            return product(*_list(rec, "parts", what, parse_fun))
         if fam == "sum":
             _need(rec, {"family", "parts"}, what)
-            return funsum(*(parse_fun(p, what) for p in rec["parts"]))
+            return funsum(*_list(rec, "parts", what, parse_fun))
         if fam == "powerof":
             _need(rec, {"family", "base", "s"}, what)
             return powerof(parse_fun(rec["base"], what), num("s"))
@@ -124,8 +123,8 @@ def parse_fun(rec, what: str = "function") -> RealFun:
 
 def parse_space(rec, what: str = "space") -> SpaceSpec:
     _need(rec, {"kind", "exponents", "weights"}, what)
-    exps = [parse_exponent(e, f"{what}.exponents") for e in rec["exponents"]]
-    ws = [parse_fun(w, f"{what}.weights") for w in rec["weights"]]
+    exps = _list(rec, "exponents", what, parse_exponent)
+    ws = _list(rec, "weights", what, parse_fun)
     try:
         return SpaceSpec(rec["kind"], tuple(exps), tuple(ws), validate=False)
     except SpecInvalid as e:
@@ -159,12 +158,12 @@ def _number(v, where: str) -> float:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _numbers(rec: dict, key: str, what: str) -> np.ndarray:
-    """rec[key] as a float array; it must be a list of JSON numbers."""
+def _list(rec: dict, key: str, what: str, parse) -> list:
+    """parse(x, where) of each entry x of rec[key], which must be a JSON list."""
     v = rec[key]
     if not isinstance(v, list):
-        raise ConfigError(f"{what}.{key}: expected a list of numbers, got {v!r}")
-    return np.array([_number(x, f"{what}.{key}") for x in v])
+        raise ConfigError(f"{what}.{key}: expected a list, got {v!r}")
+    return [parse(x, f"{what}.{key}") for x in v]
 
 
 def _count(rec: dict, key: str, default: int, what: str) -> int:
@@ -298,7 +297,10 @@ def _cmd_reduce(args) -> dict:
         parse_fun(rec["u2"], "u2"), parse_fun(rec["v2"], "v2"),
         parse_fun(rec["f"], "f"), validate=_validate_flag(rec, "reduce config"))
     inner = _mult_report(prob, cfg, rec.get("oracle"))
-    value = xpow(inner["value"], outer) if inner["value"] > 0 else 0.0
+    try:
+        value = inner["value"] ** outer if inner["value"] > 0 else 0.0
+    except OverflowError:  # a finite norm beyond the float range
+        raise NumericOverflow(f"{inner['value']:g}^{outer:g} exceeds the float range") from None
     return {"command": "reduce", "outer_power": outer,
             "reduced": inner, "value": value}
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grids
-from .conventions import INF
 from .errors import NoWitness, SpecInvalid, ZeroMass
 from .exponents import Exponent
-from .grids import NEG_INF
+from .grids import INF, NEG_INF
 from .operators import head_integral_fun, tail_integral_fun
 from .realfun import (
     DEFAULT_CFG,

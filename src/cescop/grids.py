@@ -15,6 +15,9 @@ and the row sup or integral against it (``log_row_reduce``), the
 product of log factors under the 0 * inf = 0 rule (``log_mul``) and the
 step back from a log-value to a number (``from_log``).
 
+Quantities are nonnegative extended reals with 1/inf = 0 and 1/0 = inf,
+so degenerate head and tail integrals drop out of sums, not into NaNs.
+
 ``log_nodes`` returns a ``Grid``, which every rule takes: the nodes s
 and t = e^s with the panel half-widths diff(s) / 2 and their logs, which
 every trapezoid panel mass multiplies or adds, the panels in one decade,
@@ -45,6 +48,7 @@ import numpy as np
 
 from .errors import NumericOverflow, SpecInvalid
 
+INF = math.inf
 NEG_INF = -math.inf
 LOG10 = math.log(10.0)
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows exactly above it
@@ -327,7 +331,9 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool):
         return None
     if m == NEG_INF:
         return np.full(n, NEG_INF), (0.0, 0.0), low
-    hw = g.half_widths
+    hw, lw = g.half_widths, g.log_half_widths
+    if not head:  # a tail row is summed as the head row of the reversed row
+        li, hw, lw = li[::-1], hw[::-1], lw[::-1]
     # the terms in summing order: the edge estimate, then the panels
     # from that edge on
     x = li - m
@@ -335,12 +341,8 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool):
     np.exp(x, out=x)
     acc = np.empty(n)
     acc[0] = math.exp(le - m)
-    if head:
-        np.add(x[:-1], x[1:], out=acc[1:])
-        acc[1:] *= hw
-    else:
-        np.add(x[:0:-1], x[-2::-1], out=acc[1:])
-        acc[1:] *= hw[::-1]
+    np.add(x[:-1], x[1:], out=acc[1:])
+    acc[1:] *= hw
     np.cumsum(acc, out=acc)
     with np.errstate(divide="ignore"):
         lc = np.log(acc)
@@ -349,27 +351,22 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool):
     # a scaled sum below the floor (it never falls along the order)
     k0 = 0
     if le == NEG_INF:
-        k0 = max(int(np.argmax((li if head else li[::-1]) > NEG_INF)), 1)
+        k0 = max(int(np.argmax(li > NEG_INF)), 1)
         lc[:k0] = NEG_INF
     k = max(int(np.searchsorted(acc, _SCALED_FLOOR)), k0)
     lc[k0:k] = m + math.log(2.0 * _SCALED_FLOOR)
     low[k0:k] = True
-    if not head:
-        lc, low = lc[::-1], low[::-1]
+    # the edge-fit nodes are the same in either order
     left, right = _edge_nodes(g)
     redo = sorted(j for j in set(left + right) if low[j])
     if redo:
-        lw = g.log_half_widths
-        if head:
-            hi = redo[-1] + 1
-            lc[redo] = _log_running_sum(le, _panel_logmass(li[:hi], lw[:hi - 1]))[redo]
-        else:
-            lo = redo[0]
-            lm = _panel_logmass(li[lo:], lw[lo:])
-            lc[redo] = _log_running_sum(le, lm[::-1])[::-1][[j - lo for j in redo]]
+        hi = redo[-1] + 1
+        lc[redo] = _log_running_sum(le, _panel_logmass(li[:hi], lw[:hi - 1]))[redo]
         low[redo] = False
+    if not head:
+        lc, low = lc[::-1], low[::-1]
     ulps = 16.0 * n * _U
-    b = ulps * (3.0 * abs(m) + abs(math.log(float(hw[0]))) + 30.0)
+    b = ulps * (3.0 * abs(m) + abs(math.log(float(g.half_widths[0]))) + 30.0)
     return lc, (2.0 * ulps, b), low
 
 

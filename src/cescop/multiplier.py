@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import grids
-from .conventions import xrecip
 from .errors import SpecInvalid, UnsupportedRegime
 from .exponents import Exponent, arrow, dual_exponent
 from .operators import (
@@ -340,8 +339,8 @@ def characterize(prob: ThreeWeightProblem,
         m[name] = product(*(m[k] for k in parts)) if len(parts) > 1 else m[parts[0]]
     value, terms = 0.0, []
     for name, exps, wnames in term_rows:
-        c = (xrecip(lp_norm(prob.u, ONE, FULL, r, cfg))
-             if name.startswith("extra") else 1.0)
+        norm = lp_norm(prob.u, ONE, FULL, r, cfg) if name.startswith("extra") else 1.0
+        c = 1.0 / norm if norm else grids.INF  # 1/0 = inf, and 1/inf is 0.0
         es, ws = tuple(m.ex[e] for e in exps), tuple(m[n] for n in wnames)
         if not c:
             tv = 0.0

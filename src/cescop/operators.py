@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .conventions import INF
 from .errors import DegenerateOperator, DivergentRepresentation, SpecInvalid
 from .exponents import Exponent, arrow, dual_exponent
-from .grids import NEG_INF
+from .grids import INF, NEG_INF
 from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .conventions import INF
 from .errors import SpecInvalid
 from .exponents import Exponent
-from .grids import NEG_INF
+from .grids import INF, NEG_INF
 
 __all__ = [
     "Interval",
@@ -164,18 +163,15 @@ class RealFun:
 class _Elementary(RealFun):
     """c * t^alpha * (1 + |ln t|)^beta * e^{gamma t}: the power (beta =
     gamma = 0), power-log (beta != 0) and exponential (gamma != 0)
-    families, closed under products and real powers."""
+    families, closed under products and real powers, with c held as its log."""
 
-    def __init__(self, c: float, alpha: float, beta: float = 0.0, gamma: float = 0.0):
+    def __init__(self, logc: float, alpha: float, beta: float = 0.0, gamma: float = 0.0):
         self.family = "powerlog" if beta else "exp" if gamma else "power"
-        if not all(map(math.isfinite, (c, alpha, beta, gamma))):
-            raise SpecInvalid(f"{self.family} family needs finite c, alpha, beta and "
-                              f"gamma, got {c}, {alpha}, {beta}, {gamma}")
-        if c <= 0:
-            raise SpecInvalid(f"{self.family} family needs c > 0")
-        self.c, self.alpha = float(c), float(alpha)
+        if not all(map(math.isfinite, (logc, alpha, beta, gamma))):
+            raise SpecInvalid(f"{self.family} family needs finite log c, alpha, beta "
+                              f"and gamma, got {logc}, {alpha}, {beta}, {gamma}")
+        self.logc, self.alpha = float(logc), float(alpha)
         self.beta, self.gamma = float(beta), float(gamma)
-        self.logc = math.log(c)
 
     def logv(self, t):
         t = np.asarray(t, dtype=float)
@@ -245,12 +241,13 @@ class _Elementary(RealFun):
     def describe(self):
         extra = "".join(f", {k}={v:g}" for k, v in (("beta", self.beta), ("gamma", self.gamma))
                         if v)
-        return f"{self.family}(c={self.c:g}, alpha={self.alpha:g}{extra})"
+        c = f"e^{self.logc:g}" if abs(self.logc) >= 700.0 else f"{math.exp(self.logc):g}"
+        return f"{self.family}(c={c}, alpha={self.alpha:g}{extra})"
 
 
 def _is_unit(f: RealFun) -> bool:
     """Whether f is the elementary 1: c = 1 and every exponent 0."""
-    return isinstance(f, _Elementary) and (f.c, f.alpha, f.beta, f.gamma) == (1.0, 0.0, 0.0, 0.0)
+    return isinstance(f, _Elementary) and not any((f.logc, f.alpha, f.beta, f.gamma))
 
 
 class _Table(RealFun):
@@ -394,16 +391,22 @@ class _LogCallable(RealFun):
 # ---------------------------------------------------------------------------
 # factories with algebraic simplification
 
+def _elementary(c: float, alpha: float, beta: float = 0.0, gamma: float = 0.0) -> RealFun:
+    if not 0.0 < c < INF:
+        raise SpecInvalid(f"the elementary family needs 0 < c < inf, got {c}")
+    return _Elementary(math.log(c), alpha, beta, gamma)
+
+
 def power(c: float, alpha: float) -> RealFun:
-    return _Elementary(c, alpha)
+    return _elementary(c, alpha)
 
 
 def powerlog(c: float, alpha: float, beta: float) -> RealFun:
-    return _Elementary(c, alpha, beta=beta)
+    return _elementary(c, alpha, beta=beta)
 
 
 def expfam(c: float, alpha: float, gamma: float) -> RealFun:
-    return _Elementary(c, alpha, gamma=gamma)
+    return _elementary(c, alpha, gamma=gamma)
 
 
 def indicator(lo: float, hi: float) -> RealFun:
@@ -428,7 +431,7 @@ def table(log_t, values) -> RealFun:
 def constant(c: float) -> RealFun:
     if c == 0.0:
         return ZERO
-    return _Elementary(c, 0.0)
+    return _elementary(c, 0.0)
 
 
 ONE = constant(1.0)
@@ -454,13 +457,13 @@ ZERO = _Zero()
 def product(*parts: RealFun) -> RealFun:
     """Pointwise product in normal form.
 
-    The elementary factors merge into one (c multiplies; alpha, beta and
-    gamma add), left out when it is 1 and other factors remain; the
+    The elementary factors merge into one (log c, alpha, beta and gamma
+    add), left out when it is 1 and other factors remain; the
     windows of restrictions, indicators among them, collapse into one
     restriction of the rest so analytic primitives survive; a product
     that vanishes everywhere is ZERO.
     """
-    c, alpha, beta, gamma = 1.0, 0.0, 0.0, 0.0
+    logc, alpha, beta, gamma = 0.0, 0.0, 0.0, 0.0
     window: Interval | None = FULL
     rest: list[RealFun] = []
     todo = list(parts)
@@ -474,13 +477,13 @@ def product(*parts: RealFun) -> RealFun:
             window = window.intersect(p.interval) if window else None
             todo.insert(0, p.base)
         elif isinstance(p, _Elementary):
-            c *= p.c
+            logc += p.logc
             alpha += p.alpha
             beta += p.beta
             gamma += p.gamma
         else:
             rest.append(p)
-    elementary = _Elementary(c, alpha, beta, gamma)
+    elementary = _Elementary(logc, alpha, beta, gamma)
     core = rest if rest and _is_unit(elementary) else [elementary, *rest]
     base = core[0] if len(core) == 1 else _Product(core)
     if window is None or base.support is None or base.support.intersect(window) is None:
@@ -506,11 +509,7 @@ def powerof(base: RealFun, s: float) -> RealFun:
     if s == 0.0:
         return ONE
     if isinstance(base, _Elementary):
-        try:
-            c = base.c ** s
-        except OverflowError:
-            raise SpecInvalid(f"{base.describe()} ** {s:g} is beyond the float range") from None
-        return _Elementary(c, base.alpha * s, base.beta * s, base.gamma * s)
+        return _Elementary(base.logc * s, base.alpha * s, base.beta * s, base.gamma * s)
     if isinstance(base, _Restricted) and s > 0:
         return _Restricted(powerof(base.base, s), base.interval)
     if isinstance(base, _Product):

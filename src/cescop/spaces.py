@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import grids
-from .conventions import INF
 from .errors import SpecInvalid
 from .exponents import Exponent
 from .realfun import (
@@ -86,7 +85,7 @@ def check_omega(u: RealFun, q, dual: bool = False,
     samples = [10.0 ** k for k in range(-decades + 1, decades, max(1, decades // 4))]
     failures = []
     for t0 in samples:
-        I = Interval(0.0, t0) if dual else Interval(t0, INF)
+        I = Interval(0.0, t0) if dual else Interval(t0, grids.INF)
         lval = _log_interval_norm(u, I, q, cfg)
         if np.isneginf(lval) or np.isposinf(lval):
             failures.append((t0, grids.from_log(lval)))
@@ -175,7 +174,7 @@ class _Screen:
         self.grid = grids.log_nodes(cfg)
         self.lu = u.logv(self.grid.t)
         self.lu_max = np.max(self.lu)
-        self.usable = self.lu_max < INF
+        self.usable = self.lu_max < grids.INF
         # the rounding of / p, + lu, q * and + s in both paths, from
         # |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
         self.lu_err = np.abs(self.lu) * (12.0 * grids._U * q)
@@ -191,8 +190,8 @@ class _Screen:
         if res is None:
             return None
         lc, (a, b), low = res
-        if lc[0] == INF:  # the inner edge estimate diverges
-            return (INF if self.lu_max > grids.NEG_INF else grids.NEG_INF), 0.0
+        if lc[0] == grids.INF:  # the inner edge estimate diverges
+            return (grids.INF if self.lu_max > grids.NEG_INF else grids.NEG_INF), 0.0
         # as log_mul(lc / p, lu), which finds no NaN to mend: lc and lu hold
         # no +inf
         li = lc / p

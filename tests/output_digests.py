@@ -14,6 +14,10 @@ calls of one suite:
     verify    ``verify --seed 0``
     quick     ``verify --seed 0 --quick``
 
+A sixth line, ``screen``, digests the oracle's screened norms during the
+crossval suite: one line per ``spaces._Screen.__call__``, ``None`` or
+f"{float(value).hex()} {float(bound).hex()}", joined by newlines.
+
 Compare the lines printed on two commits to show that a change moved no
 output.  pytest does not collect this file (its name has no test_ prefix).
 """
@@ -28,7 +32,7 @@ import os
 import sys
 import tempfile
 
-from cescop import cli
+from cescop import cli, spaces
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(ROOT, "perfbench", "configs")
@@ -44,9 +48,31 @@ def _run(argv) -> str:
     return f"{code}\n{out.getvalue()}{err.getvalue()}"
 
 
-def _digest(argvs) -> str:
-    text = "".join(_run(argv) for argv in argvs)
+def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _digest(argvs) -> str:
+    return _sha("".join(_run(argv) for argv in argvs))
+
+
+def _screen_digest(argvs) -> str:
+    """The digest of every screened (value, bound) while argvs run."""
+    lines, call = [], spaces._Screen.__call__
+
+    def recorded(self, f):
+        res = call(self, f)
+        lines.append("None" if res is None
+                     else f"{float(res[0]).hex()} {float(res[1]).hex()}")
+        return res
+
+    spaces._Screen.__call__ = recorded
+    try:
+        for argv in argvs:
+            _run(argv)
+    finally:
+        spaces._Screen.__call__ = call
+    return _sha("\n".join(lines))
 
 
 def _mult(paths) -> list:
@@ -72,6 +98,7 @@ def main() -> None:
         )
         for name, argvs in suites:
             print(f"{name:<9} {_digest(argvs)}")
+        print(f"{'screen':<9} {_screen_digest(_mult(oracle_paths))}")
     sys.stdout.flush()
 
 

@@ -1,15 +1,19 @@
 """Command-line front-end: config parsing, reports, exit codes."""
 
 import argparse
+import contextlib
+import copy
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cescop import cli
 from cescop.cli import run
@@ -76,6 +80,18 @@ def test_mult_with_oracle_block(tmp_path, capsys):
     orc = rep["oracle"]
     assert 0 < orc["lower_bound"] < 100.0 * rep["value"]
     assert orc["evaluated"] > 0
+
+
+def test_reduce_exits_3_when_the_outer_power_overflows(tmp_path, capsys):
+    # the reduced value, 5.7e154, squared (1 / p1 = 2) is beyond the float range
+    cfg = _write(tmp_path, {
+        "p1": "1/2", "q1": "1/2", "p2": "1/4", "q2": "1/4",
+        "u1": ONE, "v1": ONE, "u2": EDEC, "v2": ONE,
+        "f": {"family": "exp", "c": 1e306, "alpha": 1.0, "gamma": 0.5},
+        "validate": False})
+    assert run(["reduce", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: NumericOverflow" in err and "Traceback" not in err
 
 
 def test_reduce_command(tmp_path, capsys):
@@ -228,14 +244,55 @@ def test_exit_3_on_overflow(tmp_path, capsys):
     # JSON's NaN and Infinity are numbers, but no function parameter
     {"f": {"family": "exp", "c": float("nan"), "alpha": 2.0, "gamma": 1.0}},
     {"v": {"family": "power", "c": 1, "alpha": float("inf")}},
-    # c ** s beyond the float range
-    {"v": {"family": "powerof", "base": {"family": "constant", "c": 1e200}, "s": 2}},
 ])
 def test_exit_2_on_bad_config_value(tmp_path, capsys, extra):
     code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, **extra})])
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and "Traceback" not in err
+
+
+def test_exit_3_when_a_coefficient_power_overflows_the_value(tmp_path, capsys):
+    # c ** s beyond the float range builds, since c is held as its log;
+    # T6's value is then beyond it too
+    v = {"family": "powerof", "base": {"family": "constant", "c": 1e200}, "s": 2}
+    code = run(["mult", "--config", _write(tmp_path, {**MULT_T6, "v": v})])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure: NumericOverflow" in err and "Traceback" not in err
+
+
+def _space_configs(key, value):
+    """A norm and an oracle config whose space (X) has key set to value."""
+    good = {"kind": "ces", "exponents": [1, 2], "weights": [EDEC, ONE]}
+    bad = {**good, key: value}
+    return {"norm": {"space": bad, "f": EDEC},
+            "oracle": {"f": ONE, "X": bad, "Y": good, "size": 14}}
+
+
+@pytest.mark.parametrize("command", ["norm", "oracle"])
+@pytest.mark.parametrize("key, value", [
+    *((key, v) for key in ("exponents", "weights") for v in (5, True, None, 5e-324)),
+    ("exponents", "11"),  # once read as [1, 1]
+])
+def test_exit_2_when_a_space_list_is_not_a_list(tmp_path, capsys, command, key, value):
+    rec = _space_configs(key, value)[command]
+    code = run([command, "--config", _write(tmp_path, rec)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: " in err and f".{key}: expected a list" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["product", "sum"])
+@pytest.mark.parametrize("parts", ["", {}], ids=["string", "object"])
+def test_exit_2_when_parts_is_not_a_list(tmp_path, capsys, family, parts):
+    # an empty string or object was once read as no parts: 1 or 0
+    cfg = _write(tmp_path, {
+        "space": {"kind": "ces", "exponents": [1, 1], "weights": [EDEC, ONE]},
+        "f": {"family": family, "parts": parts}})
+    assert run(["norm", "--config", cfg]) == 2
+    assert "f.parts: expected a list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -304,3 +361,76 @@ def test_module_entry_point_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["command"] == "glue" and len(rep["suites"]["SUP_SUP"]) == 1
+
+
+# Mutation tests: one field of a valid config is replaced by a malformed
+# value, or removed, and the CLI must still exit 0, 2 or 3.  The cfg and
+# oracle blocks are left as they are: they request work, they are not
+# malformed input.
+
+NORM_RECORDS = [
+    {"space": {"kind": "ces", "exponents": [1, 2], "weights": [EDEC, ONE]}, "f": EDEC},
+    {"space": {"kind": "cop", "exponents": ["1/2", "inf"],
+               "weights": [ONE, {"family": "power", "c": 2.0, "alpha": -0.5}]},
+     "f": {"family": "product",
+           "parts": [EDEC, {"family": "indicator", "lo": 0.5, "hi": "inf"}]}},
+    {"space": {"kind": "ces", "exponents": [1, {"num": 3, "den": 2}, 2],
+               "weights": [EDEC, ONE, ONE]},
+     "f": {"family": "sum", "parts": [
+         {"family": "table", "log_t": [-1.0, 0.0, 1.0], "values": [1.0, 2.0, 1.0]},
+         {"family": "powerof", "s": 2,
+          "base": {"family": "powerlog", "c": 1.0, "alpha": 1.0, "beta": 1.0}}]},
+     "cfg": {"S": 16, "sup_grid": 24}},
+]
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+MULT_RECORDS = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("T*.json"))]
+_REMOVE = "<removed>"
+MUTATIONS = [float("nan"), float("inf"), -float("inf"), 1e308, 5e-324, "x", [1.0],
+             {"x": 1}, True, None, _REMOVE]
+
+
+def _field_paths(node, path=()):
+    """The path of every field below node, cfg and oracle blocks left out."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        if path or key not in ("cfg", "oracle"):
+            yield path + (key,)
+            yield from _field_paths(child, path + (key,))
+
+
+def _mutated(rec, path, value):
+    rec = copy.deepcopy(rec)
+    parent = rec
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(value, str) and value == _REMOVE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return rec
+
+
+def _check_mutation(data, records, command, tmp_path_factory):
+    rec = data.draw(st.sampled_from(records))
+    path = data.draw(st.sampled_from(list(_field_paths(rec))))
+    rec = _mutated(rec, path, data.draw(st.sampled_from(MUTATIONS)))
+    cfg = _write(tmp_path_factory.getbasetemp(), rec, "mutated.json")
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = run([command, "--config", cfg])
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_norm_config_exits_0_2_or_3(tmp_path_factory, data):
+    _check_mutation(data, NORM_RECORDS, "norm", tmp_path_factory)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_mult_config_exits_0_2_or_3(tmp_path_factory, data):
+    _check_mutation(data, MULT_RECORDS, "mult", tmp_path_factory)

@@ -275,18 +275,19 @@ def test_screened_norms_lie_within_their_bounds():
 
 
 def test_screened_ratios_bracket_the_exact_ones():
-    # _score reads None, 0.0 or an exact ratio where _ratio does, and
-    # otherwise an interval around it
+    # _score reads None where _ratio does, a point (r, r) where it reads
+    # 0.0 or the exact ratio r, and otherwise a pair (lo, hi) with width
+    # around it
     for tag in ("T3ii", "T6", "T7i"):
         f, X, Y, cfg = _crossval_spaces(tag)
         X, Y = _Screen(X, cfg), _Screen(Y, cfg)
         for cand in default_family(seed=101, size=60).candidates + ADVERSARIAL:
             g = cand.build()
             got, exact = oracle._score(f, X, Y, g, cfg), oracle._ratio(f, X, Y, g, cfg)
-            if isinstance(got, oracle._Screened):
-                assert got.lo <= exact <= got.hi
+            if got is None or got[0] == got[1]:
+                assert got == (exact if exact is None else (exact, exact))
             else:
-                assert got == exact
+                assert got[0] < got[1] and got[0] <= exact <= got[1]
 
 
 def test_edge_slopes_near_the_divergence_threshold_are_not_screened():

@@ -43,7 +43,7 @@ from cescop.realfun import (
     tail_at,
     weight,
 )
-from cescop.realfun import _Table
+from cescop.realfun import _Elementary, _Table
 
 
 def test_power_evaluation():
@@ -504,7 +504,70 @@ def test_public_functions_raise_a_package_error(call):
 
 @pytest.mark.parametrize("make, args", [
     (power, (1, math.nan)), (power, (math.nan, 1)), (expfam, (math.inf, 0, -1)),
-    (powerlog, (1, 0, math.inf)), (constant, (math.nan,))])
+    (powerlog, (1, 0, math.inf)), (constant, (math.nan,)),
+    # and c positive
+    (power, (0.0, 1)), (constant, (-1.0,))])
 def test_elementary_parameters_must_be_finite(make, args):
     with pytest.raises(SpecInvalid):
         make(*args)
+
+
+def test_coefficients_beyond_the_float_range_build():
+    # c is held as its log, so these products and powers are representable
+    t = np.logspace(-3, 3, 13)
+    lc = math.log(1e200)
+    for f, want in ((powerof(constant(1e200), 2.0), 2.0 * lc + 0.0 * t),
+                    (product(constant(1e200), constant(1e200)), 2.0 * lc + 0.0 * t),
+                    (powerof(power(1e-200, 1), 2.0), -2.0 * lc + 2.0 * np.log(t))):
+        np.testing.assert_allclose(f.logv(t), want, rtol=1e-15, atol=0.0)
+    assert powerof(constant(1e200), 2.0).describe() == "power(c=e^921.034, alpha=0)"
+    assert constant(1e200).describe() == "power(c=1e+200, alpha=0)"
+
+
+# the rules hold within this much, absolute, on log-values
+_LOG_TOL = 1e-12
+_T = np.logspace(-4, 2, 61)
+
+
+@st.composite
+def _funs(draw):
+    """An elementary function (log c in [-700, 700]), a table or a restricted
+    elementary function."""
+    real = st.floats
+    kind = draw(st.sampled_from(["elementary", "table", "restricted"]))
+    if kind == "table":
+        log_t = sorted(draw(st.lists(real(-10.0, 10.0), min_size=2, max_size=6, unique=True)))
+        log_values = draw(st.lists(real(-700.0, 700.0), min_size=len(log_t),
+                                   max_size=len(log_t)))
+        return _Table(np.array(log_t), np.array(log_values))
+    f = _Elementary(draw(real(-700.0, 700.0)), draw(real(-3.0, 3.0)),
+                    draw(real(-2.0, 2.0)), draw(real(-1.0, 1.0)))
+    if kind == "restricted":
+        lo = draw(real(0.0, 10.0))
+        f = product(f, indicator(lo, lo + draw(real(0.1, 100.0))))
+    return f
+
+
+def _assert_log_close(got, want):
+    assert np.array_equal(np.isposinf(got), np.isposinf(want))
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= _LOG_TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_funs(), _funs())
+def test_product_adds_log_values(f, g):
+    _assert_log_close(product(f, g).logv(_T), f.logv(_T) + g.logv(_T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_funs(), st.floats(-2.0, 2.0).filter(lambda s: s != 0.0))
+def test_powerof_multiplies_log_values(f, s):
+    _assert_log_close(powerof(f, s).logv(_T), s * f.logv(_T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_funs(), _funs())
+def test_funsum_adds_values(f, g):
+    _assert_log_close(funsum(f, g).logv(_T), np.logaddexp(f.logv(_T), g.logv(_T)))
