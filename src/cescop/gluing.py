@@ -51,6 +51,13 @@ GLUE_CFG = QuadratureConfig(S=16.0, sup_grid=32)
 
 _ROW_CHUNK = 256
 
+# An outer-sup lemma reduces the kernel rows at the multiples of each
+# stride in turn: the first stride on every node, each later one only
+# inside the blocks between reduced rows whose bound, with _MARGIN added
+# to each side's log-value, reaches the best row so far.
+_STRIDES = (16, 4, 1)
+_MARGIN = 1e-6
+
 
 # Each lemma is one row (g side, h side, outer).  A side is _SUP, the row
 # supremum esup_t K(x,t) f(t), or an exponent e, the row integral
@@ -153,10 +160,92 @@ def _row_kernel_ops(la: np.ndarray, grid: grids.Grid, g_side: tuple, h_side: tup
     return outs
 
 
+def _log_max(G: np.ndarray, H: np.ndarray, eg: float, eh: float) -> float:
+    """The log of max_x G(x)^{1/eg} H(x)^{1/eh} from log rows G and H."""
+    return float(np.max(grids.log_mul(G / eg, H / eh)))
+
+
+def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: tuple, h_side: tuple,
+                   eg: float, eh: float) -> float:
+    """_log_max of the kernel rows of _row_kernel_ops, bit for bit, from
+    the rows that can hold the max.
+
+    Where a is nondecreasing, A(x,t) is nondecreasing in x and its
+    complement nonincreasing, so G(x) is at most G(x_hi) and H(x) at most
+    H(x_lo) on the rows between two reduced rows x_lo < x_hi, each up to
+    a slack tau for the rounding of one kernel entry carried through the
+    side's reduction.  With eps = 64 spacing(1 + M), M the largest finite
+    |log-value| of a, g and h, a sup side takes tau = eps max f, an
+    integral side to the exponent e <= 1 takes eps^e int f and one with
+    e > 1 takes 2 e eps int f: for a kernel entry 0 <= K <= 1,
+    (K + eps)^e - K^e is at most eps^e when e <= 1 and at most
+    min(1, 2 e eps) when e > 1.  This covers the clipped complement,
+    whose 1 - e^{lA} can step an ulp the wrong way.  The rows at the
+    multiples of _STRIDES[0] are reduced first; a block is then refined
+    at the next stride while its bound
+    (log(G(x_hi) + tau_g) + _MARGIN) / eg + (log(H(x_lo) + tau_h) + _MARGIN) / eh
+    is NaN or reaches the best row so far, and dropped once it is below it
+    or -inf (one side is zero, so every row is).  The last stride is 1.
+
+    Every row is reduced when log a has a NaN or +inf or decreases
+    anywhere, or when an integral side is nonzero at an edge-fit node
+    (grids._edge_nodes), where its rows take an edge estimate that need
+    not be monotone.
+    """
+    (lg, e_g), (lh, e_h) = g_side, h_side
+    edges = [i for pair in grids._edge_nodes(grid) for i in pair]
+    if not (la[-1] < INF and np.all(la[1:] >= la[:-1])  # false at any NaN
+            and all(e is None or np.all(np.isneginf(lf[edges]))
+                    for lf, e in (g_side, h_side))):
+        return _log_max(*_row_kernel_ops(la, grid, g_side, h_side), eg, eh)
+
+    mag = max(float(np.max(np.abs(v[np.isfinite(v)]), initial=0.0)) for v in (la, lg, lh))
+    log_eps = math.log(64.0 * np.spacing(1.0 + mag))
+
+    def log_slack(lf, e):
+        if e is None:
+            return log_eps + float(np.max(lf))
+        return grids.log_integral(lf + grid.s, grid) + (
+            e * log_eps if e <= 1.0 else math.log(2.0 * e) + log_eps)
+    tau_g, tau_h = log_slack(lg, e_g), log_slack(lh, e_h)
+
+    n = la.size
+    node = np.arange(n)
+    G, H, done = np.full(n, NEG_INF), np.full(n, NEG_INF), np.zeros(n, dtype=bool)
+
+    def reduce_rows(rows):
+        g_rows, h_rows = _row_kernel_ops(la, grid, g_side, h_side, rows)
+        G[rows], H[rows], done[rows] = g_rows[rows], h_rows[rows], True
+        return _log_max(G[rows], H[rows], eg, eh)
+
+    best = reduce_rows(np.flatnonzero((node % _STRIDES[0] == 0) | (node == n - 1)))
+    for stride in _STRIDES[1:]:
+        ends = np.flatnonzero(done)  # block k holds the rows between ends k and k + 1
+        with np.errstate(invalid="ignore"):
+            bound = ((np.logaddexp(G[ends[1:]], tau_g) + _MARGIN) / eg
+                     + (np.logaddexp(H[ends[:-1]], tau_h) + _MARGIN) / eh)
+        live = ~((bound < best) | np.isneginf(bound))  # a NaN bound stays live
+        inside = ~done & live[np.searchsorted(ends, node) - 1]
+        rows = np.flatnonzero(inside & (node % stride == 0))
+        if not rows.size:
+            break
+        best = max(best, reduce_rows(rows))
+    return best
+
+
 def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResult:
     """Evaluate both sides of the lemma functional on the shared grid.
 
-    The left side reduces the kernel rows.  The first right-hand term
+    The left side reduces the kernel rows.  Under an outer integral only
+    the rows on g's support are reduced.  Under an outer sup only the rows
+    that can hold the max are (_outer_sup_lhs), with the same value bit
+    for bit: a nondecreasing a makes the g-side row G(x) nondecreasing and
+    the h-side row H(x) nonincreasing, so between two reduced rows
+    x_lo < x_hi the left side is at most
+    log(G(x_hi) + tau_g) / e_g + log(H(x_lo) + tau_h) / e_h, tau the
+    slack for one kernel entry's rounding.  Every row is reduced when
+    log a has a NaN or +inf or decreases, or when an integral side is
+    nonzero at an edge-fit node.  The first right-hand term
     pairs the near parts (g cumulated from the head, h from the tail),
     the second the far parts (g a^{-e_g} from the tail, h a^{e_h} from
     the head, with one more factor a^{-e_g} under an outer integral).
@@ -172,19 +261,18 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     gsup, hsup = g_entry is _SUP, h_entry is _SUP
     qg, qh = (INF if sup else 1.0 for sup in (gsup, hsup))
 
-    # under an outer integral each row x carries the factor g(x), so only
-    # the rows on g's support can add to it
-    rows = None if outer is _SUP else np.flatnonzero(~np.isneginf(lg))
-    kern = _row_kernel_ops(la, grid, (lg, None if gsup else eg), (lh, None if hsup else eh),
-                           rows)
+    g_side, h_side = (lg, None if gsup else eg), (lh, None if hsup else eh)
     near = (grids.log_cumnorm(lg, grid, qg, head=True),
             grids.log_cumnorm(lh, grid, qh, head=False))
     far = (grids.log_cumnorm(grids.log_mul(-eg * la, lg), grid, qg, head=False),
            grids.log_cumnorm(grids.log_mul(eh * la, lh), grid, qh, head=True))
     if outer is _SUP:
-        lhs, t1, t2 = (float(np.max(grids.log_mul(G / eg, H / eh)))
-                       for G, H in (kern, near, far))
+        lhs = _outer_sup_lhs(la, grid, g_side, h_side, eg, eh)
+        t1, t2 = (_log_max(G, H, eg, eh) for G, H in (near, far))
     else:
+        # each row x carries the factor g(x), so only the rows on g's
+        # support can add to the outer integral
+        kern = _row_kernel_ops(la, grid, g_side, h_side, np.flatnonzero(~np.isneginf(lg)))
         ga = _exponent(outer, inst.exps)
         cg, ch = ga / eg - 1.0, ga / eh
 

@@ -19,7 +19,16 @@ from cescop.gluing import (
     random_instance,
 )
 from cescop.oracle import Candidate
-from cescop.realfun import ONE, ZERO, QuadratureConfig, expfam, indicator, power, product
+from cescop.realfun import (
+    ONE,
+    ZERO,
+    QuadratureConfig,
+    expfam,
+    from_log_callable,
+    indicator,
+    power,
+    product,
+)
 
 NEEDS = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
          "INT_INT_SUP": ["alpha", "beta"], "INTEGRAL": ["alpha", "beta", "gamma"],
@@ -210,29 +219,46 @@ def test_glue_kernel_is_built_on_the_support_columns_only(monkeypatch):
 @pytest.mark.parametrize("lem", LEMMAS)
 def test_glue_kernel_rows_are_on_g_support_under_an_outer_integral(monkeypatch, lem):
     # an outer integral weighs row x by g(x), so only g's support is
-    # reduced; an outer sup reduces every row
+    # reduced; an outer sup reduces only the rows that can hold the max
     inst = random_instance(lem, np.random.default_rng((12345, LEMMAS.index(lem), 0)))
     la, s, (lg, _), (lh, _) = _row_inputs(inst)
     n_g, n_h = _support_size(lg), _support_size(lh)
     assert 0 < n_g < la.size and n_h > 0
-    outer_sup = gluing._LEMMA_TABLE[lem][2] is gluing._SUP
-    rows = la.size if outer_sup else n_g
-    assert _kernel_entries_built(monkeypatch, inst) == rows * (n_g + n_h)
+    built = _kernel_entries_built(monkeypatch, inst)
+    if gluing._LEMMA_TABLE[lem][2] is gluing._SUP:
+        assert 0 < built < la.size * (n_g + n_h)
+    else:
+        assert built == n_g * (n_g + n_h)
 
 
 def _assert_glue_matches_every_row(inst, cfg=GLUE_CFG):
-    """glue_eval against a reference that reduces every kernel row."""
+    """glue_eval against a reference that reduces every kernel row.
+
+    Returns the number of rows glue_eval reduced."""
     reduce_rows = gluing._row_kernel_ops
 
     def every_row(la, s, g_side, h_side, rows=None):
         return reduce_rows(la, s, g_side, h_side)
+
+    def every_row_max(la, s, g_side, h_side, eg, eh):
+        return gluing._log_max(*reduce_rows(la, s, g_side, h_side), eg, eh)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gluing, "_row_kernel_ops", every_row)
+        mp.setattr(gluing, "_outer_sup_lhs", every_row_max)
         ref = glue_eval(inst, cfg)
-    assert repr(glue_eval(inst, cfg)) == repr(ref)
+    counted = []
+
+    def counting(la, s, g_side, h_side, rows=None):
+        counted.append(la.size if rows is None else rows.size)
+        return reduce_rows(la, s, g_side, h_side, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gluing, "_row_kernel_ops", counting)
+        assert repr(glue_eval(inst, cfg)) == repr(ref)
+    return sum(counted)
 
 
 _OUTER_INTEGRAL = ["INTEGRAL", "MIXED"]
+_OUTER_SUP = ["SUP_SUP", "SUP_INT", "INT_SUP", "INT_INT_SUP"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 7])
@@ -258,6 +284,83 @@ def test_g_support_rows_match_every_row_on_a_dense_grid(lem):
     cfg = QuadratureConfig(S=20, sup_grid=128)
     inst = random_instance(lem, np.random.default_rng((13, LEMMAS.index(lem))))
     _assert_glue_matches_every_row(inst, cfg)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize("lem", _OUTER_SUP)
+def test_outer_sup_rows_match_every_row(seed, lem):
+    i = LEMMAS.index(lem)
+    n = grids.log_nodes(GLUE_CFG).s.size
+    rows = [_assert_glue_matches_every_row(
+        random_instance(lem, np.random.default_rng((seed, i, k)))) for k in range(40)]
+    assert max(rows) < n  # every instance reduces fewer rows than the grid has
+
+
+def _integral_side_at_edge_nodes(inst, cfg=GLUE_CFG):
+    """Whether an integral side of inst is nonzero at an edge-fit node."""
+    la, grid, *sides = _row_inputs(inst, cfg)
+    edges = [i for pair in grids._edge_nodes(grid) for i in pair]
+    return any(e is not None and not np.all(np.isneginf(lf[edges])) for lf, e in sides)
+
+
+@pytest.mark.parametrize("which", ["g", "h"])
+@pytest.mark.parametrize("support", sorted(_EDGE_SUPPORTS))
+@pytest.mark.parametrize("lem", _OUTER_SUP)
+def test_outer_sup_rows_match_every_row_at_edges(lem, support, which):
+    # an integral side that reaches an edge-fit node takes edge estimates,
+    # which need not be monotone in x, so every row is reduced
+    base = random_instance(lem, np.random.default_rng((11, LEMMAS.index(lem))))
+    f = product(power(1, 0.5), _EDGE_SUPPORTS[support])
+    g, h = (f, base.h) if which == "g" else (base.g, f)
+    inst = GlueInstance(lem, g, h, base.a, base.exps)
+    rows = _assert_glue_matches_every_row(inst)
+    if _integral_side_at_edge_nodes(inst):
+        assert rows == grids.log_nodes(GLUE_CFG).s.size
+
+
+@pytest.mark.parametrize("lem", _OUTER_SUP)
+def test_outer_sup_rows_match_every_row_on_a_dense_grid(lem):
+    cfg = QuadratureConfig(S=20, sup_grid=128)
+    inst = random_instance(lem, np.random.default_rng((13, LEMMAS.index(lem))))
+    assert _assert_glue_matches_every_row(inst, cfg) < grids.log_nodes(cfg).s.size
+
+
+def _steep_instance(lem, k):
+    """A steep a with log a < 0 over most of the window, and g and h on
+    supports decades apart, either one below the other."""
+    rng = np.random.default_rng((17, LEMMAS.index(lem), k))
+
+    def bump(lo_decade):
+        lo = float(10.0 ** (lo_decade + rng.uniform(0, 1.5)))
+        return product(power(float(10.0 ** rng.uniform(-8, 8)), float(rng.uniform(-3, 3))),
+                       indicator(lo, lo * float(10.0 ** rng.uniform(0.02, 1.5))))
+    low, high = bump(-5.5), bump(2.5)
+    g, h = (low, high) if k % 2 else (high, low)
+    a = power(float(10.0 ** rng.uniform(-8, -2)), float(rng.uniform(2, 6)))
+    exps = {name: float(rng.choice((0.25, 0.5, 1.0, 2.0, 4.0))) for name in gluing._needs(lem)}
+    return GlueInstance(lem, g, h, a, exps)
+
+
+@pytest.mark.parametrize("lem", _OUTER_SUP)
+def test_outer_sup_rows_match_every_row_on_steep_weights(lem):
+    n = grids.log_nodes(GLUE_CFG).s.size
+    rows = [_assert_glue_matches_every_row(_steep_instance(lem, k)) for k in range(20)]
+    assert min(rows) < n
+
+
+_NOT_NONDECREASING = {
+    "decreasing": power(1, -1),
+    "reaches_inf": from_log_callable(
+        lambda t: np.where(t > 100.0, math.inf, np.log(t)), "t, inf beyond 100"),
+}
+
+
+@pytest.mark.parametrize("a", sorted(_NOT_NONDECREASING))
+@pytest.mark.parametrize("lem", _OUTER_SUP)
+def test_outer_sup_reduces_every_row_unless_a_is_nondecreasing_and_finite(lem, a):
+    base = random_instance(lem, np.random.default_rng((19, LEMMAS.index(lem))))
+    inst = GlueInstance(lem, base.g, base.h, _NOT_NONDECREASING[a], base.exps)
+    assert _assert_glue_matches_every_row(inst) == grids.log_nodes(GLUE_CFG).s.size
 
 
 def test_dyadic_cover_unit_density():
