@@ -184,11 +184,14 @@ def _validate_flag(rec: dict, what: str) -> bool:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            rec = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    if not isinstance(rec, dict):
+        raise ConfigError(f"config: expected an object, got {type(rec).__name__}")
+    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .realfun import (
     power,
     product,
 )
-from .spaces import SpaceSpec, _Screen, space_norm
+from .spaces import SpaceSpec, _Plan, space_norm
 
 __all__ = ["Candidate", "CandidateFamily", "OracleResult",
            "default_family", "brute_force_multiplier", "enrich"]
@@ -180,18 +180,17 @@ def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
     return CandidateFamily(candidates=tuple(cands), seed=seed)
 
 
-def _ratio(f: RealFun, X: _Screen, Y: _Screen, g: RealFun,
-           cfg: QuadratureConfig) -> float | None:
-    """||f*g||_Y / ||g||_X, X and Y prepared for cfg; None if ||g||_X is 0 or inf."""
-    den = space_norm(X.spec, g, cfg)
+def _ratio(f: RealFun, X: _Plan, Y: _Plan, g: RealFun) -> float | None:
+    """||f*g||_Y / ||g||_X, X and Y planned for one cfg; None if ||g||_X is 0 or inf."""
+    den = space_norm(X.spec, g, X.cfg)
     if not (0.0 < den < math.inf):
         return None
-    return space_norm(Y.spec, product(f, g), cfg) / den
+    return space_norm(Y.spec, product(f, g), Y.cfg) / den
 
 
-def _exact(f: RealFun, X: _Screen, Y: _Screen, g: RealFun, cfg: QuadratureConfig):
+def _exact(f: RealFun, X: _Plan, Y: _Plan, g: RealFun):
     """_ratio's value r as the point (r, r), or None."""
-    ratio = _ratio(f, X, Y, g, cfg)
+    ratio = _ratio(f, X, Y, g)
     return None if ratio is None else (ratio, ratio)
 
 
@@ -203,7 +202,7 @@ _LOG_RANGE = 700.0
 _LOG_ZERO = -746.0
 
 
-def _score(f: RealFun, X: _Screen, Y: _Screen, g: RealFun, cfg: QuadratureConfig):
+def _score(f: RealFun, X: _Plan, Y: _Plan, g: RealFun):
     """None where _ratio is None, else a pair (lo, hi) holding _ratio's value.
 
     The pair is a point lo == hi where that value is exact: taken by
@@ -214,15 +213,15 @@ def _score(f: RealFun, X: _Screen, Y: _Screen, g: RealFun, cfg: QuadratureConfig
     screen is missing or out of range g takes _ratio, so every error
     _ratio raises is raised here too.
     """
-    den = X(g)
+    den = X.screen(g)
     if den is not None and math.isinf(den[0]):
         return None  # ||g||_X is exactly 0 or inf
     in_range = lambda x: -_LOG_RANGE < x < _LOG_RANGE
-    num = Y(product(f, g)) if den is not None and in_range(den[0]) else None
+    num = Y.screen(product(f, g)) if den is not None and in_range(den[0]) else None
     if num is not None and num[0] + num[1] < _LOG_ZERO:
         return 0.0, 0.0
     if num is None or not (in_range(num[0]) and in_range(num[0] - den[0])):
-        return _exact(f, X, Y, g, cfg)
+        return _exact(f, X, Y, g)
     # the rounding of num - den and of lr -+ bound, and of the two
     # from_log calls, the division and the two exps, in log terms
     lr = num[0] - den[0]
@@ -246,8 +245,8 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     then scored exactly, so every candidate that may be the argmax or tie
     it has an exact ratio, a point.  The argmax is taken among points in
     family order, and the result is the one that scoring every candidate
-    exactly gives.  Each call first prepares X and Y (``spaces._Screen``):
-    the gate, the exponents and the outer weight on the window.
+    exactly gives.  Each call plans X and Y once (``spaces._Plan``): the
+    gate, the exponents and the outer weights on the window.
 
     ``scores`` maps each candidate already scored against this same f,
     X, Y and cfg to its pair (None for a skipped one); candidates not in
@@ -255,11 +254,11 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     arguments gives wrong results.
     """
     scores = {} if scores is None else scores
-    X, Y = _Screen(X, cfg), _Screen(Y, cfg)
+    X, Y = _Plan(X, cfg), _Plan(Y, cfg)
     floor = -1.0
     for cand in fam.candidates:
         if cand not in scores:
-            scores[cand] = _score(f, X, Y, cand.build(), cfg)
+            scores[cand] = _score(f, X, Y, cand.build())
         if scores[cand] is not None and scores[cand][0] > floor:
             floor = scores[cand][0]
     # exact scores only raise the largest lo, so no pair below it now can
@@ -268,7 +267,7 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     for cand in fam.candidates:
         pair = scores[cand]
         if pair is not None and pair[0] < pair[1] and pair[1] >= floor:
-            pair = scores[cand] = _exact(f, X, Y, cand.build(), cfg)
+            pair = scores[cand] = _exact(f, X, Y, cand.build())
         if pair is not None and pair[0] == pair[1] and pair[0] > best:
             best, best_cand = pair[0], cand
     evaluated = sum(scores[cand] is not None for cand in fam.candidates)

@@ -6,14 +6,14 @@ uses (t, inf) inside.  Three-parameter spaces add a middle cumulative
 level.  Inner norms are accumulated on the shared log grid, so the outer
 integral sees the inner norm at every node at once.
 
-``_Screen`` prepares one space for many norms and estimates the log of
-a two-parameter norm with grids' scaled linear-space integrals, bounded
-in its distance from the log of ``space_norm``; the oracle ranks its
-candidates with it.
+A ``_Plan`` prepares one space for many norms.  Its ``log_norm`` is the
+log of ``space_norm``; its ``screen`` estimates that log with grids' scaled
+linear-space integrals and a bound, and the oracle ranks with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,68 +123,65 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
     the cumulative norm over (0, t) (ces) or (t, inf) (cop) and multiplies
     it by the next weight out; the outermost exponent reduces over (0, inf).
     """
-    return grids.from_log(_log_norm(spec, f, cfg))
+    return grids.from_log(_Plan(spec, cfg).log_norm(f))
 
 
-def _log_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig) -> float:
-    """The log of space_norm(spec, f, cfg), gate included."""
-    _gate(spec, cfg)
-    *inner, outer = spec.exponents
-    ws = spec.weights[::-1]
-    head = spec.kind == CES
-    g = grids.log_nodes(cfg)
-    lv = product(f, ws[0]).logv(g.t)
-    if np.all(np.isneginf(lv)) and not inner[0].is_inf:
-        return grids.NEG_INF
-    for e, w in zip(inner, ws[1:]):
-        lv = grids.log_mul(grids.log_cumnorm(lv, g, float(e), head), w.logv(g.t))
-    if outer.is_inf:
-        return grids.log_sup(lv, g)
-    q = float(outer)
-    return float(grids.log_integral(q * lv + g.s, g)) / q
-
-
-class _Screen:
-    """One (spec, cfg) made ready to screen many two-parameter norms.
+class _Plan:
+    """One (spec, cfg) made ready for many norms.
 
     Construction runs the gate, so ``spec`` is the spec with its gate off,
-    for the exact norms that follow.  For an arity-2 spec with finite
-    exponents it also takes the exponents as floats and the outer weight's
-    log-values on the window once, with their max and rounding terms.
+    for the exact norms that follow.  It takes the window, the exponents
+    as floats (innermost first) and the log-values on the window of every
+    weight but the innermost, which meets f in product(f, v).  For an
+    arity-2 spec with finite exponents and an outer weight below +inf it
+    also takes the screen's rounding terms.
 
-    Calling it with f gives (log value, bound) with _log_norm(spec, f,
-    cfg) within bound of the log value, or None: the same
-    product(...).logv and the same elementwise steps as _log_norm, with
-    grids._scaled_cumint and grids._scaled_integral in place of
-    log_cumnorm and log_integral.  Only a divergent inner edge gives -inf
-    or +inf, exact and with bound 0.  None for any other spec or an outer
-    weight reaching +inf, for rows holding +inf or NaN, and wherever grids
-    cannot certify its integrals.
+    ``log_norm(f)`` is the log of space_norm(spec, f, cfg).  ``screen(f)``
+    gives (log value, bound) with log_norm(f) within bound of the log
+    value, or None: the same product(...).logv and the same elementwise
+    steps as log_norm, with grids._scaled_cumint and
+    grids._scaled_integral in place of log_cumnorm and log_integral.  Only
+    a divergent inner edge gives -inf or +inf, exact and with bound 0.
+    None for any spec the rounding terms are not taken for, for rows
+    holding +inf or NaN, and wherever grids cannot certify its integrals.
     """
 
     def __init__(self, spec: SpaceSpec, cfg: QuadratureConfig = DEFAULT_CFG):
         _gate(spec, cfg)
-        self.spec = replace(spec, validate=False)
-        self.usable = spec.arity == 2 and not any(e.is_inf for e in spec.exponents)
-        if not self.usable:
-            return
-        self.p, self.q = p, q = tuple(float(e) for e in spec.exponents)
-        u, self.v = spec.weights
+        self.spec, self.cfg = replace(spec, validate=False), cfg
+        self.grid = g = grids.log_nodes(cfg)
         self.head = spec.kind == CES
-        self.grid = grids.log_nodes(cfg)
-        self.lu = u.logv(self.grid.t)
+        *self.inner, self.q = (float(e) for e in spec.exponents)
+        *ws, self.v = spec.weights
+        # outward from the second weight in
+        self.lws = tuple(w.logv(g.t) for w in ws[::-1])
+        self.lu = self.lws[-1]
         self.lu_max = np.max(self.lu)
-        self.usable = self.lu_max < grids.INF
-        # the rounding of / p, + lu, q * and + s in both paths, from
-        # |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
-        self.lu_err = np.abs(self.lu) * (12.0 * grids._U * q)
-        self.lc_err = 16.0 * grids._U * q / p
-        self.s_err = 4.0 * grids._U * (cfg.S + 1.0)
+        self.screens = (spec.arity == 2 and math.isfinite(self.inner[0])
+                        and math.isfinite(self.q) and self.lu_max < grids.INF)
+        if self.screens:
+            # the rounding of / p, + lu, q * and + s in both paths, from
+            # |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
+            (p,), q = self.inner, self.q
+            self.lu_err = np.abs(self.lu) * (12.0 * grids._U * q)
+            self.lc_err = 16.0 * grids._U * q / p
+            self.s_err = 4.0 * grids._U * (cfg.S + 1.0)
 
-    def __call__(self, f: RealFun):
-        if not self.usable:
+    def log_norm(self, f: RealFun) -> float:
+        g = self.grid
+        lv = product(f, self.v).logv(g.t)
+        if np.all(np.isneginf(lv)) and math.isfinite(self.inner[0]):
+            return grids.NEG_INF
+        for e, lw in zip(self.inner, self.lws):
+            lv = grids.log_mul(grids.log_cumnorm(lv, g, e, self.head), lw)
+        if math.isinf(self.q):
+            return grids.log_sup(lv, g)
+        return float(grids.log_integral(self.q * lv + g.s, g)) / self.q
+
+    def screen(self, f: RealFun):
+        if not self.screens:
             return None
-        p, q, g = self.p, self.q, self.grid
+        (p,), q, g = self.inner, self.q, self.grid
         li = p * product(f, self.v).logv(g.t) + g.s
         res = grids._scaled_cumint(li, g, self.head)
         if res is None:

@@ -15,11 +15,13 @@ calls of one suite:
     quick     ``verify --seed 0 --quick``
 
 A sixth line, ``screen``, digests the oracle's screened norms during the
-crossval suite: one line per ``spaces._Screen.__call__``, ``None`` or
+crossval suite: one line per ``spaces._Plan.screen`` call, ``None`` or
 f"{float(value).hex()} {float(bound).hex()}", joined by newlines.
 
 Compare the lines printed on two commits to show that a change moved no
-output.  pytest does not collect this file (its name has no test_ prefix).
+output.  tests/test_output_digests.py pins the six lines in tier-1, so a
+change that moves an output on purpose updates those pins with it.
+pytest does not collect this file (its name has no test_ prefix).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _digest(argvs) -> str:
 
 def _screen_digest(argvs) -> str:
     """The digest of every screened (value, bound) while argvs run."""
-    lines, call = [], spaces._Screen.__call__
+    lines, call = [], spaces._Plan.screen
 
     def recorded(self, f):
         res = call(self, f)
@@ -66,12 +68,12 @@ def _screen_digest(argvs) -> str:
                      else f"{float(res[0]).hex()} {float(res[1]).hex()}")
         return res
 
-    spaces._Screen.__call__ = recorded
+    spaces._Plan.screen = recorded
     try:
         for argv in argvs:
             _run(argv)
     finally:
-        spaces._Screen.__call__ = call
+        spaces._Plan.screen = call
     return _sha("\n".join(lines))
 
 
@@ -79,7 +81,8 @@ def _mult(paths) -> list:
     return [["mult", "--config", path] for path in paths]
 
 
-def main() -> None:
+def digests() -> dict:
+    """The digest of each suite, by name, in print order."""
     paths = [os.path.join(CONFIG_DIR, f"{tag}.json") for tag in TAGS]
     with tempfile.TemporaryDirectory() as tmp:
         oracle_paths = []
@@ -96,9 +99,14 @@ def main() -> None:
             ("verify", [["verify", "--seed", "0"]]),
             ("quick", [["verify", "--seed", "0", "--quick"]]),
         )
-        for name, argvs in suites:
-            print(f"{name:<9} {_digest(argvs)}")
-        print(f"{'screen':<9} {_screen_digest(_mult(oracle_paths))}")
+        out = {name: _digest(argvs) for name, argvs in suites}
+        out["screen"] = _screen_digest(_mult(oracle_paths))
+    return out
+
+
+def main() -> None:
+    for name, digest in digests().items():
+        print(f"{name:<9} {digest}")
     sys.stdout.flush()
 
 

@@ -190,6 +190,18 @@ def test_exit_2_on_unreadable_config(capsys):
     assert run(["mult", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["norm", "mult", "reduce", "oracle"])
+@pytest.mark.parametrize("payload", ["5", "null", "true", "[[1]]"])
+def test_exit_2_when_the_config_is_not_an_object(tmp_path, capsys, command, payload):
+    # each command once took set() of the top level before checking it
+    path = tmp_path / "cfg.json"
+    path.write_text(payload)
+    code = run([command, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_exit_2_on_unwritable_out(capsys):
     argv = ["glue", "--lemma", "SUP_SUP", "--count", "1", "--out", "/nonexistent/x.json"]
     assert run(argv) == 2

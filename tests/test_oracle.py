@@ -24,7 +24,7 @@ from cescop.oracle import (
     enrich,
 )
 from cescop.realfun import DEFAULT_CFG, ONE, ZERO, RealFun, expfam, power, product
-from cescop.spaces import SpaceSpec, _Screen, _log_norm
+from cescop.spaces import SpaceSpec, _Plan
 
 TAGS = ("T1", "T2i", "T2ii", "T3i", "T3ii", "T4i", "T4ii", "T5i", "T5ii",
         "T5iii", "T5iv", "T6", "T7i", "T7ii")
@@ -128,13 +128,13 @@ def test_shared_scores_score_each_candidate_once(monkeypatch):
     calls, score = [], oracle._score
     exact, ratio = [], oracle._ratio
 
-    def counted(f, X, Y, g, cfg):
+    def counted(f, X, Y, g):
         calls.append(g.describe())
-        return score(f, X, Y, g, cfg)
+        return score(f, X, Y, g)
 
-    def counted_exact(f, X, Y, g, cfg):
+    def counted_exact(f, X, Y, g):
         exact.append(g.describe())
-        return ratio(f, X, Y, g, cfg)
+        return ratio(f, X, Y, g)
 
     monkeypatch.setattr(oracle, "_score", counted)
     monkeypatch.setattr(oracle, "_ratio", counted_exact)
@@ -193,11 +193,12 @@ def _crossval_spaces(tag):
 def _check_screen(spec, g, cfg):
     """The screened log-norm of g lies within its bound of the exact one;
     an exact 0, inf or numerator 0.0 reading is the exact path's."""
-    screened = _Screen(spec, cfg)(g)
+    plan = _Plan(spec, cfg)
+    screened = plan.screen(g)
     if screened is None:
         return None
     value, bound = screened
-    exact = _log_norm(spec, g, cfg)
+    exact = plan.log_norm(g)
     if math.isinf(value):
         assert bound == 0.0 and exact == value
         return 0.0
@@ -229,8 +230,8 @@ def test_screened_norms_lie_within_their_bounds():
     default_family(101, 60) with 3 rounds of enrich perturbations, plus
     the ADVERSARIAL candidates (decays against u = e^-t in T3ii and T7,
     T6's growing f = t^2 e^t, supports outside the window), wherever
-    a spaces._Screen returns (value, bound), the exact log-norm
-    (spaces._log_norm, the log of space_norm) lies within bound of
+    a spaces._Plan screen returns (value, bound), the exact log-norm
+    (the plan's log_norm, the log of space_norm) lies within bound of
     value, and the skip and 0.0 readings are the exact path's.
 
     The bound and its derivation.  Both paths compute the same trapezoid
@@ -280,10 +281,10 @@ def test_screened_ratios_bracket_the_exact_ones():
     # around it
     for tag in ("T3ii", "T6", "T7i"):
         f, X, Y, cfg = _crossval_spaces(tag)
-        X, Y = _Screen(X, cfg), _Screen(Y, cfg)
+        X, Y = _Plan(X, cfg), _Plan(Y, cfg)
         for cand in default_family(seed=101, size=60).candidates + ADVERSARIAL:
             g = cand.build()
-            got, exact = oracle._score(f, X, Y, g, cfg), oracle._ratio(f, X, Y, g, cfg)
+            got, exact = oracle._score(f, X, Y, g), oracle._ratio(f, X, Y, g)
             if got is None or got[0] == got[1]:
                 assert got == (exact if exact is None else (exact, exact))
             else:
@@ -296,7 +297,7 @@ def test_edge_slopes_near_the_divergence_threshold_are_not_screened():
     # at d = 1e-5 the estimate's 1/rate sensitivity is 1e5
     g = Candidate("head", (1.0,)).build()
     near = SpaceSpec("ces", (1, 1), (power(1.0, -1.0 - 2e-9), ONE), validate=False)
-    assert _Screen(near)(g) is None
+    assert _Plan(near).screen(g) is None
     steep = SpaceSpec("ces", (1, 1), (power(1.0, -1.0 - 1e-5), ONE), validate=False)
     assert _check_screen(steep, g, DEFAULT_CFG) is not None
 
@@ -304,9 +305,9 @@ def test_edge_slopes_near_the_divergence_threshold_are_not_screened():
 def _reference_result(f, X, Y, fam):
     """brute_force_multiplier scoring every candidate exactly, in order."""
     best, best_cand, evaluated, skipped = -1.0, None, 0, 0
-    X, Y = _Screen(X), _Screen(Y)
+    X, Y = _Plan(X), _Plan(Y)
     for cand in fam.candidates:
-        ratio = oracle._ratio(f, X, Y, cand.build(), DEFAULT_CFG)
+        ratio = oracle._ratio(f, X, Y, cand.build())
         if ratio is None:
             skipped += 1
             continue
@@ -334,8 +335,7 @@ def test_ties_and_duplicates_resolve_as_exact_scoring_does():
         assert brute_force_multiplier(f, Y, Y, fam, scores=scores) == ref
     ref = _reference_result(EDEC, Y, Y, fam)
     assert ref.argmax == beyond[0] and ref.skipped == 2
-    assert oracle._ratio(EDEC, _Screen(Y), _Screen(Y), beyond[3].build(),
-                         DEFAULT_CFG) == ref.lower_bound
+    assert oracle._ratio(EDEC, _Plan(Y), _Plan(Y), beyond[3].build()) == ref.lower_bound
 
 
 @pytest.mark.parametrize("cand", [

@@ -1,12 +1,18 @@
 """Two- and three-parameter Cesaro/Copson quasi-norms."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from cescop.cli import _problem_from_config
 from cescop.errors import SpecInvalid
+from cescop.exponents import Exponent
+from cescop.grids import from_log
+from cescop.oracle import default_family
 from cescop.realfun import ONE, ZERO, QuadratureConfig, expfam, indicator, power, powerof, product
-from cescop.spaces import SpaceSpec, check_omega, space_norm, space_norm3
+from cescop.spaces import SpaceSpec, _Plan, check_omega, space_norm, space_norm3
 
 EDEC = expfam(1.0, 0.0, -1.0)
 
@@ -157,3 +163,47 @@ def test_describe_roundtrip():
     spec = SpaceSpec("ces", (1, "inf"), (EDEC, ONE), validate=False)
     s = spec.describe()
     assert s.startswith("ces_") and "inf" in s
+
+
+def _bits(plan, f):
+    """plan's log_norm and screen of f, as exact float text."""
+    screened = plan.screen(f)
+    return (float(plan.log_norm(f)).hex(),
+            None if screened is None else tuple(float(x).hex() for x in screened))
+
+
+def test_a_reused_plan_reads_each_f_as_a_fresh_one():
+    # the crossval spaces of T3ii and its family, in two orders: a plan
+    # holds its weights' log-values across calls, and no call may write
+    # to them
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "T3ii.json"
+    prob, cfg, _ = _problem_from_config(json.loads(config.read_text()))
+    X = SpaceSpec("cop", (Exponent(1), prob.r), (prob.u, ONE), validate=False)
+    Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
+    gs = [cand.build() for cand in default_family(seed=101, size=60).candidates]
+    pairs = [(X, g) for g in gs] + [(Y, product(prob.f, g)) for g in gs]
+    fresh = [_bits(_Plan(spec, cfg), f) for spec, f in pairs]
+    assert sum(bits[1] is not None for bits in fresh) > len(pairs) // 2
+    for order in (1, -1):
+        plans = {X: _Plan(X, cfg), Y: _Plan(Y, cfg)}
+        assert [_bits(plans[spec], f) for spec, f in pairs[::order]] == fresh[::order]
+
+
+def test_a_plan_runs_the_gate_once_when_built():
+    with pytest.raises(SpecInvalid):
+        _Plan(SpaceSpec("ces", (1, 1), (power(1, 0), ONE)))
+    plan = _Plan(SpaceSpec("ces", (1, 1), (EDEC, ONE)))
+    assert not plan.spec.validate
+
+
+@pytest.mark.parametrize("kind, exps", [
+    ("ces", (1, 2, 1)), ("cop", (2, 1, "inf")), ("ces", ("inf", 1)),
+    ("ces", (1, "inf")), ("cop", ("inf", 2)), ("cop", (0.5, "inf")),
+])
+def test_only_finite_two_parameter_plans_screen(kind, exps):
+    weights = (EDEC, power(1, 0.5), EDEC)[-len(exps):]
+    spec = SpaceSpec(kind, exps, weights, validate=False)
+    plan = _Plan(spec)
+    for f in (expfam(1, 1, -1), indicator(0.5, 4), ZERO):
+        assert plan.screen(f) is None
+        assert from_log(plan.log_norm(f)) == space_norm(spec, f)
