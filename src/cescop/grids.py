@@ -36,6 +36,10 @@ and ``_scaled_integral`` (``log_integral`` over the full window).  Each
 shifts the row by its max, takes one exp per node, sums the trapezoid
 panels and takes one log, and returns a bound on its distance from the
 log-space rule; none of the reported numbers is computed this way.
+Both take a row on some of the window's columns, as ``_log_integral_from``
+does, and ``_scaled_integral`` takes the nodes beyond them on one side
+as a ``_Rest``: the sum of their panels, their max and one error bound,
+read from tables built once per outer weight.
 """
 
 from __future__ import annotations
@@ -145,6 +149,21 @@ def log_t(t: np.ndarray) -> np.ndarray:
         if win.t is t:
             return lt
     return np.log(t)
+
+
+def _cut(g: Grid, lo: int, hi: int) -> Grid:
+    """The nodes lo, ..., hi - 1 of g, with each end that is cut closed.
+
+    A cumulative rule (log_cumint, log_cumnorm) over a row that reads
+    -inf off these nodes gives g's entries at them, bit for bit, when it
+    accumulates from a cut end whose node reads -inf too: no panel across
+    the cut carries mass, g's edge estimate there reads -inf, and
+    logaddexp(-inf, x) is x.  At an end that is not cut, an edge-fit node
+    of g left out reads -inf as it does on g (_edge_estimate).
+    """
+    return g._replace(s=g.s[lo:hi], t=g.t[lo:hi], half_widths=g.half_widths[lo:hi - 1],
+                      log_half_widths=g.log_half_widths[lo:hi - 1],
+                      open_lo=g.open_lo and lo == 0, open_hi=g.open_hi and hi == g.s.size)
 
 
 def _panel_logmass(li: np.ndarray, lw: np.ndarray) -> np.ndarray:
@@ -298,8 +317,13 @@ def log_cumnorm(lf: np.ndarray, g: Grid, q: float, head: bool) -> np.ndarray:
     return log_cumint(q * lf + g.s, g, head) / q
 
 
-def _scaled_cumint(li: np.ndarray, g: Grid, head: bool):
-    """log_cumint of one full-window row, summed in scaled linear space.
+def _scaled_cumint(li: np.ndarray, g: Grid, head: bool, lo: int = 0):
+    """log_cumint of one window row, summed in scaled linear space.
+
+    li may hold only the columns lo, lo + 1, ... of the nodes g.s, as for
+    _log_integral_from: every other node reads -inf, so an edge-fit node
+    outside them reads -inf in the edge estimate, and the entries
+    returned are the full row's at those columns.
 
     Returns (lc, (a, b), low).  The edge estimate is log_cumint's own,
     so a divergent one gives +inf everywhere, as log_cumint does;
@@ -319,27 +343,31 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool):
     |lc_j| + 4.  The scaled sum has a relative error of n ulps from the
     cumsum and of about |lc_j - m| ulps from the exp of the shift by the
     row max m.  16 n ulps of 2 |lc_j| + 3 |m| + |log hw| + 30 (hw the
-    panel half-width) covers both: about 1e-9 where lc_j is near 50.
+    panel half-width, n the window's nodes however few the columns)
+    covers both: about 1e-9 where lc_j is near 50.
     """
-    n = li.size
-    le = _edge_estimate(li, g, left=head)
-    low = np.zeros(n, dtype=bool)
+    k = li.size
+    le = _edge_estimate(li, g, head, lo)
+    low = np.zeros(k, dtype=bool)
     if le == math.inf:
-        return np.full(n, math.inf), (0.0, 0.0), low
+        return np.full(k, math.inf), (0.0, 0.0), low
     m = float(np.max(li))
     if not m < math.inf:
         return None
     if m == NEG_INF:
-        return np.full(n, NEG_INF), (0.0, 0.0), low
-    hw, lw = g.half_widths, g.log_half_widths
+        return np.full(k, NEG_INF), (0.0, 0.0), low
+    hw, lw = g.half_widths[lo:lo + k - 1], g.log_half_widths[lo:lo + k - 1]
+    # the edge-fit nodes among the columns, in summing order
+    fit = {j - lo for pair in _edge_nodes(g) for j in pair if 0 <= j - lo < k}
     if not head:  # a tail row is summed as the head row of the reversed row
         li, hw, lw = li[::-1], hw[::-1], lw[::-1]
+        fit = {k - 1 - i for i in fit}
     # the terms in summing order: the edge estimate, then the panels
     # from that edge on
     x = li - m
     np.maximum(x, _CLIP, out=x)
     np.exp(x, out=x)
-    acc = np.empty(n)
+    acc = np.empty(k)
     acc[0] = math.exp(le - m)
     np.add(x[:-1], x[1:], out=acc[1:])
     acc[1:] *= hw
@@ -347,32 +375,51 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool):
     with np.errstate(divide="ignore"):
         lc = np.log(acc)
     lc += m
-    # entries [0, k0) of the summing order have no finite term, [k0, k)
+    # entries [0, k0) of the summing order have no finite term, [k0, kf)
     # a scaled sum below the floor (it never falls along the order)
     k0 = 0
     if le == NEG_INF:
         k0 = max(int(np.argmax(li > NEG_INF)), 1)
         lc[:k0] = NEG_INF
-    k = max(int(np.searchsorted(acc, _SCALED_FLOOR)), k0)
-    lc[k0:k] = m + math.log(2.0 * _SCALED_FLOOR)
-    low[k0:k] = True
-    # the edge-fit nodes are the same in either order
-    left, right = _edge_nodes(g)
-    redo = sorted(j for j in set(left + right) if low[j])
+    kf = max(int(np.searchsorted(acc, _SCALED_FLOOR)), k0)
+    lc[k0:kf] = m + math.log(2.0 * _SCALED_FLOOR)
+    low[k0:kf] = True
+    redo = sorted(i for i in fit if low[i])
     if redo:
         hi = redo[-1] + 1
         lc[redo] = _log_running_sum(le, _panel_logmass(li[:hi], lw[:hi - 1]))[redo]
         low[redo] = False
     if not head:
         lc, low = lc[::-1], low[::-1]
-    ulps = 16.0 * n * _U
+    ulps = 16.0 * g.s.size * _U
     b = ulps * (3.0 * abs(m) + abs(math.log(float(g.half_widths[0]))) + 30.0)
     return lc, (2.0 * ulps, b), low
 
 
+class _Rest(NamedTuple):
+    """The nodes of a row beyond its columns on one side, given to
+    _scaled_integral by their sums rather than node by node.
+
+    Each log-value there within 100 of the row max lies within err of the
+    log path's; each one further down lies within (m - 90) - its value of
+    it, m the row max, and need not be checked.
+    """
+
+    log_sum: float  # log of the sum of the trapezoid panels among them
+    sum_err: float  # how far log_sum may lie from the log path's sum of those panels
+    top: float      # the max of their log-values
+    err: float
+    at: dict        # (log-value, its error) at each edge-fit node among them
+
+
 def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
-                     upper: np.ndarray):
-    """log_integral of one full-window row, summed in scaled linear space.
+                     upper: np.ndarray, lo: int = 0, rest: _Rest | None = None):
+    """log_integral of one window row, summed in scaled linear space.
+
+    li, err and upper hold the columns lo, lo + 1, ... of the nodes g.s.
+    The nodes beyond them on one side are rest's when it is given (a
+    _Rest, whose panels start at the last column on that side); every
+    other node reads -inf.
 
     li must hold no +inf or NaN.  It lies within err, node by node, of
     the row the log path integrates, except where upper is set: there li
@@ -395,13 +442,16 @@ def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
     1/rate sensitivity is why slopes near _SLOPE_TOL are refused, and dr
     must not reach the slope's distance from it.  The upper entries add
     at most 4 n e^-60 of the sum, and the clip at _CLIP under 1e-290.
-    Rounding of the two paths adds 16 (n + |value| + |value - m| +
-    |log hw| + 30) ulps.
+    rest's sum counts by its share, with its sum_err and the rounding of
+    its shift by m.  Rounding of the two paths adds 16 (n + |value| +
+    |value - m| + |log hw| + 30) ulps, n the window's nodes.
     """
-    n = li.size
+    n, k = g.s.size, li.size
     some_upper = bool(upper.any())
     core = np.where(upper, NEG_INF, li) if some_upper else li
     m = float(np.max(core))
+    if rest is not None:
+        m = max(m, rest.top)
     if m == NEG_INF:
         return None
     if some_upper and float(np.max(li[upper])) > m - 60.0:
@@ -413,27 +463,43 @@ def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
     x = core - m
     np.maximum(x, _CLIP, out=x)
     np.exp(x, out=x)
-    total = float(np.dot(x[:-1] + x[1:], hw))
+    total = float(np.dot(x[:-1] + x[1:], hw[lo:lo + k - 1]))
+    if rest is not None:
+        total += math.exp(rest.log_sum - m)
+
+    def node(j):
+        """(log-value, its error, upper) at node j."""
+        if 0 <= j - lo < k:
+            return float(core[j - lo]), err[j - lo], upper[j - lo]
+        if rest is not None and j in rest.at:
+            return (*rest.at[j], False)
+        return NEG_INF, 0.0, False
+
     edges = []  # (estimate, its error)
     for i0, i1 in _edge_nodes(g):
-        if upper[i0] or upper[i1]:
+        (lv, err_lv, up_lv), (l1, err_l1, up_l1) = node(i0), node(i1)
+        if up_lv or up_l1:
             return None
-        lv, l1 = float(core[i0]), float(core[i1])
         if lv == NEG_INF or l1 == NEG_INF:
             continue
         ds = abs(float(g.s[i1]) - float(g.s[i0]))
         rate = (l1 - lv) / ds
         gap = abs(rate - _SLOPE_TOL)
-        dr = (err[i0] + err[i1]) / ds + 4.0 * _U * abs(rate)
+        dr = (err_lv + err_l1) / ds + 4.0 * _U * abs(rate)
         if gap <= 1e-6 or not dr < gap or rate < _SLOPE_TOL:
             return None
         est = lv - math.log(rate)
-        edges.append((est, err[i0] + dr / (rate - dr)
+        edges.append((est, err_lv + dr / (rate - dr)
                       + 16.0 * _U * (abs(est) + 2.0 * abs(math.log(rate)) + 4.0)))
         total += math.exp(est - m)
     value = math.log(total) + m
-    rho = (math.expm1(float(np.max(err, where=near, initial=0.0)))
-           + 4.0 * n * math.exp(-90.0))
+    err_near = float(np.max(err, where=near, initial=0.0))
+    if rest is not None and rest.top >= m - 100.0:
+        err_near = max(err_near, rest.err)
+    rho = math.expm1(err_near) + 4.0 * n * math.exp(-90.0)
+    if rest is not None:
+        shift = 4.0 * _U * (abs(rest.log_sum) + abs(rest.log_sum - m))
+        rho += math.exp(rest.log_sum - value) * math.expm1(rest.sum_err + shift)
     for est, err_est in edges:
         if err_est < 1.0:
             rho += math.exp(est - value) * math.expm1(err_est)

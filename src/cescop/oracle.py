@@ -208,7 +208,7 @@ def _score(f: RealFun, X: _Plan, Y: _Plan, g: RealFun):
     The pair is a point lo == hi where that value is exact: taken by
     _ratio, or 0.0.  A screened pair always has width, since its bound
     includes 4U(|lr| + 4); over one crossval pass the narrowest of the
-    1,277 screened pairs is 2.2e-9 relative.  The norms are screened in
+    1,277 screened pairs is 2.8e-9 relative.  The norms are screened in
     _ratio's order: X first, and Y only when ||g||_X is finite.  Where a
     screen is missing or out of range g takes _ratio, so every error
     _ratio raises is raised here too.
@@ -246,7 +246,10 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     it has an exact ratio, a point.  The argmax is taken among points in
     family order, and the result is the one that scoring every candidate
     exactly gives.  Each call plans X and Y once (``spaces._Plan``): the
-    gate, the exponents and the outer weights on the window.
+    gate, the exponents and the outer weights on the window, and on the
+    first screen the tables of the outer weight.  X and Y may also be
+    such plans for cfg, as ``cescop.cli`` passes them, so that one
+    oracle run plans each space once for all its calls.
 
     ``scores`` maps each candidate already scored against this same f,
     X, Y and cfg to its pair (None for a skipped one); candidates not in
@@ -254,7 +257,7 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     arguments gives wrong results.
     """
     scores = {} if scores is None else scores
-    X, Y = _Plan(X, cfg), _Plan(Y, cfg)
+    X, Y = (S if isinstance(S, _Plan) else _Plan(S, cfg) for S in (X, Y))
     floor = -1.0
     for cand in fam.candidates:
         if cand not in scores:
@@ -292,9 +295,10 @@ def enrich(fam: CandidateFamily, f: RealFun, X: SpaceSpec, Y: SpaceSpec,
 
     Each round evaluates the family, perturbs the best candidate and
     appends _PER_ROUND variants.  The output family is a superset of the
-    input, so the brute-force value never decreases.  ``scores`` is
-    passed to every round's ``brute_force_multiplier``; a caller that
-    scores the result against the same f, X, Y and cfg can pass it on.
+    input, so the brute-force value never decreases.  X, Y (specs or
+    their plans) and ``scores`` are passed to every round's
+    ``brute_force_multiplier``; a caller that scores the result against
+    the same f, X, Y and cfg can pass them on.
     """
     for k in range(rounds):
         rng = np.random.default_rng((fam.seed, k))

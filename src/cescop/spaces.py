@@ -13,8 +13,10 @@ linear-space integrals and a bound, and the oracle ranks with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,18 +134,31 @@ class _Plan:
     Construction runs the gate, so ``spec`` is the spec with its gate off,
     for the exact norms that follow.  It takes the window, the exponents
     as floats (innermost first) and the log-values on the window of every
-    weight but the innermost, which meets f in product(f, v).  For an
-    arity-2 spec with finite exponents and an outer weight below +inf it
-    also takes the screen's rounding terms.
+    weight but the innermost, which meets f in product(f, v).  The screen
+    is taken for an arity-2 spec with finite exponents and an outer
+    weight below +inf; its rounding terms and tables are built on the
+    first screen (``_outer``), once per plan.
 
-    ``log_norm(f)`` is the log of space_norm(spec, f, cfg).  ``screen(f)``
-    gives (log value, bound) with log_norm(f) within bound of the log
-    value, or None: the same product(...).logv and the same elementwise
-    steps as log_norm, with grids._scaled_cumint and
-    grids._scaled_integral in place of log_cumnorm and log_integral.  Only
-    a divergent inner edge gives -inf or +inf, exact and with bound 0.
-    None for any spec the rounding terms are not taken for, for rows
-    holding +inf or NaN, and wherever grids cannot certify its integrals.
+    Both paths read product(f, v) only on the span of its support: the
+    nodes [a, b) of the window in the support's closed hull, off which its
+    log-values are -inf.  The inner levels then run from one node before
+    the span on the side where the row is -inf (left for ces, right for
+    cop).  ``log_norm(f)`` is the log of space_norm(spec, f, cfg), bit
+    for bit, since logaddexp(-inf, x) is x; the outer integral lays its
+    zero terms out at full width (grids._log_integral_from).
+
+    ``screen(f)`` gives (log value, bound) with log_norm(f) within bound
+    of the log value, or None: the same product(...).logv and the same
+    elementwise steps as log_norm, with grids._scaled_cumint and
+    grids._scaled_integral in place of log_cumnorm and log_integral, on
+    the span and one node beyond each cut end.  Past that node, on the
+    other side (right for ces, left for cop), the inner integral is its
+    total C, so the outer log-values are qC/p + w, w = q lu + s, and their
+    panels sum to e^(qC/p) times the panel sums of e^w, read from the
+    tables (a grids._Rest).  Only a divergent inner edge gives -inf or
+    +inf, exact and with bound 0.  None for any spec the screen is not
+    taken for, for rows holding +inf or NaN, and wherever grids cannot
+    certify its integrals.
     """
 
     def __init__(self, spec: SpaceSpec, cfg: QuadratureConfig = DEFAULT_CFG):
@@ -159,52 +174,136 @@ class _Plan:
         self.lu_max = np.max(self.lu)
         self.screens = (spec.arity == 2 and math.isfinite(self.inner[0])
                         and math.isfinite(self.q) and self.lu_max < grids.INF)
-        if self.screens:
-            # the rounding of / p, + lu, q * and + s in both paths, from
-            # |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
-            (p,), q = self.inner, self.q
-            self.lu_err = np.abs(self.lu) * (12.0 * grids._U * q)
-            self.lc_err = 16.0 * grids._U * q / p
-            self.s_err = 4.0 * grids._U * (cfg.S + 1.0)
+
+    def _span(self, fv: RealFun) -> tuple:
+        """The nodes [a, b) of the window in the closed hull of fv's
+        support; fv.logv reads -inf off them."""
+        t, sup = self.grid.t, fv.support
+        return int(np.searchsorted(t, sup.lo)), int(np.searchsorted(t, sup.hi, "right"))
 
     def log_norm(self, f: RealFun) -> float:
         g = self.grid
-        lv = product(f, self.v).logv(g.t)
+        n = g.s.size
+        fv = product(f, self.v)
+        a, b = self._span(fv)
+        lo, hi = 0, n
+        if a < b:  # the inner levels start one node before the span
+            lo, hi = (max(a - 1, 0), n) if self.head else (0, min(b + 1, n))
+        lv = fv.logv(g.t if hi - lo == n else g.t[lo:hi])
         if np.all(np.isneginf(lv)) and math.isfinite(self.inner[0]):
             return grids.NEG_INF
+        cut = grids._cut(g, lo, hi)
         for e, lw in zip(self.inner, self.lws):
-            lv = grids.log_mul(grids.log_cumnorm(lv, g, e, self.head), lw)
+            lv = grids.log_mul(grids.log_cumnorm(lv, cut, e, self.head), lw[lo:hi])
         if math.isinf(self.q):
-            return grids.log_sup(lv, g)
-        return float(grids.log_integral(self.q * lv + g.s, g)) / self.q
+            full = np.full(n, grids.NEG_INF)
+            full[lo:hi] = lv
+            return grids.log_sup(full, g)
+        return float(grids._log_integral_from(self.q * lv + cut.s, g, lo)) / self.q
+
+    @functools.cached_property
+    def _outer(self) -> _Outer:
+        """The screen's _Outer, built on the first screen of this plan."""
+        (p,), q, g = self.inner, self.q, self.grid
+        w = q * self.lu + g.s
+        if self.head:  # the inner integral is constant right of the span
+            sums, tops = grids.log_suffix_cumtrapz(w, g), grids.suffix_logmax(w)
+        else:
+            sums, tops = grids.log_cumtrapz(w, g), grids.running_logmax(w)
+        # the rounding of / p, + lu, q * and + s in both paths, from
+        # |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
+        return _Outer(np.abs(self.lu) * (12.0 * grids._U * q), 16.0 * grids._U * q / p,
+                      4.0 * grids._U * (self.cfg.S + 1.0), w, sums, tops)
 
     def screen(self, f: RealFun):
         if not self.screens:
             return None
         (p,), q, g = self.inner, self.q, self.grid
-        li = p * product(f, self.v).logv(g.t) + g.s
-        res = grids._scaled_cumint(li, g, self.head)
+        n = g.s.size
+        fv = product(f, self.v)
+        a, b = self._span(fv)
+        if a >= b:  # no node: a row of -inf, which grids cannot certify
+            return None
+        # one -inf node beyond each cut end, whose panel meets the span
+        lo, hi = max(a - 1, 0), min(b + 1, n)
+        li = np.full(hi - lo, grids.NEG_INF)
+        span = li[a - lo:b - lo]
+        np.multiply(fv.logv(g.t if b - a == n else g.t[a:b]), p, out=span)
+        span += g.s[a:b]
+        res = grids._scaled_cumint(li, g, self.head, lo)
         if res is None:
             return None
-        lc, (a, b), low = res
+        lc, (ea, eb), low = res
         if lc[0] == grids.INF:  # the inner edge estimate diverges
             return (grids.INF if self.lu_max > grids.NEG_INF else grids.NEG_INF), 0.0
+        out = self._outer
         # as log_mul(lc / p, lu), which finds no NaN to mend: lc and lu hold
         # no +inf
         li = lc / p
-        li += self.lu
+        li += self.lu[lo:hi]
         li *= q
-        li += g.s
+        li += g.s[lo:hi]
         # the inner error times q / p, then the rounding terms
         err = np.abs(lc)
-        err *= (q / p) * a + self.lc_err
-        err += self.lu_err
-        err += (q / p) * b + self.s_err
-        res = grids._scaled_integral(li, g, err, low)
+        err *= (q / p) * ea + out.lc_err
+        err += out.lu_err[lo:hi]
+        err += (q / p) * eb + out.s_err
+        j = hi - 1 if self.head else lo  # the joining node: lc there is the inner total C
+        rest = None
+        if (j < n - 1 if self.head else j > 0) and out.tops[j] > grids.NEG_INF:
+            if not low[j - lo]:
+                rest = self._rest(j, float(lc[j - lo]), (q / p) * ea, (q / p) * eb)
+            if rest is None:
+                return None
+        res = grids._scaled_integral(li, g, err, low, lo, rest)
         if res is None:
             return None
         value = res[0] / q
         return value, res[1] / q + 4.0 * grids._U * abs(value)
+
+    def _rest(self, j: int, C: float, ea: float, eb: float):
+        """The outer row's nodes past the joining node j (right of it for
+        ces, left for cop) as a grids._Rest, or None where its bound fails.
+
+        Their inner integral is C, node j's, and their outer log-values
+        c + w_k (c = qC/p) carry the error e0 + 12 U q |lu_k|, e0 that of
+        C, scaled as ea and eb, and the rounding terms.  A node within 100
+        of the row max m >= c + top (top = max w there) has q lu_k >=
+        top - 100 - S, so |q lu_k| <= K = q |lu_max| + |top| + 100 + S
+        and its error is at most e0 + 12 U K.  While that is at most 9, a
+        node further down, at D = (m - 90) - (c + w_k) > 10, has
+        |q lu_k| <= K + D and an error below D, as _scaled_integral asks.
+        The table sum of e^w rounds within 16 n ulps of |its log| + |c| + 30.
+        """
+        g, out, n = self.grid, self._outer, self.grid.s.size
+        (p,), q = self.inner, self.q
+        c = C / p * q
+        top = float(out.tops[j])
+        e0 = abs(C) * (ea + out.lc_err) + eb + out.s_err
+        err = e0 + 12.0 * grids._U * (q * abs(float(self.lu_max)) + abs(top) + 100.0
+                                      + self.cfg.S)
+        if not err <= 9.0:
+            return None
+        side = range(j + 1, n) if self.head else range(j)
+        at = {k: (c + float(out.w[k]), e0 + float(out.lu_err[k]))
+              for pair in grids._edge_nodes(g) for k in pair if k in side}
+        log_sum = float(out.sums[j])
+        sum_err = 16.0 * n * grids._U * (abs(log_sum) + abs(c) + 30.0)
+        return grids._Rest(c + log_sum, sum_err, c + top, err, at)
+
+
+class _Outer(NamedTuple):
+    """The screen's rounding terms of one plan, and its tables of the outer
+    row w = q lu + s on the window: the log of the panel sums of e^w and
+    the max of w, from each node to the end where the inner integral of a
+    row is constant (right for ces, left for cop)."""
+
+    lu_err: np.ndarray  # 12 U q |lu|
+    lc_err: float       # 16 U q / p
+    s_err: float        # 4 U (S + 1)
+    w: np.ndarray
+    sums: np.ndarray
+    tops: np.ndarray
 
 
 def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> float:

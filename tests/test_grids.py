@@ -499,3 +499,63 @@ def test_an_interval_grid_knows_its_open_ends(lo, hi):
     rising = 0.5 * g.s
     assert grids.log_sup(rising, g) == (math.inf if g.open_hi else rising[-1])
     assert grids.log_sup(-rising, g) == (math.inf if g.open_lo else -rising[0])
+
+
+@pytest.mark.parametrize("grid", ["default", "glue"])
+def test_rows_on_some_columns_read_as_full_rows(grid):
+    # a row that reads -inf off the columns [lo, hi): the cumulative rules
+    # on the grid cut one node before them, on the end they accumulate
+    # from, give the full row's entries bit for bit, and the scaled rules on the columns
+    # (the nodes past hi - 1 as a _Rest) lie within their bounds of it
+    g = _WINDOW_GRIDS[grid]()
+    s, n = g.s, g.s.size
+    left, right = grids._edge_nodes(g)
+    spans = [(n // 3, n), (0, 2 * n // 3), (1, n - 1), (n // 3, n // 3 + 5),
+             (n - 3, n), (0, 3), (n // 2 - right[1] // 3, n // 2 + right[1] // 3)]
+    for li in list(_rows(s)) + [-g.t, 2.0 * s - g.t, 0.5 * np.sin(s) - np.abs(s)]:
+        if not np.max(li) < math.inf:
+            continue
+        for lo, hi in spans:
+            row = np.full(n, -math.inf)
+            row[lo:hi] = li[lo:hi]
+            # from one -inf node before the columns, whose panel meets them
+            for head, (a, b) in ((True, (max(lo - 1, 0), n)), (False, (0, min(hi + 1, n)))):
+                cut = grids._cut(g, a, b)
+                for q in (0.5, 1.0, 2.0, math.inf):
+                    with np.errstate(invalid="ignore"):
+                        full = grids.log_cumnorm(row, g, q, head)
+                    part = grids.log_cumnorm(row[a:b], cut, q, head)
+                    assert np.all(np.isneginf(np.delete(full, np.arange(a, b)))) or (
+                        (a, b) == (0, n))
+                    assert full[a:b].tobytes() == part.tobytes()
+            with np.errstate(invalid="ignore"):
+                exact_int = float(grids.log_integral(row, g))
+            # one -inf node beyond each cut end, as the screen takes the span
+            a, b = max(lo - 1, 0), min(hi + 1, n)
+            for head in (True, False):
+                res = grids._scaled_cumint(row[a:b], g, head, a)
+                with np.errstate(invalid="ignore"):
+                    exact = grids.log_cumint(row, g, head)[a:b]
+                if res is None or np.isposinf(res[0][0]):
+                    assert res is not None or np.isposinf(exact[0])
+                    continue
+                lc, (ea, eb), low = res
+                assert np.array_equal(np.isneginf(lc), np.isneginf(exact))
+                fin = np.isfinite(exact) & ~low
+                assert np.all(np.abs(lc[fin] - exact[fin]) <= ea * np.abs(lc[fin]) + eb)
+            zeros = np.zeros(b - a)
+            res = grids._scaled_integral(row[a:b], g, zeros, zeros > 0.0, a)
+            if res is not None:
+                assert abs(res[0] - exact_int) <= res[1]
+            if b == n:
+                continue
+            # the same row with everything from node b - 1 on given by its sums
+            j, tail = b - 1, grids._cut(g, b - 1, n)
+            log_sum = float(grids.log_trapz(row[j:], tail))
+            if log_sum == -math.inf:
+                continue
+            at = {k: (float(row[k]), 0.0) for k in left + right if k > j}
+            rest = grids._Rest(log_sum, 1e-12, float(np.max(row[j:])), 0.0, at)
+            res = grids._scaled_integral(row[a:b], g, zeros, zeros > 0.0, a, rest)
+            if res is not None:
+                assert abs(res[0] - exact_int) <= res[1]

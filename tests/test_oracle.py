@@ -1,5 +1,6 @@
 """Brute-force multiplier lower bounds."""
 
+import functools
 import hashlib
 import json
 import math
@@ -208,6 +209,9 @@ def _check_screen(spec, g, cfg):
     return abs(value - exact) / bound
 
 
+# the nodes of the crossval window (DEFAULT_CFG)
+_NODES = grids.log_nodes(DEFAULT_CFG).t
+
 # candidates beyond the crossval family: supports outside the window
 # [e^-30, e^30], near-empty bands, steep and slow decays, growing tilts
 # and extreme step levels
@@ -220,6 +224,15 @@ ADVERSARIAL = (
     Candidate("decay", (10.0, -1.0)), Candidate("decay", (2.0, 0.5)),
     Candidate("decay", (-0.999, -1e-4)), Candidate("bump", (1e-12, 1e12, -1.9)),
     Candidate("step", ((1e-12, 1.0, 1e12), (1e-200, 1e200))),
+    # support ends on window nodes, inside a panel, and both inside one
+    # panel (no node); across each window edge; a step with a gap
+    Candidate("band", (float(_NODES[2000]), float(_NODES[4000]))),
+    Candidate("head", (float(_NODES[3000]),)), Candidate("tail", (float(_NODES[3000]),)),
+    Candidate("bump", (float(_NODES[1000]), float(_NODES[1001]), 1.5)),
+    Candidate("band", (float(_NODES[2000]) * 1.001, float(_NODES[4000]) * 1.001)),
+    Candidate("band", (float(_NODES[3000]) * 1.001, float(_NODES[3000]) * 1.002)),
+    Candidate("band", (1e-14, 1e-12)), Candidate("band", (5e12, 1e14)),
+    Candidate("step", ((1e-3, 1e-1, 1e1, 1e3), (1.0, 0.0, 2.0))),
 )
 
 
@@ -273,6 +286,51 @@ def test_screened_norms_lie_within_their_bounds():
     # the screen covers nearly every norm and is far inside its bound
     assert screened > 0.9 * 2 * 14 * (90 + len(ADVERSARIAL))
     assert worst < 1e-2
+
+
+def test_each_row_is_read_on_the_span_of_its_support():
+    # the premise of reading product(f, v) on its span only: on the
+    # crossval spaces, for every candidate kind, its log-values on the
+    # span are the full row's there bit for bit, and the full row is -inf
+    # off the span
+    kinds = set()
+    for tag in TAGS:
+        f, X, Y, cfg = _crossval_spaces(tag)
+        for plan, fun in ((_Plan(X, cfg), ONE), (_Plan(Y, cfg), f)):
+            t = plan.grid.t
+            for cand in default_family(seed=101, size=60).candidates + ADVERSARIAL:
+                fv = product(fun, cand.build(), plan.v)
+                a, b = plan._span(fv)
+                full = fv.logv(t)
+                assert fv.logv(t[a:b]).tobytes() == full[a:b].tobytes(), (tag, cand)
+                assert np.all(np.isneginf(full[:a])) and np.all(np.isneginf(full[b:]))
+                kinds.add(cand.kind)
+    assert kinds == set(oracle._KINDS)
+    # an indicator reads its base at t = lo, as its logv is half-open
+    # [lo, hi) while Interval says open: the span is the closed hull
+    plan = _Plan(XCOP)
+    band = Candidate("band", (float(_NODES[100]), float(_NODES[200]))).build()
+    assert plan._span(band) == (100, 201)
+    assert np.isfinite(band.logv(_NODES)[100]) and np.isneginf(band.logv(_NODES)[200])
+
+
+def test_one_oracle_run_builds_the_tables_of_each_space_once(monkeypatch, tmp_path):
+    # cli plans X and Y once per oracle run and shares the plans between
+    # the enrich rounds and the final scoring
+    built, tables = [], spaces._Plan.__dict__["_outer"]
+
+    def counted(plan):
+        built.append(plan.spec.kind)
+        return tables.func(plan)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(spaces._Plan, "_outer")
+    monkeypatch.setattr(spaces._Plan, "_outer", prop)
+    rec = json.loads((PERFBENCH_CONFIGS / "T3ii.json").read_text())
+    path = tmp_path / "T3ii.json"
+    path.write_text(json.dumps({**rec, "oracle": {"seed": 101, "size": 30, "rounds": 3}}))
+    assert run(["mult", "--config", str(path)]) == 0
+    assert sorted(built) == ["ces", "cop"]
 
 
 def test_screened_ratios_bracket_the_exact_ones():

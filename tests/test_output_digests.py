@@ -13,7 +13,7 @@ PINNED = {
     "glue": "cf60db1e1e78645b",
     "verify": "e11a5a5c8185fb8c",
     "quick": "45986c1b4b5bb4bd",
-    "screen": "0f80bc4f6a0d679e",
+    "screen": "4d9d0d4de89e1227",
 }
 
 
