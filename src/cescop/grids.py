@@ -30,14 +30,19 @@ since the elementary functions are handed a bare t.
 A single row (1-D) is reduced on scalars, without the masks a block of
 rows needs; it reads bit for bit as the same row inside a 2-D block.
 
+A row on part of the window has one form: the columns lo, lo + 1, ...
+of the window's nodes, every other node reading -inf.
+``_log_integral_from`` and ``_edge_estimate`` take it for the support
+columns of ``log_row_reduce``, and the scaled rules below for a screen's
+span; every other rule reads the whole window.
+
 Two private rules take the same integrals in scaled linear space, for a
 screen that only has to rank rows: ``_scaled_cumint`` (``log_cumint``)
 and ``_scaled_integral`` (``log_integral`` over the full window).  Each
 shifts the row by its max, takes one exp per node, sums the trapezoid
 panels and takes one log, and returns a bound on its distance from the
 log-space rule; none of the reported numbers is computed this way.
-Both take a row on some of the window's columns, as ``_log_integral_from``
-does, and ``_scaled_integral`` takes the nodes beyond them on one side
+``_scaled_integral`` takes the nodes beyond a row's columns on one side
 as a ``_Rest``: the sum of their panels, their max and one error bound,
 read from tables built once per outer weight.
 """
@@ -149,21 +154,6 @@ def log_t(t: np.ndarray) -> np.ndarray:
         if win.t is t:
             return lt
     return np.log(t)
-
-
-def _cut(g: Grid, lo: int, hi: int) -> Grid:
-    """The nodes lo, ..., hi - 1 of g, with each end that is cut closed.
-
-    A cumulative rule (log_cumint, log_cumnorm) over a row that reads
-    -inf off these nodes gives g's entries at them, bit for bit, when it
-    accumulates from a cut end whose node reads -inf too: no panel across
-    the cut carries mass, g's edge estimate there reads -inf, and
-    logaddexp(-inf, x) is x.  At an end that is not cut, an edge-fit node
-    of g left out reads -inf as it does on g (_edge_estimate).
-    """
-    return g._replace(s=g.s[lo:hi], t=g.t[lo:hi], half_widths=g.half_widths[lo:hi - 1],
-                      log_half_widths=g.log_half_widths[lo:hi - 1],
-                      open_lo=g.open_lo and lo == 0, open_hi=g.open_hi and hi == g.s.size)
 
 
 def _panel_logmass(li: np.ndarray, lw: np.ndarray) -> np.ndarray:
@@ -312,8 +302,6 @@ def log_cumnorm(lf: np.ndarray, g: Grid, q: float, head: bool) -> np.ndarray:
     at every node t_j; q = inf is the running sup."""
     if q == math.inf:
         return running_logmax(lf) if head else suffix_logmax(lf)
-    if q == 1.0:  # 1.0 * x and x / 1.0 are x, bit for bit
-        return log_cumint(lf + g.s, g, head)
     return log_cumint(q * lf + g.s, g, head) / q
 
 

@@ -139,26 +139,24 @@ class _Plan:
     weight below +inf; its rounding terms and tables are built on the
     first screen (``_outer``), once per plan.
 
-    Both paths read product(f, v) only on the span of its support: the
-    nodes [a, b) of the window in the support's closed hull, off which its
-    log-values are -inf.  The inner levels then run from one node before
-    the span on the side where the row is -inf (left for ces, right for
-    cop).  ``log_norm(f)`` is the log of space_norm(spec, f, cfg), bit
-    for bit, since logaddexp(-inf, x) is x; the outer integral lays its
-    zero terms out at full width (grids._log_integral_from).
+    ``log_norm(f)`` is the log of space_norm(spec, f, cfg): product(f, v)
+    read on the whole window, each inner level cumulated over the window
+    from its open end, then the outer sup or integral over every node.
 
     ``screen(f)`` gives (log value, bound) with log_norm(f) within bound
     of the log value, or None: the same product(...).logv and the same
     elementwise steps as log_norm, with grids._scaled_cumint and
-    grids._scaled_integral in place of log_cumnorm and log_integral, on
-    the span and one node beyond each cut end.  Past that node, on the
-    other side (right for ces, left for cop), the inner integral is its
-    total C, so the outer log-values are qC/p + w, w = q lu + s, and their
-    panels sum to e^(qC/p) times the panel sums of e^w, read from the
-    tables (a grids._Rest).  Only a divergent inner edge gives -inf or
-    +inf, exact and with bound 0.  None for any spec the screen is not
-    taken for, for rows holding +inf or NaN, and wherever grids cannot
-    certify its integrals.
+    grids._scaled_integral in place of log_cumnorm and log_integral.  Only
+    the screen reads the span of the support of product(f, v): the nodes
+    [a, b) of the window in its closed hull, off which its log-values are
+    -inf.  It sums the span and one node beyond each cut end.  Past that
+    node, on the other side (right for ces, left for cop), the inner
+    integral is its total C, so the outer log-values are qC/p + w,
+    w = q lu + s, and their panels sum to e^(qC/p) times the panel sums of
+    e^w, read from the tables (a grids._Rest).  Only a divergent inner
+    edge gives -inf or +inf, exact and with bound 0.  None for any spec
+    the screen is not taken for, for rows holding +inf or NaN, and
+    wherever grids cannot certify its integrals.
     """
 
     def __init__(self, spec: SpaceSpec, cfg: QuadratureConfig = DEFAULT_CFG):
@@ -183,23 +181,12 @@ class _Plan:
 
     def log_norm(self, f: RealFun) -> float:
         g = self.grid
-        n = g.s.size
-        fv = product(f, self.v)
-        a, b = self._span(fv)
-        lo, hi = 0, n
-        if a < b:  # the inner levels start one node before the span
-            lo, hi = (max(a - 1, 0), n) if self.head else (0, min(b + 1, n))
-        lv = fv.logv(g.t if hi - lo == n else g.t[lo:hi])
-        if np.all(np.isneginf(lv)) and math.isfinite(self.inner[0]):
-            return grids.NEG_INF
-        cut = grids._cut(g, lo, hi)
+        lv = product(f, self.v).logv(g.t)
         for e, lw in zip(self.inner, self.lws):
-            lv = grids.log_mul(grids.log_cumnorm(lv, cut, e, self.head), lw[lo:hi])
+            lv = grids.log_mul(grids.log_cumnorm(lv, g, e, self.head), lw)
         if math.isinf(self.q):
-            full = np.full(n, grids.NEG_INF)
-            full[lo:hi] = lv
-            return grids.log_sup(full, g)
-        return float(grids._log_integral_from(self.q * lv + cut.s, g, lo)) / self.q
+            return grids.log_sup(lv, g)
+        return float(grids.log_integral(self.q * lv + g.s, g)) / self.q
 
     @functools.cached_property
     def _outer(self) -> _Outer:

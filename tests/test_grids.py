@@ -309,17 +309,6 @@ def test_one_row_reduces_as_its_row_in_a_block(grid):
             assert np.array_equal(one, row, equal_nan=True), (i, lo, hi)
 
 
-@pytest.mark.parametrize("grid", sorted(_WINDOW_GRIDS))
-def test_log_cumnorm_at_q_one_is_the_general_rule(grid):
-    g = _WINDOW_GRIDS[grid]()
-    s = g.s
-    for lf in _hostile_rows(s) + list(_rows(s)):
-        for head in (True, False):
-            with np.errstate(invalid="ignore"):
-                general = grids.log_cumint(1.0 * lf + s, g, head) / 1.0
-            assert np.array_equal(grids.log_cumnorm(lf, g, 1.0, head), general, equal_nan=True)
-
-
 def test_log_mul_leaves_its_arguments_unchanged():
     inf = math.inf
     a = np.array([inf, -inf, 1.0, math.nan])
@@ -503,10 +492,9 @@ def test_an_interval_grid_knows_its_open_ends(lo, hi):
 
 @pytest.mark.parametrize("grid", ["default", "glue"])
 def test_rows_on_some_columns_read_as_full_rows(grid):
-    # a row that reads -inf off the columns [lo, hi): the cumulative rules
-    # on the grid cut one node before them, on the end they accumulate
-    # from, give the full row's entries bit for bit, and the scaled rules on the columns
-    # (the nodes past hi - 1 as a _Rest) lie within their bounds of it
+    # a row that reads -inf off the columns [lo, hi): the scaled rules on
+    # the columns (the nodes past hi - 1 as a _Rest) lie within their
+    # bounds of the full row's log-space rules
     g = _WINDOW_GRIDS[grid]()
     s, n = g.s, g.s.size
     left, right = grids._edge_nodes(g)
@@ -518,16 +506,6 @@ def test_rows_on_some_columns_read_as_full_rows(grid):
         for lo, hi in spans:
             row = np.full(n, -math.inf)
             row[lo:hi] = li[lo:hi]
-            # from one -inf node before the columns, whose panel meets them
-            for head, (a, b) in ((True, (max(lo - 1, 0), n)), (False, (0, min(hi + 1, n)))):
-                cut = grids._cut(g, a, b)
-                for q in (0.5, 1.0, 2.0, math.inf):
-                    with np.errstate(invalid="ignore"):
-                        full = grids.log_cumnorm(row, g, q, head)
-                    part = grids.log_cumnorm(row[a:b], cut, q, head)
-                    assert np.all(np.isneginf(np.delete(full, np.arange(a, b)))) or (
-                        (a, b) == (0, n))
-                    assert full[a:b].tobytes() == part.tobytes()
             with np.errstate(invalid="ignore"):
                 exact_int = float(grids.log_integral(row, g))
             # one -inf node beyond each cut end, as the screen takes the span
@@ -550,8 +528,8 @@ def test_rows_on_some_columns_read_as_full_rows(grid):
             if b == n:
                 continue
             # the same row with everything from node b - 1 on given by its sums
-            j, tail = b - 1, grids._cut(g, b - 1, n)
-            log_sum = float(grids.log_trapz(row[j:], tail))
+            j = b - 1
+            log_sum = float(grids.log_suffix_cumtrapz(row, g)[j])
             if log_sum == -math.inf:
                 continue
             at = {k: (float(row[k]), 0.0) for k in left + right if k > j}

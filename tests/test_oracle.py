@@ -191,10 +191,9 @@ def _crossval_spaces(tag):
     return prob.f, X, Y, cfg
 
 
-def _check_screen(spec, g, cfg):
+def _check_screen(plan, g):
     """The screened log-norm of g lies within its bound of the exact one;
     an exact 0, inf or numerator 0.0 reading is the exact path's."""
-    plan = _Plan(spec, cfg)
     screened = plan.screen(g)
     if screened is None:
         return None
@@ -203,7 +202,7 @@ def _check_screen(spec, g, cfg):
     if math.isinf(value):
         assert bound == 0.0 and exact == value
         return 0.0
-    assert abs(value - exact) <= bound, (spec.describe(), g.describe(), value, exact, bound)
+    assert abs(value - exact) <= bound, (plan.spec.describe(), g.describe(), value, exact, bound)
     if value + bound < oracle._LOG_ZERO:
         assert from_log(exact) == 0.0
     return abs(value - exact) / bound
@@ -239,13 +238,15 @@ ADVERSARIAL = (
 def test_screened_norms_lie_within_their_bounds():
     """The screen's certified error bound holds on the criterion-6 runs.
 
-    For the 14 perfbench configs, the criterion-6 X and Y, and the family
-    default_family(101, 60) with 3 rounds of enrich perturbations, plus
-    the ADVERSARIAL candidates (decays against u = e^-t in T3ii and T7,
-    T6's growing f = t^2 e^t, supports outside the window), wherever
-    a spaces._Plan screen returns (value, bound), the exact log-norm
-    (the plan's log_norm, the log of space_norm) lies within bound of
-    value, and the skip and 0.0 readings are the exact path's.
+    For the 14 perfbench configs, the criterion-6 X and Y (each planned
+    once per config, as cescop.cli plans them for one oracle run), and
+    the family default_family(101, 60) with 3 rounds of enrich
+    perturbations, plus the ADVERSARIAL candidates (decays against
+    u = e^-t in T3ii and T7, T6's growing f = t^2 e^t, supports outside
+    the window), wherever a spaces._Plan screen returns (value, bound),
+    the exact log-norm (the plan's log_norm, the log of space_norm) lies
+    within bound of value, and the skip and 0.0 readings are the exact
+    path's.
 
     The bound and its derivation.  Both paths compute the same trapezoid
     rule with the same edge estimates, so the bound is their rounding:
@@ -275,11 +276,13 @@ def test_screened_norms_lie_within_their_bounds():
     screened = 0
     for tag in TAGS:
         f, X, Y, cfg = _crossval_spaces(tag)
-        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=3, cfg=cfg)
+        X, Y = _Plan(X, cfg), _Plan(Y, cfg)
+        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=3, cfg=cfg,
+                     scores={})
         for cand in fam.candidates + ADVERSARIAL:
             g = cand.build()
-            for spec, fun in ((X, g), (Y, product(f, g))):
-                dev = _check_screen(spec, fun, cfg)
+            for plan, fun in ((X, g), (Y, product(f, g))):
+                dev = _check_screen(plan, fun)
                 if dev is not None:
                     screened += 1
                     worst = max(worst, dev)
@@ -357,7 +360,7 @@ def test_edge_slopes_near_the_divergence_threshold_are_not_screened():
     near = SpaceSpec("ces", (1, 1), (power(1.0, -1.0 - 2e-9), ONE), validate=False)
     assert _Plan(near).screen(g) is None
     steep = SpaceSpec("ces", (1, 1), (power(1.0, -1.0 - 1e-5), ONE), validate=False)
-    assert _check_screen(steep, g, DEFAULT_CFG) is not None
+    assert _check_screen(_Plan(steep), g) is not None
 
 
 def _reference_result(f, X, Y, fam):
