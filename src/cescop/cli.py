@@ -41,7 +41,7 @@ from .realfun import (
     table,
     weight,
 )
-from .spaces import SpaceSpec, _Plan, space_norm
+from .spaces import SpaceSpec, space_norm
 
 __all__ = ["main", "run"]
 
@@ -250,14 +250,12 @@ _ORACLE_KEYS = {"seed", "size", "rounds"}
 def _oracle(f, X, Y, rec: dict, cfg) -> dict:
     """Build the seeded candidate family, enrich it and score it.
 
-    X and Y are planned once, and one score dict serves the enrich rounds
-    and the final scoring, so each candidate is scored once; both live
-    only for this call.
+    One score dict serves the enrich rounds and the final scoring, so
+    each candidate is scored once; it lives only for this call.
     """
     fam = default_family(seed=_count(rec, "seed", 0, "oracle"),
                          size=_count(rec, "size", 60, "oracle"))
     rounds = _count(rec, "rounds", 0, "oracle")
-    X, Y = _Plan(X, cfg), _Plan(Y, cfg)
     scores = {}
     fam = enrich(fam, f, X, Y, rounds=rounds, cfg=cfg, scores=scores)
     res = brute_force_multiplier(f, X, Y, fam, cfg, scores=scores)

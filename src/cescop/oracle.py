@@ -31,7 +31,7 @@ from .realfun import (
     power,
     product,
 )
-from .spaces import SpaceSpec, _Plan, space_norm
+from .spaces import SpaceSpec, _plan, space_norm
 
 __all__ = ["Candidate", "CandidateFamily", "OracleResult",
            "default_family", "brute_force_multiplier", "enrich"]
@@ -180,18 +180,13 @@ def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
     return CandidateFamily(candidates=tuple(cands), seed=seed)
 
 
-def _ratio(f: RealFun, X: _Plan, Y: _Plan, g: RealFun) -> float | None:
-    """||f*g||_Y / ||g||_X, X and Y planned for one cfg; None if ||g||_X is 0 or inf."""
-    den = space_norm(X.spec, g, X.cfg)
+def _ratio(f: RealFun, X: SpaceSpec, Y: SpaceSpec, g: RealFun, cfg: QuadratureConfig):
+    """||f*g||_Y / ||g||_X as the exact point (r, r); None if ||g||_X is 0 or inf."""
+    den = space_norm(X, g, cfg)
     if not (0.0 < den < math.inf):
         return None
-    return space_norm(Y.spec, product(f, g), Y.cfg) / den
-
-
-def _exact(f: RealFun, X: _Plan, Y: _Plan, g: RealFun):
-    """_ratio's value r as the point (r, r), or None."""
-    ratio = _ratio(f, X, Y, g)
-    return None if ratio is None else (ratio, ratio)
+    ratio = space_norm(Y, product(f, g), cfg) / den
+    return ratio, ratio
 
 
 # A screened norm whose log lies outside (-_LOG_RANGE, _LOG_RANGE), or a
@@ -202,7 +197,7 @@ _LOG_RANGE = 700.0
 _LOG_ZERO = -746.0
 
 
-def _score(f: RealFun, X: _Plan, Y: _Plan, g: RealFun):
+def _score(f: RealFun, X: SpaceSpec, Y: SpaceSpec, g: RealFun, cfg: QuadratureConfig):
     """None where _ratio is None, else a pair (lo, hi) holding _ratio's value.
 
     The pair is a point lo == hi where that value is exact: taken by
@@ -213,15 +208,15 @@ def _score(f: RealFun, X: _Plan, Y: _Plan, g: RealFun):
     screen is missing or out of range g takes _ratio, so every error
     _ratio raises is raised here too.
     """
-    den = X.screen(g)
+    den = _plan(X, cfg).screen(g)
     if den is not None and math.isinf(den[0]):
         return None  # ||g||_X is exactly 0 or inf
     in_range = lambda x: -_LOG_RANGE < x < _LOG_RANGE
-    num = Y.screen(product(f, g)) if den is not None and in_range(den[0]) else None
+    num = _plan(Y, cfg).screen(product(f, g)) if den and in_range(den[0]) else None
     if num is not None and num[0] + num[1] < _LOG_ZERO:
         return 0.0, 0.0
     if num is None or not (in_range(num[0]) and in_range(num[0] - den[0])):
-        return _exact(f, X, Y, g)
+        return _ratio(f, X, Y, g, cfg)
     # the rounding of num - den and of lr -+ bound, and of the two
     # from_log calls, the division and the two exps, in log terms
     lr = num[0] - den[0]
@@ -245,11 +240,8 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     then scored exactly, so every candidate that may be the argmax or tie
     it has an exact ratio, a point.  The argmax is taken among points in
     family order, and the result is the one that scoring every candidate
-    exactly gives.  Each call plans X and Y once (``spaces._Plan``): the
-    gate, the exponents and the outer weights on the window, and on the
-    first screen the tables of the outer weight.  X and Y may also be
-    such plans for cfg, as ``cescop.cli`` passes them, so that one
-    oracle run plans each space once for all its calls.
+    exactly gives.  X and Y are gated first, and each keeps its plan for
+    cfg (``spaces._plan``): gate, outer weights and tables, for all calls.
 
     ``scores`` maps each candidate already scored against this same f,
     X, Y and cfg to its pair (None for a skipped one); candidates not in
@@ -257,11 +249,12 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     arguments gives wrong results.
     """
     scores = {} if scores is None else scores
-    X, Y = (S if isinstance(S, _Plan) else _Plan(S, cfg) for S in (X, Y))
+    for S in (X, Y):  # gate both spaces before any candidate is scored
+        _plan(S, cfg)
     floor = -1.0
     for cand in fam.candidates:
         if cand not in scores:
-            scores[cand] = _score(f, X, Y, cand.build())
+            scores[cand] = _score(f, X, Y, cand.build(), cfg)
         if scores[cand] is not None and scores[cand][0] > floor:
             floor = scores[cand][0]
     # exact scores only raise the largest lo, so no pair below it now can
@@ -270,7 +263,7 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     for cand in fam.candidates:
         pair = scores[cand]
         if pair is not None and pair[0] < pair[1] and pair[1] >= floor:
-            pair = scores[cand] = _exact(f, X, Y, cand.build())
+            pair = scores[cand] = _ratio(f, X, Y, cand.build(), cfg)
         if pair is not None and pair[0] == pair[1] and pair[0] > best:
             best, best_cand = pair[0], cand
     evaluated = sum(scores[cand] is not None for cand in fam.candidates)
@@ -295,11 +288,11 @@ def enrich(fam: CandidateFamily, f: RealFun, X: SpaceSpec, Y: SpaceSpec,
 
     Each round evaluates the family, perturbs the best candidate and
     appends _PER_ROUND variants.  The output family is a superset of the
-    input, so the brute-force value never decreases.  X, Y (specs or
-    their plans) and ``scores`` are passed to every round's
-    ``brute_force_multiplier``; a caller that scores the result against
-    the same f, X, Y and cfg can pass them on.
+    input, so the brute-force value never decreases.  The rounds share one
+    score dict, ``scores`` or a fresh one; a caller that scores the result
+    against the same f, X, Y and cfg can pass its own and reuse it.
     """
+    scores = {} if scores is None else scores
     for k in range(rounds):
         rng = np.random.default_rng((fam.seed, k))
         res = brute_force_multiplier(f, X, Y, fam, cfg, scores=scores)

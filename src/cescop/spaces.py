@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -44,13 +44,14 @@ class SpaceSpec:
 
     Exponents are ordered innermost-first, matching the subscripts of
     ces_{p,q}(u,v) and ces_{p,q,r}(u,v,w); weights are RealFuns,
-    outermost-first.
+    outermost-first.  A spec keeps its norm plans, one per cfg (``_plan``).
     """
 
     kind: str
     exponents: tuple
     weights: tuple
     validate: bool = field(default=True, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (CES, COP):
@@ -125,19 +126,25 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
     the cumulative norm over (0, t) (ces) or (t, inf) (cop) and multiplies
     it by the next weight out; the outermost exponent reduces over (0, inf).
     """
-    return grids.from_log(_Plan(spec, cfg).log_norm(f))
+    return grids.from_log(_plan(spec, cfg).log_norm(f))
+
+
+def _plan(spec: SpaceSpec, cfg: QuadratureConfig) -> _Plan:
+    """spec's _Plan for cfg, built and gated on first use and kept on the
+    spec object: an equal spec, maybe with its gate off, plans on its own."""
+    return spec._plans.get(cfg) or spec._plans.setdefault(cfg, _Plan(spec, cfg))
 
 
 class _Plan:
     """One (spec, cfg) made ready for many norms.
 
-    Construction runs the gate, so ``spec`` is the spec with its gate off,
-    for the exact norms that follow.  It takes the window, the exponents
-    as floats (innermost first) and the log-values on the window of every
-    weight but the innermost, which meets f in product(f, v).  The screen
-    is taken for an arity-2 spec with finite exponents and an outer
-    weight below +inf; its rounding terms and tables are built on the
-    first screen (``_outer``), once per plan.
+    Construction runs the gate; ``_plan`` keeps one plan per spec and
+    cfg, and a plan holds no reference to its spec.  It takes the window,
+    the exponents as floats (innermost first) and the log-values on the
+    window of every weight but the innermost, which meets f in
+    product(f, v).  The screen is taken for an arity-2 spec with finite
+    exponents and an outer weight below +inf; its rounding terms and
+    tables are built on the first screen (``_outer``), once per plan.
 
     ``log_norm(f)`` is the log of space_norm(spec, f, cfg): product(f, v)
     read on the whole window, each inner level cumulated over the window
@@ -161,9 +168,8 @@ class _Plan:
 
     def __init__(self, spec: SpaceSpec, cfg: QuadratureConfig = DEFAULT_CFG):
         _gate(spec, cfg)
-        self.spec, self.cfg = replace(spec, validate=False), cfg
+        self.cfg, self.head = cfg, spec.kind == CES
         self.grid = g = grids.log_nodes(cfg)
-        self.head = spec.kind == CES
         *self.inner, self.q = (float(e) for e in spec.exponents)
         *ws, self.v = spec.weights
         # outward from the second weight in

@@ -363,6 +363,12 @@ def test_outer_sup_reduces_every_row_unless_a_is_nondecreasing_and_finite(lem, a
     assert _assert_glue_matches_every_row(inst) == grids.log_nodes(GLUE_CFG).s.size
 
 
+def test_glue_ratio_reads_both_sides_as_a_quotient():
+    assert gluing._ratio(1.0, 0.0) == math.inf  # rhs == 0 < lhs
+    assert gluing._ratio(1.0, math.inf) == 0.0 and gluing._ratio(3.0, 2.0) == 1.5
+    assert math.isnan(gluing._ratio(0.0, 0.0)) and math.isnan(gluing._ratio(math.inf, math.inf))
+
+
 def test_dyadic_cover_unit_density():
     # g = 1: int_0^x g = 2^m at x = 2^m
     cover = dyadic_cover(ONE, "head")

@@ -89,6 +89,14 @@ def test_big_V():
     np.testing.assert_allclose(_vals(V), T, rtol=1e-9)
 
 
+def test_big_V_at_p_one_is_the_running_sup():
+    # p = 1 -> p' = inf: V(x) = esssup of v over (0, x)
+    np.testing.assert_allclose(_vals(big_V(power(1, 1), 1)), T, rtol=1e-9)
+    np.testing.assert_allclose(_vals(big_V(EDEC, 1)), 1.0, rtol=1e-9)
+    V = _vals(big_V(indicator(1, 10), 1))
+    assert np.all(V[T < 1] == 0.0) and np.all(V[T > 1] == 1.0)
+
+
 def test_cal_V_kernel_range():
     V = big_V(ONE, 0.5)
     k = cal_V(V, T, np.ones_like(T))

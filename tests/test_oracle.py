@@ -2,8 +2,10 @@
 
 import functools
 import hashlib
+import inspect
 import json
 import math
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,7 +26,8 @@ from cescop.oracle import (
     default_family,
     enrich,
 )
-from cescop.realfun import DEFAULT_CFG, ONE, ZERO, RealFun, expfam, power, product
+from cescop.realfun import (DEFAULT_CFG, ONE, ZERO, RealFun, expfam, from_log_callable, power,
+                             product)
 from cescop.spaces import SpaceSpec, _Plan
 
 TAGS = ("T1", "T2i", "T2ii", "T3i", "T3ii", "T4i", "T4ii", "T5i", "T5ii",
@@ -129,13 +132,13 @@ def test_shared_scores_score_each_candidate_once(monkeypatch):
     calls, score = [], oracle._score
     exact, ratio = [], oracle._ratio
 
-    def counted(f, X, Y, g):
+    def counted(f, X, Y, g, cfg):
         calls.append(g.describe())
-        return score(f, X, Y, g)
+        return score(f, X, Y, g, cfg)
 
-    def counted_exact(f, X, Y, g):
+    def counted_exact(f, X, Y, g, cfg):
         exact.append(g.describe())
-        return ratio(f, X, Y, g)
+        return ratio(f, X, Y, g, cfg)
 
     monkeypatch.setattr(oracle, "_score", counted)
     monkeypatch.setattr(oracle, "_ratio", counted_exact)
@@ -148,7 +151,7 @@ def test_shared_scores_score_each_candidate_once(monkeypatch):
     assert set(scores) == set(fam.candidates)
     assert len(calls) <= distinct
     assert len(exact) == len(set(exact))  # no candidate is scored exactly twice
-    # without the shared dict every round scores the whole family again
+    # without a dict passed, the final scoring scores the family again
     calls.clear()
     _enriched_result(f, seed=3, size=30, rounds=3)
     assert len(calls) > distinct
@@ -202,7 +205,7 @@ def _check_screen(plan, g):
     if math.isinf(value):
         assert bound == 0.0 and exact == value
         return 0.0
-    assert abs(value - exact) <= bound, (plan.spec.describe(), g.describe(), value, exact, bound)
+    assert abs(value - exact) <= bound, (plan.inner, plan.q, g.describe(), value, exact, bound)
     if value + bound < oracle._LOG_ZERO:
         assert from_log(exact) == 0.0
     return abs(value - exact) / bound
@@ -238,8 +241,8 @@ ADVERSARIAL = (
 def test_screened_norms_lie_within_their_bounds():
     """The screen's certified error bound holds on the criterion-6 runs.
 
-    For the 14 perfbench configs, the criterion-6 X and Y (each planned
-    once per config, as cescop.cli plans them for one oracle run), and
+    For the 14 perfbench configs, the criterion-6 X and Y (each keeping
+    its plan, so planned once per config, as in one oracle run), and
     the family default_family(101, 60) with 3 rounds of enrich
     perturbations, plus the ADVERSARIAL candidates (decays against
     u = e^-t in T3ii and T7, T6's growing f = t^2 e^t, supports outside
@@ -276,12 +279,11 @@ def test_screened_norms_lie_within_their_bounds():
     screened = 0
     for tag in TAGS:
         f, X, Y, cfg = _crossval_spaces(tag)
-        X, Y = _Plan(X, cfg), _Plan(Y, cfg)
-        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=3, cfg=cfg,
-                     scores={})
+        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=3, cfg=cfg)
+        plans = spaces._plan(X, cfg), spaces._plan(Y, cfg)
         for cand in fam.candidates + ADVERSARIAL:
             g = cand.build()
-            for plan, fun in ((X, g), (Y, product(f, g))):
+            for plan, fun in zip(plans, (g, product(f, g))):
                 dev = _check_screen(plan, fun)
                 if dev is not None:
                     screened += 1
@@ -318,12 +320,12 @@ def test_each_row_is_read_on_the_span_of_its_support():
 
 
 def test_one_oracle_run_builds_the_tables_of_each_space_once(monkeypatch, tmp_path):
-    # cli plans X and Y once per oracle run and shares the plans between
-    # the enrich rounds and the final scoring
+    # X and Y keep their plans through one oracle run: the enrich rounds
+    # and the final scoring share them
     built, tables = [], spaces._Plan.__dict__["_outer"]
 
     def counted(plan):
-        built.append(plan.spec.kind)
+        built.append("ces" if plan.head else "cop")
         return tables.func(plan)
 
     prop = functools.cached_property(counted)
@@ -337,19 +339,18 @@ def test_one_oracle_run_builds_the_tables_of_each_space_once(monkeypatch, tmp_pa
 
 
 def test_screened_ratios_bracket_the_exact_ones():
-    # _score reads None where _ratio does, a point (r, r) where it reads
-    # 0.0 or the exact ratio r, and otherwise a pair (lo, hi) with width
-    # around it
+    # _score reads None where _ratio does, _ratio's point (r, r) where it
+    # reads 0.0 or the exact ratio r, and otherwise a pair (lo, hi) with
+    # width around r
     for tag in ("T3ii", "T6", "T7i"):
         f, X, Y, cfg = _crossval_spaces(tag)
-        X, Y = _Plan(X, cfg), _Plan(Y, cfg)
         for cand in default_family(seed=101, size=60).candidates + ADVERSARIAL:
             g = cand.build()
-            got, exact = oracle._score(f, X, Y, g), oracle._ratio(f, X, Y, g)
+            got, exact = oracle._score(f, X, Y, g, cfg), oracle._ratio(f, X, Y, g, cfg)
             if got is None or got[0] == got[1]:
-                assert got == (exact if exact is None else (exact, exact))
+                assert got == exact
             else:
-                assert got[0] < got[1] and got[0] <= exact <= got[1]
+                assert got[0] < got[1] and got[0] <= exact[0] <= got[1]
 
 
 def test_edge_slopes_near_the_divergence_threshold_are_not_screened():
@@ -363,18 +364,79 @@ def test_edge_slopes_near_the_divergence_threshold_are_not_screened():
     assert _check_screen(_Plan(steep), g) is not None
 
 
+def _refusals(call):
+    """call()'s value, and for each ``return None`` of the screen's grids
+    kernels that ran, the kernel and the if or elif line above it."""
+    kernels = {k.__code__: k for k in (grids._scaled_cumint, grids._scaled_integral)}
+    returned = []
+
+    def lines(frame, event, arg):
+        if event == "return" and arg is None:
+            returned.append((frame.f_code, frame.f_lineno))
+        return lines
+
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code in kernels else None)
+    try:
+        value = call()
+    finally:
+        sys.settrace(None)
+    found = []
+    for code, line in returned:
+        src, first = inspect.getsourcelines(kernels[code])
+        cond = next(s for s in reversed(src[:line - first])
+                    if s.lstrip().startswith(("if ", "elif ")))
+        found.append((code.co_name, cond.strip()))
+    return value, found
+
+
+def _shifted_space(c, peak):
+    """ces_{1,1}(u, v) with v = e^-c and u = e^c t^-2 e^(-5 |log t - peak|).
+
+    The outer integrand of a function that is 1 on the window is
+    e^(-5 |s - peak|) in s = log t, so its norm is about 2/5 and the
+    ratios stay in range, while the screen's node errors, about
+    6e-11 c, grow with c."""
+    v = from_log_callable(lambda t: np.full(np.shape(t), -c), "e^-c")
+    u = from_log_callable(lambda t: c - 2.0 * np.log(t) - 5.0 * np.abs(np.log(t) - peak), "u")
+    return SpaceSpec("ces", (1, 1), (u, v), validate=False)
+
+
+# +inf on (1/2, 2): a row with +inf inside the window, whose edges converge
+POLE = from_log_callable(lambda t: np.where((t > 0.5) & (t < 2.0), math.inf, 0.0), "pole")
+
+
+@pytest.mark.parametrize("f, Yc, refusal", [
+    # node errors near 60: nodes 100 to 150 below the max are not small
+    (ONE, _shifted_space(1e12, 0.0),
+     ("_scaled_integral", "if not np.all(near | (err <= (m - 90.0) - core)):")),
+    # node errors near 1.5 and a right edge estimate 26 below the value
+    (ONE, _shifted_space(2.5e10, 25.0),
+     ("_scaled_integral", "elif est + err_est < value - 60.0:")),
+    # the screen hands _scaled_cumint a row holding +inf
+    (POLE, Y, ("_scaled_cumint", "if not m < math.inf:")),
+], ids=["node-errors", "edge-estimate", "inf-row"])
+def test_a_refused_screen_scores_the_exact_point(f, Yc, refusal):
+    # the screen of ||f g||_Yc refuses on the refusal's line, once, and
+    # _score takes _ratio's point
+    g = Candidate("head", (1e20,)).build()  # 1 on the window
+    got, found = _refusals(lambda: oracle._score(f, Y, Yc, g, DEFAULT_CFG))
+    assert found == [refusal]
+    exact = oracle._ratio(f, Y, Yc, g, DEFAULT_CFG)
+    assert got == exact and exact[0] == exact[1] > 0.0
+    assert math.isinf(exact[0]) == (f is POLE)
+
+
 def _reference_result(f, X, Y, fam):
     """brute_force_multiplier scoring every candidate exactly, in order."""
     best, best_cand, evaluated, skipped = -1.0, None, 0, 0
-    X, Y = _Plan(X), _Plan(Y)
     for cand in fam.candidates:
-        ratio = oracle._ratio(f, X, Y, cand.build())
-        if ratio is None:
+        point = oracle._ratio(f, X, Y, cand.build(), DEFAULT_CFG)
+        if point is None:
             skipped += 1
             continue
         evaluated += 1
-        if ratio > best:
-            best, best_cand = ratio, cand
+        if point[0] > best:
+            best, best_cand = point[0], cand
     return OracleResult(lower_bound=best, argmax=best_cand,
                         evaluated=evaluated, skipped=skipped)
 
@@ -396,7 +458,7 @@ def test_ties_and_duplicates_resolve_as_exact_scoring_does():
         assert brute_force_multiplier(f, Y, Y, fam, scores=scores) == ref
     ref = _reference_result(EDEC, Y, Y, fam)
     assert ref.argmax == beyond[0] and ref.skipped == 2
-    assert oracle._ratio(EDEC, _Plan(Y), _Plan(Y), beyond[3].build()) == ref.lower_bound
+    assert oracle._ratio(EDEC, Y, Y, beyond[3].build(), DEFAULT_CFG) == (ref.lower_bound,) * 2
 
 
 @pytest.mark.parametrize("cand", [
@@ -437,6 +499,16 @@ def _counted_calls(monkeypatch, module, name, key):
     return seen
 
 
+def test_enrich_scores_each_candidate_once_across_its_rounds(monkeypatch):
+    # without scores=, one dict still serves every round: 3 rounds over
+    # 60 candidates screen the 80 candidates they see, not 60 + 70 + 80
+    calls = _counted_calls(monkeypatch, oracle, "_score",
+                           lambda f, X, Y, g, cfg: g.describe())
+    fam = enrich(default_family(seed=3, size=60), expfam(1, 2, 1), XCOP, Y, rounds=3)
+    assert len(fam.candidates) == 90
+    assert len(calls) == len(set(calls)) <= len(set(fam.candidates[:80]))
+
+
 def test_one_call_gates_each_space_once(monkeypatch):
     # XCOP's outer weight passes the dual-Omega gate and Y's the Omega gate
     X = SpaceSpec("cop", XCOP.exponents, XCOP.weights)
@@ -469,8 +541,8 @@ class _CountedWeight(RealFun):
 
 
 def test_one_call_reads_each_outer_weight_once_per_space(monkeypatch):
-    # every read of an outer weight beyond the one that prepares its
-    # space comes from an exact norm of that space
+    # each space reads its outer weight once, when its plan is built: its
+    # exact norms use the same plan as its screens
     ux, uy = _CountedWeight(ONE), _CountedWeight(EDEC)
     X = SpaceSpec("cop", XCOP.exponents, (ux, ONE), validate=False)
     Yc = SpaceSpec("ces", Y.exponents, (uy, ONE), validate=False)
@@ -479,6 +551,6 @@ def test_one_call_reads_each_outer_weight_once_per_space(monkeypatch):
     fam = default_family(seed=3, size=60)
     res = brute_force_multiplier(expfam(1, 2, 1), X, Yc, fam)
     assert res.evaluated > 40
-    assert ux.calls == 1 + exact.count(ux)
-    assert uy.calls == 1 + exact.count(uy)
+    assert ux.calls == uy.calls == 1
+    assert 0 < exact.count(uy) <= exact.count(ux)
     assert exact.count(uy) < 10

@@ -57,3 +57,21 @@ def test_every_error_class_is_raised():
     assert "SpecInvalid" in classes
     raised = set().union(*(_raised_names(path) for path in SRC.glob("*.py")))
     assert sorted(classes - raised) == []
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("cescop"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_only_spaces_builds_norm_plans():
+    # a spec keeps its own plans (spaces._plan): nothing else builds one
+    def builds(path):
+        return [node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and "_Plan" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None))]
+
+    assert {path.name for path in SRC.glob("*.py") if builds(path)} == {"spaces.py"}

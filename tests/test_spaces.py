@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cescop import spaces
 from cescop.cli import _problem_from_config
 from cescop.errors import SpecInvalid
 from cescop.exponents import Exponent
@@ -31,6 +33,17 @@ def test_check_omega_samples_t_1_in_a_window_below_a_decade():
     rep = check_omega(indicator(0, 1), 1, cfg=QuadratureConfig(S=2.0))
     assert not rep.ok and rep.failures == ((1.0, 0.0),)
     assert not check_omega(indicator(0, 1), 1, cfg=QuadratureConfig(S=30.0)).ok
+
+
+def test_check_omega_at_q_inf_reads_esssups():
+    # q = inf: the tail norm at t is the esssup of u over (t, inf), the
+    # head norm the one over (0, t)
+    assert check_omega(EDEC, "inf").ok and check_omega(ONE, math.inf, dual=True).ok
+    rep = check_omega(indicator(0, 1), "inf")
+    assert not rep.ok and rep.failures == tuple((10.0 ** k, 0.0) for k in (0, 3, 6, 9, 12))
+    rep = check_omega(power(1, -1), "inf", dual=True)
+    assert not rep.ok and all(value == math.inf for _, value in rep.failures)
+    assert len(rep.failures) == 9
 
 
 def test_check_omega_dual_class():
@@ -191,11 +204,29 @@ def test_a_reused_plan_reads_each_f_as_a_fresh_one():
         assert [_bits(plans[spec], f) for spec, f in pairs[::order]] == fresh[::order]
 
 
-def test_a_plan_runs_the_gate_once_when_built():
+def test_a_plan_runs_the_gate_once_when_built(monkeypatch):
+    # the gate runs when a spec's plan is built, once over repeated norms
+    # with one cfg
+    gates, check = [], spaces.check_omega
+    monkeypatch.setattr(spaces, "check_omega",
+                        lambda *args, **kwargs: gates.append(args) or check(*args, **kwargs))
+    spec, f = SpaceSpec("ces", (1, 1), (EDEC, ONE)), indicator(0.5, 4)
+    assert len({space_norm(spec, f) for _ in range(5)}) == 1
+    assert len(gates) == 1
+    space_norm(spec, f, QuadratureConfig(S=20.0))
+    space_norm(spec, f, QuadratureConfig(S=20.0))
+    assert len(gates) == 2
+    # a spec that fails its gate keeps no plan and raises on every norm,
+    # even once its equal twin with the gate off has planned
+    bad = SpaceSpec("ces", (1, 1), (power(1, 0), ONE))
+    twin = replace(bad, validate=False)
+    assert twin == bad and hash(twin) == hash(bad)
+    space_norm(twin, f)
+    for _ in range(2):
+        with pytest.raises(SpecInvalid):
+            space_norm(bad, f)
     with pytest.raises(SpecInvalid):
-        _Plan(SpaceSpec("ces", (1, 1), (power(1, 0), ONE)))
-    plan = _Plan(SpaceSpec("ces", (1, 1), (EDEC, ONE)))
-    assert not plan.spec.validate
+        _Plan(bad)
 
 
 @pytest.mark.parametrize("kind, exps", [
@@ -224,8 +255,8 @@ INF_BELOW_ONE = from_log_callable(lambda t: np.where(t < 1.0, math.inf, -t), "in
 def test_zero_rows_read_minus_inf_through_the_full_window(kind, exps, u):
     # f·v reads -inf on every node of the window: each level and the
     # outer reduction keep it at -inf, exactly and with no warning
-    weights = (u, power(1, 0.5), EDEC)[:len(exps)]
-    plan = _Plan(SpaceSpec(kind, exps, weights, validate=False))
+    spec = SpaceSpec(kind, exps, (u, power(1, 0.5), EDEC)[:len(exps)], validate=False)
+    plan = _Plan(spec)
     for f in (ZERO, indicator(1e40, 1e50), indicator(1e-50, 1e-40)):
         assert plan.log_norm(f) == -math.inf, f.describe()
-        assert space_norm(plan.spec, f) == 0.0
+        assert space_norm(spec, f) == 0.0
