@@ -248,17 +248,12 @@ _ORACLE_KEYS = {"seed", "size", "rounds"}
 
 
 def _oracle(f, X, Y, rec: dict, cfg) -> dict:
-    """Build the seeded candidate family, enrich it and score it.
-
-    One score dict serves the enrich rounds and the final scoring, so
-    each candidate is scored once; it lives only for this call.
-    """
+    """Build the seeded candidate family, enrich it and score it."""
     fam = default_family(seed=_count(rec, "seed", 0, "oracle"),
                          size=_count(rec, "size", 60, "oracle"))
     rounds = _count(rec, "rounds", 0, "oracle")
-    scores = {}
-    fam = enrich(fam, f, X, Y, rounds=rounds, cfg=cfg, scores=scores)
-    res = brute_force_multiplier(f, X, Y, fam, cfg, scores=scores)
+    fam = enrich(fam, f, X, Y, rounds=rounds, cfg=cfg)
+    res = brute_force_multiplier(f, X, Y, fam, cfg)
     return {"lower_bound": res.lower_bound,
             "argmax": res.argmax.describe() if res.argmax else None,
             "evaluated": res.evaluated, "skipped": res.skipped}

@@ -411,14 +411,15 @@ def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
 
     li must hold no +inf or NaN.  It lies within err, node by node, of
     the row the log path integrates, except where upper is set: there li
-    is only an upper bound of that row.  Where li is -inf that row is
-    -inf too, and err is not read (it may be inf).  Returns (log value,
-    bound), the log_integral of that row lying within bound of the finite
-    log value.  None when that cannot be certified: a row with no finite
-    entry outside upper, an upper entry less than 60 below the max of the
-    others or at a node an edge estimate reads, an edge estimate that
-    diverges, an edge slope within 1e-6 of _SLOPE_TOL or one that node
-    errors could move across it, or node errors that are not small.
+    is only an upper bound of that row.  upper is never set at an edge-fit
+    node (_edge_nodes), so edge estimates read no bound.  Where li is -inf
+    that row is -inf too, and err is not read (it may be inf).  Returns
+    (log value, bound), the log_integral of that row lying within bound of
+    the finite log value.  None when that cannot be certified: a row with
+    no finite entry outside upper, an upper entry less than 60 below the
+    max of the others, an edge estimate that diverges, an edge slope
+    within 1e-6 of _SLOPE_TOL or one that node errors could move across
+    it, or node errors that are not small.
 
     bound: each part of the sum (the core and the two edge estimates)
     moves by at most a factor e^err of its own error err, weighted by
@@ -456,18 +457,16 @@ def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
         total += math.exp(rest.log_sum - m)
 
     def node(j):
-        """(log-value, its error, upper) at node j."""
+        """(log-value, its error) at node j."""
         if 0 <= j - lo < k:
-            return float(core[j - lo]), err[j - lo], upper[j - lo]
+            return float(core[j - lo]), err[j - lo]
         if rest is not None and j in rest.at:
-            return (*rest.at[j], False)
-        return NEG_INF, 0.0, False
+            return rest.at[j]
+        return NEG_INF, 0.0
 
     edges = []  # (estimate, its error)
     for i0, i1 in _edge_nodes(g):
-        (lv, err_lv, up_lv), (l1, err_l1, up_l1) = node(i0), node(i1)
-        if up_lv or up_l1:
-            return None
+        (lv, err_lv), (l1, err_l1) = node(i0), node(i1)
         if lv == NEG_INF or l1 == NEG_INF:
             continue
         ds = abs(float(g.s[i1]) - float(g.s[i0]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -147,8 +147,17 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateFamily:
+    """The candidates, and the seed of enrich's perturbations.
+
+    ``_scores`` maps each scoring context (f, X, Y, cfg) to the pair
+    (None for a skipped candidate) of every candidate scored in it, so
+    one family can be scored against any problem without mixing scores;
+    the family ``enrich`` returns shares its input's dict.
+    """
+
     candidates: tuple
     seed: int
+    _scores: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -226,8 +235,7 @@ def _score(f: RealFun, X: SpaceSpec, Y: SpaceSpec, g: RealFun, cfg: QuadratureCo
 
 def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
                            fam: CandidateFamily,
-                           cfg: QuadratureConfig = DEFAULT_CFG, *,
-                           scores: dict | None = None) -> OracleResult:
+                           cfg: QuadratureConfig = DEFAULT_CFG) -> OracleResult:
     """Max of ||f*g||_Y / ||g||_X over the family.
 
     Candidates whose source norm is zero or infinite are skipped: they
@@ -242,15 +250,12 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     family order, and the result is the one that scoring every candidate
     exactly gives.  X and Y are gated first, and each keeps its plan for
     cfg (``spaces._plan``): gate, outer weights and tables, for all calls.
-
-    ``scores`` maps each candidate already scored against this same f,
-    X, Y and cfg to its pair (None for a skipped one); candidates not in
-    it are scored and added.  Sharing one dict across calls with other
-    arguments gives wrong results.
+    The pairs are kept in the family for this f, X, Y and cfg, so a
+    candidate is scored once however often the family is scored.
     """
-    scores = {} if scores is None else scores
     for S in (X, Y):  # gate both spaces before any candidate is scored
         _plan(S, cfg)
+    scores = fam._scores.setdefault((f, X, Y, cfg), {})
     floor = -1.0
     for cand in fam.candidates:
         if cand not in scores:
@@ -282,20 +287,18 @@ def _perturb(cand: Candidate, rng) -> Candidate:
 
 
 def enrich(fam: CandidateFamily, f: RealFun, X: SpaceSpec, Y: SpaceSpec,
-           rounds: int = 1, cfg: QuadratureConfig = DEFAULT_CFG, *,
-           scores: dict | None = None) -> CandidateFamily:
+           rounds: int = 1, cfg: QuadratureConfig = DEFAULT_CFG) -> CandidateFamily:
     """Local search around the current argmax.
 
     Each round evaluates the family, perturbs the best candidate and
     appends _PER_ROUND variants.  The output family is a superset of the
-    input, so the brute-force value never decreases.  The rounds share one
-    score dict, ``scores`` or a fresh one; a caller that scores the result
-    against the same f, X, Y and cfg can pass its own and reuse it.
+    input, so the brute-force value never decreases.  Each output family
+    shares its input's scores, so no round, and no later scoring of the
+    result, scores a candidate twice.
     """
-    scores = {} if scores is None else scores
     for k in range(rounds):
         rng = np.random.default_rng((fam.seed, k))
-        res = brute_force_multiplier(f, X, Y, fam, cfg, scores=scores)
+        res = brute_force_multiplier(f, X, Y, fam, cfg)
         extra = tuple(_perturb(res.argmax, rng) for _ in range(_PER_ROUND))
         fam = replace(fam, candidates=fam.candidates + extra)
     return fam

@@ -291,10 +291,8 @@ def test_criterion_6_theorem_cross_validation():
         X = SpaceSpec("cop", (Exponent(1), prob.r), (prob.u, ONE),
                       validate=False)
         Y = SpaceSpec("ces", (prob.p, prob.q), (prob.w, prob.v), validate=False)
-        scores = {}
-        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=5,
-                     scores=scores)
-        lb = brute_force_multiplier(f, X, Y, fam, scores=scores).lower_bound
+        fam = enrich(default_family(seed=101, size=60), f, X, Y, rounds=5)
+        lb = brute_force_multiplier(f, X, Y, fam).lower_bound
         if repr(lb) != repr(reference[tag]):
             moved.append((tag, lb))
         good = (0.0 < lb < math.inf and 0.0 < res.value < math.inf
@@ -340,10 +338,8 @@ def test_criterion_7_reduction():
                       (rec["u1"], rec["v1"]), validate=False)
         Y = SpaceSpec("ces", (Exponent(rec["p2"]), Exponent(rec["q2"])),
                       (rec["u2"], rec["v2"]), validate=False)
-        scores = {}
-        fam = enrich(default_family(seed=55, size=50), rec["f"], X, Y, rounds=3,
-                     scores=scores)
-        lb = brute_force_multiplier(rec["f"], X, Y, fam, scores=scores).lower_bound
+        fam = enrich(default_family(seed=55, size=50), rec["f"], X, Y, rounds=3)
+        lb = brute_force_multiplier(rec["f"], X, Y, fam).lower_bound
         good = (0.0 < lb < math.inf and 0.0 < value < math.inf
                 and lb <= ENVELOPE * value and value <= ENVELOPE * lb)
         ok = ok and good

@@ -417,22 +417,15 @@ def test_scaled_rules_lie_within_their_bounds_of_the_log_rules(grid):
             assert abs(value - exact) <= bound  # finite: an exact ±inf is refused
 
 
-def test_an_upper_entry_at_an_edge_fit_node_is_refused():
+def test_an_upper_entry_off_the_edge_fit_nodes_is_taken():
     # _scaled_cumint never sets low at an edge-fit node (asserted above),
-    # so no screen hands _scaled_integral such an entry; its own contract
-    # refuses one even when it lies 60 and more below the max
+    # which is _scaled_integral's precondition on upper
     g = grids.log_nodes(DEFAULT_CFG)
     n = g.s.size
     li, err, upper = -5.0 * np.abs(g.s), np.zeros(n), np.zeros(n, dtype=bool)
     value, bound = grids._scaled_integral(li, g, err, upper)
     assert abs(value - float(grids.log_integral(li, g))) <= bound
-    for edge in grids._edge_nodes(g):
-        for node in edge:
-            assert li[node] < np.max(li) - 60.0
-            upper[node] = True
-            assert grids._scaled_integral(li, g, err, upper) is None
-            upper[node] = False
-    upper[n // 4] = True  # a bound off the edge-fit nodes is taken
+    upper[n // 4] = True  # 60 and more below the max
     assert grids._scaled_integral(li, g, err, upper) is not None
 
 

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -114,15 +115,22 @@ def test_perturbed_step_edges_stay_ordered():
         cand.build()
 
 
-def _enriched_result(f, seed, size, rounds, scores=None):
-    fam = enrich(default_family(seed=seed, size=size), f, XCOP, Y,
-                 rounds=rounds, scores=scores)
-    return brute_force_multiplier(f, XCOP, Y, fam, scores=scores)
+def _enriched_result(f, seed, size, rounds):
+    fam = enrich(default_family(seed=seed, size=size), f, XCOP, Y, rounds=rounds)
+    return brute_force_multiplier(f, XCOP, Y, fam)
+
+
+def _fresh(fam):
+    """A family equal to fam that has scored nothing."""
+    return CandidateFamily(candidates=fam.candidates, seed=fam.seed)
 
 
 def test_shared_scores_give_the_unshared_result():
     for f in (expfam(1, 2, 1), EDEC, ONE):
-        shared = _enriched_result(f, seed=3, size=30, rounds=3, scores={})
+        fam = enrich(default_family(seed=3, size=30), f, XCOP, Y, rounds=3)
+        shared = brute_force_multiplier(f, XCOP, Y, fam)
+        assert _fresh(fam) == fam and not _fresh(fam)._scores
+        assert shared == brute_force_multiplier(f, XCOP, Y, _fresh(fam))
         assert shared == _enriched_result(f, seed=3, size=30, rounds=3)
 
 
@@ -143,18 +151,58 @@ def test_shared_scores_score_each_candidate_once(monkeypatch):
     monkeypatch.setattr(oracle, "_score", counted)
     monkeypatch.setattr(oracle, "_ratio", counted_exact)
     f = expfam(1, 2, 1)
-    scores = {}
-    fam = enrich(default_family(seed=3, size=30), f, XCOP, Y, rounds=3, scores=scores)
-    res = brute_force_multiplier(f, XCOP, Y, fam, scores=scores)
+    fam = enrich(default_family(seed=3, size=30), f, XCOP, Y, rounds=3)
+    res = brute_force_multiplier(f, XCOP, Y, fam)
     distinct = len(set(fam.candidates))
     assert res.evaluated + res.skipped == len(fam.candidates)
-    assert set(scores) == set(fam.candidates)
+    assert list(fam._scores) == [(f, XCOP, Y, DEFAULT_CFG)]
+    assert set(fam._scores[f, XCOP, Y, DEFAULT_CFG]) == set(fam.candidates)
     assert len(calls) <= distinct
     assert len(exact) == len(set(exact))  # no candidate is scored exactly twice
-    # without a dict passed, the final scoring scores the family again
+    # scoring the family again scores nothing; a fresh, equal family
+    # scores every candidate again
     calls.clear()
-    _enriched_result(f, seed=3, size=30, rounds=3)
-    assert len(calls) > distinct
+    assert brute_force_multiplier(f, XCOP, Y, fam) == res
+    assert calls == []
+    assert brute_force_multiplier(f, XCOP, Y, _fresh(fam)) == res
+    assert len(calls) == distinct
+
+
+def test_one_family_keeps_each_contexts_scores_apart(monkeypatch):
+    # two multipliers against XCOP and Y, scored on one family in both
+    # orders and between enrich rounds: each context reads exactly what a
+    # fresh, equal family gives, and scores each candidate once
+    contexts = {"edec": EDEC, "grow": expfam(1, 2, 1)}
+    names = {f: name for name, f in contexts.items()}
+    calls = _counted_calls(monkeypatch, oracle, "_score",
+                           lambda f, X, Y, g, cfg: (names[f], g.describe()))
+
+    def check(f, fam):
+        res = brute_force_multiplier(f, XCOP, Y, fam)
+        n = len(calls)
+        assert res == brute_force_multiplier(f, XCOP, Y, _fresh(fam))
+        del calls[n:]  # the fresh family's own scoring
+
+    for order in (("edec", "grow"), ("grow", "edec")):
+        calls.clear()
+        fam = default_family(seed=3, size=30)
+        for name in order:
+            check(contexts[name], fam)
+        assert sorted(calls) == sorted((name, c.build().describe())
+                                       for name in order for c in set(fam.candidates))
+    calls.clear()
+    fam = default_family(seed=3, size=30)
+    seen = {name: set() for name in contexts}
+    for name, other in (("edec", "grow"), ("grow", "edec"), ("edec", "grow")):
+        check(contexts[other], fam)
+        seen[other] |= set(fam.candidates)
+        fam = enrich(fam, contexts[name], XCOP, Y, rounds=2)
+        check(contexts[name], fam)
+        seen[name] |= set(fam.candidates)
+    assert len(fam.candidates) == 30 + 6 * oracle._PER_ROUND
+    assert sorted(calls) == sorted((name, c.build().describe())
+                                   for name, cands in seen.items() for c in cands)
+    assert {key[0] for key in fam._scores} == set(contexts.values())
 
 
 def test_oracle_runs_in_one_process_share_no_scores(tmp_path, capsys):
@@ -453,9 +501,11 @@ def test_ties_and_duplicates_resolve_as_exact_scoring_does():
     for f in (EDEC, ZERO):
         ref = _reference_result(f, Y, Y, fam)
         assert brute_force_multiplier(f, Y, Y, fam) == ref
-        scores = {}
-        brute_force_multiplier(f, Y, Y, CandidateFamily(cands[:5], seed=0), scores=scores)
-        assert brute_force_multiplier(f, Y, Y, fam, scores=scores) == ref
+        prefix = CandidateFamily(cands[:5], seed=0)
+        brute_force_multiplier(f, Y, Y, prefix)
+        full = replace(prefix, candidates=cands)
+        assert full._scores is prefix._scores
+        assert brute_force_multiplier(f, Y, Y, full) == ref
     ref = _reference_result(EDEC, Y, Y, fam)
     assert ref.argmax == beyond[0] and ref.skipped == 2
     assert oracle._ratio(EDEC, Y, Y, beyond[3].build(), DEFAULT_CFG) == (ref.lower_bound,) * 2
@@ -500,7 +550,7 @@ def _counted_calls(monkeypatch, module, name, key):
 
 
 def test_enrich_scores_each_candidate_once_across_its_rounds(monkeypatch):
-    # without scores=, one dict still serves every round: 3 rounds over
+    # the family's scores serve every round: 3 rounds over
     # 60 candidates screen the 80 candidates they see, not 60 + 70 + 80
     calls = _counted_calls(monkeypatch, oracle, "_score",
                            lambda f, X, Y, g, cfg: g.describe())

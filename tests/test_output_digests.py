@@ -14,6 +14,9 @@ PINNED = {
     "verify": "e11a5a5c8185fb8c",
     "quick": "45986c1b4b5bb4bd",
     "screen": "4d9d0d4de89e1227",
+    "oracle": "1484fe9c3d3d6a16",
+    "norm": "fa51a95011487a78",
+    "reduce": "4f6ede2bf368227a",
 }
 
 

@@ -75,3 +75,22 @@ def test_only_spaces_builds_norm_plans():
                                                               getattr(node.func, "attr", None))]
 
     assert {path.name for path in SRC.glob("*.py") if builds(path)} == {"spaces.py"}
+
+
+def test_a_family_keeps_its_own_scores():
+    # no public function takes a score dict; the family holds them
+    # (oracle.CandidateFamily._scores), and only the oracle reads them
+    def public_params(path):
+        return [(node.name, p.arg) for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+                for p in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)]
+
+    def reads(path):
+        return [node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr == "_scores"]
+
+    paths = sorted(SRC.glob("*.py"))
+    assert [(path.name, fn) for path in paths for fn, p in public_params(path)
+            if p == "scores"] == []
+    assert {path.name for path in paths if reads(path)} == {"oracle.py"}
