@@ -31,16 +31,16 @@ from .operators import (
 from .realfun import (
     DEFAULT_CFG,
     FULL,
-    Interval,
     ONE,
     QuadratureConfig,
     RealFun,
+    _log_norms_at,
     from_log_callable,
     lp_norm,
     powerof,
     product,
 )
-from .spaces import SpaceSpec, _log_interval_norm, check_omega, space_norm
+from .spaces import SpaceSpec, check_omega, space_norm
 
 __all__ = [
     "ThreeWeightProblem", "CharacterizationResult",
@@ -164,10 +164,9 @@ def hypothesis_check(prob: ThreeWeightProblem, cfg: QuadratureConfig = DEFAULT_C
         # Omega_q gate on w, so the local-integrability reading (0, x)
         # is the only satisfiable one; only whether the norm lies in
         # (0, inf) matters, so its log is enough and cannot overflow
-        winv = powerof(prob.w, -1.0)
-        qd = dual_exponent(prob.q)
-        for x in (1e-2, 1.0, 1e2):
-            lval = _log_interval_norm(winv, Interval(0.0, x), qd, cfg)
+        xs = (1e-2, 1.0, 1e2)
+        for x, lval in zip(xs, _log_norms_at(powerof(prob.w, -1.0), dual_exponent(prob.q),
+                                             True, xs, cfg)):
             if not np.isfinite(lval):
                 notes.append(f"||w^-1||_{{q',(0,{x:g})}} = {grids.from_log(lval):g} "
                              "out of (0,inf)")

@@ -23,7 +23,7 @@ from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
     RealFun,
-    _Table,
+    _grid_norm_fun,
     constant,
     from_log_callable,
     powerof,
@@ -50,14 +50,6 @@ def _sanitize(lv: np.ndarray) -> np.ndarray:
     """NaN and -inf as -1e30, +inf as 1e30: the structural checks take
     finite differences of sampled log-values and report finite witnesses."""
     return np.clip(np.nan_to_num(lv, nan=-_BIG, posinf=_BIG, neginf=-_BIG), -_BIG, _BIG)
-
-
-def _grid_norm_fun(g: RealFun, q: float, head: bool, cfg: QuadratureConfig,
-                   label: str) -> RealFun:
-    """x -> ||g||_{q,(0,x)} (head) or ||g||_{q,(x,inf)}, tabulated on the
-    working grid by ``grids.log_cumnorm``."""
-    grid = grids.log_nodes(cfg)
-    return _Table(grid.s, grids.log_cumnorm(g.logv(grid.t), grid, q, head), label)
 
 
 def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:

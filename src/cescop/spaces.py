@@ -25,10 +25,9 @@ from .errors import SpecInvalid
 from .exponents import Exponent
 from .realfun import (
     DEFAULT_CFG,
-    Interval,
     QuadratureConfig,
     RealFun,
-    log_esssup,
+    _log_norms_at,
     product,
 )
 
@@ -81,27 +80,14 @@ def check_omega(u: RealFun, q, dual: bool = False,
     """Sampled membership check of u in Omega_q (tail norms) or its dual.
 
     dual=False requires 0 < ||u||_{q,(t,inf)} < inf for sampled t;
-    dual=True uses head norms over (0, t).
+    dual=True uses head norms over (0, t), read by realfun._log_norms_at.
     """
     q = Exponent(q)
     decades = max(1, int(cfg.S / grids.LOG10))  # at least t = 1
     samples = [10.0 ** k for k in range(-decades + 1, decades, max(1, decades // 4))]
-    failures = []
-    for t0 in samples:
-        I = Interval(0.0, t0) if dual else Interval(t0, grids.INF)
-        lval = _log_interval_norm(u, I, q, cfg)
-        if np.isneginf(lval) or np.isposinf(lval):
-            failures.append((t0, grids.from_log(lval)))
-    return OmegaReport(ok=not failures, failures=tuple(failures))
-
-
-def _log_interval_norm(g, I: Interval, q: Exponent, cfg: QuadratureConfig) -> float:
-    """Log of ||g||_{q,I}, computed without linear-space underflow."""
-    if q.is_inf:
-        return log_esssup(g, I, cfg)
-    grid = grids.log_nodes(cfg, I.lo, I.hi)
-    qf = float(q)
-    return float(grids.log_integral(qf * g.logv(grid.t) + grid.s, grid)) / qf
+    lvals = _log_norms_at(u, q, dual, samples, cfg)
+    failures = tuple((t, grids.from_log(lv)) for t, lv in zip(samples, lvals) if np.isinf(lv))
+    return OmegaReport(ok=not failures, failures=failures)
 
 
 def _gate(spec: SpaceSpec, cfg: QuadratureConfig) -> None:
