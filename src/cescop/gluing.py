@@ -24,6 +24,7 @@ from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
     RealFun,
+    _check_funs,
     funsum,
     indicator,
     power,
@@ -99,6 +100,7 @@ class GlueInstance:
     def __post_init__(self):
         if self.lemma_id not in LEMMAS:
             raise SpecInvalid(f"unknown lemma id {self.lemma_id!r}")
+        _check_funs(g=self.g, h=self.h, a=self.a)
         for k in _needs(self.lemma_id):
             try:
                 ok = 0 < float(self.exps[k]) < INF

@@ -34,6 +34,7 @@ from .realfun import (
     ONE,
     QuadratureConfig,
     RealFun,
+    _check_funs,
     _log_norms_at,
     from_log_callable,
     lp_norm,
@@ -66,6 +67,7 @@ class ThreeWeightProblem:
     def __post_init__(self):
         for name in ("r", "p", "q"):
             object.__setattr__(self, name, Exponent(getattr(self, name)))
+        _check_funs(u=self.u, w=self.w, v=self.v, f=self.f)
 
     def describe(self) -> str:
         return (f"M(cop_{self.r.value}({self.u.describe()}) -> "

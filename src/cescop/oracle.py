@@ -61,7 +61,7 @@ def _build_step(edges, levels) -> RealFun:
                           f"got edges {edges!r} and levels {levels!r}")
     parts = [product(constant(c), indicator(a, b))
              for a, b, c in zip(edges[:-1], edges[1:], levels) if c > 0.0]
-    return funsum(*parts) if parts else constant(1.0)
+    return funsum(*parts)
 
 
 def _draw_step(rng) -> tuple:
@@ -118,10 +118,11 @@ class Candidate:
     """One test function, rebuildable from (kind, params).
 
     kinds: head (0,t); tail (t,inf); band (s,t); bump t^gamma on (s,t);
-    step = piecewise-constant levels on dyadic breakpoints; decay
-    t^gamma e^{rate t}.  ``build`` raises SpecInvalid for an unknown kind,
-    the wrong number of params or params that are not real numbers (for
-    a step, two sequences of them: edges, and one level fewer).
+    step = piecewise-constant levels on dyadic breakpoints (0 with no
+    positive level); decay t^gamma e^{rate t}.  ``build`` raises
+    SpecInvalid for an unknown kind, the wrong number of params or params
+    that are not real numbers (for a step, two sequences of them: edges,
+    and one level fewer).
     """
 
     kind: str

@@ -482,6 +482,7 @@ def product(*parts: RealFun) -> RealFun:
             beta += p.beta
             gamma += p.gamma
         else:
+            _check_funs(factor=p)
             rest.append(p)
     elementary = _Elementary(logc, alpha, beta, gamma)
     core = rest if rest and _is_unit(elementary) else [elementary, *rest]
@@ -525,6 +526,13 @@ def from_log_callable(logfn, label: str = "opaque") -> RealFun:
     return _LogCallable(logfn, label=label)
 
 
+def _check_funs(**funs) -> None:
+    """SpecInvalid unless every value is a RealFun."""
+    for name, f in funs.items():
+        if not isinstance(f, RealFun):
+            raise SpecInvalid(f"{name} must be a RealFun, got {f!r}")
+
+
 def weight(fun: RealFun) -> RealFun:
     """fun, checked on a coarse log grid to be a weight: a positive,
     a.e.-finite function on (0, inf)."""
@@ -548,6 +556,7 @@ def integrate(g: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CF
     closed form (``integral_log``) when it has one, else the integral on
     I's log grid (``_log_grid_integral``).  NumericOverflow when a finite
     integral is beyond the float range."""
+    _check_funs(g=g)
     return grids.from_log(_log_integral(g, I, cfg))
 
 
@@ -622,6 +631,7 @@ def tail_at(g: RealFun, x: float, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
 
 def log_esssup(f: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """Log of the essential supremum of f over I (grid max + refinement)."""
+    _check_funs(f=f)
     eff = I.intersect(f.support)
     if eff is None:
         return NEG_INF
@@ -658,7 +668,9 @@ def _log_norms_at(g: RealFun, q: Exponent, head: bool, xs, cfg: QuadratureConfig
     window table (_grid_norm_fun) for a finite q, log_esssup per interval for
     q = inf.  Unlike a grid per interval, the table reads 0 across a panel
     that holds a support edge (one node spacing: 0.9% in t at 256 per
-    decade) and, beyond the window, its value at the window's edge."""
+    decade), fits its open-end estimate over the window's edge decade even
+    where that holds x (x < 10 e^-S for a head, x > e^S / 10 for a tail),
+    and reads its value at the window's edge for an x beyond the window."""
     if q.is_inf:
         return [log_esssup(g, Interval(0.0, x) if head else Interval(x, INF), cfg) for x in xs]
     return list(_grid_norm_fun(g, float(q), head, cfg).logv(np.array(xs, dtype=float)))

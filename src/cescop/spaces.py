@@ -27,6 +27,7 @@ from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
     RealFun,
+    _check_funs,
     _log_norms_at,
     product,
 )
@@ -57,6 +58,7 @@ class SpaceSpec:
             raise SpecInvalid(f"kind must be '{CES}' or '{COP}'")
         if len(self.exponents) not in (2, 3) or len(self.weights) != len(self.exponents):
             raise SpecInvalid("need 2 or 3 exponents with matching weights")
+        _check_funs(**{f"weight {i}": w for i, w in enumerate(self.weights)})
         object.__setattr__(self, "exponents", tuple(Exponent(e) for e in self.exponents))
 
     @property

@@ -51,6 +51,11 @@ def test_instance_validates_exponents():
                              {j: v for j, v in exps.items() if j != k})
 
 
+def test_an_operand_that_is_no_function_is_invalid():
+    with pytest.raises(SpecInvalid, match="g must be a RealFun"):
+        glue_eval(GlueInstance("SUP_SUP", 1.0, ONE, power(1, 1)))
+
+
 def test_sup_sup_worked_example():
     # a constant: the kernel is identically 1/2, so lhs = 1/4 while each
     # one-sided term is 1

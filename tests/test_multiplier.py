@@ -16,7 +16,7 @@ from cescop.multiplier import (
     hypothesis_check,
     reduce_problem,
 )
-from cescop.realfun import ONE, ZERO, expfam, power, product, table
+from cescop.realfun import ONE, ZERO, QuadratureConfig, expfam, power, product, table
 from test_acceptance import REGIME_INSTANCES
 
 EDEC = expfam(1.0, 0.0, -1.0)
@@ -74,6 +74,15 @@ def test_t6_closed_form():
     assert res.value == sum(v for _, v in res.terms)
 
 
+@pytest.mark.xfail(strict=True, reason="the tail of e^-t underflows in log(gammaincc), "
+                   "so op_A_star(w, 2, 2) reads 0 from t ~ 355 on (ROADMAP known defects)")
+@pytest.mark.parametrize("S", [10.0, 20.0, 30.0])
+def test_t6_sup_term_of_an_unbounded_product_is_inf(S):
+    # f = t^3 e^t: f * omega = t / sqrt(2) is unbounded
+    res = characterize(_t6_problem(f=expfam(1, 3, 1)), QuadratureConfig(S=S))
+    assert res.value == math.inf
+
+
 def test_unsupported_regime_raises():
     prob = ThreeWeightProblem(r=1, u=ONE, p=2, q=3, w=EDEC, v=ONE,
                               f=ONE)
@@ -87,6 +96,11 @@ def test_gate_violation_raises():
                               v=ONE, f=ONE)
     with pytest.raises(SpecInvalid):
         characterize(prob)
+
+
+def test_a_weight_that_is_no_function_is_invalid():
+    with pytest.raises(SpecInvalid, match="u must be a RealFun"):
+        characterize(ThreeWeightProblem(r=1, u=1.0, p=1, q=2, w=ONE, v=ONE, f=ONE))
 
 
 def test_zero_multiplier_everywhere():

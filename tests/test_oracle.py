@@ -95,6 +95,13 @@ def test_candidate_rebuild():
     assert "bump" in c.describe()
 
 
+def test_a_step_with_no_positive_level_builds_zero_and_is_skipped():
+    step = Candidate("step", ((1.0, 2.0), (0.0,)))
+    assert step.build() is ZERO
+    res = brute_force_multiplier(ONE, Y, Y, CandidateFamily((step, Candidate("head", (1.0,))), 0))
+    assert (res.evaluated, res.skipped, res.argmax) == (1, 1, Candidate("head", (1.0,)))
+
+
 def test_skips_degenerate_candidates():
     fam = default_family(seed=4, size=40)
     res = brute_force_multiplier(ONE, Y, Y, fam)

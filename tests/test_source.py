@@ -77,6 +77,19 @@ def test_only_spaces_builds_norm_plans():
     assert {path.name for path in SRC.glob("*.py") if builds(path)} == {"spaces.py"}
 
 
+def test_only_realfun_builds_interval_grids():
+    # the weight gates and checks read the window's cumulative norms
+    # (realfun._log_norms_at); only realfun's integrals and esssup take a
+    # grid on an interval
+    def builds(path):
+        return [node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and "log_nodes" in (getattr(node.func, "id", None),
+                                                                  getattr(node.func, "attr", None))
+                and len(node.args) + len(node.keywords) > 1]
+
+    assert {path.name for path in SRC.glob("*.py") if builds(path)} == {"realfun.py"}
+
+
 def test_a_family_keeps_its_own_scores():
     # no public function takes a score dict; the family holds them
     # (oracle.CandidateFamily._scores), and only the oracle reads them

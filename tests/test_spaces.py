@@ -2,7 +2,9 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from cescop.exponents import Exponent
 from cescop.grids import from_log
 from cescop.oracle import default_family
 from cescop.realfun import (ONE, ZERO, QuadratureConfig, expfam, from_log_callable, indicator,
-                             power, powerof, product)
+                             power, powerof, product, table)
 from cescop.spaces import SpaceSpec, _Plan, check_omega, space_norm, space_norm3
 
 EDEC = expfam(1.0, 0.0, -1.0)
@@ -57,6 +59,101 @@ def test_check_omega_underflow_resistant():
     assert check_omega(EDEC, 1).ok
 
 
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # a table warns that it is flat beyond its points
+    _TABLE = table([-2.0, 0.0, 3.0], [1.0, 5.0, 0.5])
+
+PANEL_WEIGHTS = {
+    "t^-3": power(1, -3), "t^-1": power(1, -1), "1": power(1, 0), "t^2": power(1, 2),
+    "e^-t": EDEC, "t^2 e^-3t": expfam(1, 2, -3), "1(0,1)": indicator(0, 1),
+    "1(1e-3,1e3)": indicator(1e-3, 1e3), "table": _TABLE,
+    "(1+t)^-2": from_log_callable(lambda t: -2.0 * np.log1p(t), label="(1+t)^-2"),
+}
+PANEL_S = (2.0, 10.0, 30.0)
+ALL = "every sample"  # 1 at S = 2, 10^-3 ... 10^3 at S = 10, 10^-12, 10^-9 ... 10^12 at S = 30
+SAMPLES = {2.0: (1.0,), 10.0: tuple(10.0 ** k for k in range(-3, 4)),
+           30.0: tuple(10.0 ** k for k in range(-12, 13, 3))}
+
+# the failing samples of check_omega(weight, q, dual) at S = 2, 10 and 30
+# as a log grid on each sampled interval read them; every case not listed
+# fails at none
+GRID_FAILURES = {
+    ("t^-3", F(1, 2), True): (ALL, ALL, ALL),
+    ("t^-3", 1, True): (ALL, ALL, ALL),
+    ("t^-3", 2, True): (ALL, ALL, ALL),
+    ("t^-3", "inf", True): (ALL, ALL, ALL),
+    ("t^-1", F(1, 2), False): (ALL, ALL, ALL),
+    ("t^-1", 1, False): (ALL, ALL, ALL),
+    ("t^-1", 1, True): (ALL, ALL, ALL),
+    ("t^-1", 2, True): (ALL, ALL, ALL),
+    ("t^-1", "inf", True): (ALL, ALL, ALL),
+    ("1", F(1, 2), False): (ALL, ALL, ALL),
+    ("1", 1, False): (ALL, ALL, ALL),
+    ("1", 2, False): (ALL, ALL, ALL),
+    ("t^2", F(1, 2), False): (ALL, ALL, ALL),
+    ("t^2", 1, False): (ALL, ALL, ALL),
+    ("t^2", 2, False): (ALL, ALL, ALL),
+    ("t^2", "inf", False): (ALL, ALL, ALL),
+    ("e^-t", "inf", True): (ALL, ALL, ()),
+    ("1(0,1)", F(1, 2), False): (ALL, (1, 10, 100, 1e3), (1, 1e3, 1e6, 1e9, 1e12)),
+    ("1(0,1)", 1, False): (ALL, (1, 10, 100, 1e3), (1, 1e3, 1e6, 1e9, 1e12)),
+    ("1(0,1)", 2, False): (ALL, (1, 10, 100, 1e3), (1, 1e3, 1e6, 1e9, 1e12)),
+    ("1(0,1)", "inf", False): (ALL, (1, 10, 100, 1e3), (1, 1e3, 1e6, 1e9, 1e12)),
+    ("1(1e-3,1e3)", F(1, 2), False): (ALL, (), (1e6, 1e9, 1e12)),
+    ("1(1e-3,1e3)", F(1, 2), True): ((), (), (1e-12, 1e-9, 1e-6)),
+    ("1(1e-3,1e3)", 1, False): (ALL, (), (1e6, 1e9, 1e12)),
+    ("1(1e-3,1e3)", 1, True): ((), (), (1e-12, 1e-9, 1e-6)),
+    ("1(1e-3,1e3)", 2, False): (ALL, (), (1e6, 1e9, 1e12)),
+    ("1(1e-3,1e3)", 2, True): ((), (), (1e-12, 1e-9, 1e-6)),
+    ("1(1e-3,1e3)", "inf", False): ((), (1e3,), (1e3, 1e6, 1e9, 1e12)),
+    ("1(1e-3,1e3)", "inf", True): ((), (1e-3,), (1e-12, 1e-9, 1e-6, 1e-3)),
+    ("table", F(1, 2), False): (ALL, ALL, ALL),
+    ("table", 1, False): (ALL, ALL, ALL),
+    ("table", 2, False): ((), ALL, ALL),
+    ("(1+t)^-2", F(1, 2), False): (ALL, ALL, ALL),
+    ("(1+t)^-2", 2, True): (ALL, (), ()),
+    ("(1+t)^-2", "inf", True): (ALL, ALL, ()),
+}
+
+# where the window table decides otherwise, (weight, q, dual, S): failures
+TABLE_FAILURES = {
+    # the edges 1e-3 and 1e3 lie on samples.  The table reads 0 across the
+    # panel that holds an edge, as esssup reads at q = inf and as the exact
+    # norm is; the grid on (1e3, inf) or (0, 1e-3) put its end node, e^(ln t),
+    # a rounding inside the support.
+    ("1(1e-3,1e3)", F(1, 2), False, 10.0): (1e3,),
+    ("1(1e-3,1e3)", F(1, 2), False, 30.0): (1e3, 1e6, 1e9, 1e12),
+    ("1(1e-3,1e3)", F(1, 2), True, 10.0): (1e-3,),
+    ("1(1e-3,1e3)", F(1, 2), True, 30.0): (1e-12, 1e-9, 1e-6, 1e-3),
+    ("1(1e-3,1e3)", 1, False, 10.0): (1e3,),
+    ("1(1e-3,1e3)", 1, False, 30.0): (1e3, 1e6, 1e9, 1e12),
+    ("1(1e-3,1e3)", 1, True, 10.0): (1e-3,),
+    ("1(1e-3,1e3)", 1, True, 30.0): (1e-12, 1e-9, 1e-6, 1e-3),
+    ("1(1e-3,1e3)", 2, False, 10.0): (1e3,),
+    ("1(1e-3,1e3)", 2, False, 30.0): (1e3, 1e6, 1e9, 1e12),
+    ("1(1e-3,1e3)", 2, True, 10.0): (1e-3,),
+    ("1(1e-3,1e3)", 2, True, 30.0): (1e-12, 1e-9, 1e-6, 1e-3),
+    # at S < ln 10 the one sample t = 1 lies in the window's first decade,
+    # over which the table fits its head estimate; there e^-2t already
+    # decays in s, so the head reads as divergent.  The grid on (0, 1)
+    # fitted over (e^-2, 1) only.
+    ("e^-t", 2, True, 2.0): ALL,
+}
+
+
+@pytest.mark.parametrize("S", PANEL_S)
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("q", [F(1, 2), 1, 2, "inf"])
+@pytest.mark.parametrize("name", PANEL_WEIGHTS)
+def test_check_omega_over_a_fixed_panel(name, q, dual, S):
+    grid = GRID_FAILURES.get((name, q, dual), ((), (), ()))[PANEL_S.index(S)]
+    want = TABLE_FAILURES.get((name, q, dual, S), grid)
+    want = SAMPLES[S] if want == ALL else tuple(map(float, want))
+    rep = check_omega(PANEL_WEIGHTS[name], q, dual, QuadratureConfig(S=S))
+    assert rep.ok == (not want)
+    assert tuple(t for t, _ in rep.failures) == want
+
+
 def test_spec_validation():
     with pytest.raises(SpecInvalid):
         SpaceSpec("bogus", (1, 2), (ONE, ONE))
@@ -65,6 +162,11 @@ def test_spec_validation():
     spec = SpaceSpec("ces", (1, 1), (power(1, 0), ONE))
     with pytest.raises(SpecInvalid):
         space_norm(spec, EDEC)  # outer weight fails the Omega gate
+
+
+def test_a_weight_that_is_no_function_is_invalid():
+    with pytest.raises(SpecInvalid, match="weight 0 must be a RealFun"):
+        space_norm(SpaceSpec("ces", (1, 1), (1.0, 2.0)), ONE)
 
 
 def test_ces_fubini_closed_form():
