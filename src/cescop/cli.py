@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -434,38 +435,49 @@ _DISPATCH = {"norm": _cmd_norm, "mult": _cmd_mult, "reduce": _cmd_reduce,
              "glue": _cmd_glue, "verify": _cmd_verify, "oracle": _cmd_oracle}
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout
+def _write_report(report: dict, fmt: str, path: str) -> None:
+    """_emit the report to path, - for stdout; ConfigError when it cannot
+    be written."""
     try:
-        return open(path, "w")
-    except OSError as e:
+        out = sys.stdout if path == "-" else open(path, "w")
+        try:
+            _emit(report, fmt, out)
+            out.flush()
+        finally:
+            if out is not sys.stdout:
+                out.close()
+    except OSError as e:  # an unwritable path, a full device or a closed pipe
         raise ConfigError(f"cannot write output: {e}") from e
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = _DISPATCH[args.command](args)
-        out = _open_out(args.out)
+        try:
+            report = _DISPATCH[args.command](args)
+        except RecursionError:  # a config nested past the limit, in json.load or a parser
+            raise ConfigError("config nests too deeply") from None
+        _write_report(report, args.format, args.out)
     except (ConfigError, SpecInvalid) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except CescopError as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    try:
-        _emit(report, args.format, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.command == "verify" and not report["ok"]:
         return 1
     return 0
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run has reported the failed write; send what is left in the
+        # buffer nowhere, so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

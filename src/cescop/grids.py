@@ -34,7 +34,10 @@ A row on part of the window has one form: the columns lo, lo + 1, ...
 of the window's nodes, every other node reading -inf.
 ``_log_integral_from`` and ``_edge_estimate`` take it for the support
 columns of ``log_row_reduce``, and the scaled rules below for a screen's
-span; every other rule reads the whole window.
+span; every other rule reads the whole window.  Such a row takes an edge
+estimate only on a side where its columns hold both fit nodes: with
+either one off the columns the estimate is -inf, and adding -inf
+changes no bit of the trapezoid sum.
 
 Two private rules take the same integrals in scaled linear space, for a
 screen that only has to rank rows: ``_scaled_cumint`` (``log_cumint``)
@@ -191,7 +194,7 @@ def _logsumexp_last(lm: np.ndarray, lo: int = 0, width: int | None = None) -> np
             terms = full
         acc = np.log(np.sum(terms, axis=-1)) + safe_m
     out = np.where(np.isfinite(m), acc, m)  # all -inf -> -inf, any +inf -> +inf
-    return out
+    return out[()]
 
 
 def _log_running_sum(log_head: float, lm: np.ndarray) -> np.ndarray:
@@ -225,8 +228,10 @@ def _edge_estimate(li: np.ndarray, g: Grid, left: bool, lo: int = 0):
     li per unit of s away from the window.  +inf when the fit says
     divergent (rate not positive), -inf when either log-value is not
     finite.  li may hold only the columns lo, lo + 1, ... of the nodes
-    g.s; a node outside them reads -inf.  One row is worked on floats, with
-    the same np.log as rows take, so it reads bit for bit as a row.
+    g.s; a node outside them reads -inf, so a row that does not hold both
+    fit nodes reads -inf, and _log_integral_from does not ask for it.  One
+    row is worked on floats, with the same np.log as rows take, so it
+    reads bit for bit as a row.
     """
     i0, i1 = _edge_nodes(g)[0 if left else 1]
     lv = li[..., i0 - lo] if 0 <= i0 - lo < li.shape[-1] else NEG_INF
@@ -279,13 +284,21 @@ def log_integral(li: np.ndarray, g: Grid):
 
 def _log_integral_from(li: np.ndarray, g: Grid, lo: int):
     """log_integral of rows that hold only the columns lo, lo + 1, ... of
-    the nodes g.s; every other node reads -inf."""
-    lw = g.log_half_widths[lo:lo + li.shape[-1] - 1]
+    the nodes g.s; every other node reads -inf.
+
+    An open edge's estimate is taken only where the columns hold both of
+    its fit nodes (_edge_nodes).  On any other row it reads -inf, and
+    logaddexp(x, -inf) returns x bit for bit, so skipping the estimate
+    and its logaddexp changes no output.  Full-window rows take both.
+    """
+    k = li.shape[-1]
+    lw = g.log_half_widths[lo:lo + k - 1]
     with np.errstate(invalid="ignore"):
-        core = _logsumexp_last(_panel_logmass(li, lw), lo, g.s.size - 1)
-        lh = _edge_estimate(li, g, True, lo) if g.open_lo else NEG_INF
-        lt = _edge_estimate(li, g, False, lo) if g.open_hi else NEG_INF
-        return np.logaddexp(np.logaddexp(core, lh), lt)
+        out = _logsumexp_last(_panel_logmass(li, lw), lo, g.s.size - 1)
+        for left, is_open, nodes in zip((True, False), (g.open_lo, g.open_hi), _edge_nodes(g)):
+            if is_open and all(lo <= i < lo + k for i in nodes):
+                out = np.logaddexp(out, _edge_estimate(li, g, left, lo))
+    return out
 
 
 def log_cumint(li: np.ndarray, g: Grid, head: bool) -> np.ndarray:

@@ -208,6 +208,57 @@ def test_exit_2_on_unwritable_out(capsys):
     assert "cannot write output" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_exit_2_when_the_out_device_is_full(capsys):
+    # the write fails only when the buffer is flushed, at close
+    argv = ["glue", "--lemma", "SUP_SUP", "--count", "1", "--out", "/dev/full"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
+
+
+def _cli_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_exit_2_when_the_reader_closes_the_pipe():
+    # the report (over 100 kB) outgrows the pipe after the reader has gone
+    with subprocess.Popen([sys.executable, "-m", "cescop.cli", "glue", "--count", "100"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_cli_env()) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    # one line, and no "Exception ignored" from the interpreter's last flush
+    assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
+
+
+def _nested_sums(depth):
+    f = ONE
+    for _ in range(depth):
+        f = {"family": "sum", "parts": [f]}
+    return f
+
+
+@pytest.mark.parametrize("command, text", [
+    # too deep for json.load
+    ("mult", json.dumps({k: v for k, v in MULT_T6.items() if k != "r"})[:-1]
+     + ', "r": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    # too deep for parse_fun
+    ("norm", json.dumps({"space": {"kind": "ces", "exponents": [1, 1],
+                                   "weights": [EDEC, ONE]},
+                         "f": _nested_sums(400)})),
+], ids=["mult-r-arrays", "norm-f-sums"])
+def test_exit_2_when_the_config_nests_too_deeply(tmp_path, capsys, command, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: config nests too deeply\n"
+
+
 def test_exit_3_on_overflow(tmp_path, capsys):
     # sup of e^t over (0, 800) is finite but beyond the float range
     f = {"family": "product", "parts": [
@@ -364,12 +415,9 @@ def test_exit_2_on_malformed_space(tmp_path, capsys):
 
 
 def test_module_entry_point_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "cescop.cli", "glue", "--lemma", "SUP_SUP", "--count", "1"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["command"] == "glue" and len(rep["suites"]["SUP_SUP"]) == 1

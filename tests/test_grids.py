@@ -135,15 +135,41 @@ def test_log_row_reduce_on_columns_matches_full_width(e):
     s = g.s
     la = 0.7 * s
     lk = grids.log_kernel(la[:, None], la)
-    n = s.size
+    n, d = s.size, g.decade
+    # both fit nodes of one edge and nothing else, then only the inner one:
+    # a row takes an edge estimate only where its columns hold both
     for kept in ([], [0], [n - 1], [5], list(range(0, 9)) + list(range(n - 12, n)),
-                 list(range(20, 60)) + list(range(90, 95))):
+                 list(range(20, 60)) + list(range(90, 95)),
+                 [0, d], [n - 1 - d, n - 1], [d], [n - 1 - d]):
         cols = np.array(kept, dtype=np.intp)
         lf = np.full(n, -math.inf)
         lf[cols] = -np.abs(s[cols]) + 1.0
-        np.testing.assert_array_equal(
-            grids.log_row_reduce(lk[:, cols], lf, g, e, cols),
-            grids.log_row_reduce(lk, lf, g, e))
+        part = grids.log_row_reduce(lk[:, cols], lf, g, e, cols)
+        full = grids.log_row_reduce(lk, lf, g, e)
+        np.testing.assert_array_equal(part, full)
+        assert part.tobytes() == full.tobytes(), kept
+
+
+def test_a_row_takes_an_edge_estimate_only_where_it_holds_both_fit_nodes(monkeypatch):
+    g = grids.log_nodes(CFG)
+    s = g.s
+    n, d = s.size, g.decade
+    taken = []
+    estimate = grids._edge_estimate
+    monkeypatch.setattr(grids, "_edge_estimate",
+                        lambda li, g, left, lo=0: taken.append(left) or estimate(li, g, left, lo))
+    lk = grids.log_kernel(s[:, None], s)
+    for kept, want in (([0, d], [True]), ([n - 1 - d, n - 1], [False]),
+                       ([0, d, n - 1 - d, n - 1], [True, False]),
+                       ([d], []), ([n - 1 - d], []),
+                       # the row also holds the node on each side of its columns
+                       ([0, d - 2], []), ([2, n - 3], [])):
+        cols = np.array(kept, dtype=np.intp)
+        lf = np.full(n, -math.inf)
+        lf[cols] = 0.0
+        taken.clear()
+        grids.log_row_reduce(lk[:, cols], lf, g, 1.0, cols)
+        assert taken == want, kept
 
 
 def test_log_row_reduce_on_columns_keeps_an_all_nan_sup():
@@ -299,8 +325,13 @@ def test_one_row_reduces_as_its_row_in_a_block(grid):
         lm = grids._panel_logmass(li, g.log_half_widths)
         assert np.array_equal(grids._logsumexp_last(lm), grids._logsumexp_last(lm_block)[i],
                               equal_nan=True), i
-        # lo, hi: the panels lm holds; the others are laid out as zeros
-        for lo, hi in ((0, n - 1), (3, n - 1), (0, n // 2), (n // 3, n - 6)):
+        # lo, hi: the panels lm holds; the others are laid out as zeros.
+        # The columns lo ... hi of li hold both fit nodes of an edge, or
+        # stop one node inside one of them
+        d = g.decade
+        for lo, hi in ((0, n - 1), (3, n - 1), (0, n // 2), (n // 3, n - 6),
+                       (0, d), (0, d - 1), (1, n - 1), (n - 1 - d, n - 1),
+                       (n - d, n - 1), (0, n - 2)):
             one = grids._logsumexp_last(lm[lo:hi], lo, n - 1)
             row = grids._logsumexp_last(lm_block[:, lo:hi], lo, n - 1)[i]
             assert np.array_equal(one, row, equal_nan=True), (i, lo, hi)
