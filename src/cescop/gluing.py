@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,7 @@ _ROW_CHUNK = 256
 # to each side's log-value, reaches the best row so far.
 _STRIDES = (16, 4, 1)
 _MARGIN = 1e-6
+_LOG2 = math.log(2.0)
 
 
 # Each lemma is one row (g side, h side, outer).  A side is _SUP, the row
@@ -136,38 +138,84 @@ def _scale(c: float, arr: np.ndarray) -> np.ndarray:
         return c * arr
 
 
-def _row_kernel_ops(la: np.ndarray, grid: grids.Grid, g_side: tuple, h_side: tuple,
-                    rows: np.ndarray | None = None):
-    """Row reductions of g against the kernel A(x,t) and of h against its
-    complement 1 - A(x,t) = A(t,x), one value per node x.
+class _Side(NamedTuple):
+    """One side of a lemma on the glue grid, prepared once per instance."""
 
-    Each side is (log f, e), e None for the row supremum.  A side's
-    kernel is built only on the columns where f is not zero, the others
-    adding nothing to a row.  Only the rows at the node indices rows are
-    reduced (every node when None); the others read -inf.  Rows are
-    processed in chunks to bound the memory footprint.
+    lf: np.ndarray                   # log f at the nodes
+    e: float | None                  # the row integral's exponent, None for the row sup
+    near: np.ndarray                 # the near term: f cumulated from its near end
+    total: float                     # log of max f or of int f, read off near
+    support: grids.SupportColumns    # the row reduction on f's support columns
+    la: np.ndarray                   # log a on those columns
+
+
+def _sides(inst: GlueInstance, grid: grids.Grid):
+    """(log a, g side, h side) of inst on grid.
+
+    g is cumulated from the head and h from the tail, by running maxima
+    for a sup side and running integrals (q = 1) for an integral side,
+    so a side's total over the window is the last entry of g's near term
+    and the first of h's.
     """
-    cols_g, cols_h = (np.flatnonzero(~np.isneginf(lf)) for lf, _ in (g_side, h_side))
-    if rows is None:
-        rows = np.arange(la.size)
-    outs = (np.full(la.size, NEG_INF), np.full(la.size, NEG_INF))
+    la = inst.a.logv(grid.t)
+    g_entry, h_entry, _ = _LEMMA_TABLE[inst.lemma_id]
+
+    def side(f, entry, head):
+        lf = f.logv(grid.t)
+        e = None if entry is _SUP else _exponent(entry, inst.exps)
+        near = grids.log_cumnorm(lf, grid, INF if e is None else 1.0, head)
+        support = grids.SupportColumns(lf, grid, e)
+        return _Side(lf, e, near, float(near[-1 if head else 0]), support, la[support.cols])
+    return la, side(inst.g, g_entry, True), side(inst.h, h_entry, False)
+
+
+def _row_kernel_ops(la: np.ndarray, g_side: _Side, h_side: _Side, rows: np.ndarray,
+                    G: np.ndarray, H: np.ndarray) -> None:
+    """Row reductions of g against the kernel A(x,t) and of h against its
+    complement 1 - A(x,t) = A(t,x), written to G and H at the node
+    indices rows.
+
+    A side's kernel is built only on its support columns, the others
+    adding nothing to a row.  Rows are processed in chunks to bound the
+    memory footprint, and the complement is taken in place, so no chunk
+    keeps its unreduced log kernel.
+    """
     for start in range(0, rows.size, _ROW_CHUNK):
         chunk = rows[start:start + _ROW_CHUNK]
         lx = la[chunk, None]
-        lA = grids.log_kernel(lx, la[cols_g])
-        lAc = np.log(np.maximum(1.0 - np.exp(grids.log_kernel(lx, la[cols_h])), 1e-300))
-        for out, lk, (lf, e), cols in zip(outs, (lA, lAc), (g_side, h_side),
-                                          (cols_g, cols_h)):
-            out[chunk] = grids.log_row_reduce(lk, lf, grid, e, cols)
-    return outs
+        G[chunk] = g_side.support.reduce(grids.log_kernel(lx, g_side.la))
+        lk = grids.log_kernel(lx, h_side.la)
+        np.exp(lk, out=lk)
+        np.subtract(1.0, lk, out=lk)
+        np.maximum(lk, 1e-300, out=lk)
+        H[chunk] = h_side.support.reduce(np.log(lk, out=lk))
+
+
+def _no_rows(n: int):
+    """G and H with no row reduced: every entry -inf."""
+    return np.full(n, NEG_INF), np.full(n, NEG_INF)
 
 
 def _log_max(G: np.ndarray, H: np.ndarray, eg: float, eh: float) -> float:
-    """The log of max_x G(x)^{1/eg} H(x)^{1/eh} from log rows G and H."""
-    return float(np.max(grids.log_mul(G / eg, H / eh)))
+    """The log of max_x G(x)^{1/eg} H(x)^{1/eh} from log rows G and H.
+
+    A NaN sum is 0 * inf, which reads 0 (log_mul's rule), and fmax skips
+    it; rows that are all NaN read -inf.
+    """
+    with np.errstate(invalid="ignore"):
+        return float(np.fmax.reduce(G / eg + H / eh, initial=NEG_INF))
 
 
-def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: tuple, h_side: tuple,
+def _log_slack(side: _Side, log_eps: float) -> float:
+    """log tau, the slack of one kernel entry's rounding carried through
+    the side's reduction (see _outer_sup_lhs)."""
+    if side.e is None:
+        return log_eps + side.total
+    e = side.e
+    return side.total + _LOG2 + (e * log_eps if e <= 1.0 else math.log(2.0 * e) + log_eps)
+
+
+def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: _Side, h_side: _Side,
                    eg: float, eh: float) -> float:
     """_log_max of the kernel rows of _row_kernel_ops, bit for bit, from
     the rows that can hold the max.
@@ -178,13 +226,19 @@ def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: tuple, h_side: tupl
     a slack tau for the rounding of one kernel entry carried through the
     side's reduction.  With eps = 64 spacing(1 + M), M the largest finite
     |log-value| of a, g and h, a sup side takes tau = eps max f, an
-    integral side to the exponent e <= 1 takes eps^e int f and one with
-    e > 1 takes 2 e eps int f: for a kernel entry 0 <= K <= 1,
+    integral side to the exponent e <= 1 takes eps^e I and one with
+    e > 1 takes 2 e eps I, I >= int f: for a kernel entry 0 <= K <= 1,
     (K + eps)^e - K^e is at most eps^e when e <= 1 and at most
     min(1, 2 e eps) when e > 1.  This covers the clipped complement,
-    whose 1 - e^{lA} can step an ulp the wrong way.  The rows at the
-    multiples of _STRIDES[0] are reduced first; a block is then refined
-    at the next stride while its bound
+    whose 1 - e^{lA} can step an ulp the wrong way.  max f and I are read
+    off the sides' near terms (_Side.total, _log_slack): the end of the
+    running max is max f bit for bit, and I is twice the end of the
+    running integral, which sums the same panels as int f in another
+    order (on this path an integral side is -inf at the edge-fit nodes,
+    so neither sum takes an edge estimate).  A looser slack only reduces
+    more rows and never changes the max.  The rows at the multiples of
+    _STRIDES[0] are reduced first; a block is then refined at the next
+    stride while its bound
     (log(G(x_hi) + tau_g) + _MARGIN) / eg + (log(H(x_lo) + tau_h) + _MARGIN) / eh
     is NaN or reaches the best row so far, and dropped once it is below it
     or -inf (one side is zero, so every row is).  The last stride is 1.
@@ -194,31 +248,28 @@ def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: tuple, h_side: tupl
     (grids._edge_nodes), where its rows take an edge estimate that need
     not be monotone.
     """
-    (lg, e_g), (lh, e_h) = g_side, h_side
-    edges = [i for pair in grids._edge_nodes(grid) for i in pair]
-    if not (la[-1] < INF and np.all(la[1:] >= la[:-1])  # false at any NaN
-            and all(e is None or np.all(np.isneginf(lf[edges]))
-                    for lf, e in (g_side, h_side))):
-        return _log_max(*_row_kernel_ops(la, grid, g_side, h_side), eg, eh)
-
-    mag = max(float(np.max(np.abs(v[np.isfinite(v)]), initial=0.0)) for v in (la, lg, lh))
-    log_eps = math.log(64.0 * np.spacing(1.0 + mag))
-
-    def log_slack(lf, e):
-        if e is None:
-            return log_eps + float(np.max(lf))
-        return grids.log_integral(lf + grid.s, grid) + (
-            e * log_eps if e <= 1.0 else math.log(2.0 * e) + log_eps)
-    tau_g, tau_h = log_slack(lg, e_g), log_slack(lh, e_h)
-
     n = la.size
     node = np.arange(n)
-    G, H, done = np.full(n, NEG_INF), np.full(n, NEG_INF), np.zeros(n, dtype=bool)
+    G, H = _no_rows(n)
+    edges = [i for pair in grids._edge_nodes(grid) for i in pair]
+    if not (la[-1] < INF and np.all(la[1:] >= la[:-1])  # false at any NaN
+            and all(side.e is None or np.all(np.isneginf(side.lf[edges]))
+                    for side in (g_side, h_side))):
+        _row_kernel_ops(la, g_side, h_side, node, G, H)
+        return _log_max(G, H, eg, eh)
+
+    mag = max(float(np.max(np.abs(v[np.isfinite(v)]), initial=0.0))
+              for v in (la, g_side.lf, h_side.lf))
+    log_eps = math.log(64.0 * np.spacing(1.0 + mag))
+    tau_g, tau_h = _log_slack(g_side, log_eps), _log_slack(h_side, log_eps)
+
+    done = np.zeros(n, dtype=bool)
 
     def reduce_rows(rows):
-        g_rows, h_rows = _row_kernel_ops(la, grid, g_side, h_side, rows)
-        G[rows], H[rows], done[rows] = g_rows[rows], h_rows[rows], True
-        return _log_max(G[rows], H[rows], eg, eh)
+        """Reduce the rows, and return the best of every row reduced so far."""
+        _row_kernel_ops(la, g_side, h_side, rows, G, H)
+        done[rows] = True
+        return _log_max(G, H, eg, eh)  # a row not reduced reads -inf
 
     best = reduce_rows(np.flatnonzero((node % _STRIDES[0] == 0) | (node == n - 1)))
     for stride in _STRIDES[1:]:
@@ -231,41 +282,40 @@ def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: tuple, h_side: tupl
         rows = np.flatnonzero(inside & (node % stride == 0))
         if not rows.size:
             break
-        best = max(best, reduce_rows(rows))
+        best = reduce_rows(rows)
     return best
 
 
 def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResult:
     """Evaluate both sides of the lemma functional on the shared grid.
 
-    The left side reduces the kernel rows.  Under an outer integral only
-    the rows on g's support are reduced.  Under an outer sup only the rows
-    that can hold the max are (_outer_sup_lhs), with the same value bit
-    for bit: a nondecreasing a makes the g-side row G(x) nondecreasing and
-    the h-side row H(x) nonincreasing, so between two reduced rows
-    x_lo < x_hi the left side is at most
+    Each side is prepared once (_sides): its support columns, with f, s
+    and log a gathered on them (grids.SupportColumns), and its near term.
+    The left side reduces the kernel rows through them.  Under an outer
+    integral only the rows on g's support are reduced.  Under an outer
+    sup only the rows that can hold the max are (_outer_sup_lhs), with
+    the same value bit for bit: a nondecreasing a makes the g-side row
+    G(x) nondecreasing and the h-side row H(x) nonincreasing, so between
+    two reduced rows x_lo < x_hi the left side is at most
     log(G(x_hi) + tau_g) / e_g + log(H(x_lo) + tau_h) / e_h, tau the
-    slack for one kernel entry's rounding.  Every row is reduced when
-    log a has a NaN or +inf or decreases, or when an integral side is
-    nonzero at an edge-fit node.  The first right-hand term
-    pairs the near parts (g cumulated from the head, h from the tail),
-    the second the far parts (g a^{-e_g} from the tail, h a^{e_h} from
-    the head, with one more factor a^{-e_g} under an outer integral).
-    A sup side cumulates by running maxima, an integral side by running
-    integrals (q = 1).
+    slack for one kernel entry's rounding, read off the near terms (the
+    max of f, or 2 int f).  A looser slack only reduces more rows, so no
+    bit moves.  Every row is reduced when log a has a NaN or +inf or
+    decreases, or when an integral side is nonzero at an edge-fit node.
+    The first right-hand term pairs the near parts (g cumulated from the
+    head, h from the tail), the second the far parts (g a^{-e_g} from
+    the tail, h a^{e_h} from the head, with one more factor a^{-e_g}
+    under an outer integral).  A sup side cumulates by running maxima,
+    an integral side by running integrals (q = 1).
     """
     grid = grids.log_nodes(cfg)
-    lg = inst.g.logv(grid.t)
-    lh = inst.h.logv(grid.t)
-    la = inst.a.logv(grid.t)
-    g_entry, h_entry, outer = _LEMMA_TABLE[inst.lemma_id]
-    eg, eh = _exponent(g_entry, inst.exps), _exponent(h_entry, inst.exps)
-    gsup, hsup = g_entry is _SUP, h_entry is _SUP
-    qg, qh = (INF if sup else 1.0 for sup in (gsup, hsup))
+    la, g_side, h_side = _sides(inst, grid)
+    lg, lh = g_side.lf, h_side.lf
+    outer = _LEMMA_TABLE[inst.lemma_id][2]
+    eg, eh = (1.0 if side.e is None else side.e for side in (g_side, h_side))
+    qg, qh = (INF if side.e is None else 1.0 for side in (g_side, h_side))
 
-    g_side, h_side = (lg, None if gsup else eg), (lh, None if hsup else eh)
-    near = (grids.log_cumnorm(lg, grid, qg, head=True),
-            grids.log_cumnorm(lh, grid, qh, head=False))
+    near = (g_side.near, h_side.near)
     far = (grids.log_cumnorm(grids.log_mul(-eg * la, lg), grid, qg, head=False),
            grids.log_cumnorm(grids.log_mul(eh * la, lh), grid, qh, head=True))
     if outer is _SUP:
@@ -274,7 +324,8 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     else:
         # each row x carries the factor g(x), so only the rows on g's
         # support can add to the outer integral
-        kern = _row_kernel_ops(la, grid, g_side, h_side, np.flatnonzero(~np.isneginf(lg)))
+        kern = _no_rows(la.size)
+        _row_kernel_ops(la, g_side, h_side, g_side.support.cols, *kern)
         ga = _exponent(outer, inst.exps)
         cg, ch = ga / eg - 1.0, ga / eh
 

@@ -11,9 +11,10 @@ use: the integral with its edge estimates (``log_integral``), its
 cumulative form (``log_cumint``) and the cumulative q-norm built on it
 (``log_cumnorm``), the supremum with its edge-divergence test
 (``log_sup``), the two-sided kernel a(x)/(a(x)+a(t)) (``log_kernel``)
-and the row sup or integral against it (``log_row_reduce``), the
-product of log factors under the 0 * inf = 0 rule (``log_mul``) and the
-step back from a log-value to a number (``from_log``).
+and the row sup or integral against it (``log_row_reduce``, and
+``SupportColumns`` for rows on a support's columns), the product of log
+factors under the 0 * inf = 0 rule (``log_mul``) and the step back from
+a log-value to a number (``from_log``).
 
 Quantities are nonnegative extended reals with 1/inf = 0 and 1/0 = inf,
 so degenerate head and tail integrals drop out of sums, not into NaNs.
@@ -33,11 +34,17 @@ rows needs; it reads bit for bit as the same row inside a 2-D block.
 A row on part of the window has one form: the columns lo, lo + 1, ...
 of the window's nodes, every other node reading -inf.
 ``_log_integral_from`` and ``_edge_estimate`` take it for the support
-columns of ``log_row_reduce``, and the scaled rules below for a screen's
-span; every other rule reads the whole window.  Such a row takes an edge
-estimate only on a side where its columns hold both fit nodes: with
-either one off the columns the estimate is -inf, and adding -inf
-changes no bit of the trapezoid sum.
+columns of a row reduction, and the scaled rules below for a screen's
+span; every other rule reads the whole window.  Such a row takes an
+edge estimate only on a side where its columns hold both fit nodes:
+with either one off the columns the estimate is -inf, and adding -inf
+changes no bit of the trapezoid sum.  ``SupportColumns`` holds the
+column rules of a row reduction in one body: built once from
+(lf, grid, e), it finds the columns where lf is not -inf and gathers lf
+and s on them, and for an integral the span [lo, hi) of nodes its rows
+hold and the columns' offsets in it; it then reduces any number of
+kernel rows on those columns.  ``log_row_reduce`` with given columns
+goes through it.
 
 Two private rules take the same integrals in scaled linear space, for a
 screen that only has to rank rows: ``_scaled_cumint`` (``log_cumint``)
@@ -537,26 +544,55 @@ def log_row_reduce(lk: np.ndarray, lf: np.ndarray, g: Grid, e=None,
     node when cols is None; lf must be -inf off cols.  Such a node adds
     -inf to the sup and a zero panel to the integral, so the rows are
     bit-identical to the full-width reduction at the cost of cols alone.
-    The sup skips NaN terms, which are 0 * inf products.
+    The sup skips NaN terms, which are 0 * inf products.  Given cols, it
+    is SupportColumns(lf, g, e, cols).reduce(lk), the one body of the
+    column rules.
     """
+    if cols is not None:
+        return SupportColumns(lf, g, e, cols).reduce(lk)
     if e is None:
         with np.errstate(invalid="ignore"):
-            if cols is None:
-                return np.fmax.reduce(lk + lf, axis=-1)
-            # a column left out is a -inf term of the full-width row
-            initial = NEG_INF if cols.size < lf.size else None
-            return np.fmax.reduce(lk + lf[cols], axis=-1, initial=initial)
-    s = g.s
-    if cols is None:
-        return log_integral(e * lk + lf + s, g)
-    if cols.size == 0:
-        return np.full(lk.shape[:-1], NEG_INF)
-    # the nodes from one before the first column to one after the last
-    # carry every panel that touches a column
-    lo, hi = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, s.size)
-    li = np.full(lk.shape[:-1] + (hi - lo,), NEG_INF)
-    li[..., cols - lo] = e * lk + lf[cols] + s[cols]
-    return _log_integral_from(li, g, lo)
+            return np.fmax.reduce(lk + lf, axis=-1)
+    return log_integral(e * lk + lf + g.s, g)
+
+
+class SupportColumns:
+    """log_row_reduce on the support columns of lf, prepared once from
+    (lf, g, e) for any number of kernel rows.
+
+    cols are the increasing node indices where lf is not -inf, or the
+    given ones (lf must be -inf off them); lf and s are gathered on them.
+    An integral's rows span the nodes [lo, hi), from one before the
+    first column to one after the last, which carry every panel that
+    touches a column, with the columns at offs in that span.
+    reduce(lk), lk the kernel rows on cols, is log_row_reduce of the
+    full-width rows bit for bit.
+    """
+
+    __slots__ = ("cols", "_g", "_e", "_lf", "_s", "_initial", "_lo", "_span", "_offs")
+
+    def __init__(self, lf: np.ndarray, g: Grid, e=None, cols=None):
+        if cols is None:
+            cols = np.flatnonzero(~np.isneginf(lf))
+        self.cols, self._g, self._e, self._lf = cols, g, e, lf[cols]
+        # a column left out is a -inf term of the full-width sup
+        self._initial = NEG_INF if cols.size < lf.size else None
+        if e is not None and cols.size:
+            self._s = g.s[cols]
+            self._lo = lo = max(int(cols[0]) - 1, 0)
+            self._span = min(int(cols[-1]) + 2, g.s.size) - lo
+            self._offs = cols - lo
+
+    def reduce(self, lk: np.ndarray) -> np.ndarray:
+        """The per-row log sup or integral of the kernel rows lk on cols."""
+        if self._e is None:
+            with np.errstate(invalid="ignore"):
+                return np.fmax.reduce(lk + self._lf, axis=-1, initial=self._initial)
+        if not self.cols.size:
+            return np.full(lk.shape[:-1], NEG_INF)
+        li = np.full(lk.shape[:-1] + (self._span,), NEG_INF)
+        li[..., self._offs] = self._e * lk + self._lf + self._s
+        return _log_integral_from(li, self._g, self._lo)
 
 
 def running_logmax(li: np.ndarray) -> np.ndarray:

@@ -128,7 +128,7 @@ def test_log_row_reduce_sup_and_integral():
                                [whole, whole + 2.0 * math.log(0.5)], rtol=1e-14)
 
 
-@pytest.mark.parametrize("e", [None, 0.5, 2.0])
+@pytest.mark.parametrize("e", [None, 0.5, 1.0, 2.0])
 def test_log_row_reduce_on_columns_matches_full_width(e):
     # lf vanishes off its columns: two bumps, one touching each window end
     g = grids.log_nodes(CFG)
@@ -136,11 +136,17 @@ def test_log_row_reduce_on_columns_matches_full_width(e):
     la = 0.7 * s
     lk = grids.log_kernel(la[:, None], la)
     n, d = s.size, g.decade
+    half = n // 2
     # both fit nodes of one edge and nothing else, then only the inner one:
-    # a row takes an edge estimate only where its columns hold both
+    # a row takes an edge estimate only where its columns hold both; then
+    # runs that hold both fit nodes of an edge, or only one of them
     for kept in ([], [0], [n - 1], [5], list(range(0, 9)) + list(range(n - 12, n)),
                  list(range(20, 60)) + list(range(90, 95)),
-                 [0, d], [n - 1 - d, n - 1], [d], [n - 1 - d]):
+                 [0, d], [n - 1 - d, n - 1], [d], [n - 1 - d],
+                 list(range(0, d + 1)), list(range(n - 1 - d, n)),
+                 list(range(0, d + 1)) + list(range(n - 1 - d, n)),
+                 list(range(3, d + 3)), list(range(n - 3 - d, n - 3)),
+                 list(range(d - 2, d + 5)) + list(range(n - 1 - d, n - 1))):
         cols = np.array(kept, dtype=np.intp)
         lf = np.full(n, -math.inf)
         lf[cols] = -np.abs(s[cols]) + 1.0
@@ -148,6 +154,14 @@ def test_log_row_reduce_on_columns_matches_full_width(e):
         full = grids.log_row_reduce(lk, lf, g, e)
         np.testing.assert_array_equal(part, full)
         assert part.tobytes() == full.tobytes(), kept
+        # the prepared form finds the same columns, and one preparation
+        # reduces the rows in any number of blocks
+        prep = grids.SupportColumns(lf, g, e)
+        np.testing.assert_array_equal(prep.cols, cols)
+        blocks = [prep.reduce(lk[rows][:, cols]) for rows in (slice(0, half), slice(half, n))]
+        assert np.concatenate(blocks).tobytes() == full.tobytes(), kept
+        one = prep.reduce(lk[half, cols])
+        assert np.asarray(one).tobytes() == full[half:half + 1].tobytes(), kept
 
 
 def test_a_row_takes_an_edge_estimate_only_where_it_holds_both_fit_nodes(monkeypatch):
