@@ -243,20 +243,19 @@ def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: _Side, h_side: _Sid
     is NaN or reaches the best row so far, and dropped once it is below it
     or -inf (one side is zero, so every row is).  The last stride is 1.
 
-    Every row is reduced when log a has a NaN or +inf or decreases
-    anywhere, or when an integral side is nonzero at an edge-fit node
-    (grids._edge_nodes), where its rows take an edge estimate that need
-    not be monotone.
+    Every row is reduced, in one round at stride 1, when log a has a NaN
+    or +inf or decreases anywhere, or when an integral side is nonzero at
+    an edge-fit node (grids._edge_nodes), where its rows take an edge
+    estimate that need not be monotone.
     """
     n = la.size
     node = np.arange(n)
     G, H = _no_rows(n)
     edges = [i for pair in grids._edge_nodes(grid) for i in pair]
-    if not (la[-1] < INF and np.all(la[1:] >= la[:-1])  # false at any NaN
-            and all(side.e is None or np.all(np.isneginf(side.lf[edges]))
-                    for side in (g_side, h_side))):
-        _row_kernel_ops(la, g_side, h_side, node, G, H)
-        return _log_max(G, H, eg, eh)
+    monotone = (la[-1] < INF and np.all(la[1:] >= la[:-1])  # false at any NaN
+                and all(side.e is None or np.all(np.isneginf(side.lf[edges]))
+                        for side in (g_side, h_side)))
+    strides = _STRIDES if monotone else (1,)  # else every row in the first round
 
     mag = max(float(np.max(np.abs(v[np.isfinite(v)]), initial=0.0))
               for v in (la, g_side.lf, h_side.lf))
@@ -271,8 +270,8 @@ def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: _Side, h_side: _Sid
         done[rows] = True
         return _log_max(G, H, eg, eh)  # a row not reduced reads -inf
 
-    best = reduce_rows(np.flatnonzero((node % _STRIDES[0] == 0) | (node == n - 1)))
-    for stride in _STRIDES[1:]:
+    best = reduce_rows(np.flatnonzero((node % strides[0] == 0) | (node == n - 1)))
+    for stride in strides[1:]:
         ends = np.flatnonzero(done)  # block k holds the rows between ends k and k + 1
         with np.errstate(invalid="ignore"):
             bound = ((np.logaddexp(G[ends[1:]], tau_g) + _MARGIN) / eg

@@ -11,10 +11,9 @@ use: the integral with its edge estimates (``log_integral``), its
 cumulative form (``log_cumint``) and the cumulative q-norm built on it
 (``log_cumnorm``), the supremum with its edge-divergence test
 (``log_sup``), the two-sided kernel a(x)/(a(x)+a(t)) (``log_kernel``)
-and the row sup or integral against it (``log_row_reduce``, and
-``SupportColumns`` for rows on a support's columns), the product of log
-factors under the 0 * inf = 0 rule (``log_mul``) and the step back from
-a log-value to a number (``from_log``).
+and the row sup or integral against it (``SupportColumns``), the
+product of log factors under the 0 * inf = 0 rule (``log_mul``) and the
+step back from a log-value to a number (``from_log``).
 
 Quantities are nonnegative extended reals with 1/inf = 0 and 1/0 = inf,
 so degenerate head and tail integrals drop out of sums, not into NaNs.
@@ -38,13 +37,11 @@ columns of a row reduction, and the scaled rules below for a screen's
 span; every other rule reads the whole window.  Such a row takes an
 edge estimate only on a side where its columns hold both fit nodes:
 with either one off the columns the estimate is -inf, and adding -inf
-changes no bit of the trapezoid sum.  ``SupportColumns`` holds the
-column rules of a row reduction in one body: built once from
-(lf, grid, e), it finds the columns where lf is not -inf and gathers lf
-and s on them, and for an integral the span [lo, hi) of nodes its rows
-hold and the columns' offsets in it; it then reduces any number of
-kernel rows on those columns.  ``log_row_reduce`` with given columns
-goes through it.
+changes no bit of the trapezoid sum.  ``SupportColumns`` is the one
+row reduction: built once from (lf, grid, e), it finds the columns where
+lf is not -inf and gathers lf and s on them, and for an integral the
+span [lo, hi) of nodes its rows hold and the columns' offsets in it; it
+then reduces any number of kernel rows on those columns.
 
 Two private rules take the same integrals in scaled linear space, for a
 screen that only has to rank rows: ``_scaled_cumint`` (``log_cumint``)
@@ -535,46 +532,28 @@ def log_kernel(lx, lt) -> np.ndarray:
     return np.where(np.isnan(lk), math.log(0.5), lk)
 
 
-def log_row_reduce(lk: np.ndarray, lf: np.ndarray, g: Grid, e=None,
-                   cols=None) -> np.ndarray:
-    """Per-row log of esup_t K(x,t) f(t) (e None), or of int K(x,t)^e f(t) dt,
-    from the log kernel rows lk and the log-values lf at the nodes.
-
-    lk holds the kernel on the increasing node indices cols, or on every
-    node when cols is None; lf must be -inf off cols.  Such a node adds
-    -inf to the sup and a zero panel to the integral, so the rows are
-    bit-identical to the full-width reduction at the cost of cols alone.
-    The sup skips NaN terms, which are 0 * inf products.  Given cols, it
-    is SupportColumns(lf, g, e, cols).reduce(lk), the one body of the
-    column rules.
-    """
-    if cols is not None:
-        return SupportColumns(lf, g, e, cols).reduce(lk)
-    if e is None:
-        with np.errstate(invalid="ignore"):
-            return np.fmax.reduce(lk + lf, axis=-1)
-    return log_integral(e * lk + lf + g.s, g)
-
-
 class SupportColumns:
-    """log_row_reduce on the support columns of lf, prepared once from
-    (lf, g, e) for any number of kernel rows.
+    """The row reduction against a kernel, prepared once from (lf, g, e)
+    for any number of kernel rows: per row, the log of esup_t K(x,t) f(t)
+    (e None) or of int K(x,t)^e f(t) dt, lf the log-values of f at the
+    nodes.
 
-    cols are the increasing node indices where lf is not -inf, or the
-    given ones (lf must be -inf off them); lf and s are gathered on them.
-    An integral's rows span the nodes [lo, hi), from one before the
-    first column to one after the last, which carry every panel that
-    touches a column, with the columns at offs in that span.
-    reduce(lk), lk the kernel rows on cols, is log_row_reduce of the
-    full-width rows bit for bit.
+    cols are the increasing node indices where lf is not -inf; lf and s
+    are gathered on them.  Any other node adds -inf to the sup and a zero
+    panel to the integral, so the rows read bit for bit as the full-width
+    rules, np.fmax.reduce(lk + lf, axis=-1) and
+    log_integral(e * lk + lf + g.s, g), at the cost of cols alone.  The
+    sup skips NaN terms, which are 0 * inf products.  An integral's rows
+    span the nodes [lo, hi), from one before the first column to one
+    after the last, which carry every panel that touches a column, with
+    the columns at offs in that span.
     """
 
     __slots__ = ("cols", "_g", "_e", "_lf", "_s", "_initial", "_lo", "_span", "_offs")
 
-    def __init__(self, lf: np.ndarray, g: Grid, e=None, cols=None):
-        if cols is None:
-            cols = np.flatnonzero(~np.isneginf(lf))
-        self.cols, self._g, self._e, self._lf = cols, g, e, lf[cols]
+    def __init__(self, lf: np.ndarray, g: Grid, e=None):
+        self.cols = cols = np.flatnonzero(~np.isneginf(lf))
+        self._g, self._e, self._lf = g, e, lf[cols]
         # a column left out is a -inf term of the full-width sup
         self._initial = NEG_INF if cols.size < lf.size else None
         if e is not None and cols.size:

@@ -136,9 +136,12 @@ def _phi(tag: str, prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig) 
         e = scale = float(arrow(prob.r, prob.p))
         lf = e * lV + stieltjes_density(prob.u, prob.r, prob.p, cfg).logv(g.t)
 
+    side = grids.SupportColumns(lf, g, e)
+    lVc = lV[side.cols]
+
     def logphi(x):
         # one kernel row per x: a (len(x), n) block is slower, not faster
-        return np.array([grids.log_row_reduce(grids.log_kernel(lx, lV), lf, g, e)
+        return np.array([side.reduce(grids.log_kernel(lx, lVc))
                          for lx in V.logv(x)]) / scale
 
     return from_log_callable(logphi, label="phi1" if e is None else "phi2")

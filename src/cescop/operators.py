@@ -23,6 +23,7 @@ from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
     RealFun,
+    _check_funs,
     _grid_norm_fun,
     constant,
     from_log_callable,
@@ -149,13 +150,18 @@ class FundamentalSpec:
     U: RealFun
     w: RealFun
 
+    def __post_init__(self):
+        _check_funs(U=self.U, w=self.w)
+
 
 def fundamental_function(spec: FundamentalSpec, t: float,
                          cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """phi(t) = int_0^inf w(tau) U(t) / (U(t) + U(tau)) dtau."""
     grid = grids.log_nodes(cfg)
-    lk = grids.log_kernel(spec.U.logv(np.array([float(t)]))[0], spec.U.logv(grid.t))
-    tot = grids.log_row_reduce(lk, spec.w.logv(grid.t), grid, 1.0)
+    side = grids.SupportColumns(spec.w.logv(grid.t), grid, 1.0)
+    lk = grids.log_kernel(spec.U.logv(np.array([float(t)]))[0],
+                          spec.U.logv(grid.t)[side.cols])
+    tot = side.reduce(lk)
     if np.isposinf(tot):
         raise DivergentRepresentation(f"representation integral diverges at t = {t:g}")
     return grids.from_log(tot)

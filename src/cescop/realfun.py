@@ -321,10 +321,7 @@ class _Product(RealFun):
 
     def logv(self, t):
         t = np.asarray(t, dtype=float)
-        out = self.parts[0].logv(t).copy()
-        for p in self.parts[1:]:
-            out = out + p.logv(t)
-        return out
+        return grids.log_mul(*(p.logv(t) for p in self.parts))
 
     def describe(self):
         return " * ".join(p.describe() for p in self.parts)
@@ -526,8 +523,10 @@ def from_log_callable(logfn, label: str = "opaque") -> RealFun:
     return _LogCallable(logfn, label=label)
 
 
-def _check_funs(**funs) -> None:
-    """SpecInvalid unless every value is a RealFun."""
+def _check_funs(I: Interval = FULL, **funs) -> None:
+    """SpecInvalid unless I is an Interval and every other value a RealFun."""
+    if not isinstance(I, Interval):
+        raise SpecInvalid(f"I must be an Interval, got {I!r}")
     for name, f in funs.items():
         if not isinstance(f, RealFun):
             raise SpecInvalid(f"{name} must be a RealFun, got {f!r}")
@@ -556,7 +555,7 @@ def integrate(g: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CF
     closed form (``integral_log``) when it has one, else the integral on
     I's log grid (``_log_grid_integral``).  NumericOverflow when a finite
     integral is beyond the float range."""
-    _check_funs(g=g)
+    _check_funs(I, g=g)
     return grids.from_log(_log_integral(g, I, cfg))
 
 
@@ -631,7 +630,7 @@ def tail_at(g: RealFun, x: float, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
 
 def log_esssup(f: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """Log of the essential supremum of f over I (grid max + refinement)."""
-    _check_funs(f=f)
+    _check_funs(I, f=f)
     eff = I.intersect(f.support)
     if eff is None:
         return NEG_INF
@@ -682,6 +681,7 @@ def lp_norm(f: RealFun, w: RealFun, I: Interval = FULL, p=None, cfg: QuadratureC
     p is an Exponent (or float/Fraction); p = inf takes the essential
     supremum of f*w over I.
     """
+    _check_funs(I)
     p = Exponent(p)
     fw = product(f, w)
     if p.is_inf:

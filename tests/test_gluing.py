@@ -29,6 +29,7 @@ from cescop.realfun import (
     power,
     product,
 )
+from test_grids import full_width_reduce
 
 NEEDS = {"SUP_SUP": [], "SUP_INT": ["beta"], "INT_SUP": ["beta"],
          "INT_INT_SUP": ["alpha", "beta"], "INTEGRAL": ["alpha", "beta", "gamma"],
@@ -125,7 +126,7 @@ def _full_width_rows(la, grid, g_side, h_side):
         lA = grids.log_kernel(la[start:start + gluing._ROW_CHUNK, None], la)
         lAc = np.log(np.maximum(1.0 - np.exp(lA), 1e-300))
         for acc, lk, side in zip(outs, (lA, lAc), (g_side, h_side)):
-            acc.append(grids.log_row_reduce(lk, side.lf, grid, side.e))
+            acc.append(full_width_reduce(lk, side.lf, grid, side.e))
     return [np.concatenate(acc) for acc in outs]
 
 

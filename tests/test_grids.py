@@ -111,21 +111,35 @@ def test_log_kernel_splits_evenly_where_undetermined():
     np.testing.assert_allclose(k + k.T, 1.0, rtol=1e-15)
 
 
+def full_width_reduce(lk, lf, g, e=None):
+    """The row sup (e None) or the row integral of K^e f, from the kernel
+    rows lk on every node: the rule SupportColumns matches bit for bit."""
+    if e is None:
+        with np.errstate(invalid="ignore"):
+            return np.fmax.reduce(lk + lf, axis=-1)
+    return grids.log_integral(e * lk + lf + g.s, g)
+
+
+def _support_reduce(lk, lf, g, e=None):
+    """SupportColumns(lf, g, e) on the full-width kernel rows lk."""
+    side = grids.SupportColumns(lf, g, e)
+    return side.reduce(lk[..., side.cols])
+
+
 def test_log_row_reduce_sup_and_integral():
     g = grids.log_nodes(CFG)
     s = g.s
     lk = np.stack([np.zeros_like(s), np.full_like(s, math.log(0.5))])
     lf = -np.abs(s)
-    np.testing.assert_array_equal(grids.log_row_reduce(lk, lf, g),
-                                  [0.0, math.log(0.5)])
-    # a zero kernel against an infinite value (0 * inf) does not count
-    np.testing.assert_array_equal(
-        grids.log_row_reduce(np.array([-math.inf, 0.0]), np.array([math.inf, 1.0]),
-                             _grid(s[:2])), 1.0)
-    # int K^2 f dt with K = 1/2 is a quarter of int f dt
-    whole = grids.log_integral(lf + s, g)
-    np.testing.assert_allclose(grids.log_row_reduce(lk, lf, g, 2.0),
-                               [whole, whole + 2.0 * math.log(0.5)], rtol=1e-14)
+    for reduce in (full_width_reduce, _support_reduce):
+        np.testing.assert_array_equal(reduce(lk, lf, g), [0.0, math.log(0.5)])
+        # a zero kernel against an infinite value (0 * inf) does not count
+        np.testing.assert_array_equal(
+            reduce(np.array([-math.inf, 0.0]), np.array([math.inf, 1.0]), _grid(s[:2])), 1.0)
+        # int K^2 f dt with K = 1/2 is a quarter of int f dt
+        whole = grids.log_integral(lf + s, g)
+        np.testing.assert_allclose(reduce(lk, lf, g, 2.0),
+                                   [whole, whole + 2.0 * math.log(0.5)], rtol=1e-14)
 
 
 @pytest.mark.parametrize("e", [None, 0.5, 1.0, 2.0])
@@ -150,14 +164,13 @@ def test_log_row_reduce_on_columns_matches_full_width(e):
         cols = np.array(kept, dtype=np.intp)
         lf = np.full(n, -math.inf)
         lf[cols] = -np.abs(s[cols]) + 1.0
-        part = grids.log_row_reduce(lk[:, cols], lf, g, e, cols)
-        full = grids.log_row_reduce(lk, lf, g, e)
-        np.testing.assert_array_equal(part, full)
-        assert part.tobytes() == full.tobytes(), kept
-        # the prepared form finds the same columns, and one preparation
-        # reduces the rows in any number of blocks
         prep = grids.SupportColumns(lf, g, e)
         np.testing.assert_array_equal(prep.cols, cols)
+        part = prep.reduce(lk[:, cols])
+        full = full_width_reduce(lk, lf, g, e)
+        np.testing.assert_array_equal(part, full)
+        assert part.tobytes() == full.tobytes(), kept
+        # one preparation reduces the rows in any number of blocks
         blocks = [prep.reduce(lk[rows][:, cols]) for rows in (slice(0, half), slice(half, n))]
         assert np.concatenate(blocks).tobytes() == full.tobytes(), kept
         one = prep.reduce(lk[half, cols])
@@ -182,7 +195,7 @@ def test_a_row_takes_an_edge_estimate_only_where_it_holds_both_fit_nodes(monkeyp
         lf = np.full(n, -math.inf)
         lf[cols] = 0.0
         taken.clear()
-        grids.log_row_reduce(lk[:, cols], lf, g, 1.0, cols)
+        grids.SupportColumns(lf, g, 1.0).reduce(lk[:, cols])
         assert taken == want, kept
 
 
@@ -192,10 +205,9 @@ def test_log_row_reduce_on_columns_keeps_an_all_nan_sup():
     lk[1, 0] = 0.0
     lf = np.full(3, math.inf)
     g = _grid(np.arange(3.0))
-    full = grids.log_row_reduce(lk, lf, g)
+    full = full_width_reduce(lk, lf, g)
     np.testing.assert_array_equal(full, [math.nan, math.inf])
-    np.testing.assert_array_equal(
-        grids.log_row_reduce(lk, lf, g, None, np.arange(3)), full)
+    np.testing.assert_array_equal(_support_reduce(lk, lf, g), full)
 
 
 def test_log_cumnorm():
@@ -409,7 +421,7 @@ def test_window_caches_hold_one_entry_per_window(monkeypatch):
             lf = np.full(s.size, -math.inf)
             lf[cols] = -np.abs(s[cols])
             lk = grids.log_kernel(s[:, None], s[cols])
-            grids.log_row_reduce(lk, lf, g, 1.0, cols)
+            grids.SupportColumns(lf, g, 1.0).reduce(lk)
             sub = grids.log_nodes(cfg, 1e-2, 1e2)
             grids.log_integral(grids.log_t(sub.t) - sub.t + sub.s, sub)
             grids.log_cumint(-np.abs(sub.s), sub, head=False)
@@ -512,8 +524,9 @@ def test_rules_read_the_grid_by_value(grid, monkeypatch):
                     res = grids._scaled_cumint(li, g, head)
                     out += [None] if res is None else [res[0], *res[1], res[2]]
                 for e in (None, 2.0):
-                    out.append(grids.log_row_reduce(lk, li, g, e))
-                    out.append(grids.log_row_reduce(lk[:, cols], off, g, e, cols))
+                    out.append(full_width_reduce(lk, li, g, e))
+                    out.append(_support_reduce(lk, li, g, e))
+                    out.append(_support_reduce(lk, off, g, e))
             if np.max(li) < math.inf:
                 zeros = np.zeros(n)
                 res = grids._scaled_integral(li, g, zeros, zeros > 0.0)

@@ -6,18 +6,23 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from cescop import grids, operators
 from cescop.errors import DegenerateOperator, SpecInvalid, UnsupportedRegime
 from cescop.exponents import Exponent
 from cescop.multiplier import (
     REGIME_TAGS,
     ThreeWeightProblem,
+    _phi,
     characterize,
     classify_regime,
     hypothesis_check,
     reduce_problem,
 )
-from cescop.realfun import ONE, ZERO, QuadratureConfig, expfam, power, product, table
+from cescop.operators import big_V
+from cescop.realfun import (DEFAULT_CFG, ONE, ZERO, QuadratureConfig, expfam, power, product,
+                            table)
 from test_acceptance import REGIME_INSTANCES
+from test_grids import full_width_reduce
 
 EDEC = expfam(1.0, 0.0, -1.0)
 
@@ -186,6 +191,35 @@ def test_hypothesis_check_phi_notes(tag, u):
     which = "phi1" if tag.startswith("T4") else "phi2"
     assert hypothesis_check(prob) == (
         [] if statuses is None else [f"{which} degenerate or inconclusive: {statuses}"])
+
+
+_PHI_INSTANCES = [case for case in REGIME_INSTANCES if case[0][:2] in ("T4", "T5")]
+
+
+@pytest.mark.parametrize("tag,kw,f", _PHI_INSTANCES, ids=[tag for tag, _, _ in _PHI_INSTANCES])
+def test_phi_matches_the_full_width_rows(tag, kw, f, monkeypatch):
+    # phi at the points is_nondegenerate reads, against every kernel row
+    # reduced on the whole window
+    prob = ThreeWeightProblem(f=f, **kw)
+    V = big_V(prob.v, prob.p, DEFAULT_CFG)
+    prepared = []
+
+    class Capturing(grids.SupportColumns):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            prepared.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(grids, "SupportColumns", Capturing)
+    phi = _phi(tag, prob, V, DEFAULT_CFG)
+    ks = np.arange(40 - operators._LIMIT_SPAN, 41, dtype=float)
+    x = np.concatenate([2.0 ** -ks, 2.0 ** ks])
+    assert x.size == 22 and len(prepared) == 1
+    lf, g, e = prepared[0]
+    lV = V.logv(g.t)
+    want = np.array([full_width_reduce(grids.log_kernel(lx, lV), lf, g, e)
+                     for lx in V.logv(x)]) / (1.0 if e is None else e)
+    assert phi.logv(x).tobytes() == want.tobytes()
 
 
 def test_hypothesis_check_classifies_the_problem():

@@ -32,6 +32,8 @@ from cescop.realfun import (
     DEFAULT_CFG, ONE, ZERO, expfam, from_log_callable, indicator, power, powerlog, product,
 )
 
+from test_grids import full_width_reduce
+
 T = np.logspace(-2, 2, 41)
 EDEC = expfam(1.0, 0.0, -1.0)
 
@@ -193,6 +195,16 @@ def test_fundamental_function_positive_and_monotone():
     v1 = fundamental_function(spec, 0.5)
     v2 = fundamental_function(spec, 5.0)
     assert 0 < v1 < v2  # phi is non-decreasing
+
+
+@pytest.mark.parametrize("w", [EDEC, product(EDEC, indicator(0.1, 10))], ids=["full", "band"])
+def test_fundamental_function_matches_the_full_width_integral(w):
+    spec = FundamentalSpec(U=power(1, 1), w=w)
+    grid = grids.log_nodes(DEFAULT_CFG)
+    for t in (0.5, 5.0):
+        lk = grids.log_kernel(spec.U.logv(np.array([t]))[0], spec.U.logv(grid.t))
+        want = grids.from_log(full_width_reduce(lk, w.logv(grid.t), grid, 1.0))
+        assert fundamental_function(spec, t).hex() == want.hex()
 
 
 def test_stieltjes_matches_operator_power():

@@ -31,6 +31,11 @@ from cescop.realfun import (DEFAULT_CFG, ONE, ZERO, RealFun, expfam, from_log_ca
                              product)
 from cescop.spaces import SpaceSpec, _Plan
 
+# the screen's grids kernels and their source lines, read once on import
+# so that an edit to grids.py during a run cannot shift the lines traced
+_KERNEL_SOURCE = {k.__code__: inspect.getsourcelines(k)
+                  for k in (grids._scaled_cumint, grids._scaled_integral)}
+
 TAGS = ("T1", "T2i", "T2ii", "T3i", "T3ii", "T4i", "T4ii", "T5i", "T5ii",
         "T5iii", "T5iv", "T6", "T7i", "T7ii")
 
@@ -421,8 +426,8 @@ def test_edge_slopes_near_the_divergence_threshold_are_not_screened():
 
 def _refusals(call):
     """call()'s value, and for each ``return None`` of the screen's grids
-    kernels that ran, the kernel and the if or elif line above it."""
-    kernels = {k.__code__: k for k in (grids._scaled_cumint, grids._scaled_integral)}
+    kernels that ran, the kernel and the if or elif line above it, read
+    from the source as it was when the kernels were compiled."""
     returned = []
 
     def lines(frame, event, arg):
@@ -430,14 +435,14 @@ def _refusals(call):
             returned.append((frame.f_code, frame.f_lineno))
         return lines
 
-    sys.settrace(lambda frame, event, arg: lines if frame.f_code in kernels else None)
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code in _KERNEL_SOURCE else None)
     try:
         value = call()
     finally:
         sys.settrace(None)
     found = []
     for code, line in returned:
-        src, first = inspect.getsourcelines(kernels[code])
+        src, first = _KERNEL_SOURCE[code]
         cond = next(s for s in reversed(src[:line - first])
                     if s.lstrip().startswith(("if ", "elif ")))
         found.append((code.co_name, cond.strip()))

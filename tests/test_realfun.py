@@ -13,6 +13,7 @@ from cescop.errors import NumericOverflow, SpecInvalid
 from cescop.exponents import Exponent
 from cescop.multiplier import reduce_problem
 from cescop.operators import (
+    FundamentalSpec,
     head_integral_fun,
     op_A,
     op_A_star,
@@ -279,6 +280,17 @@ def test_product_outside_the_window_is_zero():
     assert f is ZERO
 
 
+def test_a_product_of_an_infinite_and_a_zero_factor_is_zero():
+    # 0 * inf = 0 (grids.log_mul) at every node, not a NaN
+    f = from_log_callable(lambda t: math.inf)
+    g = from_log_callable(lambda t: -math.inf)
+    assert np.isneginf(product(f, g).logv(np.logspace(-3, 3, 7))).all()
+    assert esssup(product(f, g)) == 0.0
+    assert lp_norm(f, g, FULL, "inf") == 0.0
+    assert integrate(product(f, g)) == 0.0
+    assert lp_norm(f, g, FULL, 2) == 0.0
+
+
 def test_elementary_product_logv_is_bit_exact():
     # log c + alpha ln t first, then the beta and the gamma terms: with
     # the log and exp parts at c = 1, alpha = 0 the sum is exact
@@ -511,9 +523,18 @@ def test_public_constructors_raise_a_package_error(build):
     lambda: lp_norm(3.0, ONE, FULL, 2),
     lambda: integrate(3.0),
     lambda: esssup(3.0),
+    lambda: integrate(power(1, 1), (0, 1)),
+    lambda: esssup(ONE, (0, 1)),
+    lambda: realfun.log_esssup(ONE, (0, 1)),
+    lambda: lp_norm(ONE, ONE, (0, 1), 2),
+    lambda: lp_norm(ONE, ONE, (0, 1), "inf"),
+    lambda: FundamentalSpec(U=3.0, w=ONE),
+    lambda: FundamentalSpec(U=ONE, w=3.0),
 ], ids=["op_A", "op_A_star", "stieltjes-p-above-r", "stieltjes-tail-q-one",
         "primitive_at", "tail_at", "lp_norm-no-function", "integrate-no-function",
-        "esssup-no-function"])
+        "esssup-no-function", "integrate-no-interval", "esssup-no-interval",
+        "log_esssup-no-interval", "lp_norm-no-interval", "lp_norm-inf-no-interval",
+        "fundamental-U-no-function", "fundamental-w-no-function"])
 def test_public_functions_raise_a_package_error(call):
     with pytest.raises(SpecInvalid):
         call()

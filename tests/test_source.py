@@ -107,3 +107,31 @@ def test_a_family_keeps_its_own_scores():
     assert [(path.name, fn) for path in paths for fn, p in public_params(path)
             if p == "scores"] == []
     assert {path.name for path in paths if reads(path)} == {"oracle.py"}
+
+
+def _layer_targets(module: str) -> set:
+    """The names TARGETS[module] lists in perfbench/layers.py."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "layers.py").read_text())
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    return set(ast.literal_eval(targets)[module])
+
+
+def _named(node):
+    """The name a Name or Attribute node reads, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_every_public_grids_name_has_a_caller():
+    # a public grids name that only tests read is API kept for tests;
+    # perfbench/layers.py binds the names of its TARGETS["grids"]
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    defs = [node for node in trees["grids.py"].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    assert defs
+    # a name read inside its own definition does not call it
+    own = {id(n) for d in defs for n in ast.walk(d) if _named(n) == d.name}
+    named = {_named(n) for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in own}
+    uncalled = {d.name for d in defs} - named - _layer_targets("grids")
+    assert sorted(uncalled) == []
