@@ -245,13 +245,13 @@ def _outer_sup_lhs(la: np.ndarray, grid: grids.Grid, g_side: _Side, h_side: _Sid
 
     Every row is reduced, in one round at stride 1, when log a has a NaN
     or +inf or decreases anywhere, or when an integral side is nonzero at
-    an edge-fit node (grids._edge_nodes), where its rows take an edge
+    an edge-fit node (grid.edges), where its rows take an edge
     estimate that need not be monotone.
     """
     n = la.size
     node = np.arange(n)
     G, H = _no_rows(n)
-    edges = [i for pair in grids._edge_nodes(grid) for i in pair]
+    edges = [i for pair in grid.edges for i in pair]
     monotone = (la[-1] < INF and np.all(la[1:] >= la[:-1])  # false at any NaN
                 and all(side.e is None or np.all(np.isneginf(side.lf[edges]))
                         for side in (g_side, h_side)))
@@ -422,7 +422,7 @@ _MAX_LAG = 8
 def almost_geometric_check(seq, direction: str) -> AlmostGeometricWitness | None:
     """Search the (alpha, L) lattice for an almost-geometric witness."""
     tau = np.asarray(seq, dtype=float)
-    if tau.size < 2 or np.any(tau <= 0):
+    if tau.size < 2 or not np.all((tau > 0) & (tau < INF)):  # false at NaN
         return None
     ratios = tau[1:] / tau[:-1]
     if direction == "dec":
@@ -463,8 +463,8 @@ def discrete_equiv(lemma: str, tau, a, q) -> tuple:
     a = np.asarray(a, dtype=float)
     if tau.shape != a.shape:
         raise SpecInvalid("sequence lengths differ")
-    if np.any(a < 0):
-        raise SpecInvalid("a must be nonnegative")
+    if not np.all((a >= 0) & (a < INF)):  # false at NaN
+        raise SpecInvalid("a must be finite and nonnegative")
     if lemma == "AGD":
         if almost_geometric_check(tau, "dec") is None:
             raise NoWitness("no almost-geometric-decrease witness found")

@@ -20,8 +20,8 @@ so degenerate head and tail integrals drop out of sums, not into NaNs.
 
 ``log_nodes`` returns a ``Grid``, which every rule takes: the nodes s
 and t = e^s with the panel half-widths diff(s) / 2 and their logs, which
-every trapezoid panel mass multiplies or adds, the panels in one decade,
-which the edge estimates fit over, and which ends are open (0 or inf),
+every trapezoid panel mass multiplies or adds, the edge-fit node pairs
+(edge node, the node one decade inside), and which ends are open (0 or inf),
 where integrals add an edge estimate and the supremum tests divergence.
 The full window of each (S, sup_grid) is built once, as read-only
 arrays, with its log t.  ``log_t`` is the one lookup by array identity,
@@ -32,7 +32,7 @@ rows needs; it reads bit for bit as the same row inside a 2-D block.
 
 A row on part of the window has one form: the columns lo, lo + 1, ...
 of the window's nodes, every other node reading -inf.
-``_log_integral_from`` and ``_edge_estimate`` take it for the support
+``log_integral`` and ``_edge_estimate`` take it for the support
 columns of a row reduction, and the scaled rules below for a screen's
 span; every other rule reads the whole window.  Such a row takes an
 edge estimate only on a side where its columns hold both fit nodes:
@@ -99,7 +99,7 @@ class Grid(NamedTuple):
     t: np.ndarray
     half_widths: np.ndarray      # diff(s) / 2, one per panel
     log_half_widths: np.ndarray  # log(diff(s) / 2), one per panel
-    decade: int                  # panels from an edge node to one decade inside
+    edges: tuple                 # ((0, d), (n - 1, n - 1 - d)): edge node, one decade inside
     open_lo: bool                # the left end stands for 0: a head lies beyond it
     open_hi: bool                # the right end stands for inf: a tail lies beyond it
 
@@ -149,8 +149,8 @@ def _build_nodes(cfg, lo: float, hi: float) -> Grid:
     hw = np.diff(s) / 2.0
     with np.errstate(divide="ignore"):  # ends a few ulps apart: a panel of width 0
         lw = np.log(hw)
-    decade = min(n - 1, max(4, int(round((n - 1) * LOG10 / (s[-1] - s[0])))))
-    return Grid(s, np.exp(s), hw, lw, decade, lo == 0.0, hi == math.inf)
+    d = min(n - 1, max(4, int(round((n - 1) * LOG10 / (s[-1] - s[0])))))
+    return Grid(s, np.exp(s), hw, lw, ((0, d), (n - 1, n - 1 - d)), lo == 0.0, hi == math.inf)
 
 
 def log_t(t: np.ndarray) -> np.ndarray:
@@ -233,11 +233,11 @@ def _edge_estimate(li: np.ndarray, g: Grid, left: bool, lo: int = 0):
     divergent (rate not positive), -inf when either log-value is not
     finite.  li may hold only the columns lo, lo + 1, ... of the nodes
     g.s; a node outside them reads -inf, so a row that does not hold both
-    fit nodes reads -inf, and _log_integral_from does not ask for it.  One
+    fit nodes reads -inf, and log_integral does not ask for it.  One
     row is worked on floats, with the same np.log as rows take, so it
     reads bit for bit as a row.
     """
-    i0, i1 = _edge_nodes(g)[0 if left else 1]
+    i0, i1 = g.edges[0 if left else 1]
     lv = li[..., i0 - lo] if 0 <= i0 - lo < li.shape[-1] else NEG_INF
     l1 = li[..., i1 - lo] if 0 <= i1 - lo < li.shape[-1] else NEG_INF
     if li.ndim == 1:
@@ -250,13 +250,6 @@ def _edge_estimate(li: np.ndarray, g: Grid, left: bool, lo: int = 0):
         rate = (l1 - lv) / abs(g.s[i1] - g.s[i0])
         est = np.where(rate > _SLOPE_TOL, lv - np.log(rate), math.inf)
     return np.where(np.isfinite(lv) & np.isfinite(l1), est, NEG_INF)[()]
-
-
-def _edge_nodes(g: Grid):
-    """The node pairs the edge estimates fit over: (edge node, the node one
-    decade inside), left edge first."""
-    n = g.s.shape[0]
-    return (0, g.decade), (n - 1, n - 1 - g.decade)
 
 
 def log_head_estimate(li: np.ndarray, g: Grid):
@@ -277,29 +270,22 @@ def log_tail_estimate(li: np.ndarray, g: Grid):
     return _edge_estimate(li, g, left=False)
 
 
-def log_integral(li: np.ndarray, g: Grid):
+def log_integral(li: np.ndarray, g: Grid, lo: int = 0):
     """Log of the integral of exp(li) ds along the last axis.
 
     The trapezoid sum over the grid, plus the head and then the tail
-    estimate beyond each of its open ends; li is 1-D or 2-D rows.
-    """
-    return _log_integral_from(li, g, 0)
-
-
-def _log_integral_from(li: np.ndarray, g: Grid, lo: int):
-    """log_integral of rows that hold only the columns lo, lo + 1, ... of
-    the nodes g.s; every other node reads -inf.
-
-    An open edge's estimate is taken only where the columns hold both of
-    its fit nodes (_edge_nodes).  On any other row it reads -inf, and
-    logaddexp(x, -inf) returns x bit for bit, so skipping the estimate
-    and its logaddexp changes no output.  Full-window rows take both.
+    estimate beyond each of its open ends; li is 1-D or 2-D rows.  li
+    may hold only the columns lo, lo + 1, ... of the nodes g.s, every
+    other node reading -inf.  An open edge's estimate is taken only where
+    the columns hold both of its fit nodes (g.edges); on any other row it
+    reads -inf, and logaddexp(x, -inf) returns x bit for bit, so skipping
+    it changes no output.
     """
     k = li.shape[-1]
     lw = g.log_half_widths[lo:lo + k - 1]
     with np.errstate(invalid="ignore"):
         out = _logsumexp_last(_panel_logmass(li, lw), lo, g.s.size - 1)
-        for left, is_open, nodes in zip((True, False), (g.open_lo, g.open_hi), _edge_nodes(g)):
+        for left, is_open, nodes in zip((True, False), (g.open_lo, g.open_hi), g.edges):
             if is_open and all(lo <= i < lo + k for i in nodes):
                 out = np.logaddexp(out, _edge_estimate(li, g, left, lo))
     return out
@@ -326,7 +312,7 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool, lo: int = 0):
     """log_cumint of one window row, summed in scaled linear space.
 
     li may hold only the columns lo, lo + 1, ... of the nodes g.s, as for
-    _log_integral_from: every other node reads -inf, so an edge-fit node
+    log_integral: every other node reads -inf, so an edge-fit node
     outside them reads -inf in the edge estimate, and the entries
     returned are the full row's at those columns.
 
@@ -336,7 +322,7 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool, lo: int = 0):
     within a |lc_j| + b of log_cumint(li, g, head)'s entry j, except
     where low is set: there the scaled running sum fell below
     _SCALED_FLOOR and lc is only an upper bound.  An entry with no finite
-    term is exactly -inf, and an edge-fit node (_edge_nodes) is taken bit
+    term is exactly -inf, and an edge-fit node (g.edges) is taken bit
     for bit on the log path rather than bounded, so that edge estimates
     over lc never read a bound.
 
@@ -363,7 +349,7 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool, lo: int = 0):
         return np.full(k, NEG_INF), (0.0, 0.0), low
     hw, lw = g.half_widths[lo:lo + k - 1], g.log_half_widths[lo:lo + k - 1]
     # the edge-fit nodes among the columns, in summing order
-    fit = {j - lo for pair in _edge_nodes(g) for j in pair if 0 <= j - lo < k}
+    fit = {j - lo for pair in g.edges for j in pair if 0 <= j - lo < k}
     if not head:  # a tail row is summed as the head row of the reversed row
         li, hw, lw = li[::-1], hw[::-1], lw[::-1]
         fit = {k - 1 - i for i in fit}
@@ -429,7 +415,7 @@ def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
     li must hold no +inf or NaN.  It lies within err, node by node, of
     the row the log path integrates, except where upper is set: there li
     is only an upper bound of that row.  upper is never set at an edge-fit
-    node (_edge_nodes), so edge estimates read no bound.  Where li is -inf
+    node (g.edges), so edge estimates read no bound.  Where li is -inf
     that row is -inf too, and err is not read (it may be inf).  Returns
     (log value, bound), the log_integral of that row lying within bound of
     the finite log value.  None when that cannot be certified: a row with
@@ -482,7 +468,7 @@ def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
         return NEG_INF, 0.0
 
     edges = []  # (estimate, its error)
-    for i0, i1 in _edge_nodes(g):
+    for i0, i1 in g.edges:
         (lv, err_lv), (l1, err_l1) = node(i0), node(i1)
         if lv == NEG_INF or l1 == NEG_INF:
             continue
@@ -571,7 +557,7 @@ class SupportColumns:
             return np.full(lk.shape[:-1], NEG_INF)
         li = np.full(lk.shape[:-1] + (self._span,), NEG_INF)
         li[..., self._offs] = self._e * lk + self._lf + self._s
-        return _log_integral_from(li, self._g, self._lo)
+        return log_integral(li, self._g, self._lo)
 
 
 def running_logmax(li: np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ def _sanitize(lv: np.ndarray) -> np.ndarray:
 
 
 def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:
+    _check_funs(g=g)
     label = f"{'head' if head else 'tail'}({g.describe()})"
 
     def hint(t):
@@ -80,11 +81,13 @@ def tail_integral_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFu
 
 def running_sup_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """x -> esssup of g over (0, x), via the grid prefix maxima."""
+    _check_funs(g=g)
     return _grid_norm_fun(g, INF, True, cfg, f"runsup({g.describe()})")
 
 
 def suffix_sup_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """x -> esssup of g over (x, inf), via the grid suffix maxima."""
+    _check_funs(g=g)
     return _grid_norm_fun(g, INF, False, cfg, f"sufsup({g.describe()})")
 
 
@@ -133,6 +136,7 @@ def big_V(v: RealFun, p, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
 
 def cal_V(V: RealFun, x, t):
     """V(x) / (V(x) + V(t)), evaluated in log space; in (0, 1)."""
+    _check_funs(V=V)
     lx = V.logv(np.asarray(x, dtype=float))
     lt = V.logv(np.asarray(t, dtype=float))
     return np.exp(grids.log_kernel(lx, lt))
@@ -190,6 +194,7 @@ def _trend_samples(kmax: int = 40) -> np.ndarray:
 def is_quasiconcave(f: RealFun, a: RealFun) -> MonotoneReport:
     """Sampled check that f is equivalent to an increasing function while
     f/a is equivalent to a decreasing one, within a factor _QC_SLACK = 10."""
+    _check_funs(f=f, a=a)
     t = _trend_samples()
     lf = _sanitize(f.logv(t))
     la = _sanitize(a.logv(t))
@@ -204,6 +209,7 @@ def is_quasiconcave(f: RealFun, a: RealFun) -> MonotoneReport:
 
 def is_admissible(U: RealFun) -> LimitReport:
     """U continuous and strictly increasing with U(0+) = 0, U(inf) = inf."""
+    _check_funs(U=U)
     t = _trend_samples()
     lv = U.logv(t)
     strict = bool(np.all(np.diff(lv) > 0)) and bool(np.all(np.isfinite(lv)))
@@ -246,6 +252,7 @@ def is_nondegenerate(phi: RealFun, U: RealFun) -> LimitReport:
     _limit_zero_status reads the last 11 samples of each side and the
     witnesses the last 3, so only k = 30..40 are sampled.
     """
+    _check_funs(phi=phi, U=U)
     ks = np.arange(40 - _LIMIT_SPAN, 41, dtype=float)
     t_small = 2.0 ** (-ks)
     t_large = 2.0 ** ks

@@ -249,8 +249,11 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     then scored exactly, so every candidate that may be the argmax or tie
     it has an exact ratio, a point.  The argmax is taken among points in
     family order, and the result is the one that scoring every candidate
-    exactly gives.  X and Y are gated first, and each keeps its plan for
-    cfg (``spaces._plan``): gate, outer weights and tables, for all calls.
+    exactly gives.  X and Y are planned first (``spaces._plan``), so a
+    space with its gate on (validate) that fails it raises SpecInvalid
+    before any candidate is scored; one with the gate off, as the CLI
+    builds them, is scored as it stands.  Each keeps its plan for cfg:
+    gate, outer weights and tables, for all calls.
     The pairs are kept in the family for this f, X, Y and cfg, so a
     candidate is scored once however often the family is scored.
     """

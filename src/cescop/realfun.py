@@ -492,6 +492,7 @@ def product(*parts: RealFun) -> RealFun:
 
 
 def funsum(*parts: RealFun) -> RealFun:
+    _check_funs(**{f"part {i}": p for i, p in enumerate(parts)})
     parts = [p for p in parts if not isinstance(p, _Zero)]
     if not parts:
         return ZERO
@@ -501,6 +502,7 @@ def funsum(*parts: RealFun) -> RealFun:
 
 
 def powerof(base: RealFun, s: float) -> RealFun:
+    _check_funs(base=base)
     s = float(s)
     if s == 1.0:
         return base
@@ -535,6 +537,7 @@ def _check_funs(I: Interval = FULL, **funs) -> None:
 def weight(fun: RealFun) -> RealFun:
     """fun, checked on a coarse log grid to be a weight: a positive,
     a.e.-finite function on (0, inf)."""
+    _check_funs(fun=fun)
     if not np.all(np.isfinite(fun.logv(np.logspace(-6, 6, 25)))):
         raise SpecInvalid("weight must be positive and finite on (0, inf)")
     return fun

@@ -84,6 +84,7 @@ def check_omega(u: RealFun, q, dual: bool = False,
     dual=False requires 0 < ||u||_{q,(t,inf)} < inf for sampled t;
     dual=True uses head norms over (0, t), read by realfun._log_norms_at.
     """
+    _check_funs(u=u)
     q = Exponent(q)
     decades = max(1, int(cfg.S / grids.LOG10))  # at least t = 1
     samples = [10.0 ** k for k in range(-decades + 1, decades, max(1, decades // 4))]
@@ -267,7 +268,7 @@ class _Plan:
             return None
         side = range(j + 1, n) if self.head else range(j)
         at = {k: (c + float(out.w[k]), e0 + float(out.lu_err[k]))
-              for pair in grids._edge_nodes(g) for k in pair if k in side}
+              for pair in g.edges for k in pair if k in side}
         log_sum = float(out.sums[j])
         sum_err = 16.0 * n * grids._U * (abs(log_sum) + abs(c) + 30.0)
         return grids._Rest(c + log_sum, sum_err, c + top, err, at)

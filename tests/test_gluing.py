@@ -312,7 +312,7 @@ def test_outer_sup_rows_match_every_row(seed, lem):
 def _integral_side_at_edge_nodes(inst, cfg=GLUE_CFG):
     """Whether an integral side of inst is nonzero at an edge-fit node."""
     la, grid, *sides = _row_inputs(inst, cfg)
-    edges = [i for pair in grids._edge_nodes(grid) for i in pair]
+    edges = [i for pair in grid.edges for i in pair]
     return any(side.e is not None and not np.all(np.isneginf(side.lf[edges]))
                for side in sides)
 
@@ -436,10 +436,11 @@ def test_an_outer_sup_instance_prepares_each_side_once(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_integral(*args):
-        if inside:
+    def counting_integral(li, *args):
+        # SupportColumns reduces its 2-D row blocks through log_integral too
+        if inside and li.ndim == 1:
             integrals.append(args)
-        return log_integral(*args)
+        return log_integral(li, *args)
     monkeypatch.setattr(grids, "SupportColumns", Counting)
     monkeypatch.setattr(gluing, "_row_kernel_ops", counting_rows)
     monkeypatch.setattr(gluing, "_outer_sup_lhs", flagged)
@@ -533,6 +534,26 @@ def test_discrete_equiv_examples():
 def test_discrete_equiv_requires_witness():
     with pytest.raises(NoWitness):
         discrete_equiv("AGD", np.ones(8), np.ones(8), 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_tau_has_no_witness(bad):
+    # a NaN or infinite ratio gave a witness with K = nan or K = inf
+    tau = [1.0, bad, 0.5]
+    for direction in ("dec", "inc"):
+        assert almost_geometric_check(tau, direction) is None
+    for lemma in ("AGD", "AGI"):
+        with pytest.raises(NoWitness):
+            discrete_equiv(lemma, tau, [1.0, 1.0, 1.0], 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("lemma", ["AGD", "AGI"])
+def test_a_non_finite_a_is_invalid(lemma, bad):
+    # a NaN in a gave (nan, nan)
+    tau = _GEOM if lemma == "AGD" else _GEOM[::-1]
+    with pytest.raises(SpecInvalid):
+        discrete_equiv(lemma, tau, [1.0, bad, 1.0, 1.0], 2)
 
 
 def test_discrete_lower_bound_exact():

@@ -19,8 +19,9 @@ CFG = QuadratureConfig(S=12.0, sup_grid=32)
 def _grid(s):
     """A Grid on the nodes s, open at both ends, with its constants computed
     afresh."""
-    hw = np.diff(s) / 2.0
-    return grids.Grid(s, np.exp(s), hw, np.log(hw), min(s.size - 1, 4), True, True)
+    hw, n = np.diff(s) / 2.0, s.size
+    d = min(n - 1, 4)
+    return grids.Grid(s, np.exp(s), hw, np.log(hw), ((0, d), (n - 1, n - 1 - d)), True, True)
 
 
 def _rows(s):
@@ -149,7 +150,7 @@ def test_log_row_reduce_on_columns_matches_full_width(e):
     s = g.s
     la = 0.7 * s
     lk = grids.log_kernel(la[:, None], la)
-    n, d = s.size, g.decade
+    n, d = s.size, g.edges[0][1]
     half = n // 2
     # both fit nodes of one edge and nothing else, then only the inner one:
     # a row takes an edge estimate only where its columns hold both; then
@@ -180,7 +181,7 @@ def test_log_row_reduce_on_columns_matches_full_width(e):
 def test_a_row_takes_an_edge_estimate_only_where_it_holds_both_fit_nodes(monkeypatch):
     g = grids.log_nodes(CFG)
     s = g.s
-    n, d = s.size, g.decade
+    n, d = s.size, g.edges[0][1]
     taken = []
     estimate = grids._edge_estimate
     monkeypatch.setattr(grids, "_edge_estimate",
@@ -354,15 +355,15 @@ def test_one_row_reduces_as_its_row_in_a_block(grid):
         # lo, hi: the panels lm holds; the others are laid out as zeros.
         # The columns lo ... hi of li hold both fit nodes of an edge, or
         # stop one node inside one of them
-        d = g.decade
+        d = g.edges[0][1]
         for lo, hi in ((0, n - 1), (3, n - 1), (0, n // 2), (n // 3, n - 6),
                        (0, d), (0, d - 1), (1, n - 1), (n - 1 - d, n - 1),
                        (n - d, n - 1), (0, n - 2)):
             one = grids._logsumexp_last(lm[lo:hi], lo, n - 1)
             row = grids._logsumexp_last(lm_block[:, lo:hi], lo, n - 1)[i]
             assert np.array_equal(one, row, equal_nan=True), (i, lo, hi)
-            one = grids._log_integral_from(li[lo:hi + 1], g, lo)
-            row = grids._log_integral_from(block[:, lo:hi + 1], g, lo)[i]
+            one = grids.log_integral(li[lo:hi + 1], g, lo)
+            row = grids.log_integral(block[:, lo:hi + 1], g, lo)[i]
             assert np.array_equal(one, row, equal_nan=True), (i, lo, hi)
 
 
@@ -391,7 +392,7 @@ def test_one_row_edge_estimate_takes_the_rows_log():
     s = g.s
     n = s.size
     span = min(n - 1, max(4, int(round((n - 1) * grids.LOG10 / (s[-1] - s[0])))))
-    assert span == g.decade
+    assert g.edges == ((0, span), (n - 1, n - 1 - span))
     d = s[span] - s[0]
     rates = np.exp(np.random.default_rng(0).uniform(-15.0, 4.0, 50000))
     rows = np.zeros((rates.size, span + 1))
@@ -434,7 +435,8 @@ def test_window_caches_hold_one_entry_per_window(monkeypatch):
         assert not any(arr.flags.writeable for arr in (*win, lt) if isinstance(arr, np.ndarray))
         n = win.s.size
         span = round((n - 1) * grids.LOG10 / (win.s[-1] - win.s[0]))
-        assert win.decade == min(n - 1, max(4, span))
+        d = min(n - 1, max(4, span))
+        assert win.edges == ((0, d), (n - 1, n - 1 - d))
 
 
 @pytest.mark.parametrize("grid", ["default", "glue"])
@@ -444,7 +446,7 @@ def test_scaled_rules_lie_within_their_bounds_of_the_log_rules(grid):
     s, t = g.s, g.t
     wide = [-t, 2.0 * s - t, np.where(s < 0.0, -math.inf, -40.0 * np.abs(s)),
             np.where(s > 1.0, -math.inf, 60.0 * s), -np.exp(np.abs(s))]
-    left, right = grids._edge_nodes(g)
+    left, right = g.edges
     for li in _hostile_rows(s) + list(_rows(s)) + wide:
         for head in (True, False):
             res = grids._scaled_cumint(li, g, head)
@@ -560,6 +562,21 @@ def test_an_interval_grid_knows_its_open_ends(lo, hi):
     assert grids.log_sup(-rising, g) == (math.inf if g.open_lo else -rising[0])
 
 
+@pytest.mark.parametrize("cfg", [DEFAULT_CFG, GLUE_CFG, CFG, QuadratureConfig(S=1.0, sup_grid=16)],
+                         ids=["default", "glue", "S12", "S1"])
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, math.inf), (0.0, 1.0), (1.0, math.inf), (1e-3, 50.0), (1e20, math.inf),
+    (2.0, 2.0 + 1e-9)])
+def test_grid_edges_pair_each_end_with_the_node_a_decade_inside(cfg, lo, hi):
+    # the fit nodes d panels inside, d the panels in a decade: at least 4,
+    # at most all of them (the S1 window and the sliver (2, 2 + 1e-9))
+    g = grids.log_nodes(cfg, lo, hi)
+    s, n = g.s, g.s.size
+    d = min(n - 1, max(4, int(round((n - 1) * math.log(10.0) / (s[-1] - s[0])))))
+    assert g.edges == ((0, d), (n - 1, n - 1 - d))
+    assert all(type(i) is int for pair in g.edges for i in pair)
+
+
 @pytest.mark.parametrize("grid", ["default", "glue"])
 def test_rows_on_some_columns_read_as_full_rows(grid):
     # a row that reads -inf off the columns [lo, hi): the scaled rules on
@@ -567,7 +584,7 @@ def test_rows_on_some_columns_read_as_full_rows(grid):
     # bounds of the full row's log-space rules
     g = _WINDOW_GRIDS[grid]()
     s, n = g.s, g.s.size
-    left, right = grids._edge_nodes(g)
+    left, right = g.edges
     spans = [(n // 3, n), (0, 2 * n // 3), (1, n - 1), (n // 3, n // 3 + 5),
              (n - 3, n), (0, 3), (n // 2 - right[1] // 3, n // 2 + right[1] // 3)]
     for li in list(_rows(s)) + [-g.t, 2.0 * s - g.t, 0.5 * np.sin(s) - np.abs(s)]:

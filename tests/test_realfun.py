@@ -12,13 +12,22 @@ from cescop import realfun
 from cescop.errors import NumericOverflow, SpecInvalid
 from cescop.exponents import Exponent
 from cescop.multiplier import reduce_problem
+from cescop.gluing import dyadic_cover
 from cescop.operators import (
     FundamentalSpec,
+    big_V,
+    cal_V,
     head_integral_fun,
+    is_admissible,
+    is_nondegenerate,
+    is_quasiconcave,
+    kernel_A,
     op_A,
     op_A_star,
+    running_sup_fun,
     stieltjes_density,
     stieltjes_tail_density,
+    suffix_sup_fun,
     tail_integral_fun,
 )
 from cescop.realfun import (
@@ -45,6 +54,7 @@ from cescop.realfun import (
     weight,
 )
 from cescop.realfun import _Elementary, _Table
+from cescop.spaces import check_omega
 
 
 def test_power_evaluation():
@@ -530,11 +540,48 @@ def test_public_constructors_raise_a_package_error(build):
     lambda: lp_norm(ONE, ONE, (0, 1), "inf"),
     lambda: FundamentalSpec(U=3.0, w=ONE),
     lambda: FundamentalSpec(U=ONE, w=3.0),
+    # a number where a function belongs: each leaked AttributeError, and
+    # powerof and funsum returned it
+    lambda: powerof(3.0, 1.0),
+    lambda: powerof(3.0, 2.0),
+    lambda: funsum(3.0),
+    lambda: funsum(ONE, 3.0),
+    lambda: check_omega(3.0, 2),
+    lambda: weight(3.0),
+    lambda: op_A(3.0, 2, 1),
+    lambda: op_A_star(3.0, 2, 1),
+    lambda: big_V(3.0, 1),
+    lambda: big_V(3.0, 2),
+    lambda: stieltjes_density(3.0, 2, 1),
+    lambda: stieltjes_tail_density(3.0, 0.5),
+    lambda: head_integral_fun(3.0),
+    lambda: tail_integral_fun(3.0),
+    lambda: running_sup_fun(3.0),
+    lambda: suffix_sup_fun(3.0),
+    lambda: cal_V(3.0, 1.0, 2.0),
+    lambda: kernel_A(3.0, 1.0, 2.0),
+    lambda: is_quasiconcave(3.0, ONE),
+    lambda: is_quasiconcave(ONE, 3.0),
+    lambda: is_admissible(3.0),
+    lambda: is_nondegenerate(3.0, ONE),
+    lambda: is_nondegenerate(ONE, 3.0),
+    lambda: dyadic_cover(3.0),
+    lambda: dyadic_cover(3.0, "tail"),
 ], ids=["op_A", "op_A_star", "stieltjes-p-above-r", "stieltjes-tail-q-one",
         "primitive_at", "tail_at", "lp_norm-no-function", "integrate-no-function",
         "esssup-no-function", "integrate-no-interval", "esssup-no-interval",
         "log_esssup-no-interval", "lp_norm-no-interval", "lp_norm-inf-no-interval",
-        "fundamental-U-no-function", "fundamental-w-no-function"])
+        "fundamental-U-no-function", "fundamental-w-no-function",
+        "powerof-one-no-function", "powerof-no-function", "funsum-one-no-function",
+        "funsum-no-function", "check_omega-no-function", "weight-no-function", "op_A-no-function", "op_A_star-no-function",
+        "big_V-p-one-no-function", "big_V-no-function", "stieltjes-no-function",
+        "stieltjes-tail-no-function", "head_integral_fun-no-function",
+        "tail_integral_fun-no-function", "running_sup_fun-no-function",
+        "suffix_sup_fun-no-function", "cal_V-no-function", "kernel_A-no-function",
+        "is_quasiconcave-f-no-function", "is_quasiconcave-a-no-function",
+        "is_admissible-no-function", "is_nondegenerate-phi-no-function",
+        "is_nondegenerate-U-no-function", "dyadic_cover-no-function",
+        "dyadic_cover-tail-no-function"])
 def test_public_functions_raise_a_package_error(call):
     with pytest.raises(SpecInvalid):
         call()

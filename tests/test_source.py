@@ -109,29 +109,45 @@ def test_a_family_keeps_its_own_scores():
     assert {path.name for path in paths if reads(path)} == {"oracle.py"}
 
 
-def _layer_targets(module: str) -> set:
-    """The names TARGETS[module] lists in perfbench/layers.py."""
-    tree = ast.parse((SRC.parents[1] / "perfbench" / "layers.py").read_text())
-    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
-    return set(ast.literal_eval(targets)[module])
-
-
 def _named(node):
     """The name a Name or Attribute node reads, else None."""
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
-def test_every_public_grids_name_has_a_caller():
-    # a public grids name that only tests read is API kept for tests;
-    # perfbench/layers.py binds the names of its TARGETS["grids"]
-    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    defs = [node for node in trees["grids.py"].body
+def _layer_names() -> set:
+    """The names perfbench/layers.py binds: those its TARGETS list, for
+    any module, and those its code reads."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "layers.py").read_text())
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    listed = {name for names in ast.literal_eval(targets).values() for name in names}
+    return listed | {_named(n) for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _uncalled(src: Path) -> list:
+    """(module, name) for each public module-level def or class of the
+    package in src that no module of it names outside its own definition,
+    and that perfbench/layers.py does not bind.  A re-export in
+    __init__.py is an import, not a name read, so it does not count."""
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    defs = [(module, node) for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
     assert defs
     # a name read inside its own definition does not call it
-    own = {id(n) for d in defs for n in ast.walk(d) if _named(n) == d.name}
+    own = {id(n) for _, d in defs for n in ast.walk(d) if _named(n) == d.name}
     named = {_named(n) for tree in trees.values() for n in ast.walk(tree)
              if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in own}
-    uncalled = {d.name for d in defs} - named - _layer_targets("grids")
-    assert sorted(uncalled) == []
+    return sorted((module, d.name) for module, d in defs
+                  if d.name not in named | _layer_names())
+
+
+def test_every_public_name_has_a_caller(tmp_path):
+    # a public name that only tests read is API kept for tests
+    assert _uncalled(SRC) == []
+    # the rule sees an unused public def, re-exported or not
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    spaces, init = tmp_path / "spaces.py", tmp_path / "__init__.py"
+    spaces.write_text(spaces.read_text() + "\n\ndef unused_helper():\n    return unused_helper\n")
+    init.write_text(init.read_text() + "from .spaces import unused_helper\n")
+    assert _uncalled(tmp_path) == [("spaces.py", "unused_helper")]
