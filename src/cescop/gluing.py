@@ -26,6 +26,7 @@ from .realfun import (
     QuadratureConfig,
     RealFun,
     _check_funs,
+    _check_is,
     funsum,
     indicator,
     power,
@@ -307,6 +308,8 @@ def glue_eval(inst: GlueInstance, cfg: QuadratureConfig = GLUE_CFG) -> GlueResul
     under an outer integral).  A sup side cumulates by running maxima,
     an integral side by running integrals (q = 1).
     """
+    _check_is(GlueInstance, inst=inst)
+    _check_funs(cfg=cfg)
     grid = grids.log_nodes(cfg)
     la, g_side, h_side = _sides(inst, grid)
     lg, lh = g_side.lf, h_side.lf
@@ -356,6 +359,7 @@ def dyadic_cover(g: RealFun, direction: str = "head",
     tail: int_{x_m}^inf g = 2^(-m) starting at the least m covering the
     total mass.  Levels are clipped to the working window.
     """
+    _check_funs(cfg=cfg, g=g)
     if direction not in ("head", "tail"):
         raise SpecInvalid("direction must be 'head' or 'tail'")
     from scipy.optimize import brentq
@@ -419,9 +423,21 @@ _ALPHA_LATTICE = (1.1, 1.5, 2.0, 4.0)
 _MAX_LAG = 8
 
 
+def _sequence(seq, name: str) -> np.ndarray:
+    """seq as a float array; SpecInvalid unless it is a 1-D sequence of
+    real numbers."""
+    try:
+        arr = np.asarray(seq)
+        if arr.ndim == 1 and arr.dtype.kind in "iufO":
+            return arr.astype(float)
+    except (TypeError, ValueError):
+        pass
+    raise SpecInvalid(f"{name} must be a 1-D sequence of real numbers, got {seq!r}")
+
+
 def almost_geometric_check(seq, direction: str) -> AlmostGeometricWitness | None:
     """Search the (alpha, L) lattice for an almost-geometric witness."""
-    tau = np.asarray(seq, dtype=float)
+    tau = _sequence(seq, "seq")
     if tau.size < 2 or not np.all((tau > 0) & (tau < INF)):  # false at NaN
         return None
     ratios = tau[1:] / tau[:-1]
@@ -459,8 +475,7 @@ def discrete_equiv(lemma: str, tau, a, q) -> tuple:
     geometrically decreasing tau; AGI uses suffix sums for increasing
     sequences.  Returns (lhs, rhs); the witness is verified first.
     """
-    tau = np.asarray(tau, dtype=float)
-    a = np.asarray(a, dtype=float)
+    tau, a = _sequence(tau, "tau"), _sequence(a, "a")
     if tau.shape != a.shape:
         raise SpecInvalid("sequence lengths differ")
     if not np.all((a >= 0) & (a < INF)):  # false at NaN
@@ -481,6 +496,10 @@ def discrete_equiv(lemma: str, tau, a, q) -> tuple:
 def random_instance(lemma_id: str, rng: np.random.Generator) -> GlueInstance:
     """Seeded random instance: power/indicator mixtures for g and h, a
     non-decreasing power weight, exponents bounded by 4."""
+    if lemma_id not in LEMMAS:
+        raise SpecInvalid(f"unknown lemma id {lemma_id!r}")
+    _check_is(np.random.Generator, rng=rng)
+
     def bump():
         lo = float(10.0 ** rng.uniform(-3, 2.5))
         hi = lo * float(10.0 ** rng.uniform(0.1, 1.5))

@@ -43,14 +43,14 @@ lf is not -inf and gathers lf and s on them, and for an integral the
 span [lo, hi) of nodes its rows hold and the columns' offsets in it; it
 then reduces any number of kernel rows on those columns.
 
-Two private rules take the same integrals in scaled linear space, for a
-screen that only has to rank rows: ``_scaled_cumint`` (``log_cumint``)
-and ``_scaled_integral`` (``log_integral`` over the full window).  Each
+Two private rules take the same integrals in scaled linear space, for
+the oracle's screen: ``_scaled_cumint`` (``log_cumint``) and
+``_scaled_integral`` (``log_integral`` over the full window).  Each
 shifts the row by its max, takes one exp per node, sums the trapezoid
-panels and takes one log, and returns a bound on its distance from the
-log-space rule; none of the reported numbers is computed this way.
-``_scaled_integral`` takes the nodes beyond a row's columns on one side
-as a ``_Rest``: the sum of their panels, their max and one error bound,
+panels and takes one log.  They carry no error bound: the oracle only
+ranks candidates on them, and every number it reports is taken on the
+log path.  ``_scaled_integral`` takes the nodes beyond a row's columns
+on one side as a ``_Rest``: the sum of their panels and their max,
 read from tables built once per outer weight.
 """
 
@@ -79,9 +79,6 @@ _SLOPE_TOL = 1e-9
 # A supremum at an open end of the window whose log-values still climb
 # faster than this per unit of s is taken to be infinite.
 _SUP_SLOPE_TOL = 1e-6
-
-# The unit roundoff of a float.
-_U = 2.0 ** -53
 
 # The scaled rules clip a row's shifted log-values at _CLIP, so that no
 # exp lands among the subnormals, where float arithmetic is ~50x slower.
@@ -316,37 +313,24 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool, lo: int = 0):
     outside them reads -inf in the edge estimate, and the entries
     returned are the full row's at those columns.
 
-    Returns (lc, (a, b), low).  The edge estimate is log_cumint's own,
-    so a divergent one gives +inf everywhere, as log_cumint does;
-    otherwise a row holding +inf or NaN gives None.  Otherwise each finite lc_j lies
-    within a |lc_j| + b of log_cumint(li, g, head)'s entry j, except
-    where low is set: there the scaled running sum fell below
-    _SCALED_FLOOR and lc is only an upper bound.  An entry with no finite
-    term is exactly -inf, and an edge-fit node (g.edges) is taken bit
-    for bit on the log path rather than bounded, so that edge estimates
-    over lc never read a bound.
-
-    (a, b): both rules sum the same terms, so the distance is the
-    rounding of the two.  The log path rounds each panel log and each
-    running logaddexp by a few ulps of its value, and an earlier term's
-    error reaches entry j weighted by its share of that sum; with |x|e^-x
-    bounded this keeps each of the n steps within a few ulps of
-    |lc_j| + 4.  The scaled sum has a relative error of n ulps from the
-    cumsum and of about |lc_j - m| ulps from the exp of the shift by the
-    row max m.  16 n ulps of 2 |lc_j| + 3 |m| + |log hw| + 30 (hw the
-    panel half-width, n the window's nodes however few the columns)
-    covers both: about 1e-9 where lc_j is near 50.
+    Returns (lc, low).  The edge estimate is log_cumint's own, so a
+    divergent one gives +inf everywhere, as log_cumint does; otherwise a
+    row holding +inf or NaN gives None.  An entry with no finite term is
+    exactly -inf.  Where low is set the scaled running sum fell below
+    _SCALED_FLOOR and lc is only an upper bound.  An edge-fit node
+    (g.edges) is never low: below the floor it is taken bit for bit on
+    the log path, so that edge estimates over lc read no upper bound.
     """
     k = li.size
     le = _edge_estimate(li, g, head, lo)
     low = np.zeros(k, dtype=bool)
     if le == math.inf:
-        return np.full(k, math.inf), (0.0, 0.0), low
+        return np.full(k, math.inf), low
     m = float(np.max(li))
     if not m < math.inf:
         return None
     if m == NEG_INF:
-        return np.full(k, NEG_INF), (0.0, 0.0), low
+        return np.full(k, NEG_INF), low
     hw, lw = g.half_widths[lo:lo + k - 1], g.log_half_widths[lo:lo + k - 1]
     # the edge-fit nodes among the columns, in summing order
     fit = {j - lo for pair in g.edges for j in pair if 0 <= j - lo < k}
@@ -382,63 +366,37 @@ def _scaled_cumint(li: np.ndarray, g: Grid, head: bool, lo: int = 0):
         low[redo] = False
     if not head:
         lc, low = lc[::-1], low[::-1]
-    ulps = 16.0 * g.s.size * _U
-    b = ulps * (3.0 * abs(m) + abs(math.log(float(g.half_widths[0]))) + 30.0)
-    return lc, (2.0 * ulps, b), low
+    return lc, low
 
 
 class _Rest(NamedTuple):
     """The nodes of a row beyond its columns on one side, given to
-    _scaled_integral by their sums rather than node by node.
-
-    Each log-value there within 100 of the row max lies within err of the
-    log path's; each one further down lies within (m - 90) - its value of
-    it, m the row max, and need not be checked.
-    """
+    _scaled_integral by their sums rather than node by node."""
 
     log_sum: float  # log of the sum of the trapezoid panels among them
-    sum_err: float  # how far log_sum may lie from the log path's sum of those panels
     top: float      # the max of their log-values
-    err: float
-    at: dict        # (log-value, its error) at each edge-fit node among them
+    at: dict        # the log-value at each edge-fit node among them
 
 
-def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
-                     upper: np.ndarray, lo: int = 0, rest: _Rest | None = None):
+def _scaled_integral(li: np.ndarray, g: Grid, upper: np.ndarray, lo: int = 0,
+                     rest: _Rest | None = None):
     """log_integral of one window row, summed in scaled linear space.
 
-    li, err and upper hold the columns lo, lo + 1, ... of the nodes g.s.
-    The nodes beyond them on one side are rest's when it is given (a
-    _Rest, whose panels start at the last column on that side); every
-    other node reads -inf.
+    li and upper hold the columns lo, lo + 1, ... of the nodes g.s.  The
+    nodes beyond them on one side are rest's when it is given (a _Rest,
+    whose panels start at the last column on that side); every other
+    node reads -inf.
 
-    li must hold no +inf or NaN.  It lies within err, node by node, of
-    the row the log path integrates, except where upper is set: there li
-    is only an upper bound of that row.  upper is never set at an edge-fit
-    node (g.edges), so edge estimates read no bound.  Where li is -inf
-    that row is -inf too, and err is not read (it may be inf).  Returns
-    (log value, bound), the log_integral of that row lying within bound of
-    the finite log value.  None when that cannot be certified: a row with
-    no finite entry outside upper, an upper entry less than 60 below the
-    max of the others, an edge estimate that diverges, an edge slope
-    within 1e-6 of _SLOPE_TOL or one that node errors could move across
-    it, or node errors that are not small.
-
-    bound: each part of the sum (the core and the two edge estimates)
-    moves by at most a factor e^err of its own error err, weighted by
-    its share of the sum.  In the core, err is the max over the nodes
-    within 100 of the max m; a node further down must stay 90 below m
-    with its error, so all of them add under 4 n e^-90 of the sum.  An
-    edge estimate lv - log(rate), rate = (l1 - lv) / ds, moves by
-    err_lv + dr / (rate - dr), where dr = (err_lv + err_l1) / ds: this
-    1/rate sensitivity is why slopes near _SLOPE_TOL are refused, and dr
-    must not reach the slope's distance from it.  The upper entries add
-    at most 4 n e^-60 of the sum, and the clip at _CLIP under 1e-290.
-    rest's sum counts by its share, with its sum_err and the rounding of
-    its shift by m.  Rounding of the two paths adds 16 (n + |value| +
-    |value - m| + |log hw| + 30) ulps, n the window's nodes.
+    li must hold no +inf or NaN.  Where upper is set li is only an upper
+    bound of the row, and the entry is left out of the sum; upper is
+    never set at an edge-fit node (g.edges).  Returns the log value, or
+    None for a row with no finite entry outside upper, an upper entry
+    less than 60 below the max of the others, or an edge slope below
+    _SLOPE_TOL or within 1e-6 of it, where the estimate's 1/rate
+    sensitivity grows without limit.  The shifted terms are clipped at
+    _CLIP.
     """
-    n, k = g.s.size, li.size
+    k = li.size
     some_upper = bool(upper.any())
     core = np.where(upper, NEG_INF, li) if some_upper else li
     m = float(np.max(core))
@@ -448,62 +406,28 @@ def _scaled_integral(li: np.ndarray, g: Grid, err: np.ndarray,
         return None
     if some_upper and float(np.max(li[upper])) > m - 60.0:
         return None
-    near = core >= m - 100.0
-    if not np.all(near | (err <= (m - 90.0) - core)):
-        return None
-    hw = g.half_widths
     x = core - m
     np.maximum(x, _CLIP, out=x)
     np.exp(x, out=x)
-    total = float(np.dot(x[:-1] + x[1:], hw[lo:lo + k - 1]))
+    total = float(np.dot(x[:-1] + x[1:], g.half_widths[lo:lo + k - 1]))
     if rest is not None:
         total += math.exp(rest.log_sum - m)
 
     def node(j):
-        """(log-value, its error) at node j."""
         if 0 <= j - lo < k:
-            return float(core[j - lo]), err[j - lo]
-        if rest is not None and j in rest.at:
-            return rest.at[j]
-        return NEG_INF, 0.0
+            return float(core[j - lo])
+        return rest.at.get(j, NEG_INF) if rest is not None else NEG_INF
 
-    edges = []  # (estimate, its error)
     for i0, i1 in g.edges:
-        (lv, err_lv), (l1, err_l1) = node(i0), node(i1)
+        lv, l1 = node(i0), node(i1)
         if lv == NEG_INF or l1 == NEG_INF:
             continue
-        ds = abs(float(g.s[i1]) - float(g.s[i0]))
-        rate = (l1 - lv) / ds
-        gap = abs(rate - _SLOPE_TOL)
-        dr = (err_lv + err_l1) / ds + 4.0 * _U * abs(rate)
-        if gap <= 1e-6 or not dr < gap or rate < _SLOPE_TOL:
+        rate = (l1 - lv) / abs(float(g.s[i1]) - float(g.s[i0]))
+        if rate - _SLOPE_TOL <= 1e-6:
             return None
         est = lv - math.log(rate)
-        edges.append((est, err_lv + dr / (rate - dr)
-                      + 16.0 * _U * (abs(est) + 2.0 * abs(math.log(rate)) + 4.0)))
         total += math.exp(est - m)
-    value = math.log(total) + m
-    err_near = float(np.max(err, where=near, initial=0.0))
-    if rest is not None and rest.top >= m - 100.0:
-        err_near = max(err_near, rest.err)
-    rho = math.expm1(err_near) + 4.0 * n * math.exp(-90.0)
-    if rest is not None:
-        shift = 4.0 * _U * (abs(rest.log_sum) + abs(rest.log_sum - m))
-        rho += math.exp(rest.log_sum - value) * math.expm1(rest.sum_err + shift)
-    for est, err_est in edges:
-        if err_est < 1.0:
-            rho += math.exp(est - value) * math.expm1(err_est)
-        elif est + err_est < value - 60.0:
-            rho += math.exp(est + err_est - value)
-        else:
-            return None
-    if some_upper:
-        rho += 4.0 * n * math.exp(-60.0)
-    if not rho < 1e-3:
-        return None
-    rounding = 16.0 * _U * (n + abs(value) + abs(value - m)
-                            + abs(math.log(float(hw[0]))) + 30.0)
-    return value, 1.001 * rho + rounding
+    return math.log(total) + m
 
 
 def log_kernel(lx, lt) -> np.ndarray:

@@ -35,6 +35,7 @@ from .realfun import (
     QuadratureConfig,
     RealFun,
     _check_funs,
+    _check_is,
     _log_norms_at,
     from_log_callable,
     lp_norm,
@@ -149,6 +150,8 @@ def _phi(tag: str, prob: ThreeWeightProblem, V: RealFun, cfg: QuadratureConfig) 
 
 def hypothesis_check(prob: ThreeWeightProblem, cfg: QuadratureConfig = DEFAULT_CFG) -> list:
     """The hypothesis checks of prob's regime, surfaced as warnings."""
+    _check_is(ThreeWeightProblem, prob=prob)
+    _check_funs(cfg=cfg)
     tag = classify_regime(prob.p, prob.q, prob.r)
     notes = []
     if tag in ("T4i", "T4ii", "T5i", "T5ii", "T5iii", "T5iv"):
@@ -323,6 +326,8 @@ def characterize(prob: ThreeWeightProblem,
     them; the extra term carries the coefficient ||u||_{r,(0,inf)}^{-1}
     and drops out, unevaluated, when that norm is infinite.
     """
+    _check_is(ThreeWeightProblem, prob=prob)
+    _check_funs(cfg=cfg)
     p, q, r = prob.p, prob.q, prob.r
     tag = classify_regime(p, q, r)
     if tag == "UNSUPPORTED":

@@ -24,6 +24,7 @@ from .realfun import (
     QuadratureConfig,
     RealFun,
     _check_funs,
+    _check_is,
     _grid_norm_fun,
     constant,
     from_log_callable,
@@ -54,7 +55,7 @@ def _sanitize(lv: np.ndarray) -> np.ndarray:
 
 
 def _integral_fun(g: RealFun, head: bool, cfg: QuadratureConfig) -> RealFun:
-    _check_funs(g=g)
+    _check_funs(cfg=cfg, g=g)
     label = f"{'head' if head else 'tail'}({g.describe()})"
 
     def hint(t):
@@ -81,13 +82,13 @@ def tail_integral_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFu
 
 def running_sup_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """x -> esssup of g over (0, x), via the grid prefix maxima."""
-    _check_funs(g=g)
+    _check_funs(cfg=cfg, g=g)
     return _grid_norm_fun(g, INF, True, cfg, f"runsup({g.describe()})")
 
 
 def suffix_sup_fun(g: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> RealFun:
     """x -> esssup of g over (x, inf), via the grid suffix maxima."""
-    _check_funs(g=g)
+    _check_funs(cfg=cfg, g=g)
     return _grid_norm_fun(g, INF, False, cfg, f"sufsup({g.describe()})")
 
 
@@ -161,6 +162,8 @@ class FundamentalSpec:
 def fundamental_function(spec: FundamentalSpec, t: float,
                          cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """phi(t) = int_0^inf w(tau) U(t) / (U(t) + U(tau)) dtau."""
+    _check_is(FundamentalSpec, spec=spec)
+    _check_funs(cfg=cfg)
     grid = grids.log_nodes(cfg)
     side = grids.SupportColumns(spec.w.logv(grid.t), grid, 1.0)
     lk = grids.log_kernel(spec.U.logv(np.array([float(t)]))[0],

@@ -19,11 +19,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import EmptyFamily, SpecInvalid
-from .grids import _U
 from .realfun import (
     DEFAULT_CFG,
     QuadratureConfig,
     RealFun,
+    _check_funs,
+    _check_is,
     constant,
     expfam,
     funsum,
@@ -39,6 +40,14 @@ __all__ = ["Candidate", "CandidateFamily", "OracleResult",
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_counts(**counts) -> None:
+    """SpecInvalid unless every value is an integer >= 0: seeds, sizes and
+    rounds."""
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise SpecInvalid(f"{name} must be a non-negative integer, got {n!r}")
 
 
 def _jit(x, rng) -> float:
@@ -150,10 +159,11 @@ class Candidate:
 class CandidateFamily:
     """The candidates, and the seed of enrich's perturbations.
 
-    ``_scores`` maps each scoring context (f, X, Y, cfg) to the pair
-    (None for a skipped candidate) of every candidate scored in it, so
-    one family can be scored against any problem without mixing scores;
-    the family ``enrich`` returns shares its input's dict.
+    ``_scores`` maps each scoring context (f, X, Y, cfg) to the score
+    (``oracle._score``: None for a skipped candidate, a scaled log ratio
+    or an exact point) of every candidate scored in it, so one family can
+    be scored against any problem without mixing scores; the family
+    ``enrich`` returns shares its input's dict.
     """
 
     candidates: tuple
@@ -178,6 +188,7 @@ def default_family(seed: int = 0, size: int = 60) -> CandidateFamily:
     The family always starts with the 14-point head/tail lattice, so a
     ``size`` below 14 gives those 14 candidates.
     """
+    _check_counts(seed=seed, size=size)
     rng = np.random.default_rng(seed)
     cands = []
     # deterministic log lattice first so small families stay spread out
@@ -206,32 +217,46 @@ def _ratio(f: RealFun, X: SpaceSpec, Y: SpaceSpec, g: RealFun, cfg: QuadratureCo
 _LOG_RANGE = 700.0
 _LOG_ZERO = -746.0
 
+# The window of near-ties: every scaled log ratio within _TAU of the
+# family's best is scored again exactly.
+_TAU = 1e-9
+
 
 def _score(f: RealFun, X: SpaceSpec, Y: SpaceSpec, g: RealFun, cfg: QuadratureConfig):
-    """None where _ratio is None, else a pair (lo, hi) holding _ratio's value.
+    """None where _ratio is None, else the log ratio on the screen's scaled
+    rules (a float), or an exact point (r, r).
 
-    The pair is a point lo == hi where that value is exact: taken by
-    _ratio, or 0.0.  A screened pair always has width, since its bound
-    includes 4U(|lr| + 4); over one crossval pass the narrowest of the
-    1,277 screened pairs is 2.8e-9 relative.  The norms are screened in
-    _ratio's order: X first, and Y only when ||g||_X is finite.  Where a
-    screen is missing or out of range g takes _ratio, so every error
-    _ratio raises is raised here too.
+    The point is _ratio's where a screen is missing or out of range, and
+    (0.0, 0.0) where the screened numerator lies more than _TAU below
+    _LOG_ZERO.  The norms are screened in _ratio's order: X first, and Y
+    only when ||g||_X is finite.  Where g takes _ratio, every error _ratio
+    raises is raised here too.
     """
     den = _plan(X, cfg).screen(g)
-    if den is not None and math.isinf(den[0]):
+    if den is not None and math.isinf(den):
         return None  # ||g||_X is exactly 0 or inf
     in_range = lambda x: -_LOG_RANGE < x < _LOG_RANGE
-    num = _plan(Y, cfg).screen(product(f, g)) if den and in_range(den[0]) else None
-    if num is not None and num[0] + num[1] < _LOG_ZERO:
+    num = _plan(Y, cfg).screen(product(f, g)) if den is not None and in_range(den) else None
+    if num is not None and num + _TAU < _LOG_ZERO:
         return 0.0, 0.0
-    if num is None or not (in_range(num[0]) and in_range(num[0] - den[0])):
+    if num is None or not (in_range(num) and in_range(num - den)):
         return _ratio(f, X, Y, g, cfg)
-    # the rounding of num - den and of lr -+ bound, and of the two
-    # from_log calls, the division and the two exps, in log terms
-    lr = num[0] - den[0]
-    bound = num[1] + den[1] + 4.0 * _U * (abs(lr) + 4.0)
-    return math.exp(lr - bound), math.exp(lr + bound)
+    return num - den
+
+
+def _log_ratio(score) -> float:
+    """The log ratio a score ranks by: a scaled one, or an exact point's; None reads -inf."""
+    if isinstance(score, tuple):
+        return math.log(score[0]) if score[0] > 0.0 else -math.inf
+    return -math.inf if score is None else score
+
+
+def _check_problem(f, X, Y, fam, cfg) -> None:
+    """SpecInvalid unless f is a RealFun, X and Y SpaceSpecs, fam a
+    CandidateFamily and cfg a QuadratureConfig."""
+    _check_funs(cfg=cfg, f=f)
+    _check_is(SpaceSpec, X=X, Y=Y)
+    _check_is(CandidateFamily, fam=fam)
 
 
 def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
@@ -243,38 +268,41 @@ def brute_force_multiplier(f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     carry no information about the supremum.  The result is a lower
     bound of the true multiplier norm up to quadrature error.
 
-    Each candidate is first screened with cheap linear-space norms that
-    come with an error bound (``_score``); only the candidates whose
-    pair (lo, hi) has width and reaches the largest lo in the family are
-    then scored exactly, so every candidate that may be the argmax or tie
-    it has an exact ratio, a point.  The argmax is taken among points in
-    family order, and the result is the one that scoring every candidate
-    exactly gives.  X and Y are planned first (``spaces._plan``), so a
-    space with its gate on (validate) that fails it raises SpecInvalid
-    before any candidate is scored; one with the gate off, as the CLI
-    builds them, is scored as it stands.  Each keeps its plan for cfg:
-    gate, outer weights and tables, for all calls.
-    The pairs are kept in the family for this f, X, Y and cfg, so a
+    Each candidate is scored once (``_score``): with the log ratio of the
+    screen's scaled linear-space norms, or exactly where a screen falls
+    back.  Every candidate whose scaled log ratio lies within _TAU of the
+    best log ratio in the family is then scored exactly on the log path
+    (``_ratio``), and the result is the first maximum, in family order,
+    among the exact ratios.  So the reported number is always an exact
+    ratio, and it equals what scoring every candidate exactly gives
+    whenever each screened log-norm lies within _TAU / 4 of the log
+    path's.  Only those inside ±_LOG_RANGE are read as numbers, and over
+    the criterion-6 families those lie within 1.2e-12 of it.  Where they
+    drift further (rows that cancel huge magnitudes), the result is the
+    exact ratio of the best candidate the scaled rule finds, still a
+    lower bound.  X and Y are planned first
+    (``spaces._plan``), so a space with its gate on (validate) that fails
+    it raises SpecInvalid before any candidate is scored; one with the
+    gate off, as the CLI builds them, is scored as it stands.  Each keeps
+    its plan for cfg: gate, outer weights and tables, for all calls.
+    The scores are kept in the family for this f, X, Y and cfg, so a
     candidate is scored once however often the family is scored.
     """
+    _check_problem(f, X, Y, fam, cfg)
     for S in (X, Y):  # gate both spaces before any candidate is scored
         _plan(S, cfg)
     scores = fam._scores.setdefault((f, X, Y, cfg), {})
-    floor = -1.0
     for cand in fam.candidates:
         if cand not in scores:
             scores[cand] = _score(f, X, Y, cand.build(), cfg)
-        if scores[cand] is not None and scores[cand][0] > floor:
-            floor = scores[cand][0]
-    # exact scores only raise the largest lo, so no pair below it now can
-    # reach it later
+    top = max(_log_ratio(scores[cand]) for cand in fam.candidates)
     best, best_cand = -1.0, None
     for cand in fam.candidates:
-        pair = scores[cand]
-        if pair is not None and pair[0] < pair[1] and pair[1] >= floor:
-            pair = scores[cand] = _ratio(f, X, Y, cand.build(), cfg)
-        if pair is not None and pair[0] == pair[1] and pair[0] > best:
-            best, best_cand = pair[0], cand
+        score = scores[cand]
+        if isinstance(score, float) and score >= top - _TAU:
+            score = scores[cand] = _ratio(f, X, Y, cand.build(), cfg)
+        if isinstance(score, tuple) and score[0] > best:
+            best, best_cand = score[0], cand
     evaluated = sum(scores[cand] is not None for cand in fam.candidates)
     if evaluated == 0:
         raise EmptyFamily("no candidate has a nontrivial source norm")
@@ -300,6 +328,8 @@ def enrich(fam: CandidateFamily, f: RealFun, X: SpaceSpec, Y: SpaceSpec,
     shares its input's scores, so no round, and no later scoring of the
     result, scores a candidate twice.
     """
+    _check_problem(f, X, Y, fam, cfg)
+    _check_counts(rounds=rounds)
     for k in range(rounds):
         rng = np.random.default_rng((fam.seed, k))
         res = brute_force_multiplier(f, X, Y, fam, cfg)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -522,13 +523,27 @@ def powerof(base: RealFun, s: float) -> RealFun:
 
 
 def from_log_callable(logfn, label: str = "opaque") -> RealFun:
+    _check_is(Callable, logfn=logfn)
     return _LogCallable(logfn, label=label)
 
 
-def _check_funs(I: Interval = FULL, **funs) -> None:
-    """SpecInvalid unless I is an Interval and every other value a RealFun."""
+def _check_is(cls, **values) -> None:
+    """SpecInvalid unless every value is a cls: the type check of a public
+    entry point's specs, problems, instances, families, generators and
+    callables."""
+    for name, value in values.items():
+        if not isinstance(value, cls):
+            raise SpecInvalid(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
+def _check_funs(I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CFG, **funs) -> None:
+    """SpecInvalid unless I is an Interval, cfg a QuadratureConfig and
+    every other value a RealFun."""
     if not isinstance(I, Interval):
         raise SpecInvalid(f"I must be an Interval, got {I!r}")
+    if not isinstance(cfg, QuadratureConfig):
+        raise SpecInvalid(f"cfg must be a QuadratureConfig, got {cfg!r}")
+    # inline rather than through _check_is: product checks every factor
     for name, f in funs.items():
         if not isinstance(f, RealFun):
             raise SpecInvalid(f"{name} must be a RealFun, got {f!r}")
@@ -558,7 +573,7 @@ def integrate(g: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CF
     closed form (``integral_log``) when it has one, else the integral on
     I's log grid (``_log_grid_integral``).  NumericOverflow when a finite
     integral is beyond the float range."""
-    _check_funs(I, g=g)
+    _check_funs(I, cfg, g=g)
     return grids.from_log(_log_integral(g, I, cfg))
 
 
@@ -633,7 +648,7 @@ def tail_at(g: RealFun, x: float, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
 
 def log_esssup(f: RealFun, I: Interval = FULL, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """Log of the essential supremum of f over I (grid max + refinement)."""
-    _check_funs(I, f=f)
+    _check_funs(I, cfg, f=f)
     eff = I.intersect(f.support)
     if eff is None:
         return NEG_INF
@@ -684,7 +699,7 @@ def lp_norm(f: RealFun, w: RealFun, I: Interval = FULL, p=None, cfg: QuadratureC
     p is an Exponent (or float/Fraction); p = inf takes the essential
     supremum of f*w over I.
     """
-    _check_funs(I)
+    _check_funs(I, cfg)
     p = Exponent(p)
     fw = product(f, w)
     if p.is_inf:

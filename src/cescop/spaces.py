@@ -8,7 +8,7 @@ integral sees the inner norm at every node at once.
 
 A ``_Plan`` prepares one space for many norms.  Its ``log_norm`` is the
 log of ``space_norm``; its ``screen`` estimates that log with grids' scaled
-linear-space integrals and a bound, and the oracle ranks with it.
+linear-space integrals, and the oracle ranks with it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .realfun import (
     QuadratureConfig,
     RealFun,
     _check_funs,
+    _check_is,
     _log_norms_at,
     product,
 )
@@ -84,7 +85,7 @@ def check_omega(u: RealFun, q, dual: bool = False,
     dual=False requires 0 < ||u||_{q,(t,inf)} < inf for sampled t;
     dual=True uses head norms over (0, t), read by realfun._log_norms_at.
     """
-    _check_funs(u=u)
+    _check_funs(cfg=cfg, u=u)
     q = Exponent(q)
     decades = max(1, int(cfg.S / grids.LOG10))  # at least t = 1
     samples = [10.0 ** k for k in range(-decades + 1, decades, max(1, decades // 4))]
@@ -115,6 +116,8 @@ def space_norm(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG)
     the cumulative norm over (0, t) (ces) or (t, inf) (cop) and multiplies
     it by the next weight out; the outermost exponent reduces over (0, inf).
     """
+    _check_is(SpaceSpec, spec=spec)
+    _check_funs(cfg=cfg, f=f)
     return grids.from_log(_plan(spec, cfg).log_norm(f))
 
 
@@ -132,32 +135,34 @@ class _Plan:
     the exponents as floats (innermost first) and the log-values on the
     window of every weight but the innermost, which meets f in
     product(f, v).  The screen is taken for an arity-2 spec with finite
-    exponents and an outer weight below +inf; its rounding terms and
-    tables are built on the first screen (``_outer``), once per plan.
+    exponents and an outer weight below +inf; its tables are built on the
+    first screen (``_outer``), once per plan.
 
     ``log_norm(f)`` is the log of space_norm(spec, f, cfg): product(f, v)
     read on the whole window, each inner level cumulated over the window
     from its open end, then the outer sup or integral over every node.
 
-    ``screen(f)`` gives (log value, bound) with log_norm(f) within bound
-    of the log value, or None: the same product(...).logv and the same
-    elementwise steps as log_norm, with grids._scaled_cumint and
-    grids._scaled_integral in place of log_cumnorm and log_integral.  Only
-    the screen reads the span of the support of product(f, v): the nodes
-    [a, b) of the window in its closed hull, off which its log-values are
-    -inf.  It sums the span and one node beyond each cut end.  Past that
-    node, on the other side (right for ces, left for cop), the inner
-    integral is its total C, so the outer log-values are qC/p + w,
-    w = q lu + s, and their panels sum to e^(qC/p) times the panel sums of
-    e^w, read from the tables (a grids._Rest).  Only a divergent inner
-    edge gives -inf or +inf, exact and with bound 0.  None for any spec
-    the screen is not taken for, for rows holding +inf or NaN, and
-    wherever grids cannot certify its integrals.
+    ``screen(f)`` estimates log_norm(f), or gives None: the same
+    product(...).logv and the same elementwise steps as log_norm, with
+    grids._scaled_cumint and grids._scaled_integral in place of
+    log_cumnorm and log_integral.  It carries no bound; only the oracle
+    reads it, to rank candidates, and its result is exact scoring's
+    whenever each screened value lies within oracle._TAU / 4 of log_norm.
+    Only the screen reads the span of the support of product(f, v): the
+    nodes [a, b) of the window in its closed hull, off which its
+    log-values are -inf.  It sums the span and one node beyond each cut
+    end.  Past that node, on the other side (right for ces, left for cop),
+    the inner integral is its total C, so the outer log-values are qC/p +
+    w, w = q lu + s, and their panels sum to e^(qC/p) times the panel sums
+    of e^w, read from the tables (a grids._Rest).  Only a divergent inner
+    edge gives -inf or +inf, exact.  None for any spec the screen is not
+    taken for, an empty span, rows holding +inf or NaN, a joining node
+    below the scaled floor, and wherever grids._scaled_integral refuses.
     """
 
     def __init__(self, spec: SpaceSpec, cfg: QuadratureConfig = DEFAULT_CFG):
         _gate(spec, cfg)
-        self.cfg, self.head = cfg, spec.kind == CES
+        self.head = spec.kind == CES
         self.grid = g = grids.log_nodes(cfg)
         *self.inner, self.q = (float(e) for e in spec.exponents)
         *ws, self.v = spec.weights
@@ -186,16 +191,10 @@ class _Plan:
     @functools.cached_property
     def _outer(self) -> _Outer:
         """The screen's _Outer, built on the first screen of this plan."""
-        (p,), q, g = self.inner, self.q, self.grid
-        w = q * self.lu + g.s
+        w = self.q * self.lu + self.grid.s
         if self.head:  # the inner integral is constant right of the span
-            sums, tops = grids.log_suffix_cumtrapz(w, g), grids.suffix_logmax(w)
-        else:
-            sums, tops = grids.log_cumtrapz(w, g), grids.running_logmax(w)
-        # the rounding of / p, + lu, q * and + s in both paths, from
-        # |lc / p + lu| <= |lc| / p + |lu| and |s| <= S
-        return _Outer(np.abs(self.lu) * (12.0 * grids._U * q), 16.0 * grids._U * q / p,
-                      4.0 * grids._U * (self.cfg.S + 1.0), w, sums, tops)
+            return _Outer(w, grids.log_suffix_cumtrapz(w, self.grid), grids.suffix_logmax(w))
+        return _Outer(w, grids.log_cumtrapz(w, self.grid), grids.running_logmax(w))
 
     def screen(self, f: RealFun):
         if not self.screens:
@@ -204,7 +203,7 @@ class _Plan:
         n = g.s.size
         fv = product(f, self.v)
         a, b = self._span(fv)
-        if a >= b:  # no node: a row of -inf, which grids cannot certify
+        if a >= b:  # no node: a row of -inf, which the scaled rules leave to the log path
             return None
         # one -inf node beyond each cut end, whose panel meets the span
         lo, hi = max(a - 1, 0), min(b + 1, n)
@@ -215,74 +214,41 @@ class _Plan:
         res = grids._scaled_cumint(li, g, self.head, lo)
         if res is None:
             return None
-        lc, (ea, eb), low = res
+        lc, low = res
         if lc[0] == grids.INF:  # the inner edge estimate diverges
-            return (grids.INF if self.lu_max > grids.NEG_INF else grids.NEG_INF), 0.0
-        out = self._outer
+            return grids.INF if self.lu_max > grids.NEG_INF else grids.NEG_INF
         # as log_mul(lc / p, lu), which finds no NaN to mend: lc and lu hold
         # no +inf
         li = lc / p
         li += self.lu[lo:hi]
         li *= q
         li += g.s[lo:hi]
-        # the inner error times q / p, then the rounding terms
-        err = np.abs(lc)
-        err *= (q / p) * ea + out.lc_err
-        err += out.lu_err[lo:hi]
-        err += (q / p) * eb + out.s_err
         j = hi - 1 if self.head else lo  # the joining node: lc there is the inner total C
         rest = None
-        if (j < n - 1 if self.head else j > 0) and out.tops[j] > grids.NEG_INF:
-            if not low[j - lo]:
-                rest = self._rest(j, float(lc[j - lo]), (q / p) * ea, (q / p) * eb)
-            if rest is None:
+        if (j < n - 1 if self.head else j > 0) and self._outer.tops[j] > grids.NEG_INF:
+            if low[j - lo]:
                 return None
-        res = grids._scaled_integral(li, g, err, low, lo, rest)
-        if res is None:
-            return None
-        value = res[0] / q
-        return value, res[1] / q + 4.0 * grids._U * abs(value)
+            rest = self._rest(j, float(lc[j - lo]))
+        res = grids._scaled_integral(li, g, low, lo, rest)
+        return None if res is None else res / q
 
-    def _rest(self, j: int, C: float, ea: float, eb: float):
+    def _rest(self, j: int, C: float) -> grids._Rest:
         """The outer row's nodes past the joining node j (right of it for
-        ces, left for cop) as a grids._Rest, or None where its bound fails.
-
-        Their inner integral is C, node j's, and their outer log-values
-        c + w_k (c = qC/p) carry the error e0 + 12 U q |lu_k|, e0 that of
-        C, scaled as ea and eb, and the rounding terms.  A node within 100
-        of the row max m >= c + top (top = max w there) has q lu_k >=
-        top - 100 - S, so |q lu_k| <= K = q |lu_max| + |top| + 100 + S
-        and its error is at most e0 + 12 U K.  While that is at most 9, a
-        node further down, at D = (m - 90) - (c + w_k) > 10, has
-        |q lu_k| <= K + D and an error below D, as _scaled_integral asks.
-        The table sum of e^w rounds within 16 n ulps of |its log| + |c| + 30.
-        """
-        g, out, n = self.grid, self._outer, self.grid.s.size
-        (p,), q = self.inner, self.q
-        c = C / p * q
-        top = float(out.tops[j])
-        e0 = abs(C) * (ea + out.lc_err) + eb + out.s_err
-        err = e0 + 12.0 * grids._U * (q * abs(float(self.lu_max)) + abs(top) + 100.0
-                                      + self.cfg.S)
-        if not err <= 9.0:
-            return None
+        ces, left for cop) as a grids._Rest.  Their inner integral is C,
+        node j's, so their outer log-values are c + w_k, c = qC/p."""
+        out, n = self._outer, self.grid.s.size
+        c = C / self.inner[0] * self.q
         side = range(j + 1, n) if self.head else range(j)
-        at = {k: (c + float(out.w[k]), e0 + float(out.lu_err[k]))
-              for pair in g.edges for k in pair if k in side}
-        log_sum = float(out.sums[j])
-        sum_err = 16.0 * n * grids._U * (abs(log_sum) + abs(c) + 30.0)
-        return grids._Rest(c + log_sum, sum_err, c + top, err, at)
+        at = {k: c + float(out.w[k]) for pair in self.grid.edges for k in pair if k in side}
+        return grids._Rest(c + float(out.sums[j]), c + float(out.tops[j]), at)
 
 
 class _Outer(NamedTuple):
-    """The screen's rounding terms of one plan, and its tables of the outer
-    row w = q lu + s on the window: the log of the panel sums of e^w and
-    the max of w, from each node to the end where the inner integral of a
-    row is constant (right for ces, left for cop)."""
+    """The screen's tables of one plan's outer row w = q lu + s on the
+    window: the log of the panel sums of e^w and the max of w, from each
+    node to the end where the inner integral of a row is constant (right
+    for ces, left for cop)."""
 
-    lu_err: np.ndarray  # 12 U q |lu|
-    lc_err: float       # 16 U q / p
-    s_err: float        # 4 U (S + 1)
     w: np.ndarray
     sums: np.ndarray
     tops: np.ndarray
@@ -290,6 +256,7 @@ class _Outer(NamedTuple):
 
 def space_norm3(spec: SpaceSpec, f: RealFun, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     """``space_norm`` of an arity-3 spec."""
+    _check_is(SpaceSpec, spec=spec)
     if spec.arity != 3:
         raise SpecInvalid("space_norm3 needs an arity-3 spec")
     return space_norm(spec, f, cfg)

@@ -16,7 +16,7 @@ calls of one suite:
 
 A sixth line, ``screen``, digests the oracle's screened norms during the
 crossval suite: one line per ``spaces._Plan.screen`` call, ``None`` or
-f"{float(value).hex()} {float(bound).hex()}", joined by newlines.
+the scaled log-norm's ``float.hex()``, joined by newlines.
 
 Three more suites run the other config commands on the same 14 configs,
 each config's X = cop_{1,r}(u, 1) and Y = ces_{p,q}(w, v):
@@ -80,13 +80,12 @@ def _digest(argvs) -> str:
 
 
 def _screen_digest(argvs) -> str:
-    """The digest of every screened (value, bound) while argvs run."""
+    """The digest of every screened log-norm while argvs run."""
     lines, call = [], spaces._Plan.screen
 
     def recorded(self, f):
         res = call(self, f)
-        lines.append("None" if res is None
-                     else f"{float(res[0]).hex()} {float(res[1]).hex()}")
+        lines.append("None" if res is None else float(res).hex())
         return res
 
     spaces._Plan.screen = recorded

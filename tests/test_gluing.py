@@ -590,3 +590,30 @@ _BAND = product(power(1, 0), indicator(1, 2))
 def test_public_entry_points_raise_spec_invalid(call):
     with pytest.raises(SpecInvalid):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: discrete_equiv("AGD", [[1, .5], [.25, .1]], [[1, 1], [1, 1]], 1),
+    lambda: discrete_equiv("AGI", [1.0, 2.0, 4.0], "abc", 1),
+    lambda: discrete_equiv("AGD", 1.0, 1.0, 1),
+    lambda: almost_geometric_check("abc", "dec"),
+    lambda: almost_geometric_check([[1.0, 0.5], [0.25]], "dec"),
+    lambda: almost_geometric_check([1.0, "0.5"], "dec"),
+    lambda: almost_geometric_check([1.0 + 1j, 0.5], "dec"),
+    lambda: random_instance("NOPE", np.random.default_rng(0)),
+    lambda: random_instance("SUP_SUP", 3),
+], ids=["equiv-2d", "equiv-text", "equiv-scalar", "check-text", "check-ragged",
+        "check-text-entry", "check-complex", "instance-lemma",
+        "instance-rng"])
+def test_sequences_lemma_ids_and_generators_are_checked(call):
+    # each leaked ValueError, KeyError or AttributeError
+    with pytest.raises(SpecInvalid):
+        call()
+
+
+def test_sequences_of_ints_and_fractions_are_read_as_floats():
+    from fractions import Fraction
+    tau = (Fraction(1), Fraction(1, 4), Fraction(1, 16))
+    assert almost_geometric_check(tau, "dec") == almost_geometric_check((1.0, 0.25, 0.0625), "dec")
+    assert discrete_equiv("AGD", np.array([16, 4, 1]), [1, 0, 2], 1) == (
+        discrete_equiv("AGD", [16.0, 4.0, 1.0], [1.0, 0.0, 2.0], 1))

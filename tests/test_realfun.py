@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from cescop import realfun
 from cescop.errors import NumericOverflow, SpecInvalid
 from cescop.exponents import Exponent
-from cescop.multiplier import reduce_problem
-from cescop.gluing import dyadic_cover
+from cescop.multiplier import ThreeWeightProblem, characterize, hypothesis_check, reduce_problem
+from cescop.gluing import GlueInstance, dyadic_cover, glue_eval, random_instance
 from cescop.operators import (
     FundamentalSpec,
     big_V,
     cal_V,
+    fundamental_function,
     head_integral_fun,
     is_admissible,
     is_nondegenerate,
@@ -53,8 +54,9 @@ from cescop.realfun import (
     tail_at,
     weight,
 )
+from cescop.oracle import brute_force_multiplier, default_family, enrich
 from cescop.realfun import _Elementary, _Table
-from cescop.spaces import check_omega
+from cescop.spaces import SpaceSpec, check_omega, space_norm, space_norm3
 
 
 def test_power_evaluation():
@@ -584,6 +586,73 @@ def test_public_constructors_raise_a_package_error(build):
         "dyadic_cover-tail-no-function"])
 def test_public_functions_raise_a_package_error(call):
     with pytest.raises(SpecInvalid):
+        call()
+
+
+# the objects of the public entry points, each right but for the one
+# wrong-type argument a case passes
+_X = SpaceSpec("cop", (1, 0.5), (ONE, ONE), validate=False)
+_Y = SpaceSpec("ces", (1, 2), (expfam(1.0, 0.0, -1.0), ONE), validate=False)
+_FAM = default_family(seed=1, size=14)
+_INSTANCE = GlueInstance("SUP_SUP", ONE, ONE, power(1.0, 1.0))
+_PROB = ThreeWeightProblem(r=1, u=ONE, p=1, q=2, w=ONE, v=ONE, f=ONE, validate=False)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: space_norm(3.0, ONE),
+    lambda: space_norm3(3.0, ONE),
+    lambda: glue_eval(3.0),
+    lambda: characterize(3.0),
+    lambda: hypothesis_check(3.0),
+    lambda: brute_force_multiplier(ONE, _X, _Y, 3.0),
+    lambda: brute_force_multiplier(ONE, 3.0, _Y, _FAM),
+    lambda: brute_force_multiplier(ONE, _X, 3.0, _FAM),
+    lambda: brute_force_multiplier(3.0, _X, _Y, _FAM),
+    lambda: enrich(3.0, ONE, _X, _Y),
+    lambda: enrich(_FAM, ONE, 3.0, _Y, rounds=0),
+    lambda: fundamental_function(3.0, 1.0),
+    lambda: random_instance("SUP_SUP", 3),
+    lambda: from_log_callable(3.0),
+    # a number where a QuadratureConfig belongs, in every function taking one
+    lambda: check_omega(ONE, 2, cfg=3.0),
+    lambda: dyadic_cover(ONE, "head", 3.0),
+    lambda: space_norm(_Y, ONE, 3.0),
+    lambda: space_norm3(SpaceSpec("ces", (1, 1, 1), (ONE, ONE, ONE), validate=False), ONE, 3.0),
+    lambda: glue_eval(_INSTANCE, 3.0),
+    lambda: integrate(ONE, FULL, 3.0),
+    lambda: primitive_at(ONE, 1.0, 3.0),
+    lambda: tail_at(ONE, 1.0, 3.0),
+    lambda: esssup(ONE, FULL, 3.0),
+    lambda: realfun.log_esssup(ONE, FULL, 3.0),
+    lambda: lp_norm(ONE, ONE, FULL, 2, 3.0),
+    lambda: head_integral_fun(ONE, 3.0),
+    lambda: tail_integral_fun(ONE, 3.0),
+    lambda: running_sup_fun(ONE, 3.0),
+    lambda: suffix_sup_fun(ONE, 3.0),
+    lambda: op_A(ONE, 2, 1, 3.0),
+    lambda: op_A_star(ONE, 2, 1, 3.0),
+    lambda: big_V(ONE, 2, 3.0),
+    lambda: stieltjes_density(ONE, 2, 1, 3.0),
+    lambda: stieltjes_tail_density(ONE, 0.5, 3.0),
+    lambda: fundamental_function(FundamentalSpec(U=ONE, w=ONE), 1.0, 3.0),
+    lambda: hypothesis_check(_PROB, 3.0),
+    lambda: characterize(_PROB, 3.0),
+    lambda: brute_force_multiplier(ONE, _X, _Y, _FAM, 3.0),
+    lambda: enrich(_FAM, ONE, _X, _Y, 0, 3.0),
+], ids=["space_norm", "space_norm3", "glue_eval", "characterize", "hypothesis_check",
+        "brute_force-family", "brute_force-X", "brute_force-Y", "brute_force-f",
+        "enrich-family", "enrich-X", "fundamental_function", "random_instance-rng",
+        "from_log_callable", "check_omega-cfg", "dyadic_cover-cfg", "space_norm-cfg",
+        "space_norm3-cfg", "glue_eval-cfg", "integrate-cfg", "primitive_at-cfg",
+        "tail_at-cfg", "esssup-cfg", "log_esssup-cfg", "lp_norm-cfg",
+        "head_integral_fun-cfg", "tail_integral_fun-cfg", "running_sup_fun-cfg",
+        "suffix_sup_fun-cfg", "op_A-cfg", "op_A_star-cfg", "big_V-cfg",
+        "stieltjes-cfg", "stieltjes-tail-cfg", "fundamental_function-cfg",
+        "hypothesis_check-cfg", "characterize-cfg", "brute_force-cfg", "enrich-cfg"])
+def test_a_wrong_type_object_is_invalid(call):
+    # each leaked AttributeError or TypeError, at once or on first use, or
+    # was ignored where a closed form needs no grid
+    with pytest.raises(SpecInvalid, match="must be a"):
         call()
 
 

@@ -77,6 +77,17 @@ def test_only_spaces_builds_norm_plans():
     assert {path.name for path in SRC.glob("*.py") if builds(path)} == {"spaces.py"}
 
 
+def test_only_the_oracle_reads_the_screen():
+    # a screened norm carries no bound, so no reported number may come
+    # from one: only the oracle calls _Plan.screen, to rank candidates,
+    # and it reports exact ratios
+    def calls(path):
+        return [node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "screen"]
+
+    assert {path.name for path in SRC.glob("*.py") if calls(path)} == {"oracle.py"}
+
+
 def test_only_realfun_builds_interval_grids():
     # the weight gates and checks read the window's cumulative norms
     # (realfun._log_norms_at); only realfun's integrals and esssup take a

@@ -286,7 +286,7 @@ def _bits(plan, f):
     """plan's log_norm and screen of f, as exact float text."""
     screened = plan.screen(f)
     return (float(plan.log_norm(f)).hex(),
-            None if screened is None else tuple(float(x).hex() for x in screened))
+            None if screened is None else float(screened).hex())
 
 
 def test_a_reused_plan_reads_each_f_as_a_fresh_one():
